@@ -14,9 +14,11 @@ from .errors import (
     BadGridError,
     BadIndexSetError,
     BadRowSumError,
+    BadToleranceError,
     LengthMismatchError,
     MacPolarError,
     NegativeProbabilityError,
+    NonFiniteError,
     NotFullRankError,
     NotSingleUserError,
     ParseError,

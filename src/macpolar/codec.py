@@ -264,7 +264,9 @@ def _decide_branch(branch, post, frozen, q, m, vecs, powers):
         z_hat = int(np.argmax(scores))   # first max: ties go to the smaller z
         mask &= zmat[:, h] == z_hat
     chosen = np.nonzero(mask)[0]
-    assert chosen.size == 1
+    if chosen.size != 1:
+        raise SpecMismatchError(f"branch {branch.sig}: {chosen.size} candidate "
+                                "vectors fit the direction decisions, expected 1")
     return cand[chosen[0]]
 
 

@@ -52,6 +52,14 @@ class NegativeProbabilityError(MacPolarError, ValueError):
         super().__init__(f"entry ({row}, {col}) is negative: {value!r}")
 
 
+class NonFiniteError(MacPolarError, ValueError):
+    """A probability, weight or state entry is NaN or infinite."""
+
+
+class BadToleranceError(MacPolarError, ValueError):
+    """A tolerance is NaN or negative."""
+
+
 class NotSingleUserError(MacPolarError, ValueError):
     """Operation requires a single-user channel (m = 1)."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import datetime
 import json
 
-from .errors import ParseError
+from .errors import NonFiniteError, ParseError
 from .linear_mac import LinearComboMac
 from .mac import DiscreteMac
 from .polarize import CodeSpec
@@ -77,6 +77,8 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
             terms.append((float(term["p"]), sub))
         try:
             return LinearComboMac(q, m, terms)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{where}: {exc}") from exc
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: need either 'rows' or 'terms'")
@@ -99,11 +101,14 @@ def channel_to_dict(channel) -> dict:
 
 
 def load_codespec(path: str) -> CodeSpec:
+    """Read a code spec and check its consistency (SpecMismatchError)."""
     data = _load_json(path)
     try:
-        return CodeSpec.from_dict(data)
+        spec = CodeSpec.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad code spec: {exc}") from exc
+    spec.check()
+    return spec
 
 
 def save_codespec(path: str, spec: CodeSpec) -> None:

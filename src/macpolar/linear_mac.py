@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BadIndexSetError,
+    NonFiniteError,
     TooDeepError,
     TooLargeError,
     TooManyUsersError,
@@ -43,9 +44,12 @@ class LinearComboMac:
 
     def __init__(self, q: int, m: int, terms):
         check_prime(q)
+        terms = list(terms)
+        weights = np.array([w for w, _ in terms], dtype=np.float64)
+        if not np.isfinite(weights).all():
+            raise NonFiniteError(f"weights must be finite, got {weights.tolist()}")
         merged: dict[Subspace, float] = {}
-        for weight, sub in terms:
-            w = float(weight)
+        for w, (_, sub) in zip(weights.tolist(), terms):
             if w <= 0:
                 raise ValueError(f"weights must be positive, got {w}")
             if sub.m != m or sub.q != q:
@@ -194,9 +198,13 @@ def check_state(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] != 5:
         raise ValueError("state must have 5 components")
+    sums = p.sum(axis=-1)
+    # A NaN or infinite component makes its state's sum non-finite.
+    if not np.isfinite(sums).all():
+        raise NonFiniteError("state components must be finite")
     if np.any(p < 0):
         raise ValueError("state components must be non-negative")
-    if np.max(np.abs(p.sum(axis=-1) - 1.0)) > WEIGHT_TOL:
+    if np.max(np.abs(sums - 1.0)) > WEIGHT_TOL:
         raise ValueError("state components must sum to 1")
     return p
 

@@ -9,6 +9,7 @@ lives in [0, 1] and the m-user sum capacity in [0, m].
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +17,9 @@ import numpy as np
 from .errors import (
     BadIndexSetError,
     BadRowSumError,
+    BadToleranceError,
     NegativeProbabilityError,
+    NonFiniteError,
     NotFullRankError,
     NotSingleUserError,
 )
@@ -130,8 +133,12 @@ class DiscreteMac:
 
 
 def validate(mac: DiscreteMac) -> None:
-    """Check row sums (within 1e-12) and non-negativity."""
+    """Check finiteness, non-negativity and row sums (within 1e-12)."""
     tbl = mac.table
+    bad = np.argwhere(~np.isfinite(tbl))
+    if bad.size:
+        r, c = map(int, bad[0])
+        raise NonFiniteError(f"entry ({r}, {c}) is not finite: {tbl[r, c]!r}")
     neg = np.argwhere(tbl < 0)
     if neg.size:
         r, c = map(int, neg[0])
@@ -248,6 +255,13 @@ def restrict(mac: DiscreteMac, a: FieldMatrix, b: FieldMatrix | None = None) -> 
     return DiscreteMac(q, n1, out)
 
 
+def check_merge_tol(tol: float) -> None:
+    """A merge tolerance is a non-negative number; inf merges every output
+    of positive probability into one."""
+    if math.isnan(tol) or tol < 0:
+        raise BadToleranceError(f"merge tolerance must be >= 0, got {tol!r}")
+
+
 def merge_outputs(mac: DiscreteMac, tol: float = DEFAULT_MERGE_TOL) -> DiscreteMac:
     """Merge output symbols whose conditional-probability columns are
     proportional within `tol` (relative to the column mass) and drop
@@ -256,25 +270,36 @@ def merge_outputs(mac: DiscreteMac, tol: float = DEFAULT_MERGE_TOL) -> DiscreteM
     Proportional columns are statistically indistinguishable given the
     input, so every I[S] and Z is preserved; this is what keeps deep
     polarization trees tractable.
+
+    Columns are normalized and sorted lexicographically; a group opens at
+    the first column and takes each following column within `tol` (max
+    norm) of the column that opened it.  Merged outputs are the group sums,
+    ordered by each group's smallest column index.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    check_merge_tol(tol)
     t = mac.table
     sums = t.sum(axis=0)
     keep = np.nonzero(sums > 0.0)[0]
     if keep.size == 0:
         raise ValueError("channel has no outputs with positive probability")
     dirs = t[:, keep] / sums[keep]
-    order = keep[np.lexsort(dirs[::-1])]           # lex order on columns
-    groups: list[list[int]] = []
-    rep: np.ndarray | None = None
-    for col in order:
-        d = t[:, col] / sums[col]
-        if rep is not None and np.max(np.abs(d - rep)) <= tol:
-            groups[-1].append(col)
-        else:
-            groups.append([col])
-            rep = d
-    groups.sort(key=min)                           # deterministic output order
-    merged = np.column_stack([t[:, g].sum(axis=1) for g in groups])
+    perm = np.lexsort(dirs[::-1])                  # lex order on columns
+    order = keep[perm]
+    dirs = dirs[:, perm]
+    # A column equal to its predecessor is exactly as far from the group's
+    # opening column as the predecessor, so it joins the same group: only
+    # the distinct directions need the tolerance scan.
+    distinct = np.flatnonzero(np.concatenate(
+        ([True], (dirs[:, 1:] != dirs[:, :-1]).any(axis=0))))
+    uniq = np.ascontiguousarray(dirs[:, distinct].T)
+    starts = [0]
+    rep = uniq[0]
+    for j in range(1, len(uniq)):
+        if not np.abs(uniq[j] - rep).max() <= tol:
+            starts.append(distinct[j])
+            rep = uniq[j]
+    ends = starts[1:] + [len(order)]
+    first = np.minimum.reduceat(order, starts)     # deterministic output order
+    merged = np.column_stack([t[:, order[starts[g]:ends[g]]].sum(axis=1)
+                              for g in np.argsort(first).tolist()])
     return DiscreteMac(mac.q, mac.m, merged)

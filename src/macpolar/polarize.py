@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthMismatchError, TooLargeError
+from .errors import LengthMismatchError, SpecMismatchError, TooLargeError
 from .gfq import FieldMatrix, field_inv, mat_rank
 from .mac import (
     DEFAULT_MERGE_TOL,
     DiscreteMac,
     all_vectors,
+    check_merge_tol,
     merge_outputs,
     restrict,
     sum_capacity,
@@ -74,6 +76,7 @@ def all_sigs(length: int):
 
 def _apply(channel: DiscreteMac, symbol: str, merge_tol: float,
            max_outputs: int) -> DiscreteMac:
+    check_merge_tol(merge_tol)
     out = transform_minus(channel) if symbol == MINUS else transform_plus(channel)
     out = merge_outputs(out, merge_tol)
     if out.output_size > max_outputs:
@@ -247,22 +250,39 @@ class CodeSpec:
                 for k in range(1, self.m + 1) if b.frozen[k - 1]]
 
     def check(self):
-        """Internal consistency of the stored code."""
-        n = self.block_length
+        """Internal consistency of the stored code; raises
+        SpecMismatchError at the first inconsistency."""
+        n, m = self.block_length, self.m
+        if len(self.branches) != n or len(self.rate_vector) != m:
+            raise SpecMismatchError(
+                f"spec has {len(self.branches)} branches and "
+                f"{len(self.rate_vector)} rates, expected {n} and {m}")
         for b in self.branches:
-            a = b.a_matrix(self.q)
-            assert b.r == len(b.s_users) == a.cols
+            if not (b.r == len(b.s_users) == len(b.a_columns)
+                    and len(b.frozen) == m):
+                raise SpecMismatchError(
+                    f"branch {b.sig}: r={b.r} does not match its "
+                    f"{len(b.s_users)} users and {len(b.a_columns)} columns, "
+                    f"or it has {len(b.frozen)} frozen flags for m={m}")
+            for k in range(1, m + 1):
+                if (b.frozen[k - 1] == 0) != (k in b.s_users):
+                    raise SpecMismatchError(
+                        f"branch {b.sig}: user {k}'s frozen flag contradicts "
+                        f"the information users {b.s_users}")
             if b.r:
-                assert mat_rank(a) == b.r
-                rows = FieldMatrix(a.data[[k - 1 for k in b.s_users], :], self.q)
-                assert mat_rank(rows) == b.r
-            for k in range(1, self.m + 1):
-                assert (b.frozen[k - 1] == 0) == (k in b.s_users)
-        for k in range(1, self.m + 1):
+                why = _info_map_error(b.a_columns, b.s_users, self.q, m)
+                if why:
+                    raise SpecMismatchError(f"branch {b.sig}: {why}")
+        for k in range(1, m + 1):
             rk = sum(1 - b.frozen[k - 1] for b in self.branches) / n
-            assert abs(rk - self.rate_vector[k - 1]) < 1e-12
+            if not abs(rk - self.rate_vector[k - 1]) < 1e-12:
+                raise SpecMismatchError(
+                    f"R_{k} = {self.rate_vector[k - 1]!r}, but the frozen "
+                    f"map gives {rk!r}")
         r_total = sum(b.r for b in self.branches if b.in_good_set) / n
-        assert abs(r_total - self.sum_rate) < 1e-12
+        if not abs(r_total - self.sum_rate) < 1e-12:
+            raise SpecMismatchError(f"sum rate {self.sum_rate!r}, but the good "
+                                    f"set gives {r_total!r}")
         return True
 
     def to_dict(self) -> dict:
@@ -316,6 +336,24 @@ class CodeSpec:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
+@lru_cache(maxsize=None)
+def _info_map_error(a_columns: tuple, s_users: tuple, q: int, m: int) -> str:
+    """Why a branch's information map is unusable, or '' if it is not: its
+    columns must be independent, and so must their rows at the information
+    users.  A spec holds only a handful of distinct maps."""
+    if any(len(c) != m for c in a_columns):
+        return f"a_columns {a_columns} are not vectors of length {m}"
+    if len(set(s_users)) != len(s_users) or any(not 1 <= k <= m for k in s_users):
+        return f"information users {s_users} are not distinct users in 1..{m}"
+    a = FieldMatrix(np.array(a_columns, dtype=np.int64).T, q)
+    if mat_rank(a) != a.cols:
+        return f"a_columns {a_columns} are not independent"
+    rows = FieldMatrix(a.data[[k - 1 for k in s_users], :], q)
+    if mat_rank(rows) != a.cols:
+        return f"rows {s_users} of a_columns {a_columns} are not independent"
+    return ""
+
+
 def _smallest_independent_rows(a: FieldMatrix) -> tuple:
     """Lexicographically smallest set of row indices (1-based) whose rows of
     `a` are linearly independent and span the row space; greedy is optimal
@@ -347,6 +385,7 @@ def build_code(channel: DiscreteMac, depth: int, eps: float, z_budget: float,
         raise ValueError("eps must be in (0, 1)")
     if z_budget <= 0:
         raise ValueError("z_budget must be positive")
+    check_merge_tol(merge_tol)
     q, m = channel.q, channel.m
     branches = []
     union_bound = 0.0

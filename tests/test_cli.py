@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from macpolar import DiscreteMac, LinearComboMac, ParseError
+from macpolar import DiscreteMac, LinearComboMac, NonFiniteError, ParseError
 from macpolar.cli import main
 from macpolar.jsonio import (
     channel_from_dict,
@@ -57,6 +57,20 @@ def test_parse_errors(tmp_path):
         channel_from_dict({"q": 2, "m": 1, "rows": [[1.0]]})
     with pytest.raises(ParseError, match="'rows' or 'terms'"):
         channel_from_dict({"q": 2, "m": 1})
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_channel_files_rejected(tmp_path, capsys, value):
+    rows = tmp_path / "rows.json"
+    rows.write_text('{"q": 2, "m": 1, "rows": [[%s, 1.0], [0.5, 0.5]]}' % value)
+    terms = tmp_path / "terms.json"
+    terms.write_text('{"q": 2, "m": 1, "terms": [{"p": %s, "basis": []}, '
+                     '{"p": 1.0, "basis": [[1]]}]}' % value)
+    for path in (rows, terms):
+        with pytest.raises(NonFiniteError):
+            load_channel(str(path))
+        assert main(["analyze", "--channel", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_analyze_command(five_term_file, tmp_path, capsys):

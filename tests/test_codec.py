@@ -24,7 +24,12 @@ from macpolar import (
     transform_plus,
     wilson_interval,
 )
-from macpolar.codec import CodewordBlock, butterfly_transform, message_matrix
+from macpolar.codec import (
+    CodewordBlock,
+    _decide_branch,
+    butterfly_transform,
+    message_matrix,
+)
 from macpolar.mac import all_vectors, vec_to_index
 from macpolar.polarize import BranchCode, CodeSpec
 from macpolar.linear_mac import binary2_subspaces
@@ -274,6 +279,17 @@ def test_message_mismatch_errors():
     with pytest.raises(SpecMismatchError):
         sc_decode(spec, DiscreteMac.identity(3, 2), np.zeros(4, dtype=int),
                   frozen_seed=0)
+
+
+def test_decide_branch_refuses_a_non_invertible_map():
+    # Equal columns leave two candidate vectors after the direction
+    # decisions; the decoder refuses rather than picking one.
+    branch = BranchCode(sig="", in_good_set=True, r=2,
+                        a_columns=((1, 0), (1, 0)), s_users=(1, 2),
+                        frozen=(0, 0), z_sum=0.0, i_branch=2.0, i_detected=2.0)
+    with pytest.raises(SpecMismatchError, match="2 candidate"):
+        _decide_branch(branch, np.full(4, 0.25), {}, 2, 2, all_vectors(2, 2),
+                       np.array([1, 2]))
 
 
 def test_frozen_symbols_reproducible():

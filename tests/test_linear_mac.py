@@ -6,6 +6,7 @@ import pytest
 
 from macpolar import (
     LinearComboMac,
+    NonFiniteError,
     Subspace,
     TooDeepError,
     TooLargeError,
@@ -22,7 +23,7 @@ from macpolar import (
     transform_minus,
     transform_plus,
 )
-from macpolar.linear_mac import binary2_subspaces
+from macpolar.linear_mac import binary2_subspaces, check_state
 from conftest import random_combo, subsets_of
 
 
@@ -42,6 +43,18 @@ def test_term_merging_and_weight_checks(f22):
         LinearComboMac(2, 2, [(0.5, f22[1])])
     with pytest.raises(ValueError):
         LinearComboMac(2, 2, [(-0.1, f22[1]), (1.1, f22[2])])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_and_states_rejected(f22, value):
+    with pytest.raises(NonFiniteError):
+        LinearComboMac(2, 2, [(value, f22[1]), (1.0, f22[2])])
+    with pytest.raises(NonFiniteError):
+        check_state([value, 0.25, 0.25, 0.25, 0.25])
+    states = np.full((3, 5), 0.2)
+    states[2, 4] = value
+    with pytest.raises(NonFiniteError):
+        binary2_step(states)
 
 
 def test_to_explicit_examples(f22):

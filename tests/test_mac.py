@@ -10,6 +10,7 @@ from macpolar import (
     DiscreteMac,
     FieldMatrix,
     NegativeProbabilityError,
+    NonFiniteError,
     NotFullRankError,
     NotSingleUserError,
     bhattacharyya,
@@ -38,6 +39,13 @@ def test_validate_examples():
     neg = np.array([[1.1, -0.1], [0.5, 0.5]])
     with pytest.raises(NegativeProbabilityError):
         validate(DiscreteMac(2, 1, neg))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite(value):
+    table = np.array([[0.5, 0.5], [value, 1.0]])
+    with pytest.raises(NonFiniteError, match=r"\(1, 0\)"):
+        validate(DiscreteMac(2, 1, table))
 
 
 def test_mutual_info_examples():

@@ -1,6 +1,13 @@
 """Branch signatures, branch channels, linear detection and code
 construction."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +15,7 @@ from macpolar import (
     DiscreteMac,
     LengthMismatchError,
     LinearComboMac,
+    SpecMismatchError,
     TooLargeError,
     all_sigs,
     branch_order_cmp,
@@ -23,6 +31,7 @@ from macpolar import (
     sum_capacity,
 )
 from macpolar.linear_mac import binary2_subspaces, binary2_step
+from macpolar.jsonio import load_codespec, save_codespec
 from macpolar.polarize import CodeSpec, level_channels
 from conftest import random_mac, random_combo, subsets_of
 
@@ -223,3 +232,55 @@ def test_polarization_trend_even_levels():
         fractions[lvl] = float(np.mean(dist < 0.05))
     evens = [fractions[l] for l in (2, 4, 6, 8, 10)]
     assert all(b >= a for a, b in zip(evens, evens[1:]))
+
+
+def corrupted_specs():
+    """Code specs that each break one invariant of CodeSpec.check."""
+    spec = build_code(DiscreteMac.identity(2, 2), 2, eps=0.2, z_budget=1e-6)
+    first = spec.branches[0]
+
+    def with_first(**changes):
+        branches = (dataclasses.replace(first, **changes),) + spec.branches[1:]
+        return dataclasses.replace(spec, branches=branches)
+
+    return {
+        "frozen flag": with_first(frozen=(1, 0)),
+        "dependent columns": with_first(a_columns=((1, 0), (1, 0))),
+        "user out of range": with_first(s_users=(1, 3)),
+        "r mismatch": with_first(r=1),
+        "short frozen": with_first(frozen=(0,)),
+        "missing branch": dataclasses.replace(spec, branches=spec.branches[1:]),
+        "rate": dataclasses.replace(spec, rate_vector=(1.0, 0.75)),
+        "nan sum rate": dataclasses.replace(spec, sum_rate=float("nan")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(corrupted_specs()))
+def test_codespec_check_and_load_refuse_corruption(tmp_path, name):
+    spec = corrupted_specs()[name]
+    with pytest.raises(SpecMismatchError):
+        spec.check()
+    path = tmp_path / "spec.json"
+    save_codespec(str(path), spec)
+    with pytest.raises(SpecMismatchError):
+        load_codespec(str(path))
+
+
+def test_corrupted_spec_refused_under_optimize(tmp_path):
+    # `python -O` strips assert statements; the spec checks must survive it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    stripped = subprocess.run([sys.executable, "-O", "-c", "assert False"], env=env)
+    assert stripped.returncode == 0
+    spec_path = tmp_path / "bad.json"
+    save_codespec(str(spec_path), corrupted_specs()["frozen flag"])
+    chan_path = tmp_path / "ident.json"
+    chan_path.write_text(json.dumps({"q": 2, "m": 2, "outputs": 4,
+                                     "rows": np.eye(4).tolist()}))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "macpolar.cli", "simulate", "--codespec",
+         str(spec_path), "--channel", str(chan_path), "--trials", "1"],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert "frozen flag" in run.stderr
