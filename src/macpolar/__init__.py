@@ -22,7 +22,6 @@ from .errors import (
     NotFullRankError,
     NotSingleUserError,
     ParseError,
-    SingularMatrixError,
     SpecMismatchError,
     TooDeepError,
     TooLargeError,
@@ -31,10 +30,8 @@ from .errors import (
 )
 from .gfq import (
     FieldMatrix,
-    basis_extend,
     field_inv,
     is_prime,
-    mat_inverse,
     mat_rank,
     null_space,
     rref,
@@ -57,6 +54,7 @@ from .mac import (
     sum_capacity,
     transform_minus,
     transform_plus,
+    user_subsets,
     validate,
 )
 from .linear_mac import (
@@ -77,12 +75,12 @@ from .polarize import (
     DirectionStat,
     all_sigs,
     branch_order_cmp,
+    branch_step,
     build_code,
     detect_linear,
     direction_stats,
-    iter_branch_channels,
     martingale_report,
-    polarize_branch,
+    polarization_tree,
     projective_directions,
     sig_key,
 )

@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -29,15 +30,18 @@ from .linear_mac import (
     LinearComboMac,
     binary2_evolve,
     binary2_state,
+    rate_region,
     total_loss_predict,
 )
-from .mac import DEFAULT_MERGE_TOL, DiscreteMac
+from .mac import DEFAULT_MERGE_TOL, DiscreteMac, user_subsets
 from .polarize import (
     MAX_BRANCH_OUTPUTS,
+    MINUS,
+    branch_step,
     build_code,
     direction_stats,
-    iter_branch_channels,
-    martingale_report,
+    polarization_tree,
+    summarize_levels,
 )
 from .codec import run_trials
 from .subspace import (
@@ -49,13 +53,6 @@ from .subspace import (
 
 def _users_str(users) -> str:
     return ";".join(str(u) for u in users)
-
-
-def _subsets(m: int):
-    out = []
-    for mask in range(1, 2 ** m):
-        out.append(tuple(k for k in range(1, m + 1) if mask >> (k - 1) & 1))
-    return out
 
 
 def _as_explicit(channel) -> DiscreteMac:
@@ -73,31 +70,23 @@ def _config_echo(args, fields) -> dict:
 def cmd_analyze(args) -> int:
     channel = jsonio.load_channel(args.channel)
     m = channel.m
-    info = {s: channel.mutual_info(s) for s in _subsets(m)}
-    full = tuple(range(1, m + 1))
-    rows = [("mutual_info", _users_str(s), info[s], "", "") for s in _subsets(m)]
+    subsets = user_subsets(m)
+    info = {s: channel.mutual_info(s) for s in subsets}
+    full = subsets[-1]
+    rows = [("mutual_info", _users_str(s), info[s], "", "") for s in subsets]
     rows.append(("sum_capacity", _users_str(full), info[full], "", ""))
     print(f"channel: q={channel.q} m={m} ({type(channel).__name__})")
-    for s in _subsets(m):
+    for s in subsets:
         print(f"  I[{{{','.join(map(str, s))}}}] = {info[s]:.9f}")
     print(f"  sum capacity = {info[full]:.9f}")
     if m == 2:
-        i1, i2, i12 = info[(1,)], info[(2,)], info[(1, 2)]
-        walk = [(0.0, 0.0), (i1, 0.0), (i1, i12 - i1), (i12 - i2, i2), (0.0, i2)]
-        seen = []
-        for p in walk:
-            if not any(abs(p[0] - x) < 1e-12 and abs(p[1] - y) < 1e-12
-                       for x, y in seen):
-                seen.append(p)
-        dom = [(i1, i12 - i1), (i12 - i2, i2)]
-        if abs(dom[0][0] - dom[1][0]) < 1e-12 and abs(dom[0][1] - dom[1][1]) < 1e-12:
-            dom = dom[:1]
-        for x, y in seen:
+        region = rate_region(channel)
+        for x, y in region.vertices:
             rows.append(("vertex", "", "", x, y))
-        for x, y in dom:
+        for x, y in region.dominant_face:
             rows.append(("dominant_face", "", "", x, y))
-        print(f"  region vertices: {seen}")
-        print(f"  dominant face: {dom}")
+        print(f"  region vertices: {region.vertices}")
+        print(f"  dominant face: {region.dominant_face}")
     if args.out:
         jsonio.write_csv(args.out, ("record", "users", "value", "r1", "r2"), rows,
                          config=_config_echo(args, ("channel", "out")),
@@ -107,19 +96,27 @@ def cmd_analyze(args) -> int:
 
 def cmd_polarize(args) -> int:
     channel = _as_explicit(jsonio.load_channel(args.channel))
-    report = martingale_report(channel, args.l, merge_tol=args.merge_tol,
-                               max_outputs=args.max_outputs)
+    subsets = user_subsets(channel.m)
+    levels = [[] for _ in range(args.l + 1)]
+    branch_rows = []
+    step = partial(branch_step, merge_tol=args.merge_tol,
+                   max_outputs=args.max_outputs)
+    for sig, ch in polarization_tree(channel, args.l, step):
+        levels[len(sig)].append([ch.mutual_info(s) for s in subsets])
+        if len(sig) < args.l:
+            continue
+        branch_rows.append(("branch_capacity", args.l, sig, "", "",
+                            ch.sum_capacity(), ""))
+        for st in direction_stats(ch):
+            branch_rows.append(("branch_direction", args.l, sig, "",
+                                _users_str(st.alpha), st.i, st.z))
+    report = summarize_levels(subsets, levels)
     rows = []
     for lvl in report.levels:
         for j, s in enumerate(report.subsets):
             rows.append(("level_avg", lvl, "", _users_str(s), "",
                          report.averages[lvl][j], ""))
-    for sig, ch in iter_branch_channels(channel, args.l, merge_tol=args.merge_tol,
-                                        max_outputs=args.max_outputs):
-        rows.append(("branch_capacity", args.l, sig, "", "", ch.sum_capacity(), ""))
-        for st in direction_stats(ch):
-            rows.append(("branch_direction", args.l, sig, "",
-                         _users_str(st.alpha), st.i, st.z))
+    rows += branch_rows
     print(f"levels 0..{args.l}: full-set average constant: "
           f"{report.full_set_constant}; strict subsets non-increasing: "
           f"{report.strict_non_increasing}")
@@ -175,6 +172,10 @@ def _parse_mode(mode: str):
 GENERIC_EVOLVE_CAP = 12
 
 
+def _combo_step(combo: LinearComboMac, symbol: str) -> LinearComboMac:
+    return combo.minus() if symbol == MINUS else combo.plus()
+
+
 def cmd_evolve(args) -> int:
     channel = jsonio.load_channel(args.channel)
     if not isinstance(channel, LinearComboMac):
@@ -209,18 +210,19 @@ def cmd_evolve(args) -> int:
         raise ValueError("sample mode is only available for q=2, m=2")
     if args.l > GENERIC_EVOLVE_CAP:
         raise TooDeepError(f"generic evolve capped at depth {GENERIC_EVOLVE_CAP}")
-    combos = [channel]
-    subsets = _subsets(channel.m)
+    subsets = user_subsets(channel.m)
+    levels = [[] for _ in range(args.l + 1)]
+    for sig, c in polarization_tree(channel, args.l, _combo_step):
+        levels[len(sig)].append(
+            (max(w for w, _ in c.terms) >= 1 - EXTREMAL_TOL,
+             [c.mutual_info(s) for s in subsets]))
     rows = []
-    for lvl in range(args.l + 1):
-        extremal = float(np.mean([max(w for w, _ in c.terms) >= 1 - EXTREMAL_TOL
-                                  for c in combos]))
-        for s in subsets:
-            avg = float(np.mean([c.mutual_info(s) for c in combos]))
+    for lvl, level in enumerate(levels):
+        extremal = float(np.mean([flag for flag, _ in level]))
+        for j, s in enumerate(subsets):
+            avg = float(np.mean([info[j] for _, info in level]))
             rows.append((lvl, _users_str(s), avg, extremal))
-        if lvl < args.l:
-            combos = [c2 for c in combos for c2 in (c.minus(), c.plus())]
-    print(f"evolved to depth {args.l}: {len(combos)} branch channels")
+    print(f"evolved to depth {args.l}: {len(levels[-1])} branch channels")
     if args.out:
         jsonio.write_csv(args.out, ("level", "users", "i_avg",
                                     "extremal_fraction"), rows,

@@ -17,10 +17,6 @@ class NotFullRankError(MacPolarError, ValueError):
     """Matrix does not have the full rank required by the operation."""
 
 
-class SingularMatrixError(MacPolarError, ValueError):
-    """Square matrix is not invertible."""
-
-
 class AmbientMismatchError(MacPolarError, ValueError):
     """Subspaces live in different ambient spaces (m or q differ)."""
 

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    NotFullRankError,
-    SingularMatrixError,
-    ZeroInverseError,
-)
+from .errors import ZeroInverseError
 
 
 def is_prime(n: int) -> bool:
@@ -186,44 +182,3 @@ def null_space(m: FieldMatrix) -> FieldMatrix:
         for i, pc in enumerate(pivots):
             basis[pc, j] = (-r.data[i, fc]) % q
     return FieldMatrix(basis, q)
-
-
-def mat_inverse(m: FieldMatrix) -> FieldMatrix:
-    """Inverse of a square full-rank matrix over GF(q)."""
-    if m.rows != m.cols:
-        raise SingularMatrixError(f"matrix is {m.rows}x{m.cols}, not square")
-    n = m.rows
-    aug = FieldMatrix(np.hstack([m.data, np.eye(n, dtype=np.int64)]), m.q)
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return FieldMatrix(red.data[:, n:], m.q)
-
-
-def basis_extend(a: FieldMatrix) -> FieldMatrix:
-    """Complete the columns of a full-column-rank m x n matrix to a basis.
-
-    Returns the m x (m-n) matrix whose columns are the lexicographically
-    smallest standard-basis vectors e_1, e_2, ... that extend span(a) to
-    all of GF(q)^m, so [a | result] is invertible.  Deterministic.
-    """
-    m, n = a.shape
-    if mat_rank(a) != n:
-        raise NotFullRankError(f"matrix has rank < {n}")
-    cur = a
-    picked = []
-    for i in range(m):
-        if cur.cols == m:
-            break
-        e = np.zeros((m, 1), dtype=np.int64)
-        e[i, 0] = 1
-        cand = cur.hstack(FieldMatrix(e, a.q))
-        if mat_rank(cand) == cand.cols:
-            cur = cand
-            picked.append(e[:, 0])
-    if cur.cols != m:
-        raise NotFullRankError("could not complete basis")  # unreachable
-    if not picked:
-        return FieldMatrix(np.zeros((m, 0), dtype=np.int64), a.q)
-    return FieldMatrix(np.stack(picked, axis=1), a.q)
-

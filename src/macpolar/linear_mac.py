@@ -25,7 +25,7 @@ from .errors import (
     TooManyUsersError,
 )
 from .gfq import check_prime
-from .mac import DiscreteMac, all_vectors
+from .mac import DiscreteMac, all_vectors, user_subsets
 from .subspace import Subspace, consistency_check
 
 WEIGHT_TOL = 1e-12
@@ -128,24 +128,20 @@ class LinearComboMac:
         return rate_region(self)
 
 
-def rate_region(combo: LinearComboMac) -> "RateRegion":
-    """Polymatroid constraint list, with explicit vertices for two users."""
-    if combo.m > 4:
-        raise TooManyUsersError(f"region enumeration limited to m <= 4, got {combo.m}")
-    users = range(1, combo.m + 1)
-    constraints = []
-    for mask in range(1, 2 ** combo.m):
-        subset = tuple(u for u in users if mask >> (u - 1) & 1)
-        constraints.append((subset, combo.mutual_info(subset)))
+def rate_region(channel: "LinearComboMac | DiscreteMac") -> "RateRegion":
+    """Polymatroid constraint list, with explicit vertices for two users.
+
+    Needs only `.m` and `.mutual_info`, so explicit channels work too."""
+    if channel.m > 4:
+        raise TooManyUsersError(f"region enumeration limited to m <= 4, got {channel.m}")
+    constraints = tuple((s, channel.mutual_info(s)) for s in user_subsets(channel.m))
     vertices = dominant = None
-    if combo.m == 2:
-        i1 = combo.mutual_info([1])
-        i2 = combo.mutual_info([2])
-        i12 = combo.mutual_info([1, 2])
+    if channel.m == 2:
+        (_, i1), (_, i2), (_, i12) = constraints
         walk = [(0.0, 0.0), (i1, 0.0), (i1, i12 - i1), (i12 - i2, i2), (0.0, i2)]
         vertices = _dedupe(walk)
         dominant = _dedupe([(i1, i12 - i1), (i12 - i2, i2)])
-    return RateRegion(tuple(constraints), vertices, dominant)
+    return RateRegion(constraints, vertices, dominant)
 
 
 def _dedupe(points, tol: float = 1e-12):

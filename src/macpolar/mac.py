@@ -43,6 +43,14 @@ def all_vectors(q: int, m: int) -> np.ndarray:
     return out
 
 
+def user_subsets(m: int) -> list:
+    """All non-empty 1-based user subsets as tuples, in bitmask order:
+    the subset of mask b holds user k when bit k - 1 of b is set, so the
+    full set comes last."""
+    return [tuple(k for k in range(1, m + 1) if mask >> (k - 1) & 1)
+            for mask in range(1, 2 ** m)]
+
+
 def vec_to_index(vec, q: int) -> int:
     v = np.asarray(vec, dtype=np.int64) % q
     return int(sum(int(v[k]) * q ** k for k in range(len(v))))
@@ -249,9 +257,10 @@ def restrict(mac: DiscreteMac, a: FieldMatrix, b: FieldMatrix | None = None) -> 
     n_y = mac.output_size
     out = np.zeros((q ** n1, n_y * q ** n2))
     scale = 1.0 / q ** (m - n1)
-    for x in range(q ** m):
-        cols = v_idx[x] + np.arange(n_y) * q ** n2
-        out[u_idx[x], cols] += mac.table[x] * scale
+    # np.add.at adds the input rows in index order, so every sum rounds as
+    # a per-row loop's would.
+    np.add.at(out, (u_idx[:, None], v_idx[:, None] + np.arange(n_y) * q ** n2),
+              mac.table * scale)
     return DiscreteMac(q, n1, out)
 
 

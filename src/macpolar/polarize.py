@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .mac import (
     sum_capacity,
     transform_minus,
     transform_plus,
+    user_subsets,
 )
 from .subspace import Subspace
 
@@ -72,10 +73,34 @@ def all_sigs(length: int):
     return [key_sig(k, length) for k in range(1 << length)]
 
 
-# -- branch channel evaluation --------------------------------------------------
+# -- the polarization tree ----------------------------------------------------
 
-def _apply(channel: DiscreteMac, symbol: str, merge_tol: float,
-           max_outputs: int) -> DiscreteMac:
+def polarization_tree(root, depth: int, step):
+    """Yield (sig, node) for every node of the depth-`depth` tree, in
+    preorder with the '-' child before the '+' child.
+
+    `step(node, symbol)` builds a child.  Leaves arrive in decoding order,
+    and so do the nodes of each level, so grouping by len(sig) gives every
+    level in decoding order.  Both children of a node are built before
+    either subtree is walked: a '+' sibling, usually the larger one, is
+    checked against any size cap before the walk goes two levels deeper.
+    Only the pending '+' siblings are held, at most one per level.
+    """
+    pending = [("", root)]
+    while pending:
+        sig, node = pending.pop()
+        yield sig, node
+        if len(sig) < depth:
+            minus = step(node, MINUS)
+            pending.append((PLUS + sig, step(node, PLUS)))
+            pending.append((MINUS + sig, minus))
+
+
+def branch_step(channel: DiscreteMac, symbol: str,
+                merge_tol: float = DEFAULT_MERGE_TOL,
+                max_outputs: int = MAX_BRANCH_OUTPUTS) -> DiscreteMac:
+    """Tree step for explicit channels: transform, merge the outputs, and
+    refuse a child with more than `max_outputs` outputs."""
     check_merge_tol(merge_tol)
     out = transform_minus(channel) if symbol == MINUS else transform_plus(channel)
     out = merge_outputs(out, merge_tol)
@@ -83,52 +108,6 @@ def _apply(channel: DiscreteMac, symbol: str, merge_tol: float,
         raise TooLargeError(
             f"branch channel has {out.output_size} outputs after merging "
             f"(cap {max_outputs})")
-    return out
-
-
-def polarize_branch(channel: DiscreteMac, sig: str,
-                    merge_tol: float = DEFAULT_MERGE_TOL,
-                    max_outputs: int = MAX_BRANCH_OUTPUTS) -> DiscreteMac:
-    """Synthesized channel of one branch.
-
-    Symbols are applied to the base channel starting from the signature's
-    last symbol, so the first symbol ends up as the outermost transform;
-    outputs are merged after every step.
-    """
-    check_sig(sig)
-    out = channel
-    for symbol in reversed(sig):
-        out = _apply(out, symbol, merge_tol, max_outputs)
-    return out
-
-
-def iter_branch_channels(channel: DiscreteMac, depth: int,
-                         merge_tol: float = DEFAULT_MERGE_TOL,
-                         max_outputs: int = MAX_BRANCH_OUTPUTS):
-    """Yield (sig, channel) for all depth-l branches in decoding order,
-    sharing intermediate transforms along the tree."""
-    def walk(node: DiscreteMac, suffix: str):
-        if len(suffix) == depth:
-            yield suffix, node
-            return
-        for symbol in (MINUS, PLUS):
-            child = _apply(node, symbol, merge_tol, max_outputs)
-            yield from walk(child, symbol + suffix)
-
-    yield from walk(channel, "")
-
-
-def level_channels(channel: DiscreteMac, depth: int,
-                   merge_tol: float = DEFAULT_MERGE_TOL,
-                   max_outputs: int = MAX_BRANCH_OUTPUTS):
-    """Channels of every level-`depth` branch, order not meaningful."""
-    out = [channel]
-    for _ in range(depth):
-        nxt = []
-        for c in out:
-            nxt.append(_apply(c, MINUS, merge_tol, max_outputs))
-            nxt.append(_apply(c, PLUS, merge_tol, max_outputs))
-        out = nxt
     return out
 
 
@@ -389,7 +368,10 @@ def build_code(channel: DiscreteMac, depth: int, eps: float, z_budget: float,
     q, m = channel.q, channel.m
     branches = []
     union_bound = 0.0
-    for sig, ch in iter_branch_channels(channel, depth, merge_tol, max_outputs):
+    step = partial(branch_step, merge_tol=merge_tol, max_outputs=max_outputs)
+    for sig, ch in polarization_tree(channel, depth, step):
+        if len(sig) < depth:
+            continue
         stats = direction_stats(ch)
         i_branch = sum_capacity(ch)
         det = detect_linear(ch, eps, stats)
@@ -451,31 +433,29 @@ def martingale_report(channel: DiscreteMac, depth: int,
     """Per-level averages of I[S] over all branches, with the conservation
     flags: the full-set average is a constant and strict subsets never
     increase."""
-    m = channel.m
-    subsets = []
-    for mask in range(1, 2 ** m):
-        subsets.append(tuple(k for k in range(1, m + 1) if mask >> (k - 1) & 1))
-    rows = []
-    current = [channel]
-    for lvl in range(depth + 1):
-        rows.append(tuple(float(np.mean([c.mutual_info(s) for c in current]))
-                          for s in subsets))
-        if lvl < depth:
-            nxt = []
-            for c in current:
-                nxt.append(_apply(c, MINUS, merge_tol, max_outputs))
-                nxt.append(_apply(c, PLUS, merge_tol, max_outputs))
-            current = nxt
-    full = subsets.index(tuple(range(1, m + 1)))
+    subsets = user_subsets(channel.m)
+    levels = [[] for _ in range(depth + 1)]
+    step = partial(branch_step, merge_tol=merge_tol, max_outputs=max_outputs)
+    for sig, ch in polarization_tree(channel, depth, step):
+        levels[len(sig)].append([ch.mutual_info(s) for s in subsets])
+    return summarize_levels(subsets, levels)
+
+
+def summarize_levels(subsets, levels) -> MartingaleReport:
+    """Martingale report from per-level I[S] values: levels[l][b][j] is
+    I[subsets[j]] of the b-th branch of level l, branches in decoding
+    order."""
+    rows = [tuple(float(np.mean([node[j] for node in level]))
+                  for j in range(len(subsets)))
+            for level in levels]
+    full = len(subsets) - 1                   # the last mask holds every user
     full_vals = [r[full] for r in rows]
     full_const = max(abs(v - full_vals[0]) for v in full_vals) < 1e-6
     strict_ok = True
-    for j, s in enumerate(subsets):
-        if j == full:
-            continue
+    for j in range(full):
         vals = [r[j] for r in rows]
         if any(vals[i + 1] > vals[i] + 1e-9 for i in range(len(vals) - 1)):
             strict_ok = False
-    return MartingaleReport(subsets=tuple(subsets), levels=tuple(range(depth + 1)),
+    return MartingaleReport(subsets=tuple(subsets), levels=tuple(range(len(rows))),
                             averages=tuple(rows), full_set_constant=full_const,
                             strict_non_increasing=strict_ok)

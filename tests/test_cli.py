@@ -1,6 +1,9 @@
 """Subcommand behavior, file formats, exit codes and reproducibility."""
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +197,44 @@ def test_timestamp_toggle(five_term_file, tmp_path):
     main(["analyze", "--channel", five_term_file, "--out", str(out),
           "--no-timestamp"])
     assert out.read_text().startswith("# config:")
+
+
+DEMO_CHANNELS = Path(__file__).resolve().parents[1] / "demos" / "channels"
+GENERIC_COMBOS = {
+    "gf2_3.json": {"q": 2, "m": 3, "terms": [
+        {"p": 0.3, "basis": [[1, 0, 0]]},
+        {"p": 0.25, "basis": [[0, 1, 1], [1, 0, 0]]},
+        {"p": 0.15, "basis": []},
+        {"p": 0.3, "basis": [[1, 1, 1]]}]},
+    "gf3_2.json": {"q": 3, "m": 2, "terms": [
+        {"p": 0.4, "basis": [[1, 2]]},
+        {"p": 0.2, "basis": [[1, 0]]},
+        {"p": 0.25, "basis": [[1, 0], [0, 1]]},
+        {"p": 0.15, "basis": []}]},
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["polarize", "--channel", "five_component.json", "--l", "3"],
+     "bc3f326eac9d56a2234be6828490e219f348fdb0b04fa9ed140ef50d9acb5bde"),
+    (["evolve", "--channel", "gf2_3.json", "--l", "3"],
+     "98bd750b2ef6d84b77c5fe97e7ec05e7860d5b73c0f2a00cb0b1aec06373a080"),
+    (["evolve", "--channel", "gf3_2.json", "--l", "3"],
+     "82993cf6891a82f0944d2a3716f3351527b830fb2fce0431b74862d700514bac"),
+    (["analyze", "--channel", "five_component.json"],
+     "a52fb33de2b54680712a6c62e6b7bc6f36213f39918ea8208a6c392029cdfd0b"),
+    (["analyze", "--channel", "random_ternary.json"],
+     "ca8fb0ad204f27f80e51e11ce708308c1638b7f5dcb8497d945baf6d24a5a04a"),
+])
+def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
+    # sha256 values written by the separate tree walks the one walker
+    # replaced.  Paths are relative, so the config echo does not depend on
+    # where the test runs.
+    monkeypatch.chdir(tmp_path)
+    for name in ("five_component.json", "random_ternary.json"):
+        shutil.copy(DEMO_CHANNELS / name, name)
+    for name, data in GENERIC_COMBOS.items():
+        write_json(tmp_path / name, data)
+    assert main(argv + ["--out", "out.csv", "--no-timestamp"]) == 0
+    got = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+    assert got == digest, f"{' '.join(argv)}: {got}"

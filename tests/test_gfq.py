@@ -5,18 +5,14 @@ import pytest
 
 from macpolar import (
     FieldMatrix,
-    NotFullRankError,
-    SingularMatrixError,
     ZeroInverseError,
-    basis_extend,
     field_inv,
     is_prime,
-    mat_inverse,
     mat_rank,
     null_space,
     rref,
 )
-from conftest import random_matrix, random_full_column_rank
+from conftest import random_matrix
 
 
 def brute_rank(mat: FieldMatrix) -> int:
@@ -100,55 +96,6 @@ def test_rank_nullity(q):
         assert mat_rank(m) + ns.cols == cols
         if ns.cols:
             assert not ((m.data @ ns.data) % q).any()
-
-
-def test_basis_extend_examples():
-    ext = basis_extend(FieldMatrix([[1], [0]], 2))
-    assert ext.data.tolist() == [[0], [1]]
-    ext = basis_extend(FieldMatrix.identity(3, 3))
-    assert ext.shape == (3, 0)
-    ext = basis_extend(FieldMatrix([[1], [1]], 2))
-    assert ext.data.tolist() == [[1], [0]]   # e1 is the first vector off the span
-
-
-def test_basis_extend_property(rng):
-    for _ in range(100):
-        q = int(rng.choice([2, 3, 5]))
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(0, m + 1))
-        a = random_full_column_rank(rng, m, n, q) if n else FieldMatrix.zeros(m, 0, q)
-        ext = basis_extend(a)
-        assert ext.shape == (m, m - n)
-        assert mat_rank(a.hstack(ext)) == m
-
-
-def test_basis_extend_rejects_deficient():
-    with pytest.raises(NotFullRankError):
-        basis_extend(FieldMatrix([[1, 1], [1, 1]], 2))
-
-
-def test_inverse_examples():
-    assert mat_inverse(FieldMatrix.identity(4, 3)) == FieldMatrix.identity(4, 3)
-    assert mat_inverse(FieldMatrix([[2]], 3)).data.tolist() == [[2]]
-    m = FieldMatrix([[1, 1], [0, 1]], 2)
-    inv = mat_inverse(m)
-    assert inv == m                     # self-inverse
-    assert (m @ inv) == FieldMatrix.identity(2, 2)
-
-
-def test_inverse_property(rng):
-    for _ in range(100):
-        q = int(rng.choice([2, 3, 5]))
-        n = int(rng.integers(1, 5))
-        m = random_full_column_rank(rng, n, n, q)
-        assert (m @ mat_inverse(m)) == FieldMatrix.identity(n, q)
-
-
-def test_inverse_singular():
-    with pytest.raises(SingularMatrixError):
-        mat_inverse(FieldMatrix([[1, 1], [1, 1]], 2))
-    with pytest.raises(SingularMatrixError):
-        mat_inverse(FieldMatrix([[1, 0]], 2))
 
 
 def test_matrix_immutable():

@@ -293,6 +293,16 @@ def test_rate_region_examples(f22):
     zero = rate_region(LinearComboMac(2, 2, [(1.0, f22[0])]))
     assert zero.vertices == [(0.0, 0.0)]
 
+    # An explicit table gives the same region as its closed form.
+    table = rate_region(uniform_five().to_explicit())
+    for (s, bound), (s2, closed) in zip(table.constraints, five.constraints):
+        assert s == s2 and bound == pytest.approx(closed, abs=1e-12)
+    for got, want in [(table.vertices, five.vertices),
+                      (table.dominant_face, five.dominant_face)]:
+        assert len(got) == len(want)
+        for p, r in zip(got, want):
+            assert p == pytest.approx(r, abs=1e-12)
+
 
 def test_rate_region_user_cap():
     sub = Subspace.full(5, 2)

@@ -23,6 +23,7 @@ from macpolar import (
     validate,
 )
 from macpolar.linear_mac import LinearComboMac, binary2_subspaces
+from macpolar.mac import all_vectors
 from conftest import random_mac, random_full_column_rank, subsets_of, sorted_columns
 
 
@@ -121,6 +122,39 @@ def test_restrict_perfect_observation():
     single = restrict(ident, FieldMatrix([[1], [0]], 2), FieldMatrix([[0], [1]], 2))
     assert single.m == 1
     assert sum_capacity(single) == pytest.approx(1.0, abs=1e-12)
+
+
+def restrict_reference(mac, a, b=None):
+    """The per-input loop that `restrict` replaced, kept as the oracle."""
+    q, m = mac.q, mac.m
+    if b is None:
+        b = FieldMatrix(np.zeros((m, 0), dtype=np.int64), q)
+    n1, n2 = a.cols, b.cols
+    vecs = all_vectors(q, m)
+    u_idx = (vecs @ a.data) % q @ (q ** np.arange(n1))
+    v_idx = (vecs @ b.data) % q @ (q ** np.arange(n2))
+    n_y = mac.output_size
+    out = np.zeros((q ** n1, n_y * q ** n2))
+    scale = 1.0 / q ** (m - n1)
+    for x in range(q ** m):
+        cols = v_idx[x] + np.arange(n_y) * q ** n2
+        out[u_idx[x], cols] += mac.table[x] * scale
+    return out
+
+
+def test_restrict_matches_reference_loop():
+    rng = np.random.default_rng(252)
+    for _ in range(200):
+        q = int(rng.choice([2, 3, 5]))
+        m = int(rng.integers(1, 4))
+        n1 = int(rng.integers(1, m + 1))
+        n2 = int(rng.integers(0, m - n1 + 1))
+        mac = random_mac(rng, q, m, int(rng.integers(1, 6)))
+        ab = random_full_column_rank(rng, m, n1 + n2, q)
+        a = FieldMatrix(ab.data[:, :n1], q)
+        b = FieldMatrix(ab.data[:, n1:], q) if n2 else None
+        assert np.array_equal(restrict(mac, a, b).table,
+                              restrict_reference(mac, a, b))
 
 
 def test_restrict_rank_check():

@@ -3,15 +3,18 @@ construction."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from macpolar import (
+    BadToleranceError,
     DiscreteMac,
     LengthMismatchError,
     LinearComboMac,
@@ -19,25 +22,35 @@ from macpolar import (
     TooLargeError,
     all_sigs,
     branch_order_cmp,
+    branch_step,
     build_code,
     detect_linear,
     direction_stats,
-    iter_branch_channels,
     martingale_report,
     mutual_info,
-    polarize_branch,
+    polarization_tree,
     projective_directions,
     sig_key,
     sum_capacity,
 )
+from macpolar.cli import main
 from macpolar.linear_mac import binary2_subspaces, binary2_step
 from macpolar.jsonio import load_codespec, save_codespec
-from macpolar.polarize import CodeSpec, level_channels
+from macpolar.polarize import CodeSpec
 from conftest import random_mac, random_combo, subsets_of
+
+FIVE = str(Path(__file__).resolve().parents[1] / "demos" / "channels"
+           / "five_component.json")
 
 
 def uniform_five_explicit():
     return LinearComboMac(2, 2, [(0.2, s) for s in binary2_subspaces()]).to_explicit()
+
+
+def tree_level(root, depth, step=branch_step):
+    """Channels of the depth-`depth` branches, in decoding order."""
+    return [ch for sig, ch in polarization_tree(root, depth, step)
+            if len(sig) == depth]
 
 
 def test_branch_order_examples():
@@ -76,16 +89,39 @@ def test_projective_directions():
 
 def test_polarize_branch_empty_sig(rng):
     mac = random_mac(rng, 2, 2, 4)
-    assert np.array_equal(polarize_branch(mac, "").table, mac.table)
+    assert list(polarization_tree(mac, 0, branch_step)) == [("", mac)]
 
 
 def test_polarize_branch_single_step_matches_li(rng):
     combo = random_combo(rng, 2, 2)
     explicit = combo.to_explicit()
+    nodes = dict(polarization_tree(explicit, 1, branch_step))
     for sig, li in [("-", combo.minus()), ("+", combo.plus())]:
-        chan = polarize_branch(explicit, sig)
         for s in subsets_of(2):
-            assert mutual_info(chan, s) == pytest.approx(li.mutual_info(s), abs=1e-9)
+            assert mutual_info(nodes[sig], s) == pytest.approx(li.mutual_info(s),
+                                                               abs=1e-9)
+
+
+def test_tree_visits_levels_in_decoding_order():
+    # With string nodes, a node is its own signature; the step counts calls.
+    calls = []
+
+    def step(node, symbol):
+        calls.append(symbol + node)
+        return symbol + node
+
+    assert list(polarization_tree("", 0, step)) == [("", "")]
+    assert calls == []
+    for depth in range(1, 6):
+        calls.clear()
+        visited = list(polarization_tree("", depth, step))
+        assert all(sig == node for sig, node in visited)
+        assert len(calls) == 2 ** (depth + 1) - 2
+        for lvl in range(depth + 1):
+            assert [sig for sig, _ in visited if len(sig) == lvl] == all_sigs(lvl)
+    # preorder, '-' child before '+' child
+    assert [sig for sig, _ in polarization_tree("", 2, step)] == [
+        "", "-", "--", "+-", "+", "-+", "++"]
 
 
 def test_branch_capacity_sum(rng):
@@ -93,27 +129,65 @@ def test_branch_capacity_sum(rng):
     # Unstructured tables stop merging, so random channels stay shallow;
     # the structured channel is taken deeper.
     mac = random_mac(rng, 2, 2, 4)
-    total = sum(sum_capacity(c) for c in level_channels(mac, 2))
+    total = sum(sum_capacity(c) for c in tree_level(mac, 2))
     assert total == pytest.approx(4 * sum_capacity(mac), abs=1e-6)
     five = uniform_five_explicit()
-    total = sum(sum_capacity(c) for c in level_channels(five, 3))
+    total = sum(sum_capacity(c) for c in tree_level(five, 3))
     assert total == pytest.approx(8 * sum_capacity(five), abs=1e-6)
 
 
 def test_iter_matches_polarize_branch():
+    # Oracle: build each branch on its own, innermost symbol first.
     mac = uniform_five_explicit()
     seen = []
-    for sig, chan in iter_branch_channels(mac, 3):
+    for sig, chan in polarization_tree(mac, 3, branch_step):
         seen.append(sig)
-        direct = polarize_branch(mac, sig)
-        assert sum_capacity(chan) == pytest.approx(sum_capacity(direct), abs=1e-12)
-    assert seen == all_sigs(3)
+        direct = mac
+        for symbol in reversed(sig):
+            direct = branch_step(direct, symbol)
+        assert np.array_equal(chan.table, direct.table)
+    assert [sig for sig in seen if len(sig) == 3] == all_sigs(3)
 
 
 def test_polarize_branch_size_cap(rng):
     mac = random_mac(rng, 2, 2, 6)
     with pytest.raises(TooLargeError):
-        polarize_branch(mac, "++", max_outputs=8)
+        tree_level(mac, 2, partial(branch_step, max_outputs=8))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+def test_tree_refuses_bad_merge_tol_before_any_transform(monkeypatch, tol):
+    def forbidden(_):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr("macpolar.polarize.transform_minus", forbidden)
+    monkeypatch.setattr("macpolar.polarize.transform_plus", forbidden)
+    tree = polarization_tree(DiscreteMac.identity(2, 2), 2,
+                             partial(branch_step, merge_tol=tol))
+    assert next(tree)[0] == ""
+    with pytest.raises(BadToleranceError):
+        next(tree)
+
+
+def test_polarize_command_builds_each_branch_once(tmp_path, monkeypatch):
+    # One walk serves the level averages and the branch rows: 2^(l+1) - 2
+    # transforms at l=3, where two separate walks made 28.
+    import macpolar.polarize as polarize
+    counts = {"-": 0, "+": 0}
+
+    def counting(symbol, transform):
+        def wrapped(channel):
+            counts[symbol] += 1
+            return transform(channel)
+        return wrapped
+
+    monkeypatch.setattr(polarize, "transform_minus",
+                        counting("-", polarize.transform_minus))
+    monkeypatch.setattr(polarize, "transform_plus",
+                        counting("+", polarize.transform_plus))
+    assert main(["polarize", "--channel", FIVE, "--l", "3",
+                 "--out", str(tmp_path / "p.csv"), "--no-timestamp"]) == 0
+    assert counts == {"-": 7, "+": 7}
 
 
 def test_detect_linear_examples():
@@ -151,7 +225,7 @@ def test_detect_linear_rejects_non_subspace_good_set():
 def test_detect_linear_never_fails_on_pointmass_channels():
     for sub in binary2_subspaces():
         chan = LinearComboMac(2, 2, [(1.0, sub)]).to_explicit()
-        for sig, branch in iter_branch_channels(chan, 3):
+        for branch in tree_level(chan, 3):
             det = detect_linear(branch, 0.2)
             assert det is not None
             assert det[1] == sub.dim
