@@ -195,7 +195,7 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received,
             l0 = compute(k + 1, pi, a2)
             l1 = compute(k + 1, pi + half, a2)
             if c == 0:
-                v = l0[add] @ l1
+                v = (l0[add] * l1).sum(axis=1)
             else:
                 sib = decided[k][pi + (a - 1) * half]
                 v = l0[add[int(sib @ powers)]] * l1
@@ -270,7 +270,155 @@ def _decide_branch(branch, post, frozen, q, m, vecs, powers):
     return cand[chosen[0]]
 
 
+def _frozen_matrix(spec: CodeSpec, frozen: dict) -> np.ndarray:
+    """(N, m) known symbols in key order: every user of a branch the decoder
+    does not decide, the frozen users of one it does; 0 elsewhere."""
+    u = np.zeros((spec.block_length, spec.m), dtype=np.int64)
+    for b, branch in enumerate(spec.branches):
+        decided = branch.in_good_set and branch.r > 0
+        for k in range(1, spec.m + 1):
+            if branch.frozen[k - 1] or not decided:
+                slot = (branch.sig, k)
+                if slot not in frozen:
+                    raise SpecMismatchError(f"missing frozen symbol for slot {slot}")
+                u[b, k - 1] = frozen[slot] % spec.q
+    return u
+
+
+def _decoded_info(spec: CodeSpec, u_hat: np.ndarray) -> dict:
+    """Information symbols of one decoded (N, m) block, in decoding order."""
+    return {(branch.sig, k): int(u_hat[b, k - 1])
+            for b, branch in enumerate(spec.branches)
+            if branch.in_good_set and branch.r > 0
+            for k in branch.s_users}
+
+
+def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
+                  frozen: np.ndarray, genie_u: np.ndarray | None = None,
+                  with_details: bool = False):
+    """Decode T blocks at once, level by level.
+
+    received is (T, N) output indices, frozen the (T, N, m) known symbols
+    of `_frozen_matrix`, genie_u an optional (T, N, m) true message.
+    Level k holds a (T, 2^k, q^m) likelihood array for one decoding index
+    at a time: it is recomputed from level k+1 only when a good branch
+    needs a new index there, so every trial evaluates exactly the nodes of
+    the one-block recursion.  Decided vectors are kept as indices into
+    GF(q)^m, one (T, N) array per level.
+
+    Returns (u_hat (T, N, m), posteriors, fallbacks): posteriors is a
+    per-branch list of (T, q^m) arrays (None on undecided branches) when
+    with_details is set, and fallbacks counts per trial the node rows whose
+    likelihood vanished and were replaced by the uniform one.
+    """
+    q, m, l = spec.q, spec.m, spec.l
+    if channel.q != q or channel.m != m:
+        raise SpecMismatchError("channel does not match the code spec")
+    t_count, n = received.shape
+    big_q = q ** m
+    add = add_table(q, m)
+    vecs = all_vectors(q, m)
+    powers = q ** np.arange(m)
+    known = frozen @ powers                          # (T, N) vector indices
+    genie = None if genie_u is None else (genie_u % q) @ powers
+
+    like = [None] * (l + 1)
+    stamp = [-1] * (l + 1)
+    decided = np.zeros((l + 1, t_count, n), dtype=np.int64)
+    fallbacks = np.zeros(t_count, dtype=np.int64)
+
+    def ensure(k: int, a: int):
+        """Make like[k] hold decoding index a at every position of level k."""
+        if stamp[k] == a:
+            return
+        if k == l:
+            v = channel.table.T[received]
+        else:
+            ensure(k + 1, a >> 1)
+            half = 1 << k
+            l0, l1 = like[k + 1][:, :half], like[k + 1][:, half:]
+            if a & 1:
+                sib = decided[k, :, (a - 1) * half: a * half]
+                v = np.take_along_axis(l0, add[sib], axis=2) * l1
+            else:
+                v = (l0[:, :, add] * l1[:, :, None, :]).sum(axis=3)
+        mx = v.max(axis=2, keepdims=True)
+        dead = mx[:, :, 0] <= 0
+        if dead.any():
+            fallbacks[:] += dead.sum(axis=1)
+            mx[dead] = 1.0
+            v = v / mx
+            v[dead] = 1.0 / big_q
+        else:
+            v = v / mx
+        like[k] = v
+        stamp[k] = a
+
+    u_idx = np.empty((t_count, n), dtype=np.int64)
+    posteriors = [] if with_details else None
+    for b, branch in enumerate(spec.branches):
+        post = None
+        if branch.in_good_set and branch.r > 0:
+            ensure(0, b)
+            post = like[0][:, 0]
+            post = post / post.sum(axis=1, keepdims=True)
+            u_idx[:, b] = _decide_batch(branch, post, frozen[:, b], q, m)
+        else:
+            u_idx[:, b] = known[:, b]
+        if with_details:
+            posteriors.append(post)
+        decided[0, :, b] = u_idx[:, b] if genie is None else genie[:, b]
+        # Partial sums: a butterfly over the contiguous block that the
+        # finished pair of decoding indices covers, level after level.
+        k, a = 0, b
+        while a & 1 and k < l:
+            lo, mid, hi = (a - 1) << k, a << k, (a + 1) << k
+            decided[k + 1, :, lo:mid] = add[decided[k, :, lo:mid], decided[k, :, mid:hi]]
+            decided[k + 1, :, mid:hi] = decided[k, :, mid:hi]
+            k, a = k + 1, a >> 1
+    return vecs[u_idx], posteriors, fallbacks
+
+
+def _decide_batch(branch, post, base, q, m):
+    """Sequential per-direction ML over each trial's candidate set.
+
+    post is (T, q^m), base the (T, m) known symbols of the branch.  A
+    trial's candidates fix its frozen coordinates and run over all values
+    of the information coordinates; each detected direction is decided in
+    turn from the posterior mass of the candidates still standing, ties
+    going to the smaller field element.  Returns (T,) vector indices.
+    """
+    powers = q ** np.arange(m)
+    a = branch.a_matrix(q).data
+    free = [k - 1 for k in branch.s_users]
+    base = base.copy()
+    base[:, free] = 0
+    combos = np.zeros((q ** len(free), m), dtype=np.int64)
+    combos[:, free] = all_vectors(q, len(free))
+    cand_idx = (base @ powers)[:, None] + combos @ powers        # (T, C)
+    zmat = ((base @ a)[:, None, :] + combos @ a) % q              # (T, C, r)
+    pc = np.take_along_axis(post, cand_idx, axis=1)
+    mask = np.ones(cand_idx.shape, dtype=bool)
+    for h in range(branch.r):
+        zh = zmat[:, :, h]
+        scores = np.stack([np.where(mask & (zh == z), pc, 0.0).sum(axis=1)
+                           for z in range(q)], axis=1)
+        z_hat = scores.argmax(axis=1)     # first max: ties go to the smaller z
+        mask &= zh == z_hat[:, None]
+    counts = mask.sum(axis=1)
+    bad = np.nonzero(counts != 1)[0]
+    if bad.size:
+        raise SpecMismatchError(f"branch {branch.sig}: {counts[bad[0]]} candidate "
+                                "vectors fit the direction decisions, expected 1")
+    return cand_idx[np.arange(len(cand_idx)), mask.argmax(axis=1)]
+
+
 # -- Monte Carlo harness -------------------------------------------------------------
+
+# Trials decoded together: the decoder's arrays grow with chunk * N * q^m
+# whatever the number of trials.
+DECODE_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class TrialReport:

@@ -3,6 +3,7 @@ harness.  The decoder is checked against exhaustive-enumeration posteriors
 of the physical system, which ties the whole branch bookkeeping together."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,16 +25,24 @@ from macpolar import (
     transform_plus,
     wilson_interval,
 )
+from macpolar import sc_decode as sc_decode_reference
 from macpolar.codec import (
+    DECODE_CHUNK,
     CodewordBlock,
     _decide_branch,
+    _decode_batch,
+    _decoded_info,
+    _frozen_matrix,
     butterfly_transform,
     message_matrix,
 )
+from macpolar.jsonio import load_channel
 from macpolar.mac import all_vectors, vec_to_index
-from macpolar.polarize import BranchCode, CodeSpec
+from macpolar.polarize import BranchCode, CodeSpec, _info_map_error, all_sigs
 from macpolar.linear_mac import binary2_subspaces
-from conftest import random_mac
+from conftest import random_combo, random_mac
+
+DEMO_CHANNELS = Path(__file__).resolve().parent.parent / "demos" / "channels"
 
 
 def trivial_spec(q, m, l):
@@ -298,3 +307,98 @@ def test_frozen_symbols_reproducible():
     spec = build_code(chan, 3, eps=0.2, z_budget=1e-9)
     assert frozen_from_seed(spec, 42) == frozen_from_seed(spec, 42)
     assert frozen_from_seed(spec, 42) != frozen_from_seed(spec, 43)
+
+
+# -- batched decoder against the one-block recursion --------------------------------
+
+def random_spec(rng, q, m, l):
+    """Code spec with a random mix of frozen branches and good branches
+    whose information maps are random invertible ones."""
+    branches = []
+    for sig in all_sigs(l):
+        s_users = tuple(k for k in range(1, m + 1) if rng.random() < 0.6)
+        if rng.random() < 0.3 or not s_users:
+            branches.append(BranchCode(sig=sig, in_good_set=False, r=0,
+                                       a_columns=(), s_users=(), frozen=(1,) * m,
+                                       z_sum=1.0, i_branch=0.0, i_detected=0.0))
+            continue
+        while True:
+            cols = tuple(tuple(int(x) for x in rng.integers(0, q, size=m))
+                         for _ in s_users)
+            if not _info_map_error(cols, s_users, q, m):
+                break
+        branches.append(BranchCode(
+            sig=sig, in_good_set=True, r=len(s_users), a_columns=cols,
+            s_users=s_users, frozen=tuple(0 if k in s_users else 1
+                                          for k in range(1, m + 1)),
+            z_sum=0.0, i_branch=float(len(s_users)), i_detected=float(len(s_users))))
+    n = 1 << l
+    rates = tuple(sum(1 - b.frozen[k] for b in branches) / n for k in range(m))
+    spec = CodeSpec(q=q, m=m, l=l, eps=0.2, z_budget=1.0, merge_tol=1e-9,
+                    branches=tuple(branches), rate_vector=rates,
+                    sum_rate=sum(b.r for b in branches) / n, union_bound=0.0)
+    spec.check()
+    return spec
+
+
+def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
+    """The batched decoder on a (T, N) block of received words makes the
+    recursion's decisions trial by trial, with its posteriors to 1e-12."""
+    known = np.stack([_frozen_matrix(spec, f) for f in frozen])
+    u_hat, posts, _ = _decode_batch(spec, chan, received, known, genie,
+                                    with_details=True)
+    for t in range(len(received)):
+        ref = sc_decode_reference(spec, chan, received[t], frozen=frozen[t],
+                                  genie_u=None if genie is None else genie[t],
+                                  with_details=True)
+        assert np.array_equal(u_hat[t], ref.u_hat)
+        assert _decoded_info(spec, u_hat[t]) == ref.message.info
+        for b, want in enumerate(ref.posteriors):
+            if want is None:
+                assert posts[b] is None
+            else:
+                assert np.abs(posts[b][t] - want).max() <= 1e-12
+
+
+def sampled_blocks(spec, chan, trials, seed):
+    """(received, frozen dicts, true message matrices) of `trials` blocks
+    sent through the channel."""
+    msgs = [random_message(spec, [seed, t, 0], [seed, t, 1]) for t in range(trials)]
+    received = np.stack([simulate_channel(chan, encode(spec, msg), [seed, t, 2])
+                         for t, msg in enumerate(msgs)])
+    genie = np.stack([message_matrix(spec, msg) for msg in msgs])
+    return received, [msg.frozen for msg in msgs], genie
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_batch_decoder_matches_reference(q, m):
+    rng = np.random.default_rng(1000 * q + m)
+    depth = {1: 4, 2: 3, 3: 2}[m]
+    explicit = random_mac(rng, q, m, 3)
+    combo = random_combo(rng, q, m, max_terms=2 if m == 1 else 3).to_explicit()
+    cases = [(random_spec(rng, q, m, depth), explicit),
+             (random_spec(rng, q, m, depth), combo),
+             (build_code(combo, depth, eps=0.2, z_budget=0.5), combo)]
+    for spec, chan in cases:
+        n = spec.block_length
+        for trials in (1, 3, DECODE_CHUNK + 1):
+            received, frozen, genie = sampled_blocks(spec, chan, trials, trials)
+            assert_batch_matches_reference(spec, chan, received, frozen)
+            assert_batch_matches_reference(spec, chan, received, frozen, genie)
+        # Received words the code cannot produce: zero likelihoods and ties.
+        received = rng.integers(0, chan.output_size, size=(3, n))
+        frozen = [frozen_from_seed(spec, [7, t]) for t in range(3)]
+        assert_batch_matches_reference(spec, chan, received, frozen)
+
+
+def test_batch_decoder_matches_reference_on_noiseless_codes():
+    # The parity code's posteriors are exact ties between candidates;
+    # the five-component code is the one criterion 9 simulates.
+    parity = load_channel(str(DEMO_CHANNELS / "parity_revealer.json")).to_explicit()
+    five = load_channel(str(DEMO_CHANNELS / "five_component.json")).to_explicit()
+    for chan, l, z in [(parity, 6, 1e-9), (five, 6, 1e-2)]:
+        spec = build_code(chan, l, eps=0.2, z_budget=z)
+        assert spec.good_count > 0
+        received, frozen, genie = sampled_blocks(spec, chan, 5, 3)
+        assert_batch_matches_reference(spec, chan, received, frozen)
+        assert_batch_matches_reference(spec, chan, received, frozen, genie)
