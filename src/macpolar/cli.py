@@ -397,6 +397,12 @@ def main(argv=None) -> int:
     except (TooLargeError, TooDeepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # A table that cannot be allocated is a size limit too: one line,
+        # not a traceback.
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 3
     except (MacPolarError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

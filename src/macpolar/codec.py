@@ -4,22 +4,26 @@ The block uses 2^l copies of the channel, one per branch signature.  The
 encoder runs the butterfly recursion per user; stage j combines message
 entries whose keys differ in bit j-1, with the '-' slot receiving the sum.
 The decoder walks branches in decoding order and evaluates each branch's
-exact posterior over GF(q)^m by the same two-node recursion the transforms
+exact posterior over GF(q)^m by the two-node recursion the transforms
 define: a minus node convolves the two child likelihoods over the sibling
-vector, a plus node conditions on the already-decided sibling.  Likelihoods
-stay in the linear domain and are rescaled by their maximum at every node,
-which keeps deep trees away from underflow without log arithmetic.
+vector, a plus node conditions on the already-decided sibling.  It decodes
+a batch of blocks at once, one likelihood array per tree level (the
+stage-wise layout of Leroux, Tal, Vardy and Gross), so its Python work
+grows with the tree, not with the number of blocks.  Likelihoods stay in
+the linear domain and are rescaled by their maximum at every node, which
+keeps deep trees away from underflow without log arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import SpecMismatchError
-from .mac import DiscreteMac, add_table, all_vectors, vec_to_index
+from .mac import DiscreteMac, add_table, all_vectors
 from .polarize import CodeSpec
 
 
@@ -121,18 +125,27 @@ def encode(spec: CodeSpec, msg: MessageAssignment) -> CodewordBlock:
 # -- channel sampling -------------------------------------------------------------
 
 def simulate_channel(channel: DiscreteMac, block: CodewordBlock, seed) -> np.ndarray:
-    """Draw one output index per branch copy; reproducible per (seed, copy)."""
+    """Draw one output index per branch copy: one generator per seed draws
+    N uniforms, and copy t maps the t-th through its input's inverse CDF."""
     if channel.q != block.q or channel.m != block.m:
         raise SpecMismatchError("channel does not match the codeword block")
-    base = _seed_key(seed)
-    n = block.block_length
-    received = np.empty(n, dtype=np.int64)
+    uniforms = np.random.default_rng(_seed_key(seed)).random(block.block_length)
+    x_idx = (block.x % block.q) @ (block.q ** np.arange(block.m))
     cdf = np.cumsum(channel.table, axis=1)
-    for t in range(n):
-        rng = np.random.default_rng(base + [t])
-        x_idx = vec_to_index(block.x[t], channel.q)
-        received[t] = int(np.searchsorted(cdf[x_idx], rng.random(), side="right"))
+    received = np.empty(block.block_length, dtype=np.int64)
+    for i in np.unique(x_idx):
+        sel = x_idx == i
+        received[sel] = _inverse_cdf(cdf[i], uniforms[sel])
     return received
+
+
+def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Output index of each uniform under one cumulative row: the first
+    output whose cumulative mass exceeds it.  A row may sum to a little
+    under 1 (validation allows ROW_SUM_TOL), so a draw at or above the total
+    takes the last output with positive mass instead of running past it."""
+    last = int(np.argmax(cdf == cdf[-1]))
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), last)
 
 
 # -- successive cancellation decoding ----------------------------------------------
@@ -142,6 +155,7 @@ class DecodeResult:
     message: MessageAssignment
     u_hat: np.ndarray             # (N, m) decided branch vectors
     posteriors: list | None       # per-branch posterior over GF(q)^m, key order
+    fallbacks: int                # node likelihoods that vanished (set uniform)
 
 
 def sc_decode(spec: CodeSpec, channel: DiscreteMac, received,
@@ -162,9 +176,8 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received,
     Returns the decoded MessageAssignment, or a DecodeResult when
     with_details is set.
     """
-    q, m, l = spec.q, spec.m, spec.l
     n = spec.block_length
-    if channel.q != q or channel.m != m:
+    if channel.q != spec.q or channel.m != spec.m:
         raise SpecMismatchError("channel does not match the code spec")
     received = np.asarray(received, dtype=np.int64)
     if received.shape != (n,):
@@ -173,101 +186,16 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received,
         if frozen_seed is None:
             raise SpecMismatchError("need frozen symbols or their seed")
         frozen = frozen_from_seed(spec, frozen_seed)
-
-    big_q = q ** m
-    add = add_table(q, m)
-    vecs = all_vectors(q, m)
-    powers = q ** np.arange(m)
-    table = channel.table
-
-    like = [np.zeros((1 << k, big_q)) for k in range(l + 1)]
-    stamp = [np.full(1 << k, -1, dtype=np.int64) for k in range(l + 1)]
-    decided = [np.zeros((n, m), dtype=np.int64) for _ in range(l + 1)]
-
-    def compute(k: int, pi: int, a: int) -> np.ndarray:
-        if stamp[k][pi] == a:
-            return like[k][pi]
-        if k == l:
-            v = table[:, received[pi]].copy()
-        else:
-            half = 1 << k
-            a2, c = a >> 1, a & 1
-            l0 = compute(k + 1, pi, a2)
-            l1 = compute(k + 1, pi + half, a2)
-            if c == 0:
-                v = (l0[add] * l1).sum(axis=1)
-            else:
-                sib = decided[k][pi + (a - 1) * half]
-                v = l0[add[int(sib @ powers)]] * l1
-        mx = v.max()
-        v = np.full(big_q, 1.0 / big_q) if mx <= 0 else v / mx
-        like[k][pi] = v
-        stamp[k][pi] = a
-        return v
-
-    def settle(k: int, pi: int, a_pair: int):
-        half = 1 << k
-        i0 = pi + (2 * a_pair) * half
-        i1 = pi + (2 * a_pair + 1) * half
-        decided[k + 1][i0] = (decided[k][i0] + decided[k][i1]) % q
-        decided[k + 1][i1] = decided[k][i1]
-        if k + 1 < l and a_pair & 1:
-            settle(k + 1, pi, a_pair >> 1)
-            settle(k + 1, pi + half, a_pair >> 1)
-
-    u_hat = np.zeros((n, m), dtype=np.int64)
-    posteriors = [] if with_details else None
-    info: dict = {}
-    for b, branch in enumerate(spec.branches):
-        if branch.in_good_set and branch.r > 0:
-            post = compute(0, 0, b)
-            post = post / post.sum()
-            if with_details:
-                posteriors.append(post.copy())
-            u = _decide_branch(branch, post, frozen, q, m, vecs, powers)
-            for k in branch.s_users:
-                info[(branch.sig, k)] = int(u[k - 1])
-        else:
-            u = np.array([frozen[(branch.sig, k)] for k in range(1, m + 1)],
-                         dtype=np.int64)
-            if with_details:
-                posteriors.append(None)
-        u_hat[b] = u
-        decided[0][b] = u if genie_u is None else genie_u[b]
-        if b & 1:
-            settle(0, 0, b >> 1)
-    msg = MessageAssignment(info=info, frozen=dict(frozen))
+    genie = None if genie_u is None else np.asarray(genie_u, dtype=np.int64)[None]
+    u_hat, posteriors, fallbacks = _decode_batch(
+        spec, channel, received[None], _frozen_matrix(spec, frozen)[None],
+        genie, with_details)
+    msg = MessageAssignment(info=_decoded_info(spec, u_hat[0]), frozen=dict(frozen))
     if with_details:
-        return DecodeResult(message=msg, u_hat=u_hat, posteriors=posteriors)
+        return DecodeResult(message=msg, u_hat=u_hat[0],
+                            posteriors=[None if p is None else p[0] for p in posteriors],
+                            fallbacks=int(fallbacks[0]))
     return msg
-
-
-def _decide_branch(branch, post, frozen, q, m, vecs, powers):
-    """Sequential per-direction ML over the constrained candidate set."""
-    a = branch.a_matrix(q)
-    free = [k - 1 for k in branch.s_users]
-    base = np.zeros(m, dtype=np.int64)
-    for k in range(1, m + 1):
-        if branch.frozen[k - 1]:
-            base[k - 1] = frozen[(branch.sig, k)]
-    # Candidate vectors: frozen coordinates fixed, information coordinates free.
-    cand = np.repeat(base.reshape(1, -1), q ** len(free), axis=0)
-    combos = all_vectors(q, len(free))
-    for j, coord in enumerate(free):
-        cand[:, coord] = combos[:, j]
-    cand_idx = cand @ powers
-    zmat = (cand @ a.data) % q
-    mask = np.ones(len(cand), dtype=bool)
-    for h in range(branch.r):
-        scores = np.array([post[cand_idx[mask & (zmat[:, h] == z)]].sum()
-                           for z in range(q)])
-        z_hat = int(np.argmax(scores))   # first max: ties go to the smaller z
-        mask &= zmat[:, h] == z_hat
-    chosen = np.nonzero(mask)[0]
-    if chosen.size != 1:
-        raise SpecMismatchError(f"branch {branch.sig}: {chosen.size} candidate "
-                                "vectors fit the direction decisions, expected 1")
-    return cand[chosen[0]]
 
 
 def _frozen_matrix(spec: CodeSpec, frozen: dict) -> np.ndarray:
@@ -326,6 +254,8 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
     stamp = [-1] * (l + 1)
     decided = np.zeros((l + 1, t_count, n), dtype=np.int64)
     fallbacks = np.zeros(t_count, dtype=np.int64)
+    trial = np.arange(t_count)[:, None, None]        # gather grids
+    pos = [np.arange(1 << k)[None, :, None] for k in range(l)]
 
     def ensure(k: int, a: int):
         """Make like[k] hold decoding index a at every position of level k."""
@@ -339,7 +269,7 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
             l0, l1 = like[k + 1][:, :half], like[k + 1][:, half:]
             if a & 1:
                 sib = decided[k, :, (a - 1) * half: a * half]
-                v = np.take_along_axis(l0, add[sib], axis=2) * l1
+                v = l0[trial, pos[k], add[sib]] * l1
             else:
                 v = (l0[:, :, add] * l1[:, :, None, :]).sum(axis=3)
         mx = v.max(axis=2, keepdims=True)
@@ -382,35 +312,48 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
 def _decide_batch(branch, post, base, q, m):
     """Sequential per-direction ML over each trial's candidate set.
 
-    post is (T, q^m), base the (T, m) known symbols of the branch.  A
-    trial's candidates fix its frozen coordinates and run over all values
-    of the information coordinates; each detected direction is decided in
-    turn from the posterior mass of the candidates still standing, ties
-    going to the smaller field element.  Returns (T,) vector indices.
+    post is (T, q^m), base the (T, m) known symbols of the branch, 0 at its
+    information users.  A trial's candidates fix its frozen coordinates and
+    run over all values of the information coordinates; each detected
+    direction is decided in turn from the posterior mass of the candidates
+    still standing, ties going to the smaller field element.  Returns (T,)
+    vector indices.
     """
-    powers = q ** np.arange(m)
-    a = branch.a_matrix(q).data
-    free = [k - 1 for k in branch.s_users]
-    base = base.copy()
-    base[:, free] = 0
-    combos = np.zeros((q ** len(free), m), dtype=np.int64)
-    combos[:, free] = all_vectors(q, len(free))
-    cand_idx = (base @ powers)[:, None] + combos @ powers        # (T, C)
-    zmat = ((base @ a)[:, None, :] + combos @ a) % q              # (T, C, r)
-    pc = np.take_along_axis(post, cand_idx, axis=1)
+    a, cand_off, z_off = _candidate_offsets(branch.a_columns, branch.s_users, q, m)
+    rows = np.arange(len(base))
+    cand_idx = (base @ (q ** np.arange(m)))[:, None] + cand_off       # (T, C)
+    zmat = ((base @ a)[:, :, None] + z_off) % q                       # (T, r, C)
+    mass = post[rows[:, None], cand_idx]
     mask = np.ones(cand_idx.shape, dtype=bool)
+    values = np.arange(q)[:, None]
     for h in range(branch.r):
-        zh = zmat[:, :, h]
-        scores = np.stack([np.where(mask & (zh == z), pc, 0.0).sum(axis=1)
-                           for z in range(q)], axis=1)
+        hit = zmat[:, None, h] == values                              # (T, q, C)
+        scores = np.where(hit & mask[:, None], mass[:, None], 0.0).sum(axis=2)
         z_hat = scores.argmax(axis=1)     # first max: ties go to the smaller z
-        mask &= zh == z_hat[:, None]
+        mask &= hit[rows, z_hat]
     counts = mask.sum(axis=1)
     bad = np.nonzero(counts != 1)[0]
     if bad.size:
         raise SpecMismatchError(f"branch {branch.sig}: {counts[bad[0]]} candidate "
                                 "vectors fit the direction decisions, expected 1")
-    return cand_idx[np.arange(len(cand_idx)), mask.argmax(axis=1)]
+    return cand_idx[rows, mask.argmax(axis=1)]
+
+
+@lru_cache(maxsize=None)
+def _candidate_offsets(a_columns: tuple, s_users: tuple, q: int, m: int):
+    """(A, index offsets, direction offsets) of one information map: A is
+    the m x r map, and candidate c, the c-th value of the information
+    coordinates, adds cand_off[c] to the vector index and z_off[:, c] to
+    the directions.  A spec holds only a handful of distinct maps.
+    Read-only."""
+    a = np.array(a_columns, dtype=np.int64).reshape(len(a_columns), m).T
+    free = [k - 1 for k in s_users]
+    combos = np.zeros((q ** len(free), m), dtype=np.int64)
+    combos[:, free] = all_vectors(q, len(free))
+    out = (a, combos @ (q ** np.arange(m)), (combos @ a).T % q)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 # -- Monte Carlo harness -------------------------------------------------------------
@@ -466,19 +409,23 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     symbols (averaging over the frozen choice), transmits the block and
     counts a block error whenever any decoded information symbol differs.
     Per-trial generators derive from (seed, trial, stream), so runs are
-    reproducible and order-independent.
+    reproducible and order-independent.  Blocks are decoded DECODE_CHUNK
+    trials at a time.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     errors = 0
-    for trial in range(n_trials):
-        msg = random_message(spec, info_seed=[seed, trial, 0],
-                             frozen_seed=[seed, trial, 1])
-        block = encode(spec, msg)
-        received = simulate_channel(channel, block, seed=[seed, trial, 2])
-        decoded = sc_decode(spec, channel, received, frozen=msg.frozen)
-        if decoded.info != msg.info:
-            errors += 1
+    for start in range(0, n_trials, DECODE_CHUNK):
+        trials = range(start, min(start + DECODE_CHUNK, n_trials))
+        msgs = [random_message(spec, info_seed=[seed, t, 0], frozen_seed=[seed, t, 1])
+                for t in trials]
+        received = np.stack([simulate_channel(channel, encode(spec, msg),
+                                              seed=[seed, t, 2])
+                             for t, msg in zip(trials, msgs)])
+        frozen = np.stack([_frozen_matrix(spec, msg.frozen) for msg in msgs])
+        u_hat, _, _ = _decode_batch(spec, channel, received, frozen)
+        errors += sum(_decoded_info(spec, u) != msg.info
+                      for u, msg in zip(u_hat, msgs))
     bler = errors / n_trials
     lo, hi = wilson_interval(errors, n_trials)
     return TrialReport(spec=spec, trials=n_trials, errors=errors, bler=bler,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from macpolar import DiscreteMac, LinearComboMac, NonFiniteError, ParseError
+from macpolar import polarize
 from macpolar.cli import main
 from macpolar.jsonio import (
     channel_from_dict,
@@ -177,6 +178,18 @@ def test_exit_codes(tmp_path, five_term_file, capsys):
     assert main(["evolve", "--channel", five_term_file, "--l", "25",
                  "--mode", "enumerate"]) == 3
     capsys.readouterr()
+
+
+def test_out_of_memory_exits_3(five_term_file, tmp_path, monkeypatch, capsys):
+    def refuse(channel):
+        raise MemoryError("Unable to allocate 235. GiB for an array")
+
+    monkeypatch.setattr(polarize, "transform_minus", refuse)
+    assert main(["construct", "--channel", five_term_file, "--l", "2",
+                 "--eps", "0.2", "--z-budget", "1e-3",
+                 "--out", str(tmp_path / "code.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 235. GiB for an array\n"
 
 
 def test_byte_reproducibility(five_term_file, tmp_path):

@@ -25,19 +25,21 @@ from macpolar import (
     transform_plus,
     wilson_interval,
 )
-from macpolar import sc_decode as sc_decode_reference
+from macpolar import codec
 from macpolar.codec import (
     DECODE_CHUNK,
     CodewordBlock,
-    _decide_branch,
+    DecodeResult,
+    _decide_batch,
     _decode_batch,
     _decoded_info,
     _frozen_matrix,
+    _inverse_cdf,
     butterfly_transform,
     message_matrix,
 )
 from macpolar.jsonio import load_channel
-from macpolar.mac import all_vectors, vec_to_index
+from macpolar.mac import add_table, all_vectors, vec_to_index
 from macpolar.polarize import BranchCode, CodeSpec, _info_map_error, all_sigs
 from macpolar.linear_mac import binary2_subspaces
 from conftest import random_combo, random_mac
@@ -297,8 +299,8 @@ def test_decide_branch_refuses_a_non_invertible_map():
                         a_columns=((1, 0), (1, 0)), s_users=(1, 2),
                         frozen=(0, 0), z_sum=0.0, i_branch=2.0, i_detected=2.0)
     with pytest.raises(SpecMismatchError, match="2 candidate"):
-        _decide_branch(branch, np.full(4, 0.25), {}, 2, 2, all_vectors(2, 2),
-                       np.array([1, 2]))
+        _decide_batch(branch, np.full((3, 4), 0.25),
+                      np.zeros((3, 2), dtype=np.int64), 2, 2)
 
 
 def test_frozen_symbols_reproducible():
@@ -310,6 +312,109 @@ def test_frozen_symbols_reproducible():
 
 
 # -- batched decoder against the one-block recursion --------------------------------
+
+def sc_decode_reference(spec, channel, received, frozen, genie_u=None):
+    """The one-block recursion the batched decoder replaced: node (k, pi)
+    at decoding index a is evaluated on demand and cached by a per-node
+    stamp, and partial sums settle pair by pair.  Returns a DecodeResult
+    whose fallbacks count the node likelihoods that vanished."""
+    q, m, l = spec.q, spec.m, spec.l
+    n = spec.block_length
+    big_q = q ** m
+    add = add_table(q, m)
+    vecs = all_vectors(q, m)
+    powers = q ** np.arange(m)
+    table = channel.table
+
+    like = [np.zeros((1 << k, big_q)) for k in range(l + 1)]
+    stamp = [np.full(1 << k, -1, dtype=np.int64) for k in range(l + 1)]
+    decided = [np.zeros((n, m), dtype=np.int64) for _ in range(l + 1)]
+    fallbacks = [0]
+
+    def compute(k, pi, a):
+        if stamp[k][pi] == a:
+            return like[k][pi]
+        if k == l:
+            v = table[:, received[pi]].copy()
+        else:
+            half = 1 << k
+            a2, c = a >> 1, a & 1
+            l0 = compute(k + 1, pi, a2)
+            l1 = compute(k + 1, pi + half, a2)
+            if c == 0:
+                v = (l0[add] * l1).sum(axis=1)
+            else:
+                sib = decided[k][pi + (a - 1) * half]
+                v = l0[add[int(sib @ powers)]] * l1
+        mx = v.max()
+        if mx <= 0:
+            fallbacks[0] += 1
+            v = np.full(big_q, 1.0 / big_q)
+        else:
+            v = v / mx
+        like[k][pi] = v
+        stamp[k][pi] = a
+        return v
+
+    def settle(k, pi, a_pair):
+        half = 1 << k
+        i0 = pi + (2 * a_pair) * half
+        i1 = pi + (2 * a_pair + 1) * half
+        decided[k + 1][i0] = (decided[k][i0] + decided[k][i1]) % q
+        decided[k + 1][i1] = decided[k][i1]
+        if k + 1 < l and a_pair & 1:
+            settle(k + 1, pi, a_pair >> 1)
+            settle(k + 1, pi + half, a_pair >> 1)
+
+    u_hat = np.zeros((n, m), dtype=np.int64)
+    posteriors = []
+    info = {}
+    for b, branch in enumerate(spec.branches):
+        if branch.in_good_set and branch.r > 0:
+            post = compute(0, 0, b)
+            post = post / post.sum()
+            posteriors.append(post.copy())
+            u = decide_branch_reference(branch, post, frozen, q, m, powers)
+            for k in branch.s_users:
+                info[(branch.sig, k)] = int(u[k - 1])
+        else:
+            u = np.array([frozen[(branch.sig, k)] for k in range(1, m + 1)],
+                         dtype=np.int64)
+            posteriors.append(None)
+        u_hat[b] = u
+        decided[0][b] = u if genie_u is None else genie_u[b]
+        if b & 1:
+            settle(0, 0, b >> 1)
+    return DecodeResult(message=MessageAssignment(info=info, frozen=dict(frozen)),
+                        u_hat=u_hat, posteriors=posteriors, fallbacks=fallbacks[0])
+
+
+def decide_branch_reference(branch, post, frozen, q, m, powers):
+    """Sequential per-direction ML over one block's candidate set."""
+    a = branch.a_matrix(q)
+    free = [k - 1 for k in branch.s_users]
+    base = np.zeros(m, dtype=np.int64)
+    for k in range(1, m + 1):
+        if branch.frozen[k - 1]:
+            base[k - 1] = frozen[(branch.sig, k)]
+    cand = np.repeat(base.reshape(1, -1), q ** len(free), axis=0)
+    combos = all_vectors(q, len(free))
+    for j, coord in enumerate(free):
+        cand[:, coord] = combos[:, j]
+    cand_idx = cand @ powers
+    zmat = (cand @ a.data) % q
+    mask = np.ones(len(cand), dtype=bool)
+    for h in range(branch.r):
+        scores = np.array([post[cand_idx[mask & (zmat[:, h] == z)]].sum()
+                           for z in range(q)])
+        z_hat = int(np.argmax(scores))   # first max: ties go to the smaller z
+        mask &= zmat[:, h] == z_hat
+    chosen = np.nonzero(mask)[0]
+    if chosen.size != 1:
+        raise SpecMismatchError(f"branch {branch.sig}: {chosen.size} candidate "
+                                "vectors fit the direction decisions, expected 1")
+    return cand[chosen[0]]
+
 
 def random_spec(rng, q, m, l):
     """Code spec with a random mix of frozen branches and good branches
@@ -345,19 +450,23 @@ def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
     """The batched decoder on a (T, N) block of received words makes the
     recursion's decisions trial by trial, with its posteriors to 1e-12."""
     known = np.stack([_frozen_matrix(spec, f) for f in frozen])
-    u_hat, posts, _ = _decode_batch(spec, chan, received, known, genie,
-                                    with_details=True)
+    u_hat, posts, fallbacks = _decode_batch(spec, chan, received, known, genie,
+                                            with_details=True)
     for t in range(len(received)):
-        ref = sc_decode_reference(spec, chan, received[t], frozen=frozen[t],
-                                  genie_u=None if genie is None else genie[t],
-                                  with_details=True)
+        ref = sc_decode_reference(spec, chan, received[t], frozen[t],
+                                  None if genie is None else genie[t])
         assert np.array_equal(u_hat[t], ref.u_hat)
         assert _decoded_info(spec, u_hat[t]) == ref.message.info
+        assert fallbacks[t] == ref.fallbacks
         for b, want in enumerate(ref.posteriors):
             if want is None:
                 assert posts[b] is None
             else:
                 assert np.abs(posts[b][t] - want).max() <= 1e-12
+    # The public one-block entry point runs the same decoder.
+    one = sc_decode(spec, chan, received[0], frozen=frozen[0],
+                    genie_u=None if genie is None else genie[0], with_details=True)
+    assert np.array_equal(one.u_hat, u_hat[0]) and one.fallbacks == fallbacks[0]
 
 
 def sampled_blocks(spec, chan, trials, seed):
@@ -402,3 +511,78 @@ def test_batch_decoder_matches_reference_on_noiseless_codes():
         received, frozen, genie = sampled_blocks(spec, chan, 5, 3)
         assert_batch_matches_reference(spec, chan, received, frozen)
         assert_batch_matches_reference(spec, chan, received, frozen, genie)
+
+
+def test_decoder_counts_underflow_fallbacks():
+    # Noiseless channel, N=2: the '-' branch is frozen, the '+' branch is
+    # conditioned on it.  Decoded against the wrong frozen symbol, the
+    # received block has probability zero and the '+' node falls back to the
+    # uniform likelihood once; against the right one, never.
+    frozen = BranchCode(sig="-", in_good_set=False, r=0, a_columns=(),
+                        s_users=(), frozen=(1,), z_sum=1.0, i_branch=0.0,
+                        i_detected=0.0)
+    good = BranchCode(sig="+", in_good_set=True, r=1, a_columns=((1,),),
+                      s_users=(1,), frozen=(0,), z_sum=0.0, i_branch=1.0,
+                      i_detected=1.0)
+    spec = CodeSpec(q=2, m=1, l=1, eps=0.2, z_budget=1e-9, merge_tol=1e-9,
+                    branches=(frozen, good), rate_vector=(0.5,), sum_rate=0.5,
+                    union_bound=0.0)
+    spec.check()
+    chan = DiscreteMac.identity(2, 1)
+    msg = message_from_info(spec, [1], frozen_seed=0)
+    received = encode(spec, msg).x[:, 0]
+    clean = sc_decode(spec, chan, received, frozen=msg.frozen, with_details=True)
+    assert clean.fallbacks == 0 and clean.message.info == msg.info
+    wrong = {slot: 1 - v for slot, v in msg.frozen.items()}
+    res = sc_decode(spec, chan, received, frozen=wrong, with_details=True)
+    assert res.fallbacks == 1
+    assert np.array_equal(res.posteriors[1], [0.5, 0.5])
+
+
+def test_inverse_cdf_never_runs_past_the_last_output():
+    # Rows that validation accepts (sums within 1e-12 of 1) but whose
+    # cumulative total is below a possible uniform draw.
+    short = np.cumsum([0.5, 0.4999999999995])
+    assert short[-1] < 0.99999999999995
+    u = np.array([0.0, 0.25, 0.5, 0.99999999999995, np.nextafter(1.0, 0.0)])
+    assert _inverse_cdf(short, u).tolist() == [0, 0, 1, 1, 1]
+    # Trailing outputs with zero mass are never drawn, leading ones neither.
+    trailing = np.cumsum([0.3, 0.6999999999995, 0.0, 0.0])
+    assert _inverse_cdf(trailing, u).tolist() == [0, 0, 1, 1, 1]
+    leading = np.cumsum([0.0, 0.0, 0.4, 0.6])
+    assert _inverse_cdf(leading, u).tolist() == [2, 2, 3, 3, 3]
+    # Below the total it is the searchsorted rule.
+    row = np.cumsum([0.1, 0.0, 0.2, 0.7])
+    draws = np.random.default_rng(3).random(1000)
+    assert np.array_equal(_inverse_cdf(row, draws),
+                          np.searchsorted(row, draws, side="right"))
+
+
+def test_run_trials_blocks_do_not_depend_on_the_trial_count(monkeypatch):
+    # Trial t's received block comes from its own generator: the same at 5
+    # trials as at 70, where the trials fill one chunk and part of another.
+    chan = load_channel(str(DEMO_CHANNELS / "five_component.json")).to_explicit()
+    spec = build_code(chan, 4, eps=0.2, z_budget=0.05)
+    seen = []
+
+    def recording(spec, channel, received, *args, **kwargs):
+        seen.append(received.copy())
+        return _decode_batch(spec, channel, received, *args, **kwargs)
+
+    monkeypatch.setattr(codec, "_decode_batch", recording)
+    short = run_trials(spec, chan, 5, seed=11)
+    first = np.concatenate(seen)
+    seen.clear()
+    long = run_trials(spec, chan, 70, seed=11)
+    assert [len(r) for r in seen] == [DECODE_CHUNK, 70 - DECODE_CHUNK]
+    blocks = np.concatenate(seen)
+    assert np.array_equal(blocks[:5], first)
+    monkeypatch.undo()
+    # The chunked harness counts the errors of decoding each trial alone.
+    wrong = []
+    for t in range(70):
+        msg = random_message(spec, [11, t, 0], [11, t, 1])
+        received = simulate_channel(chan, encode(spec, msg), seed=[11, t, 2])
+        assert np.array_equal(received, blocks[t])
+        wrong.append(sc_decode(spec, chan, received, frozen=msg.frozen).info != msg.info)
+    assert long.errors == sum(wrong) and short.errors == sum(wrong[:5])
