@@ -177,8 +177,6 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received,
     with_details is set.
     """
     n = spec.block_length
-    if channel.q != spec.q or channel.m != spec.m:
-        raise SpecMismatchError("channel does not match the code spec")
     received = np.asarray(received, dtype=np.int64)
     if received.shape != (n,):
         raise SpecMismatchError(f"expected {n} received symbols, got {received.shape}")
@@ -271,6 +269,9 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
                 sib = decided[k, :, (a - 1) * half: a * half]
                 v = l0[trial, pos[k], add[sib]] * l1
             else:
+                # Not einsum or matmul: their rounding depends on the batch
+                # shape, and a sum along the last axis rounds each row alike,
+                # so exactly tied posteriors break the same way in any batch.
                 v = (l0[:, :, add] * l1[:, :, None, :]).sum(axis=3)
         mx = v.max(axis=2, keepdims=True)
         dead = mx[:, :, 0] <= 0
@@ -358,7 +359,8 @@ def _candidate_offsets(a_columns: tuple, s_users: tuple, q: int, m: int):
 
 # -- Monte Carlo harness -------------------------------------------------------------
 
-# Trials decoded together: the decoder's arrays grow with chunk * N * q^m
+# Trials decoded together.  The decoder's likelihoods take DECODE_CHUNK *
+# 2N * q^m floats and a minus node's gather DECODE_CHUNK * N/2 * q^2m,
 # whatever the number of trials.
 DECODE_CHUNK = 64
 

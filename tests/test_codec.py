@@ -500,7 +500,7 @@ def test_batch_decoder_matches_reference(q, m):
         assert_batch_matches_reference(spec, chan, received, frozen)
 
 
-def test_batch_decoder_matches_reference_on_noiseless_codes():
+def test_batch_decoder_matches_reference_on_demo_codes():
     # The parity code's posteriors are exact ties between candidates;
     # the five-component code is the one criterion 9 simulates.
     parity = load_channel(str(DEMO_CHANNELS / "parity_revealer.json")).to_explicit()
