@@ -61,10 +61,8 @@ from .linear_mac import (
     EvolveReport,
     LinearComboMac,
     RateRegion,
-    binary2_combo,
     binary2_evolve,
     binary2_state,
-    binary2_step,
     binary2_subspaces,
     rate_region,
     total_loss_predict,

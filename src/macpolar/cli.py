@@ -26,17 +26,17 @@ from .errors import (
     TooLargeError,
 )
 from .linear_mac import (
-    EXTREMAL_TOL,
     LinearComboMac,
     binary2_evolve,
     binary2_state,
+    level_sums,
     rate_region,
+    subspace_lattice,
     total_loss_predict,
 )
 from .mac import DEFAULT_MERGE_TOL, DiscreteMac, user_subsets
 from .polarize import (
     MAX_BRANCH_OUTPUTS,
-    MINUS,
     branch_step,
     build_code,
     direction_stats,
@@ -131,7 +131,7 @@ def cmd_polarize(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    channel = _as_explicit(jsonio.load_channel(args.channel))
+    channel = jsonio.load_channel(args.channel)
     spec = build_code(channel, args.l, args.eps, args.z_budget,
                       merge_tol=args.merge_tol, max_outputs=args.max_outputs)
     spec.check()
@@ -162,18 +162,15 @@ def _parse_mode(mode: str):
     if mode == "enumerate":
         return "enumerate", None
     if mode.startswith("sample:"):
-        n = int(mode.split(":", 1)[1])
+        try:
+            n = int(mode.split(":", 1)[1])
+        except ValueError as exc:
+            raise ParseError(f"bad --mode {mode!r}: the path count is not an "
+                             "integer") from exc
         if n < 1:
-            raise ValueError("sample path count must be >= 1")
+            raise ParseError(f"bad --mode {mode!r}: the path count must be >= 1")
         return "sample", n
-    raise ValueError(f"bad --mode {mode!r}; use enumerate or sample:N")
-
-
-GENERIC_EVOLVE_CAP = 12
-
-
-def _combo_step(combo: LinearComboMac, symbol: str) -> LinearComboMac:
-    return combo.minus() if symbol == MINUS else combo.plus()
+    raise ParseError(f"bad --mode {mode!r}; use enumerate or sample:N")
 
 
 def cmd_evolve(args) -> int:
@@ -191,13 +188,9 @@ def cmd_evolve(args) -> int:
                 "extremal_fraction", "pred_total_loss"]
         if mode == "sample":
             cols += [f"se_p{k}" for k in range(5)]
-        rows = []
-        for lv in rep.levels:
-            row = [lv.level, *lv.p_avg, lv.i1, lv.i2, lv.i_sum,
-                   lv.extremal_fraction, int(predicted)]
-            if mode == "sample":
-                row += list(lv.stderr)
-            rows.append(tuple(row))
+        rows = [(lv.level, *lv.p_avg, lv.i1, lv.i2, lv.i_sum, lv.extremal_fraction,
+                 int(predicted), *(lv.stderr if mode == "sample" else ()))
+                for lv in rep.levels]
         final = rep.final
         print(f"total loss predicted: {predicted}; "
               f"p3 average at level {args.l}: {final.p_avg[3]:.6e}; "
@@ -207,22 +200,18 @@ def cmd_evolve(args) -> int:
                              timestamp=not args.no_timestamp)
         return 0
     if mode != "enumerate":
-        raise ValueError("sample mode is only available for q=2, m=2")
-    if args.l > GENERIC_EVOLVE_CAP:
-        raise TooDeepError(f"generic evolve capped at depth {GENERIC_EVOLVE_CAP}")
+        raise ParseError("sample mode is only available for q=2, m=2")
+    lat = subspace_lattice(channel.q, channel.m)
     subsets = user_subsets(channel.m)
-    levels = [[] for _ in range(args.l + 1)]
-    for sig, c in polarization_tree(channel, args.l, _combo_step):
-        levels[len(sig)].append(
-            (max(w for w, _ in c.terms) >= 1 - EXTREMAL_TOL,
-             [c.mutual_info(s) for s in subsets]))
+    pdims = np.array([lat.projected_dims(s) for s in subsets], dtype=np.float64)
+    sums, extremal = level_sums(lat, channel.weights(), args.l)
     rows = []
-    for lvl, level in enumerate(levels):
-        extremal = float(np.mean([flag for flag, _ in level]))
+    for lvl in range(args.l + 1):
+        info = pdims @ (sums[lvl] / 2 ** lvl)
         for j, s in enumerate(subsets):
-            avg = float(np.mean([info[j] for _, info in level]))
-            rows.append((lvl, _users_str(s), avg, extremal))
-    print(f"evolved to depth {args.l}: {len(levels[-1])} branch channels")
+            rows.append((lvl, _users_str(s), float(info[j]),
+                         float(extremal[lvl] / 2 ** lvl)))
+    print(f"evolved to depth {args.l}: {2 ** args.l} branch channels")
     if args.out:
         jsonio.write_csv(args.out, ("level", "users", "i_avg",
                                     "extremal_fraction"), rows,

@@ -6,19 +6,26 @@ V_k.  The whole polarization process then lives in the subspace lattice:
 the bad transform intersects pairs of subspaces, the good transform sums
 them, and all mutual informations reduce to weighted projected dimensions.
 
-The two-user binary case has only five subspaces, so its state is a plain
-5-vector and the transforms become fixed polynomials; that path is exact
-and fast enough to enumerate thousands of polarization levels' branches.
+One engine runs that process for every (q, m).  A branch is a weight
+vector over all L subspaces of GF(q)^m in `Subspace.sort_key` order, a
+level of the tree is an (L, n) array of such vectors, and a transform
+scatters pair products through the lattice's meet and join tables.  The
+two-user binary 5-vector of `binary2_evolve` is a reordering of the
+GF(2)^2 vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
+    AmbientMismatchError,
     BadIndexSetError,
+    BadRowSumError,
+    NegativeProbabilityError,
     NonFiniteError,
     TooDeepError,
     TooLargeError,
@@ -26,11 +33,13 @@ from .errors import (
 )
 from .gfq import check_prime
 from .mac import DiscreteMac, all_vectors, user_subsets
-from .subspace import Subspace, consistency_check
+from .subspace import Subspace, consistency_check, count_subspaces, enumerate_subspaces
 
 WEIGHT_TOL = 1e-12
 ENUMERATE_DEPTH_CAP = 20
 EXTREMAL_TOL = 1e-3
+LATTICE_CAP = 1024          # subspaces: GF(2)^5 has 374, GF(2)^6 has 2825
+BLOCK_FLOATS = 1 << 16      # weights in one block of a wide tree level
 
 
 class LinearComboMac:
@@ -49,15 +58,16 @@ class LinearComboMac:
         if not np.isfinite(weights).all():
             raise NonFiniteError(f"weights must be finite, got {weights.tolist()}")
         merged: dict[Subspace, float] = {}
-        for w, (_, sub) in zip(weights.tolist(), terms):
+        for k, (w, (_, sub)) in enumerate(zip(weights.tolist(), terms)):
             if w <= 0:
-                raise ValueError(f"weights must be positive, got {w}")
+                raise NegativeProbabilityError(0, k, w, f"weights must be positive, got {w}")
             if sub.m != m or sub.q != q:
-                raise ValueError("subspace ambient does not match the channel")
+                raise AmbientMismatchError(
+                    f"term {k} lives in GF({sub.q})^{sub.m}, the channel in GF({q})^{m}")
             merged[sub] = merged.get(sub, 0.0) + w
         total = sum(merged.values())
         if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
+            raise BadRowSumError(0, total, f"weights sum to {total!r}, expected 1")
         ordered = sorted(merged.items(), key=lambda kv: kv[0].sort_key())
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
@@ -73,6 +83,14 @@ class LinearComboMac:
     def subspaces(self):
         return [s for _, s in self.terms]
 
+    def weights(self) -> np.ndarray:
+        """The channel's weight vector over `subspace_lattice(q, m)`."""
+        lat = subspace_lattice(self.q, self.m)
+        w = np.zeros(lat.size)
+        for weight, sub in self.terms:
+            w[lat.index[sub]] = weight
+        return w
+
     def mutual_info(self, users) -> float:
         """I[S] as the weighted sum of projected subspace dimensions."""
         if not users:
@@ -84,19 +102,18 @@ class LinearComboMac:
 
     def minus(self) -> "LinearComboMac":
         """Bad transform: pairwise subspace intersections, weights multiplied."""
-        return self._pair_transform(lambda a, b: a.intersect(b))
+        return self._child(0)
 
     def plus(self) -> "LinearComboMac":
         """Good transform: pairwise subspace sums, weights multiplied."""
-        return self._pair_transform(lambda a, b: a.sum(b))
+        return self._child(1)
 
-    def _pair_transform(self, op) -> "LinearComboMac":
-        acc: dict[Subspace, float] = {}
-        for w1, s1 in self.terms:
-            for w2, s2 in self.terms:
-                key = op(s1, s2)
-                acc[key] = acc.get(key, 0.0) + w1 * w2
-        return LinearComboMac(self.q, self.m, [(w, s) for s, w in acc.items()])
+    def _child(self, branch: int) -> "LinearComboMac":
+        # Weights that underflow to 0.0 drop out of the child's terms.
+        lat = subspace_lattice(self.q, self.m)
+        w = lattice_children(lat, self.weights()[:, None])[:, branch]
+        return LinearComboMac(self.q, self.m, [(float(x), s) for x, s in
+                                               zip(w, lat.subspaces) if x > 0])
 
     def preserves(self, users) -> bool:
         """Whether I[S] survives polarization (projection/intersection
@@ -123,9 +140,6 @@ class LinearComboMac:
             table[np.arange(q ** m), offset + y] = w
             offset += q ** d
         return DiscreteMac(q, m, table)
-
-    def region(self) -> "RateRegion":
-        return rate_region(self)
 
 
 def rate_region(channel: "LinearComboMac | DiscreteMac") -> "RateRegion":
@@ -159,7 +173,136 @@ class RateRegion:
     dominant_face: list | None  # endpoints of the max-sum-rate face
 
 
-# -- binary two-user recursion -------------------------------------------------
+# -- the lattice engine ----------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SubspaceLattice:
+    """Every subspace of GF(q)^m in `Subspace.sort_key` order, with the
+    positions of the intersection (`meet`) and the sum (`join`) of every
+    pair, and membership masks: bit x of `masks[i]` is set when input
+    vector x (little-endian radix q) lies in subspace i.  Read-only."""
+
+    q: int
+    m: int
+    subspaces: tuple
+    index: dict                 # Subspace -> position
+    masks: tuple
+    dims: np.ndarray            # (L,)
+    meet: np.ndarray            # (L, L)
+    join: np.ndarray            # (L, L)
+
+    @property
+    def size(self) -> int:
+        return len(self.subspaces)
+
+    def contains(self, vectors) -> np.ndarray:
+        """(len(vectors), L) 0/1 floats, 1 where the vector lies in the subspace."""
+        idx = (np.asarray(vectors, dtype=np.int64) % self.q) @ self.q ** np.arange(self.m)
+        return np.array([[mask >> int(x) & 1 for mask in self.masks] for x in idx], float)
+
+    def projected_dims(self, users) -> np.ndarray:
+        return np.array([s.project(users).dim for s in self.subspaces])
+
+
+def _bits(indices) -> int:
+    return sum(1 << x for x in set(indices))
+
+
+@lru_cache(maxsize=None)
+def subspace_lattice(q: int, m: int) -> SubspaceLattice:
+    """The lattice of GF(q)^m.  A meet is the intersection of two masks; a
+    join is (A^perp & B^perp)^perp, where a complement is the intersection
+    of its basis vectors' complements, so no table entry needs a row
+    reduction."""
+    check_prime(q)
+    size = sum(count_subspaces(m, d, q) for d in range(m + 1))
+    if size > LATTICE_CAP:
+        raise TooLargeError(f"GF({q})^{m} has {size} subspaces (lattice cap {LATTICE_CAP})")
+    subs = tuple(s for d in range(m + 1) for s in enumerate_subspaces(m, d, q))
+    vecs = all_vectors(q, m)
+    powers = q ** np.arange(m)
+    orth = [_bits(np.flatnonzero(row).tolist()) for row in (vecs @ vecs.T) % q == 0]
+    masks = [_bits((s.vectors() @ powers).tolist()) for s in subs]
+    where = {mask: k for k, mask in enumerate(masks)}
+    perp = []
+    for s in subs:
+        mask = (1 << q ** m) - 1
+        for x in (s.basis.data @ powers).tolist():
+            mask &= orth[x]
+        perp.append(where[mask])
+    meet = np.array([[where[a & b] for b in masks] for a in masks])
+    join = np.array(perp)[meet[np.ix_(perp, perp)]]
+    dims = np.array([s.dim for s in subs])
+    for arr in (meet, join, dims):
+        arr.setflags(write=False)
+    return SubspaceLattice(q, m, subs, {s: k for k, s in enumerate(subs)},
+                           tuple(masks), dims, meet, join)
+
+
+def lattice_children(lat: SubspaceLattice, states: np.ndarray) -> np.ndarray:
+    """Both children of every state of an (L, n) level, as an (L, 2n)
+    array in decoding order: column 2j is the '-' child of state j (pair
+    products scattered by meet), column 2j + 1 its '+' child (by join).
+
+    Each child is renormalized to sum 1, so float drift does not compound
+    with depth.  Zero weights are legal: a product that underflows adds
+    0.0.  Rows that are zero in every state are skipped.
+    """
+    size, n = states.shape
+    minus, plus = np.zeros((size, n)), np.zeros((size, n))
+    prod = np.empty(n)
+    live = np.flatnonzero(states.any(axis=1)).tolist()
+    meet, join = lat.meet.tolist(), lat.join.tolist()
+    for a, i in enumerate(live):
+        np.multiply(states[i], states[i], out=prod)
+        minus[i] += prod
+        plus[i] += prod
+        twice = 2 * states[i]
+        for j in live[a + 1:]:
+            np.multiply(twice, states[j], out=prod)
+            minus[meet[i][j]] += prod
+            plus[join[i][j]] += prod
+    out = np.empty((size, 2 * n))
+    np.divide(minus, minus.sum(axis=0), out=out[:, 0::2])
+    np.divide(plus, plus.sum(axis=0), out=out[:, 1::2])
+    return out
+
+
+def lattice_levels(lat: SubspaceLattice, root: np.ndarray, depth: int):
+    """Yield (level, block) over the depth-`depth` tree below the (L,)
+    weight vector `root`; a block is an (L, b) array of consecutive states
+    of one level, in decoding order.  A level wider than BLOCK_FLOATS
+    weights is split in halves, each walked to the leaves before the next,
+    so leaves arrive in decoding order and memory stays a few blocks."""
+    width = max(1, BLOCK_FLOATS // lat.size)
+    pending = [(0, np.asarray(root, dtype=np.float64).reshape(-1, 1))]
+    while pending:
+        level, block = pending.pop()
+        yield level, block
+        if level < depth:
+            children = lattice_children(lat, block)
+            n = block.shape[1]
+            halves = [children] if 2 * n <= width else [children[:, n:], children[:, :n]]
+            pending += [(level + 1, h) for h in halves]
+
+
+def level_sums(lat: SubspaceLattice, root: np.ndarray, depth: int):
+    """Per level 0..depth, the weight vectors summed over its states,
+    (depth + 1, L), and the count of extremal states (a weight of at
+    least 1 - EXTREMAL_TOL), (depth + 1,).  Every evolution that
+    enumerates branches comes here, so the depth cap is checked here."""
+    if depth > ENUMERATE_DEPTH_CAP:
+        raise TooDeepError(
+            f"enumeration of 2^{depth} branches exceeds cap 2^{ENUMERATE_DEPTH_CAP}")
+    sums = np.zeros((depth + 1, lat.size))
+    extremal = np.zeros(depth + 1, dtype=np.int64)
+    for level, block in lattice_levels(lat, root, depth):
+        sums[level] += block.sum(axis=1)
+        extremal[level] += np.count_nonzero(block.max(axis=0) >= 1.0 - EXTREMAL_TOL)
+    return sums, extremal
+
+
+# -- two-user binary states --------------------------------------------------------
 
 # The five subspaces of GF(2)^2 in their fixed component order: the zero
 # space, span{(1,0)}, span{(0,1)}, span{(1,1)}, and the full plane.
@@ -173,79 +316,35 @@ def binary2_subspaces():
     ]
 
 
+def _binary2_order() -> list:
+    """Lattice positions of the five components, in component order."""
+    index = subspace_lattice(2, 2).index
+    return [index[s] for s in binary2_subspaces()]
+
+
 def binary2_state(combo: LinearComboMac) -> np.ndarray:
     """5-vector of weights in the fixed component order (q=2, m=2 only)."""
     if combo.q != 2 or combo.m != 2:
-        raise ValueError("binary two-user state requires q=2, m=2")
-    order = {s: i for i, s in enumerate(binary2_subspaces())}
-    p = np.zeros(5)
-    for w, s in combo.terms:
-        p[order[s]] = w
-    return p
+        raise AmbientMismatchError("binary two-user state requires q=2, m=2")
+    return combo.weights()[_binary2_order()]
 
 
-def binary2_combo(p) -> LinearComboMac:
-    """Inverse of binary2_state; zero-weight components are dropped."""
-    subs = binary2_subspaces()
-    return LinearComboMac(2, 2, [(w, s) for w, s in zip(np.asarray(p, float), subs) if w > 0])
-
-
-def check_state(p) -> np.ndarray:
+def _binary2_root(p) -> np.ndarray:
+    """A 5-state as a GF(2)^2 weight vector, checked as channel weights are
+    (zero components are legal)."""
     p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1] != 5:
-        raise ValueError("state must have 5 components")
-    sums = p.sum(axis=-1)
-    # A NaN or infinite component makes its state's sum non-finite.
-    if not np.isfinite(sums).all():
-        raise NonFiniteError("state components must be finite")
-    if np.any(p < 0):
-        raise ValueError("state components must be non-negative")
-    if np.max(np.abs(sums - 1.0)) > WEIGHT_TOL:
-        raise ValueError("state components must sum to 1")
-    return p
-
-
-def binary2_step(p):
-    """One polarization step of the 5-component state.
-
-    Accepts a single state or an array of states (last axis = 5); returns
-    (minus, plus).  These are the closed forms of the pairwise
-    intersection/sum transform specialized to the five subspaces of
-    GF(2)^2; both outputs conserve total weight exactly.
-    """
-    p = check_state(p)
-    p0, p1, p2, p3, p4 = (p[..., k] for k in range(5))
-    cross = p1 * p2 + p2 * p3 + p1 * p3
-    minus = np.stack([
-        p0 * p0 + 2 * p0 * (p1 + p2 + p3 + p4) + 2 * cross,
-        p1 * p1 + 2 * p1 * p4,
-        p2 * p2 + 2 * p2 * p4,
-        p3 * p3 + 2 * p3 * p4,
-        p4 * p4,
-    ], axis=-1)
-    plus = np.stack([
-        p0 * p0,
-        p1 * p1 + 2 * p1 * p0,
-        p2 * p2 + 2 * p2 * p0,
-        p3 * p3 + 2 * p3 * p0,
-        p4 * p4 + 2 * p4 * (p0 + p1 + p2 + p3) + 2 * cross,
-    ], axis=-1)
-    return minus, plus
+    if p.shape != (5,):
+        raise ValueError(f"state must have 5 components, got shape {p.shape}")
+    return LinearComboMac(2, 2, [(w, s) for w, s in zip(p.tolist(), binary2_subspaces())
+                                 if w != 0]).weights()
 
 
 def total_loss_predict(p) -> bool:
     """Sufficient condition for the dominant face to collapse to a point:
     the diagonal component is dominated by an axis component (ties count).
     Callers compare against the empirically evolved state."""
-    p = check_state(p)
+    _binary2_root(p)
     return bool(p[3] <= max(p[1], p[2]))
-
-
-def state_stats(states: np.ndarray, tol_extremal: float = EXTREMAL_TOL):
-    """Averages and extremal fraction for an array of 5-states."""
-    avg = states.mean(axis=0)
-    extremal = float(np.mean(states.max(axis=-1) >= 1.0 - tol_extremal))
-    return avg, extremal
 
 
 @dataclass(frozen=True)
@@ -271,15 +370,14 @@ class EvolveReport:
         return self.levels[-1]
 
 
-def _level_entry(level, states, stderr=None):
-    avg, extremal = state_stats(states)
+def _level_entry(level, avg, extremal, stderr=None):
     return EvolveLevel(
         level=level,
         p_avg=tuple(avg.tolist()),
         i1=float(avg[1] + avg[3] + avg[4]),
         i2=float(avg[2] + avg[3] + avg[4]),
         i_sum=float(avg[1] + avg[2] + avg[3] + 2 * avg[4]),
-        extremal_fraction=extremal,
+        extremal_fraction=float(extremal),
         stderr=stderr,
     )
 
@@ -292,32 +390,28 @@ def binary2_evolve(p, depth: int, mode: str = "enumerate",
     mode="sample" follows `n_paths` seeded random branch paths and also
     reports standard errors of the per-component averages.
     """
-    start = check_state(p).reshape(1, 5)
+    lat = subspace_lattice(2, 2)
+    root = _binary2_root(p)
+    order = _binary2_order()
     if mode == "enumerate":
-        if depth > ENUMERATE_DEPTH_CAP:
-            raise TooDeepError(
-                f"enumeration of 2^{depth} branches exceeds cap 2^{ENUMERATE_DEPTH_CAP}")
-        states = start
-        levels = [_level_entry(0, states)]
-        for lvl in range(1, depth + 1):
-            minus, plus = binary2_step(states)
-            states = np.concatenate([minus, plus], axis=0)
-            # Renormalize: the per-state sum drift doubles per level (s -> s^2),
-            # which would escape the 1e-12 invariant near depth 14.
-            states /= states.sum(axis=1, keepdims=True)
-            levels.append(_level_entry(lvl, states))
-        return EvolveReport(mode="enumerate", levels=tuple(levels))
+        sums, extremal = level_sums(lat, root, depth)
+        return EvolveReport(mode="enumerate", levels=tuple(
+            _level_entry(lvl, sums[lvl, order] / 2 ** lvl, extremal[lvl] / 2 ** lvl)
+            for lvl in range(depth + 1)))
     if mode == "sample":
         rng = np.random.default_rng([seed])
-        states = np.repeat(start, n_paths, axis=0)
-        levels = [_level_entry(0, states, stderr=(0.0,) * 5)]
+        states = np.repeat(root[:, None], n_paths, axis=1)
+        levels = [_level_entry(0, root[order], root.max() >= 1.0 - EXTREMAL_TOL,
+                               stderr=(0.0,) * 5)]
         for lvl in range(1, depth + 1):
-            minus, plus = binary2_step(states)
+            children = lattice_children(lat, states)
             pick = rng.integers(0, 2, size=n_paths)
-            states = np.where(pick[:, None] == 0, minus, plus)
-            states /= states.sum(axis=1, keepdims=True)
-            se = tuple((states.std(axis=0, ddof=1) / np.sqrt(n_paths)).tolist())
-            levels.append(_level_entry(lvl, states, stderr=se))
+            states = np.where(pick == 0, children[:, 0::2], children[:, 1::2])
+            se = states[order].std(axis=1, ddof=1) / np.sqrt(n_paths)
+            levels.append(_level_entry(
+                lvl, states[order].mean(axis=1),
+                np.mean(states.max(axis=0) >= 1.0 - EXTREMAL_TOL),
+                stderr=tuple(se.tolist())))
         return EvolveReport(mode="sample", levels=tuple(levels),
                             n_paths=n_paths, seed=seed)
     raise ValueError(f"unknown mode {mode!r}")

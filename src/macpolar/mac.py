@@ -51,11 +51,6 @@ def user_subsets(m: int) -> list:
             for mask in range(1, 2 ** m)]
 
 
-def vec_to_index(vec, q: int) -> int:
-    v = np.asarray(vec, dtype=np.int64) % q
-    return int(sum(int(v[k]) * q ** k for k in range(len(v))))
-
-
 @lru_cache(maxsize=None)
 def add_table(q: int, m: int) -> np.ndarray:
     """ADD[i, j] = index of (vec_i + vec_j) mod q.  Read-only."""
@@ -129,12 +124,6 @@ class DiscreteMac:
 
     def plus(self) -> "DiscreteMac":
         return transform_plus(self)
-
-    def restrict(self, a: FieldMatrix, b: FieldMatrix | None = None) -> "DiscreteMac":
-        return restrict(self, a, b)
-
-    def merge(self, tol: float = DEFAULT_MERGE_TOL) -> "DiscreteMac":
-        return merge_outputs(self, tol)
 
     def bhattacharyya(self) -> float:
         return bhattacharyya(self)

@@ -8,8 +8,10 @@ signatures by their last differing position with '-' before '+'.  A
 signature's integer key therefore reads the first symbol as the least
 significant bit, and increasing key is decoding order.
 
-Branch channels are built with output merging after every step, which is
-what keeps depth-8 trees tractable.
+Explicit branch channels are built with output merging after every step,
+which is what keeps depth-8 trees tractable.  A linear combination is
+polarized on its subspace lattice instead (`linear_mac`), where every
+branch statistic is an exact weighted sum.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .mac import (
     transform_plus,
     user_subsets,
 )
+from .linear_mac import LinearComboMac, lattice_levels, subspace_lattice
 from .subspace import Subspace
 
 MAX_BRANCH_OUTPUTS = 10 ** 5
@@ -349,8 +352,8 @@ def _smallest_independent_rows(a: FieldMatrix) -> tuple:
     return tuple(chosen)
 
 
-def build_code(channel: DiscreteMac, depth: int, eps: float, z_budget: float,
-               merge_tol: float = DEFAULT_MERGE_TOL,
+def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
+               z_budget: float, merge_tol: float = DEFAULT_MERGE_TOL,
                max_outputs: int = MAX_BRANCH_OUTPUTS) -> CodeSpec:
     """Construct the frozen map for a depth-l polar code on `channel`.
 
@@ -359,6 +362,10 @@ def build_code(channel: DiscreteMac, depth: int, eps: float, z_budget: float,
     value and in integer rank, and the summed direction Bhattacharyya
     parameters stay below z_budget.  Good branches get the lexicographically
     smallest independent user set; everything else is frozen.
+
+    A `LinearComboMac` is polarized on its subspace lattice, with exact
+    statistics and no output merging: `merge_tol` is validated and recorded
+    but unused there, and so is `max_outputs`.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -366,41 +373,27 @@ def build_code(channel: DiscreteMac, depth: int, eps: float, z_budget: float,
         raise ValueError("z_budget must be positive")
     check_merge_tol(merge_tol)
     q, m = channel.q, channel.m
+    if isinstance(channel, LinearComboMac):
+        leaves = _lattice_leaves(channel, depth, eps)
+    else:
+        step = partial(branch_step, merge_tol=merge_tol, max_outputs=max_outputs)
+        leaves = (_explicit_leaf(sig, ch, eps)
+                  for sig, ch in polarization_tree(channel, depth, step)
+                  if len(sig) == depth)
     branches = []
     union_bound = 0.0
-    step = partial(branch_step, merge_tol=merge_tol, max_outputs=max_outputs)
-    for sig, ch in polarization_tree(channel, depth, step):
-        if len(sig) < depth:
-            continue
-        stats = direction_stats(ch)
-        i_branch = sum_capacity(ch)
-        det = detect_linear(ch, eps, stats)
-        in_good = False
-        r = 0
-        a_cols: tuple = ()
-        s_users: tuple = ()
-        z_sum = 0.0
-        i_det = 0.0
-        if det is not None:
-            a, r = det
-            z_of = {st.alpha: st.z for st in stats}
-            z_sum = float(sum(z_of[tuple(a.data[:, j].tolist())] for j in range(r)))
-            i_det = sum_capacity(restrict(ch, a)) if r else 0.0
-            in_good = (abs(i_det - i_branch) < eps
-                       and abs(r - i_branch) < eps
-                       and z_sum < z_budget)
-            a_cols = tuple(tuple(a.data[:, j].tolist()) for j in range(r))
+    for sig, det, z_sum, i_branch, i_det in leaves:
+        a_cols, s_users = det or ((), ())
+        in_good = (det is not None and abs(i_det - i_branch) < eps
+                   and abs(len(a_cols) - i_branch) < eps and z_sum < z_budget)
         if in_good:
-            s_users = _smallest_independent_rows(det[0])
             union_bound += q * z_sum
         else:
             # Fully frozen branch: no information map is stored.
-            r, a_cols = 0, ()
-        frozen = tuple(0 if (in_good and k in s_users) else 1
-                       for k in range(1, m + 1))
+            a_cols, s_users = (), ()
         branches.append(BranchCode(
-            sig=sig, in_good_set=in_good, r=r, a_columns=a_cols,
-            s_users=s_users, frozen=frozen,
+            sig=sig, in_good_set=in_good, r=len(a_cols), a_columns=a_cols,
+            s_users=s_users, frozen=tuple(int(k not in s_users) for k in range(1, m + 1)),
             z_sum=z_sum, i_branch=i_branch, i_detected=i_det))
     n = 1 << depth
     rate_vector = tuple(
@@ -410,6 +403,64 @@ def build_code(channel: DiscreteMac, depth: int, eps: float, z_budget: float,
                     merge_tol=merge_tol, branches=tuple(branches),
                     rate_vector=rate_vector, sum_rate=sum_rate,
                     union_bound=union_bound)
+
+
+def _info_map(a: FieldMatrix) -> tuple:
+    """(a_columns, s_users) of a detected linear part with columns `a`."""
+    return (tuple(tuple(a.data[:, j].tolist()) for j in range(a.cols)),
+            _smallest_independent_rows(a))
+
+
+def _explicit_leaf(sig: str, ch: DiscreteMac, eps: float):
+    """(sig, detection, z_sum, i_branch, i_detected) of an explicit branch
+    channel; detection is (a_columns, s_users), or None when the good
+    directions do not form a subspace."""
+    stats = direction_stats(ch)
+    i_branch = sum_capacity(ch)
+    det = detect_linear(ch, eps, stats)
+    if det is None:
+        return sig, None, 0.0, i_branch, 0.0
+    a, r = det
+    z_of = {st.alpha: st.z for st in stats}
+    z_sum = float(sum(z_of[tuple(a.data[:, j].tolist())] for j in range(r)))
+    i_det = sum_capacity(restrict(ch, a)) if r else 0.0
+    return sig, _info_map(a), z_sum, i_branch, i_det
+
+
+def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
+    """The leaves of `_explicit_leaf`, read off the subspace weights.
+
+    Every direction channel of a linear combination is an erasure channel:
+    I_alpha is the weight of the subspaces that contain alpha, Z_alpha the
+    weight of the rest.  Detection succeeds when the good directions are
+    exactly the directions of one subspace S; then the branch carries
+    sum_V w_V dim V and S carries sum_V w_V dim(V & S).
+    """
+    q, m = combo.q, combo.m
+    lat = subspace_lattice(q, m)
+    dirs = projective_directions(q, m)
+    inside = lat.contains(dirs)                               # (D, L)
+    span_of = {col.tobytes(): s for s, col in enumerate(inside.T > 0)}
+    position = {tuple(d.tolist()): k for k, d in enumerate(dirs)}
+    # Row s: the basis directions and dim(V & S) of subspace s; the extra
+    # last row (all zero) stands for a failed detection.
+    basis_pick = np.zeros((lat.size + 1, len(dirs)))
+    for s, sub in enumerate(lat.subspaces):
+        basis_pick[s, [position[tuple(row)] for row in sub.basis.data.tolist()]] = 1.0
+    meet_dims = np.vstack([lat.dims[lat.meet], np.zeros(lat.size)])
+    info_maps = {lat.size: None}
+    sigs = iter(all_sigs(depth))
+    for level, w in lattice_levels(lat, combo.weights(), depth):
+        if level < depth:
+            continue
+        spans = [span_of.get(good.tobytes(), lat.size) for good in (inside @ w > 1 - eps).T]
+        z_sum = np.einsum("td,dt->t", basis_pick[spans], (1.0 - inside) @ w).tolist()
+        i_det = np.einsum("tl,lt->t", meet_dims[spans], w).tolist()
+        i_branch = (lat.dims @ w).tolist()
+        for t, s in enumerate(spans):
+            if s not in info_maps:
+                info_maps[s] = _info_map(FieldMatrix(lat.subspaces[s].basis.data.T, q))
+            yield next(sigs), info_maps[s], z_sum[t], i_branch[t], i_det[t]
 
 
 # -- martingale diagnostics -------------------------------------------------------

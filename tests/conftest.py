@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from macpolar import DiscreteMac, FieldMatrix, LinearComboMac, mat_rank
+from macpolar.linear_mac import binary2_subspaces, lattice_levels, subspace_lattice
 from macpolar.subspace import enumerate_subspaces
 
 
@@ -41,6 +42,19 @@ def random_combo(rng, q, m, max_terms=3, max_dim=None):
     weights = rng.dirichlet(np.ones(n))
     return LinearComboMac(q, m, [(float(weights[i]), subs[p])
                                  for i, p in enumerate(picks)])
+
+
+def binary2_levels(p, depth):
+    """The lattice engine's states of levels 0..depth from the 5-state p,
+    each an (n, 5) array in component order, branches in decoding order."""
+    lat = subspace_lattice(2, 2)
+    order = [lat.index[s] for s in binary2_subspaces()]
+    root = np.zeros(5)
+    root[order] = p
+    levels = [[] for _ in range(depth + 1)]
+    for level, block in lattice_levels(lat, root, depth):
+        levels[level].append(block[order].T)
+    return [np.concatenate(blocks) for blocks in levels]
 
 
 def subsets_of(m):

@@ -1,0 +1,85 @@
+"""Test oracles for the lattice engine, kept out of the library.
+
+`binary2_step` is the closed form of one polarization step on the five
+subspaces of GF(2)^2: fixed degree-2 polynomials in the 5-state.
+`dict_step` is the per-term engine that `LinearComboMac.minus`/`plus`
+used before the lattice engine: it multiplies term weights pairwise and
+files each product under the intersection or sum of the two subspaces.
+Here a subspace is the set of its member vectors, so intersection is set
+intersection and the sum is the set of pairwise sums, independent of the
+library's row reduction.  Neither oracle renormalizes.
+"""
+
+import numpy as np
+
+
+def binary2_step(p):
+    """(minus, plus) of a 5-state or an array of 5-states (last axis)."""
+    p = np.asarray(p, dtype=np.float64)
+    p0, p1, p2, p3, p4 = (p[..., k] for k in range(5))
+    cross = p1 * p2 + p2 * p3 + p1 * p3
+    minus = np.stack([
+        p0 * p0 + 2 * p0 * (p1 + p2 + p3 + p4) + 2 * cross,
+        p1 * p1 + 2 * p1 * p4,
+        p2 * p2 + 2 * p2 * p4,
+        p3 * p3 + 2 * p3 * p4,
+        p4 * p4,
+    ], axis=-1)
+    plus = np.stack([
+        p0 * p0,
+        p1 * p1 + 2 * p1 * p0,
+        p2 * p2 + 2 * p2 * p0,
+        p3 * p3 + 2 * p3 * p0,
+        p4 * p4 + 2 * p4 * (p0 + p1 + p2 + p3) + 2 * cross,
+    ], axis=-1)
+    return minus, plus
+
+
+def members(sub) -> frozenset:
+    """A Subspace as the frozenset of its member vectors (tuples)."""
+    return frozenset(tuple(v) for v in sub.vectors().tolist())
+
+
+_PAIRS = {}
+
+
+def _combine(a: frozenset, b: frozenset, symbol: str, q: int) -> frozenset:
+    key = (a, b, symbol)
+    if key not in _PAIRS:
+        _PAIRS[key] = a & b if symbol == "-" else frozenset(
+            tuple((x + y) % q for x, y in zip(u, v)) for u in a for v in b)
+    return _PAIRS[key]
+
+
+def dict_step(terms: dict, symbol: str, q: int) -> dict:
+    """One transform of a {member set: weight} state, pairs taken
+    row-major in the given order.  Products that underflow to 0.0 are
+    dropped, so the state never holds a zero weight."""
+    acc = {}
+    for s1, w1 in terms.items():
+        for s2, w2 in terms.items():
+            w = w1 * w2
+            if w > 0.0:
+                key = _combine(s1, s2, symbol, q)
+                acc[key] = acc.get(key, 0.0) + w
+    return acc
+
+
+def dict_levels(combo, depth: int):
+    """Every level 0..depth of the dict engine's tree, branches in
+    decoding order, as lists of {member set: weight} states."""
+    level = [{members(s): w for w, s in combo.terms}]
+    levels = [level]
+    for _ in range(depth):
+        level = [dict_step(c, sym, combo.q) for c in level for sym in "-+"]
+        levels.append(level)
+    return levels
+
+
+def projected_dim(members_of: frozenset, users, q: int) -> int:
+    """Dimension of a member set projected onto the 1-based users."""
+    size = len({tuple(v[u - 1] for u in users) for v in members_of})
+    dim = 0
+    while q ** dim < size:
+        dim += 1
+    return dim

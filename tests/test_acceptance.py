@@ -19,7 +19,6 @@ from macpolar import (
     bhattacharyya,
     binary2_evolve,
     binary2_state,
-    binary2_step,
     build_code,
     merge_outputs,
     mutual_info,
@@ -32,6 +31,7 @@ from macpolar import (
 from macpolar.cli import main
 from macpolar.jsonio import channel_to_dict
 from macpolar.linear_mac import EXTREMAL_TOL, binary2_subspaces
+from oracles import binary2_step
 from conftest import (
     random_combo,
     random_full_column_rank,
@@ -316,9 +316,10 @@ def test_criterion_08_polarization_trend():
     # The float path counts exactly what the integer recursion counts.
     exact = exact_extremal_counts(12)
     pinned = counts[:13] == exact
-    # Every float branch state (the same steps binary2_evolve takes) sits
-    # far from the extremal boundary next to float error (below 1e-13), so
-    # the float classification at depths 13..15 is exact too.
+    # Every float branch state (of the closed form, which the lattice
+    # engine behind binary2_evolve matches to float error; criterion 5)
+    # sits far from the extremal boundary next to float error (below
+    # 1e-13), so the float classification at depths 13..15 is exact too.
     states = np.full((1, 5), 0.2)
     margin = 1.0
     for _ in range(15):

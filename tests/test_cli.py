@@ -10,14 +10,17 @@ import pytest
 
 from macpolar import DiscreteMac, LinearComboMac, NonFiniteError, ParseError
 from macpolar import polarize
-from macpolar.cli import main
+from macpolar.cli import _parse_mode, build_parser, main
 from macpolar.jsonio import (
     channel_from_dict,
     channel_to_dict,
     load_channel,
     load_codespec,
 )
-from macpolar.linear_mac import binary2_subspaces
+from macpolar.linear_mac import EXTREMAL_TOL, binary2_subspaces
+from macpolar.subspace import enumerate_subspaces
+from conftest import subsets_of
+from oracles import dict_levels, projected_dim
 
 
 def write_json(path, data):
@@ -180,12 +183,14 @@ def test_exit_codes(tmp_path, five_term_file, capsys):
     capsys.readouterr()
 
 
-def test_out_of_memory_exits_3(five_term_file, tmp_path, monkeypatch, capsys):
+def test_out_of_memory_exits_3(explicit_file, tmp_path, monkeypatch, capsys):
+    # An explicit-table file: construct on a linear-combination file runs
+    # no transform.
     def refuse(channel):
         raise MemoryError("Unable to allocate 235. GiB for an array")
 
     monkeypatch.setattr(polarize, "transform_minus", refuse)
-    assert main(["construct", "--channel", five_term_file, "--l", "2",
+    assert main(["construct", "--channel", explicit_file, "--l", "2",
                  "--eps", "0.2", "--z-budget", "1e-3",
                  "--out", str(tmp_path / "code.json")]) == 3
     err = capsys.readouterr().err
@@ -231,9 +236,9 @@ GENERIC_COMBOS = {
     (["polarize", "--channel", "five_component.json", "--l", "3"],
      "bc3f326eac9d56a2234be6828490e219f348fdb0b04fa9ed140ef50d9acb5bde"),
     (["evolve", "--channel", "gf2_3.json", "--l", "3"],
-     "98bd750b2ef6d84b77c5fe97e7ec05e7860d5b73c0f2a00cb0b1aec06373a080"),
+     "f7a4ef337091dac7a104a54f32711fb1cafd14df30dd241a907ad4746e0a0d8b"),
     (["evolve", "--channel", "gf3_2.json", "--l", "3"],
-     "82993cf6891a82f0944d2a3716f3351527b830fb2fce0431b74862d700514bac"),
+     "1e3c835a48b19e8c000dd30e33b0c362e825d1db6429d283fe670196c3c6dde7"),
     (["analyze", "--channel", "five_component.json"],
      "a52fb33de2b54680712a6c62e6b7bc6f36213f39918ea8208a6c392029cdfd0b"),
     (["analyze", "--channel", "random_ternary.json"],
@@ -241,8 +246,10 @@ GENERIC_COMBOS = {
 ])
 def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # sha256 values written by the separate tree walks the one walker
-    # replaced.  Paths are relative, so the config echo does not depend on
-    # where the test runs.
+    # replaced; the two generic `evolve` digests were re-pinned when the
+    # lattice engine took over, after test_generic_evolve_matches_dict_oracle
+    # bounded the change at depths 0..6.  Paths are relative, so the config
+    # echo does not depend on where the test runs.
     monkeypatch.chdir(tmp_path)
     for name in ("five_component.json", "random_ternary.json"):
         shutil.copy(DEMO_CHANNELS / name, name)
@@ -251,3 +258,85 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     assert main(argv + ["--out", "out.csv", "--no-timestamp"]) == 0
     got = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
     assert got == digest, f"{' '.join(argv)}: {got}"
+
+
+@pytest.mark.parametrize("mode", ["sample:0", "sample:-3", "sample:x", "sample:",
+                                  "bogus"])
+def test_bad_mode_is_a_parse_error(five_term_file, mode, capsys):
+    with pytest.raises(ParseError):
+        _parse_mode(mode)
+    assert main(["evolve", "--channel", five_term_file, "--l", "3",
+                 "--mode", mode]) == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_generic_sample_mode_is_a_parse_error(tmp_path):
+    path = write_json(tmp_path / "gf3_2.json", GENERIC_COMBOS["gf3_2.json"])
+    args = build_parser().parse_args(["evolve", "--channel", path, "--l", "3",
+                                      "--mode", "sample:10"])
+    with pytest.raises(ParseError, match="sample mode"):
+        args.func(args)
+    assert main(["evolve", "--channel", path, "--l", "3", "--mode", "sample:10"]) == 2
+
+
+def read_rows(path):
+    lines = Path(path).read_text().splitlines()
+    return [line.split(",") for line in lines[2:]]
+
+
+def dict_evolve_rows(combo, depth):
+    """The rows `macpolar evolve` writes for a channel other than q=2, m=2,
+    from the dict oracle: per level, the mean over branches of I[S] and
+    the share of branches with a weight of at least 1 - EXTREMAL_TOL."""
+    subsets = subsets_of(combo.m)
+    pdim = {}
+    rows = []
+    for lvl, level in enumerate(dict_levels(combo, depth)):
+        extremal = float(np.mean([max(c.values()) >= 1 - EXTREMAL_TOL for c in level]))
+        for s in subsets:
+            infos = []
+            for c in level:
+                for v in c:
+                    if (v, s) not in pdim:
+                        pdim[v, s] = projected_dim(v, s, combo.q)
+                infos.append(sum(w * pdim[v, s] for v, w in c.items()))
+            rows.append((lvl, ";".join(map(str, s)), float(np.mean(infos)), extremal))
+    return rows
+
+
+def assert_rows_match(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (int(g[0]), g[1]) == w[:2]
+        assert abs(float(g[2]) - w[2]) <= tol and abs(float(g[3]) - w[3]) <= tol, g
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_COMBOS))
+def test_generic_evolve_matches_dict_oracle(tmp_path, name):
+    path = write_json(tmp_path / name, GENERIC_COMBOS[name])
+    combo = load_channel(path)
+    want = dict_evolve_rows(combo, 6)
+    for depth in range(7):
+        out = tmp_path / f"l{depth}.csv"
+        assert main(["evolve", "--channel", path, "--l", str(depth),
+                     "--out", str(out), "--no-timestamp"]) == 0
+        assert_rows_match(read_rows(out), want[:len(subsets_of(combo.m)) * (depth + 1)])
+
+
+def test_uniform_gf2_3_evolve_passes_depth_9(tmp_path, capsys):
+    # Weight products underflow to 0.0 at depth 9; zero weights are legal
+    # in the lattice engine, and the dict oracle drops them.
+    subs = [s for d in range(4) for s in enumerate_subspaces(3, d, 2)]
+    combo = LinearComboMac(2, 3, [(1 / 16, s) for s in subs])
+    path = write_json(tmp_path / "uniform.json", channel_to_dict(combo))
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--channel", path, "--l", "9",
+                 "--out", str(out), "--no-timestamp"]) == 0
+    assert_rows_match(read_rows(out), dict_evolve_rows(combo, 9))
+    assert main(["evolve", "--channel", path, "--l", "12",
+                 "--out", str(out), "--no-timestamp"]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 13 * 7
+    full = [float(r[2]) for r in rows if r[1] == "1;2;3"]
+    assert max(abs(v - full[0]) for v in full) < 1e-12
+    assert "4096 branch channels" in capsys.readouterr().out

@@ -39,10 +39,16 @@ from macpolar.codec import (
     message_matrix,
 )
 from macpolar.jsonio import load_channel
-from macpolar.mac import add_table, all_vectors, vec_to_index
+from macpolar.mac import add_table, all_vectors
 from macpolar.polarize import BranchCode, CodeSpec, _info_map_error, all_sigs
 from macpolar.linear_mac import binary2_subspaces
 from conftest import random_combo, random_mac
+
+
+def vec_to_index(vec, q):
+    """Table row of an input vector: little-endian radix q."""
+    return int(sum(int(x) % q * q ** k for k, x in enumerate(vec)))
+
 
 DEMO_CHANNELS = Path(__file__).resolve().parent.parent / "demos" / "channels"
 

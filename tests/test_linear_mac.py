@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from macpolar import (
+    AmbientMismatchError,
+    BadRowSumError,
     LinearComboMac,
+    NegativeProbabilityError,
     NonFiniteError,
     Subspace,
     TooDeepError,
     TooLargeError,
     TooManyUsersError,
-    binary2_combo,
     binary2_evolve,
     binary2_state,
-    binary2_step,
     merge_outputs,
     mutual_info,
     rate_region,
@@ -23,8 +24,17 @@ from macpolar import (
     transform_minus,
     transform_plus,
 )
-from macpolar.linear_mac import binary2_subspaces, check_state
-from conftest import random_combo, subsets_of
+from macpolar import linear_mac
+from macpolar.linear_mac import (
+    LATTICE_CAP,
+    binary2_subspaces,
+    lattice_children,
+    lattice_levels,
+    subspace_lattice,
+)
+from macpolar.subspace import count_subspaces
+from conftest import binary2_levels, random_combo, subsets_of
+from oracles import binary2_step, dict_levels, dict_step, members
 
 
 @pytest.fixture
@@ -45,16 +55,98 @@ def test_term_merging_and_weight_checks(f22):
         LinearComboMac(2, 2, [(-0.1, f22[1]), (1.1, f22[2])])
 
 
+@pytest.mark.parametrize("weight", [0.0, -0.1])
+def test_non_positive_weight_is_typed(f22, weight):
+    with pytest.raises(NegativeProbabilityError, match="must be positive"):
+        LinearComboMac(2, 2, [(weight, f22[1]), (1.0 - weight, f22[2])])
+
+
+def test_ambient_mismatch_is_typed(f22):
+    with pytest.raises(AmbientMismatchError):
+        LinearComboMac(2, 3, [(1.0, f22[1])])
+    with pytest.raises(AmbientMismatchError):
+        LinearComboMac(3, 2, [(1.0, f22[1])])
+
+
+def test_weight_sum_is_typed(f22):
+    with pytest.raises(BadRowSumError, match="sum to 0.9"):
+        LinearComboMac(2, 2, [(0.5, f22[1]), (0.4, f22[2])])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_weights_and_states_rejected(f22, value):
     with pytest.raises(NonFiniteError):
         LinearComboMac(2, 2, [(value, f22[1]), (1.0, f22[2])])
     with pytest.raises(NonFiniteError):
-        check_state([value, 0.25, 0.25, 0.25, 0.25])
-    states = np.full((3, 5), 0.2)
-    states[2, 4] = value
+        binary2_evolve([value, 0.25, 0.25, 0.25, 0.25], 1)
     with pytest.raises(NonFiniteError):
-        binary2_step(states)
+        total_loss_predict([0.25, 0.25, 0.25, 0.25, value])
+
+
+def test_bad_states_rejected():
+    with pytest.raises(NegativeProbabilityError):
+        binary2_evolve([-0.1, 0.3, 0.3, 0.25, 0.25], 1)
+    with pytest.raises(BadRowSumError):
+        binary2_evolve([0.2] * 4 + [0.1], 1)
+    with pytest.raises(ValueError, match="5 components"):
+        binary2_evolve([0.25] * 4, 1)
+
+
+LATTICES = [(2, 2, 5), (3, 2, 6), (5, 2, 8), (2, 3, 16), (3, 3, 28)]
+
+
+@pytest.mark.parametrize("q, m, size", LATTICES)
+def test_lattice_tables_match_subspace_operations(q, m, size):
+    lat = subspace_lattice(q, m)
+    subs = lat.subspaces
+    assert lat.size == size
+    assert list(subs) == sorted(subs, key=Subspace.sort_key)
+    assert all(lat.index[s] == k for k, s in enumerate(subs))
+    assert lat.dims.tolist() == [s.dim for s in subs]
+    for i, a in enumerate(subs):
+        for j, b in enumerate(subs):
+            assert subs[lat.meet[i, j]] == a.intersect(b)
+            assert subs[lat.join[i, j]] == a.sum(b)
+
+
+def test_lattice_cap():
+    assert sum(count_subspaces(6, d, 2) for d in range(7)) > LATTICE_CAP
+    with pytest.raises(TooLargeError):
+        subspace_lattice(2, 6)
+
+
+def test_block_walk_matches_whole_levels(monkeypatch):
+    # Levels split into blocks come out in the same order with the same
+    # bits: every child depends on its own parent column only.
+    lat = subspace_lattice(3, 2)
+    root = np.random.default_rng(7).dirichlet(np.ones(lat.size))
+
+    def walk():
+        levels = [[] for _ in range(8)]
+        for level, block in lattice_levels(lat, root, 7):
+            levels[level].append(block)
+        return [np.concatenate(blocks, axis=1) for blocks in levels]
+
+    whole = walk()
+    monkeypatch.setattr(linear_mac, "BLOCK_FLOATS", 2 * lat.size)
+    split = walk()
+    assert [w.shape[1] for w in whole] == [2 ** lvl for lvl in range(8)]
+    assert all(np.array_equal(a, b) for a, b in zip(whole, split))
+
+
+def test_lattice_children_take_zero_weights():
+    # The 16-term GF(2)^3 state with most weights exactly zero, and one
+    # state whose products underflow: children stay normalized and finite.
+    lat = subspace_lattice(2, 3)
+    states = np.zeros((16, 3))
+    states[[0, 5, 15], 0] = [0.5, 0.25, 0.25]
+    states[:, 1] = 1 / 16
+    states[[3, 9], 2] = [1.0, 1e-300]
+    children = lattice_children(lat, states)
+    assert children.shape == (16, 6)
+    assert np.all(np.isfinite(children)) and np.all(children >= 0)
+    assert np.allclose(children.sum(axis=0), 1.0, atol=1e-15)
+    assert children[3, 4] == 1.0 and children[3, 5] == 1.0
 
 
 def test_to_explicit_examples(f22):
@@ -156,12 +248,12 @@ def test_preservation_means_average_is_conserved(f22):
 def test_binary2_step_vertices():
     for k in range(5):
         vertex = np.eye(5)[k]
-        minus, plus = binary2_step(vertex)
+        _, (minus, plus) = binary2_levels(vertex, 1)
         assert np.allclose(minus, vertex) and np.allclose(plus, vertex)
 
 
 def test_binary2_step_example():
-    minus, plus = binary2_step(np.array([0, 0.5, 0.5, 0, 0]))
+    _, (minus, plus) = binary2_levels([0, 0.5, 0.5, 0, 0], 1)
     assert np.allclose(minus, [0.5, 0.25, 0.25, 0, 0])
     assert np.allclose(plus, [0, 0.25, 0.25, 0, 0.5])
 
@@ -176,9 +268,49 @@ def test_binary2_step_matches_li(rng):
         assert np.allclose(binary2_state(combo.plus()), plus, atol=1e-12)
 
 
-def test_binary2_state_roundtrip(rng):
+def test_binary2_state_roundtrip(rng, f22):
     p = rng.dirichlet(np.ones(5))
-    assert np.allclose(binary2_state(binary2_combo(p)), p)
+    combo = LinearComboMac(2, 2, list(zip(p, f22)))
+    assert np.array_equal(binary2_state(combo), p)
+
+
+def test_engine_matches_closed_form_through_depth_8(rng):
+    # The lattice engine against the 5-state polynomials, level by level,
+    # with the same per-state renormalization.
+    for _ in range(5):
+        p = rng.dirichlet(np.ones(5))
+        states = p.reshape(1, 5)
+        for level, got in enumerate(binary2_levels(p, 8)):
+            assert np.max(np.abs(got - states)) < 1e-14, level
+            minus, plus = binary2_step(states)
+            states = np.stack([minus, plus], axis=1).reshape(-1, 5)
+            states /= states.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("q, m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
+def test_transforms_match_dict_oracle(q, m):
+    rng = np.random.default_rng([q, m])
+    for _ in range(10):
+        combo = random_combo(rng, q, m, max_terms=4)
+        for symbol, child in (("-", combo.minus()), ("+", combo.plus())):
+            want = dict_step({members(s): w for w, s in combo.terms}, symbol, q)
+            assert set(want) == {members(s) for s in child.subspaces()}
+            for w, s in child.terms:
+                assert w == pytest.approx(want[members(s)], rel=1e-15, abs=0)
+
+
+def test_transforms_survive_depth_9(f22):
+    # Weight products underflow to 0.0 by depth 9 on the uniform
+    # five-component channel; they drop out of the child's terms.
+    level = [uniform_five()]
+    for _ in range(10):
+        level = [c for node in level for c in (node.minus(), node.plus())]
+    assert len(level) == 1024
+    assert any(len(c.terms) < 5 for c in level)
+    oracle = dict_levels(uniform_five(), 10)[10]
+    worst = max(abs(w - ref[members(s)]) for c, ref in zip(level, oracle)
+                for w, s in c.terms)
+    assert worst < 1e-12
 
 
 def test_evolve_level_zero(rng):
@@ -229,12 +361,7 @@ def test_order_preservation(rng):
     for _ in range(20):
         p = rng.dirichlet(np.ones(5))
         init = pattern(p[1:4])
-        states = p.reshape(1, 5)
-        for _ in range(8):
-            minus, plus = binary2_step(states)
-            states = np.concatenate([minus, plus], axis=0)
-            states /= states.sum(axis=1, keepdims=True)
-        for s in states:
+        for s in binary2_levels(p, 8)[8]:
             pat = pattern(s[1:4])
             for want, got in zip(init, pat):
                 if want != 0 and got != 0:

@@ -7,6 +7,7 @@ construction output is pinned byte for byte.
 """
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from macpolar import (
     transform_plus,
 )
 from macpolar.cli import main
-from macpolar.jsonio import load_channel
+from macpolar.jsonio import channel_to_dict, load_channel
 
 from conftest import subsets_of
 
@@ -187,9 +188,14 @@ def test_cli_refuses_nan_merge_tol_before_any_transform(tmp_path, monkeypatch,
 
 
 def test_construct_output_is_pinned(tmp_path):
-    # sha256 of the depth-6 tight code written by the per-column merge.
+    # sha256 of the depth-6 tight code written by the per-column merge.  The
+    # channel is the five-component one as an explicit table: construct on
+    # the combination file itself takes the lattice path, which merges
+    # nothing.
+    explicit = tmp_path / "five_explicit.json"
+    explicit.write_text(json.dumps(channel_to_dict(load_channel(FIVE).to_explicit())))
     out = tmp_path / "code.json"
-    assert main(["construct", "--channel", FIVE, "--l", "6", "--eps", "0.2",
+    assert main(["construct", "--channel", str(explicit), "--l", "6", "--eps", "0.2",
                  "--z-budget", "1e-3", "--out", str(out), "--no-timestamp"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "93ebefd28fd490bdb5a23ca52657e388cef027f291cf563e13614e86e1a587a0")

@@ -30,14 +30,17 @@ from macpolar import (
     mutual_info,
     polarization_tree,
     projective_directions,
+    run_trials,
     sig_key,
     sum_capacity,
 )
 from macpolar.cli import main
-from macpolar.linear_mac import binary2_subspaces, binary2_step
+from macpolar.linear_mac import binary2_subspaces
+from macpolar.subspace import closure
+from macpolar.jsonio import load_channel as load_channel_file
 from macpolar.jsonio import load_codespec, save_codespec
 from macpolar.polarize import CodeSpec
-from conftest import random_mac, random_combo, subsets_of
+from conftest import binary2_levels, random_mac, random_combo, subsets_of
 
 FIVE = str(Path(__file__).resolve().parents[1] / "demos" / "channels"
            / "five_component.json")
@@ -293,12 +296,8 @@ def test_martingale_report(rng):
 def test_polarization_trend_even_levels():
     # Fraction of branches with every direction's information within 0.05
     # of an integer, computed exactly in the subspace-weight domain.
-    states = np.array([[0.2] * 5])
     fractions = {}
-    for lvl in range(1, 11):
-        minus, plus = binary2_step(states)
-        states = np.concatenate([minus, plus], axis=0)
-        states /= states.sum(axis=1, keepdims=True)
+    for lvl, states in enumerate(binary2_levels([0.2] * 5, 10)):
         rho = np.stack([states[:, 1] + states[:, 4],
                         states[:, 2] + states[:, 4],
                         states[:, 3] + states[:, 4]], axis=1)
@@ -358,3 +357,72 @@ def test_corrupted_spec_refused_under_optimize(tmp_path):
         env=env, capture_output=True, text=True)
     assert run.returncode == 2, run.stderr
     assert "frozen flag" in run.stderr
+
+
+# -- the lattice path of build_code against the explicit path -----------------
+
+def cheap_combo(rng, q, m, cells=2_000_000):
+    """A seeded random combination whose explicit tree stays small.  A
+    branch's merged alphabet has at most sum_V q^dim V outputs over the
+    closure of the terms, and a transform of n outputs builds a table of
+    q^m * n^2 * q^m cells."""
+    while True:
+        combo = random_combo(rng, q, m, max_terms=2 if m == 1 else 3)
+        n = sum(q ** s.dim for s in closure(combo.subspaces()))
+        if q ** (2 * m) * n * n <= cells:
+            return combo
+
+
+def assert_same_code(got, want, tol=1e-11):
+    assert (got.q, got.m, got.l, got.eps, got.z_budget, got.merge_tol) == \
+        (want.q, want.m, want.l, want.eps, want.z_budget, want.merge_tol)
+    assert got.rate_vector == want.rate_vector
+    assert got.sum_rate == want.sum_rate
+    assert abs(got.union_bound - want.union_bound) <= tol
+    assert len(got.branches) == len(want.branches)
+    for a, b in zip(got.branches, want.branches):
+        assert (a.sig, a.in_good_set, a.r, a.a_columns, a.s_users, a.frozen) == \
+            (b.sig, b.in_good_set, b.r, b.a_columns, b.s_users, b.frozen)
+        for field in ("z_sum", "i_branch", "i_detected"):
+            assert abs(getattr(a, field) - getattr(b, field)) <= tol, (a.sig, field)
+
+
+@pytest.mark.parametrize("q, m, depth", [
+    (2, 1, 5), (3, 1, 5), (5, 1, 5),
+    (2, 2, 5), (3, 2, 5), (5, 2, 4),
+    (2, 3, 5), (3, 3, 3), (5, 3, 2),
+])
+def test_lattice_code_matches_explicit_code(q, m, depth):
+    rng = np.random.default_rng([q, m, depth])
+    good = 0
+    for _ in range(3):
+        combo = cheap_combo(rng, q, m)
+        for z_budget in (1e-2, 0.2):
+            spec = build_code(combo, depth, eps=0.2, z_budget=z_budget)
+            spec.check()
+            assert_same_code(spec, build_code(combo.to_explicit(), depth,
+                                              eps=0.2, z_budget=z_budget))
+            good += spec.good_count
+    assert good > 0
+
+
+def test_lattice_code_matches_explicit_on_five_component():
+    combo = load_channel_file(FIVE)
+    for z_budget in (1e-3, 0.16):
+        lattice = build_code(combo, 8, eps=0.2, z_budget=z_budget)
+        explicit = build_code(combo.to_explicit(), 8, eps=0.2, z_budget=z_budget)
+        assert_same_code(lattice, explicit)
+    # Same frozen maps, so the same decoded blocks: criterion 9's seed.
+    channel = combo.to_explicit()
+    small = {kind: build_code(c, 6, eps=0.2, z_budget=1e-3)
+             for kind, c in (("lattice", combo), ("explicit", channel))}
+    reports = {kind: run_trials(spec, channel, 200, seed=902)
+               for kind, spec in small.items()}
+    assert reports["lattice"].errors == reports["explicit"].errors
+
+
+def test_lattice_code_records_merge_tol_and_checks_it():
+    combo = load_channel_file(FIVE)
+    assert build_code(combo, 2, eps=0.2, z_budget=1e-3, merge_tol=0.25).merge_tol == 0.25
+    with pytest.raises(BadToleranceError):
+        build_code(combo, 2, eps=0.2, z_budget=1e-3, merge_tol=math.nan)

@@ -1,6 +1,7 @@
-"""Source-level rules for the library package."""
+"""Source-level rules for the library package and the scripts that use it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "macpolar"
@@ -17,3 +18,27 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_scripts_import_only_names_that_exist():
+    # The benchmark harness and the demos import library names inside
+    # functions and at top level; an API removal must not break them
+    # silently (`bench/run.py --calibrate`, for one, runs outside pytest).
+    root = PACKAGE.parents[1]
+    scripts = [root / "bench" / "run.py", root / "bench" / "workloads.py",
+               *sorted((root / "demos").glob("*.py"))]
+    checked, missing = 0, []
+    for path in scripts:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "macpolar"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                checked += 1
+                if not hasattr(module, alias.name):
+                    missing.append(f"{path.name}:{node.lineno}: "
+                                   f"{node.module}.{alias.name}")
+    assert checked >= 10
+    assert missing == []
