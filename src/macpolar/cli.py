@@ -167,8 +167,9 @@ def _parse_mode(mode: str):
         except ValueError as exc:
             raise ParseError(f"bad --mode {mode!r}: the path count is not an "
                              "integer") from exc
-        if n < 1:
-            raise ParseError(f"bad --mode {mode!r}: the path count must be >= 1")
+        if n < 2:
+            # One path has no standard error.
+            raise ParseError(f"bad --mode {mode!r}: the path count must be >= 2")
         return "sample", n
     raise ParseError(f"bad --mode {mode!r}; use enumerate or sample:N")
 

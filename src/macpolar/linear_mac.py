@@ -399,6 +399,8 @@ def binary2_evolve(p, depth: int, mode: str = "enumerate",
             _level_entry(lvl, sums[lvl, order] / 2 ** lvl, extremal[lvl] / 2 ** lvl)
             for lvl in range(depth + 1)))
     if mode == "sample":
+        if n_paths < 2:
+            raise ValueError(f"sample mode needs at least 2 paths, got {n_paths}")
         rng = np.random.default_rng([seed])
         states = np.repeat(root[:, None], n_paths, axis=1)
         levels = [_level_entry(0, root[order], root.max() >= 1.0 - EXTREMAL_TOL,

@@ -260,8 +260,8 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     assert got == digest, f"{' '.join(argv)}: {got}"
 
 
-@pytest.mark.parametrize("mode", ["sample:0", "sample:-3", "sample:x", "sample:",
-                                  "bogus"])
+@pytest.mark.parametrize("mode", ["sample:1", "sample:0", "sample:-3", "sample:x",
+                                  "sample:", "bogus"])
 def test_bad_mode_is_a_parse_error(five_term_file, mode, capsys):
     with pytest.raises(ParseError):
         _parse_mode(mode)

@@ -344,6 +344,8 @@ def test_evolve_modes_and_caps():
     b = binary2_evolve([0.2] * 5, 6, mode="sample", n_paths=200, seed=9)
     assert a.levels[-1].p_avg == b.levels[-1].p_avg
     assert a.levels[-1].stderr is not None
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        binary2_evolve([0.2] * 5, 6, mode="sample", n_paths=1)
     exact = binary2_evolve([0.2] * 5, 6, mode="enumerate")
     for j in range(5):
         se = max(a.levels[-1].stderr[j], 1e-3)

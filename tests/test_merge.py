@@ -178,6 +178,8 @@ def test_cli_refuses_nan_merge_tol_before_any_transform(tmp_path, monkeypatch,
 
     monkeypatch.setattr("macpolar.polarize.transform_minus", forbidden)
     monkeypatch.setattr("macpolar.polarize.transform_plus", forbidden)
+    # FIVE is a combination file, which construct polarizes on the lattice.
+    monkeypatch.setattr("macpolar.polarize.lattice_levels", forbidden)
     argv = [command, "--channel", FIVE, "--l", "3", "--merge-tol", "nan",
             "--out", str(tmp_path / "out")]
     if command == "construct":
