@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import LengthMismatchError, SpecMismatchError, TooLargeError
 from .gfq import FieldMatrix, field_inv, mat_rank
+from .linear_mac import LinearComboMac, lattice_levels, subspace_lattice
 from .mac import (
     DEFAULT_MERGE_TOL,
     DiscreteMac,
@@ -36,7 +37,6 @@ from .mac import (
     transform_plus,
     user_subsets,
 )
-from .linear_mac import LinearComboMac, lattice_levels, subspace_lattice
 from .subspace import Subspace
 
 MAX_BRANCH_OUTPUTS = 10 ** 5
