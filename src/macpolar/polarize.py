@@ -336,10 +336,13 @@ def _info_map_error(a_columns: tuple, s_users: tuple, q: int, m: int) -> str:
     return ""
 
 
-def _smallest_independent_rows(a: FieldMatrix) -> tuple:
+@lru_cache(maxsize=None)
+def _smallest_independent_rows(a_columns: tuple, q: int) -> tuple:
     """Lexicographically smallest set of row indices (1-based) whose rows of
-    `a` are linearly independent and span the row space; greedy is optimal
-    for this matroid."""
+    the matrix with columns `a_columns` are linearly independent and span
+    its row space; greedy is optimal for this matroid.  A code holds only
+    a handful of distinct maps."""
+    a = FieldMatrix(np.array(a_columns, dtype=np.int64).T, q)
     chosen: list[int] = []
     current = np.zeros((0, a.cols), dtype=np.int64)
     for row in range(a.rows):
@@ -382,11 +385,11 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
                   if len(sig) == depth)
     branches = []
     union_bound = 0.0
-    for sig, det, z_sum, i_branch, i_det in leaves:
-        a_cols, s_users = det or ((), ())
-        in_good = (det is not None and abs(i_det - i_branch) < eps
+    for sig, a_cols, z_sum, i_branch, i_det in leaves:
+        in_good = (a_cols is not None and abs(i_det - i_branch) < eps
                    and abs(len(a_cols) - i_branch) < eps and z_sum < z_budget)
         if in_good:
+            s_users = _smallest_independent_rows(a_cols, q) if a_cols else ()
             union_bound += q * z_sum
         else:
             # Fully frozen branch: no information map is stored.
@@ -405,16 +408,10 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
                     union_bound=union_bound)
 
 
-def _info_map(a: FieldMatrix) -> tuple:
-    """(a_columns, s_users) of a detected linear part with columns `a`."""
-    return (tuple(tuple(a.data[:, j].tolist()) for j in range(a.cols)),
-            _smallest_independent_rows(a))
-
-
 def _explicit_leaf(sig: str, ch: DiscreteMac, eps: float):
-    """(sig, detection, z_sum, i_branch, i_detected) of an explicit branch
-    channel; detection is (a_columns, s_users), or None when the good
-    directions do not form a subspace."""
+    """(sig, a_columns, z_sum, i_branch, i_detected) of an explicit branch
+    channel; a_columns holds the detected linear part's columns, or is
+    None when the good directions do not form a subspace."""
     stats = direction_stats(ch)
     i_branch = sum_capacity(ch)
     det = detect_linear(ch, eps, stats)
@@ -424,7 +421,7 @@ def _explicit_leaf(sig: str, ch: DiscreteMac, eps: float):
     z_of = {st.alpha: st.z for st in stats}
     z_sum = float(sum(z_of[tuple(a.data[:, j].tolist())] for j in range(r)))
     i_det = sum_capacity(restrict(ch, a)) if r else 0.0
-    return sig, _info_map(a), z_sum, i_branch, i_det
+    return sig, tuple(tuple(a.data[:, j].tolist()) for j in range(r)), z_sum, i_branch, i_det
 
 
 def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
@@ -442,13 +439,14 @@ def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
     inside = lat.contains(dirs)                               # (D, L)
     span_of = {col.tobytes(): s for s, col in enumerate(inside.T > 0)}
     position = {tuple(d.tolist()): k for k, d in enumerate(dirs)}
-    # Row s: the basis directions and dim(V & S) of subspace s; the extra
-    # last row (all zero) stands for a failed detection.
+    # Entry s: the RREF basis rows (canonical directions) of subspace s as
+    # columns, which of the directions they are, and dim(V & S) for every V.
+    # The extra last entry stands for a failed detection.
+    columns = [tuple(map(tuple, sub.basis.data.tolist())) for sub in lat.subspaces] + [None]
     basis_pick = np.zeros((lat.size + 1, len(dirs)))
-    for s, sub in enumerate(lat.subspaces):
-        basis_pick[s, [position[tuple(row)] for row in sub.basis.data.tolist()]] = 1.0
+    for s, cols in enumerate(columns[:-1]):
+        basis_pick[s, [position[c] for c in cols]] = 1.0
     meet_dims = np.vstack([lat.dims[lat.meet], np.zeros(lat.size)])
-    info_maps = {lat.size: None}
     sigs = iter(all_sigs(depth))
     for level, w in lattice_levels(lat, combo.weights(), depth):
         if level < depth:
@@ -458,9 +456,7 @@ def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
         i_det = np.einsum("tl,lt->t", meet_dims[spans], w).tolist()
         i_branch = (lat.dims @ w).tolist()
         for t, s in enumerate(spans):
-            if s not in info_maps:
-                info_maps[s] = _info_map(FieldMatrix(lat.subspaces[s].basis.data.T, q))
-            yield next(sigs), info_maps[s], z_sum[t], i_branch[t], i_det[t]
+            yield next(sigs), columns[s], z_sum[t], i_branch[t], i_det[t]
 
 
 # -- martingale diagnostics -------------------------------------------------------
