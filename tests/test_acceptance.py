@@ -374,6 +374,9 @@ def test_criterion_09_end_to_end_coding():
                   f"{rep_tight.bler:.4f} <= bound {spec_tight.union_bound:.6f}"
                   f"+{slack_t:.6f}: {bound_ok_tight}; deterministic errors "
                   f"{rep_det.errors}/1000")
+    # The seeded streams pin the counts exactly; a refactor of the message
+    # path must not move them.
+    assert (rep_rate.errors, rep_tight.errors, rep_det.errors) == (322, 1, 0)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -260,6 +260,34 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     assert got == digest, f"{' '.join(argv)}: {got}"
 
 
+@pytest.mark.parametrize("channel, z_budget, trials, seed, csv_digest, json_digest", [
+    ("five_component.json", "1e-3", "2000", "5",
+     "eb990e50301c04ffed260541d392f7c53e717b75d027e5ec08641e43276867d3",
+     "3cd8dd8e72a15df0b16488ff26046ebca7c56e20d24c129f2327f192c6009faf"),
+    ("parity_revealer.json", "1e-9", "200", "6",
+     "21963e5ed1e55f17758316c6585dde63e0f20e09a1656c3877c3a36f7bd6735e",
+     "ec5d3f457acc9203aebd8e06f84abde27f76dc62ab14dd8f49bd83a6d7cd3fcf"),
+])
+def test_simulate_outputs_are_pinned(tmp_path, monkeypatch, capsys, channel,
+                                     z_budget, trials, seed, csv_digest,
+                                     json_digest):
+    # sha256 of the CSV and of the printed report, written before messages
+    # became (N, m) arrays: the same seed keys must give the same symbol
+    # draws, channel outputs and error counts.  Paths are relative.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO_CHANNELS / channel, channel)
+    assert main(["construct", "--channel", channel, "--l", "6", "--eps", "0.2",
+                 "--z-budget", z_budget, "--out", "code.json"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--codespec", "code.json", "--channel", channel,
+                 "--trials", trials, "--seed", seed, "--out", "out.csv",
+                 "--no-timestamp"]) == 0
+    printed = capsys.readouterr().out
+    got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
+           hashlib.sha256(printed.encode()).hexdigest())
+    assert got == (csv_digest, json_digest), f"{channel}: {got}"
+
+
 @pytest.mark.parametrize("mode", ["sample:1", "sample:0", "sample:-3", "sample:x",
                                   "sample:", "bogus"])
 def test_bad_mode_is_a_parse_error(five_term_file, mode, capsys):
