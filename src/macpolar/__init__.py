@@ -43,7 +43,6 @@ from .subspace import (
     count_subspaces,
     enumerate_subspaces,
     orthogonal_passage_check,
-    span,
 )
 from .mac import (
     DiscreteMac,
@@ -83,13 +82,10 @@ from .polarize import (
     sig_key,
 )
 from .codec import (
-    CodewordBlock,
     DecodeResult,
-    MessageAssignment,
     TrialReport,
     encode,
     frozen_from_seed,
-    message_from_info,
     random_message,
     run_trials,
     sc_decode,

@@ -1,8 +1,11 @@
 """Encoder, successive-cancellation decoder and block-error harness.
 
-The block uses 2^l copies of the channel, one per branch signature.  The
-encoder runs the butterfly recursion per user; stage j combines message
-entries whose keys differ in bit j-1, with the '-' slot receiving the sum.
+The block uses 2^l copies of the channel, one per branch signature.  A
+message is an (N, m) array of GF(q) symbols in key order, row b holding
+branch b's vector; the spec's frozen mask marks the frozen positions and
+the rest carry information.  The encoder runs the butterfly recursion per
+user; stage j combines message rows whose keys differ in bit j-1, with the
+'-' slot receiving the sum.
 The decoder walks branches in decoding order and evaluates each branch's
 exact posterior over GF(q)^m by the two-node recursion the transforms
 define: a minus node convolves the two child likelihoods over the sibling
@@ -29,44 +32,26 @@ from .polarize import CodeSpec
 
 # -- messages -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MessageAssignment:
-    """Symbols for every (branch, user) slot of a code.
-
-    info maps the information slots, frozen the frozen slots; both are
-    keyed by (sig, user) with users 1-based.
-    """
-    info: dict
-    frozen: dict
-
-    def info_vector(self, spec: CodeSpec):
-        return [self.info[slot] for slot in spec.info_slots()]
+def frozen_from_seed(spec: CodeSpec, seed) -> np.ndarray:
+    """(N, m) frozen symbols drawn from a seeded generator, 0 at the
+    information positions; the decoder is given the same array."""
+    return _draw(spec.frozen_mask(), spec.q, seed)
 
 
-def frozen_from_seed(spec: CodeSpec, seed) -> dict:
-    """Frozen symbols drawn from a seeded generator, one per frozen slot in
-    decoding order; the decoder regenerates them from the same seed."""
-    rng = np.random.default_rng(_seed_key(seed))
-    slots = spec.frozen_slots()
-    values = rng.integers(0, spec.q, size=len(slots))
-    return {slot: int(v) for slot, v in zip(slots, values)}
+def random_message(spec: CodeSpec, info_seed, frozen_seed) -> np.ndarray:
+    """(N, m) message: seeded information symbols and seeded frozen ones."""
+    mask = spec.frozen_mask()
+    return _draw(mask, spec.q, frozen_seed) + _draw(~mask, spec.q, info_seed)
 
 
-def random_message(spec: CodeSpec, info_seed, frozen_seed) -> MessageAssignment:
-    rng = np.random.default_rng(_seed_key(info_seed))
-    slots = spec.info_slots()
-    values = rng.integers(0, spec.q, size=len(slots))
-    info = {slot: int(v) for slot, v in zip(slots, values)}
-    return MessageAssignment(info=info, frozen=frozen_from_seed(spec, frozen_seed))
-
-
-def message_from_info(spec: CodeSpec, info_values, frozen_seed) -> MessageAssignment:
-    slots = spec.info_slots()
-    if len(info_values) != len(slots):
-        raise SpecMismatchError(
-            f"expected {len(slots)} information symbols, got {len(info_values)}")
-    info = {slot: int(v) % spec.q for slot, v in zip(slots, info_values)}
-    return MessageAssignment(info=info, frozen=frozen_from_seed(spec, frozen_seed))
+def _draw(where: np.ndarray, q: int, seed) -> np.ndarray:
+    """Uniform symbols from one seeded generator at the True positions of
+    an (N, m) mask, taken in row-major order (by branch, then user); 0
+    elsewhere."""
+    u = np.zeros(where.shape, dtype=np.int64)
+    u[where] = np.random.default_rng(_seed_key(seed)).integers(
+        0, q, size=int(where.sum()))
+    return u
 
 
 def _seed_key(seed):
@@ -77,62 +62,46 @@ def _seed_key(seed):
 
 # -- encoding -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CodewordBlock:
-    q: int
-    m: int
-    l: int
-    x: np.ndarray            # (2^l, m) transmitted vectors, key-indexed
-
-    @property
-    def block_length(self) -> int:
-        return 1 << self.l
-
-
-def message_matrix(spec: CodeSpec, msg: MessageAssignment) -> np.ndarray:
-    """(N, m) matrix of branch message vectors in key order."""
-    u = np.zeros((spec.block_length, spec.m), dtype=np.int64)
-    for b, branch in enumerate(spec.branches):
-        for k in range(1, spec.m + 1):
-            slot = (branch.sig, k)
-            src = msg.frozen if branch.frozen[k - 1] else msg.info
-            if slot not in src:
-                raise SpecMismatchError(f"missing symbol for slot {slot}")
-            u[b, k - 1] = src[slot] % spec.q
-    return u
-
-
 def butterfly_transform(u: np.ndarray, q: int) -> np.ndarray:
-    """Apply the l-stage recursion to key-indexed rows; the '-' slot of each
-    stage-j pair (keys differing in bit j-1) receives the sum."""
-    x = u.copy()
-    n = x.shape[0]
+    """Apply the l-stage recursion to key-indexed rows, the second-to-last
+    axis of u; the '-' slot of each stage-j pair (keys differing in bit
+    j-1) receives the sum."""
+    x = np.asarray(u, dtype=np.int64) % q
+    n = x.shape[-2]
+    idx = np.arange(n)
     j = 1
     while j < n:
-        idx = np.arange(n)
         minus = idx[(idx & j) == 0]
-        x[minus] = (x[minus] + x[minus + j]) % q
+        x[..., minus, :] = (x[..., minus, :] + x[..., minus + j, :]) % q
         j <<= 1
     return x
 
 
-def encode(spec: CodeSpec, msg: MessageAssignment) -> CodewordBlock:
-    u = message_matrix(spec, msg)
-    return CodewordBlock(q=spec.q, m=spec.m, l=spec.l,
-                         x=butterfly_transform(u, spec.q))
+def encode(spec: CodeSpec, u) -> np.ndarray:
+    """Transmitted vectors x of an (N, m) message, or of a (T, N, m) batch
+    of messages, in key order."""
+    u = np.asarray(u)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (spec.block_length, spec.m):
+        raise SpecMismatchError(f"expected an ({spec.block_length}, {spec.m}) "
+                                f"message or a batch of them, got {u.shape}")
+    return butterfly_transform(u, spec.q)
 
 
 # -- channel sampling -------------------------------------------------------------
 
-def simulate_channel(channel: DiscreteMac, block: CodewordBlock, seed) -> np.ndarray:
-    """Draw one output index per branch copy: one generator per seed draws
-    N uniforms, and copy t maps the t-th through its input's inverse CDF."""
-    if channel.q != block.q or channel.m != block.m:
-        raise SpecMismatchError("channel does not match the codeword block")
-    uniforms = np.random.default_rng(_seed_key(seed)).random(block.block_length)
-    x_idx = (block.x % block.q) @ (block.q ** np.arange(block.m))
+def simulate_channel(channel: DiscreteMac, x: np.ndarray, seed) -> np.ndarray:
+    """Draw one output index per row of an (N, m) codeword: one generator
+    per seed draws N uniforms, and row t maps the t-th through its input's
+    inverse CDF."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != channel.m:
+        raise SpecMismatchError(f"channel has {channel.m} users, but the "
+                                f"codeword has shape {x.shape}")
+    n = x.shape[0]
+    uniforms = np.random.default_rng(_seed_key(seed)).random(n)
+    x_idx = (x % channel.q) @ (channel.q ** np.arange(channel.m))
     cdf = np.cumsum(channel.table, axis=1)
-    received = np.empty(block.block_length, dtype=np.int64)
+    received = np.empty(n, dtype=np.int64)
     for i in np.unique(x_idx):
         sel = x_idx == i
         received[sel] = _inverse_cdf(cdf[i], uniforms[sel])
@@ -152,71 +121,46 @@ def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DecodeResult:
-    message: MessageAssignment
     u_hat: np.ndarray             # (N, m) decided branch vectors
-    posteriors: list | None       # per-branch posterior over GF(q)^m, key order
+    posteriors: list              # per-branch posterior over GF(q)^m, key order
     fallbacks: int                # node likelihoods that vanished (set uniform)
 
 
-def sc_decode(spec: CodeSpec, channel: DiscreteMac, received,
-              frozen_seed=None, frozen: dict | None = None,
-              genie_u: np.ndarray | None = None,
-              with_details: bool = False):
+def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
+              genie_u: np.ndarray | None = None, with_details: bool = False):
     """Decode one received block.
 
-    Branches are processed in decoding order.  Frozen branches copy their
-    known symbols.  A good branch's posterior is reduced direction by
-    direction: each detected direction is ML-decided from the posterior
-    conditioned on the frozen coordinates and the directions decided
-    before it, ties resolved toward the smaller field element; the
-    information coordinates then follow by solving the linear system.
+    `frozen` is an (N, m) array of which only the frozen positions are
+    read: a message itself will do.  Branches are processed in decoding
+    order.  Frozen branches copy their known symbols.  A good branch's
+    posterior is reduced direction by direction: each detected direction
+    is ML-decided from the posterior conditioned on the frozen coordinates
+    and the directions decided before it, ties resolved toward the smaller
+    field element; the information coordinates then follow by solving the
+    linear system.  The information symbols are u_hat[~spec.frozen_mask()].
 
-    `genie_u` (the true message matrix) makes the conditioning use true
+    `genie_u` (the true message) makes the conditioning use true
     predecessor branches while still recording the per-branch decisions.
-    Returns the decoded MessageAssignment, or a DecodeResult when
+    Returns the decided (N, m) array u_hat, or a DecodeResult when
     with_details is set.
     """
     n = spec.block_length
     received = np.asarray(received, dtype=np.int64)
     if received.shape != (n,):
         raise SpecMismatchError(f"expected {n} received symbols, got {received.shape}")
-    if frozen is None:
-        if frozen_seed is None:
-            raise SpecMismatchError("need frozen symbols or their seed")
-        frozen = frozen_from_seed(spec, frozen_seed)
+    frozen = np.asarray(frozen, dtype=np.int64)
+    if frozen.shape != (n, spec.m):
+        raise SpecMismatchError(f"expected ({n}, {spec.m}) frozen symbols, "
+                                f"got {frozen.shape}")
+    known = np.where(spec.frozen_mask(), frozen % spec.q, 0)
     genie = None if genie_u is None else np.asarray(genie_u, dtype=np.int64)[None]
     u_hat, posteriors, fallbacks = _decode_batch(
-        spec, channel, received[None], _frozen_matrix(spec, frozen)[None],
-        genie, with_details)
-    msg = MessageAssignment(info=_decoded_info(spec, u_hat[0]), frozen=dict(frozen))
+        spec, channel, received[None], known[None], genie, with_details)
     if with_details:
-        return DecodeResult(message=msg, u_hat=u_hat[0],
+        return DecodeResult(u_hat=u_hat[0],
                             posteriors=[None if p is None else p[0] for p in posteriors],
                             fallbacks=int(fallbacks[0]))
-    return msg
-
-
-def _frozen_matrix(spec: CodeSpec, frozen: dict) -> np.ndarray:
-    """(N, m) known symbols in key order: every user of a branch the decoder
-    does not decide, the frozen users of one it does; 0 elsewhere."""
-    u = np.zeros((spec.block_length, spec.m), dtype=np.int64)
-    for b, branch in enumerate(spec.branches):
-        decided = branch.in_good_set and branch.r > 0
-        for k in range(1, spec.m + 1):
-            if branch.frozen[k - 1] or not decided:
-                slot = (branch.sig, k)
-                if slot not in frozen:
-                    raise SpecMismatchError(f"missing frozen symbol for slot {slot}")
-                u[b, k - 1] = frozen[slot] % spec.q
-    return u
-
-
-def _decoded_info(spec: CodeSpec, u_hat: np.ndarray) -> dict:
-    """Information symbols of one decoded (N, m) block, in decoding order."""
-    return {(branch.sig, k): int(u_hat[b, k - 1])
-            for b, branch in enumerate(spec.branches)
-            if branch.in_good_set and branch.r > 0
-            for k in branch.s_users}
+    return u_hat[0]
 
 
 def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
@@ -224,8 +168,9 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
                   with_details: bool = False):
     """Decode T blocks at once, level by level.
 
-    received is (T, N) output indices, frozen the (T, N, m) known symbols
-    of `_frozen_matrix`, genie_u an optional (T, N, m) true message.
+    received is (T, N) output indices, frozen the (T, N, m) frozen symbols,
+    0 at the information positions, and genie_u an optional (T, N, m)
+    true message.
     Level k holds a (T, 2^k, q^m) likelihood array for one decoding index
     at a time: it is recomputed from level k+1 only when a good branch
     needs a new index there, so every trial evaluates exactly the nodes of
@@ -411,23 +356,21 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     symbols (averaging over the frozen choice), transmits the block and
     counts a block error whenever any decoded information symbol differs.
     Per-trial generators derive from (seed, trial, stream), so runs are
-    reproducible and order-independent.  Blocks are decoded DECODE_CHUNK
-    trials at a time.
+    reproducible and order-independent.  Blocks are encoded and decoded
+    DECODE_CHUNK trials at a time.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    mask = spec.frozen_mask()
     errors = 0
     for start in range(0, n_trials, DECODE_CHUNK):
         trials = range(start, min(start + DECODE_CHUNK, n_trials))
-        msgs = [random_message(spec, info_seed=[seed, t, 0], frozen_seed=[seed, t, 1])
-                for t in trials]
-        received = np.stack([simulate_channel(channel, encode(spec, msg),
-                                              seed=[seed, t, 2])
-                             for t, msg in zip(trials, msgs)])
-        frozen = np.stack([_frozen_matrix(spec, msg.frozen) for msg in msgs])
+        frozen = np.stack([_draw(mask, spec.q, [seed, t, 1]) for t in trials])
+        u = frozen + np.stack([_draw(~mask, spec.q, [seed, t, 0]) for t in trials])
+        received = np.stack([simulate_channel(channel, x, seed=[seed, t, 2])
+                             for t, x in zip(trials, encode(spec, u))])
         u_hat, _, _ = _decode_batch(spec, channel, received, frozen)
-        errors += sum(_decoded_info(spec, u) != msg.info
-                      for u, msg in zip(u_hat, msgs))
+        errors += int((u_hat != u)[:, ~mask].any(axis=1).sum())
     bler = errors / n_trials
     lo, hi = wilson_interval(errors, n_trials)
     return TrialReport(spec=spec, trials=n_trials, errors=errors, bler=bler,

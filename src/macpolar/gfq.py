@@ -105,11 +105,6 @@ class FieldMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         return FieldMatrix(self.data @ other.data, self.q)
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.q != other.q or self.shape != other.shape:
-            raise ValueError("shape/modulus mismatch")
-        return FieldMatrix(self.data + other.data, self.q)
-
     @property
     def T(self) -> "FieldMatrix":
         return FieldMatrix(self.data.T, self.q)
@@ -124,9 +119,6 @@ class FieldMatrix:
         if self.rows != other.rows:
             raise ValueError("row counts differ")
         return FieldMatrix(np.hstack([self.data, other.data]), self.q)
-
-    def rank(self) -> int:
-        return mat_rank(self)
 
 
 def rref(m: FieldMatrix):

@@ -119,12 +119,6 @@ class DiscreteMac:
     def sum_capacity(self) -> float:
         return sum_capacity(self)
 
-    def minus(self) -> "DiscreteMac":
-        return transform_minus(self)
-
-    def plus(self) -> "DiscreteMac":
-        return transform_plus(self)
-
     def bhattacharyya(self) -> float:
         return bhattacharyya(self)
 

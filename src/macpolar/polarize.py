@@ -223,13 +223,12 @@ class CodeSpec:
     def good_count(self) -> int:
         return sum(1 for b in self.branches if b.in_good_set)
 
-    def info_slots(self):
-        """(sig, user) pairs carrying information, in decoding order."""
-        return [(b.sig, k) for b in self.branches for k in b.s_users]
-
-    def frozen_slots(self):
-        return [(b.sig, k) for b in self.branches
-                for k in range(1, self.m + 1) if b.frozen[k - 1]]
+    def frozen_mask(self) -> np.ndarray:
+        """(N, m) booleans in key order, True where a branch's user is
+        frozen.  A message is an (N, m) array of GF(q) symbols; its
+        information symbols are the ones at the False positions."""
+        return np.array([b.frozen for b in self.branches],
+                        dtype=bool).reshape(self.block_length, self.m)
 
     def check(self):
         """Internal consistency of the stored code; raises
@@ -251,6 +250,10 @@ class CodeSpec:
                     raise SpecMismatchError(
                         f"branch {b.sig}: user {k}'s frozen flag contradicts "
                         f"the information users {b.s_users}")
+            if b.r and not b.in_good_set:
+                raise SpecMismatchError(
+                    f"branch {b.sig}: information users {b.s_users} on a "
+                    "branch outside the good set")
             if b.r:
                 why = _info_map_error(b.a_columns, b.s_users, self.q, m)
                 if why:
@@ -325,8 +328,9 @@ def _info_map_error(a_columns: tuple, s_users: tuple, q: int, m: int) -> str:
     users.  A spec holds only a handful of distinct maps."""
     if any(len(c) != m for c in a_columns):
         return f"a_columns {a_columns} are not vectors of length {m}"
-    if len(set(s_users)) != len(s_users) or any(not 1 <= k <= m for k in s_users):
-        return f"information users {s_users} are not distinct users in 1..{m}"
+    if list(s_users) != sorted(set(s_users)) or any(not 1 <= k <= m for k in s_users):
+        return (f"information users {s_users} are not distinct users in 1..{m} "
+                "in ascending order")
     a = FieldMatrix(np.array(a_columns, dtype=np.int64).T, q)
     if mat_rank(a) != a.cols:
         return f"a_columns {a_columns} are not independent"

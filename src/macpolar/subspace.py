@@ -113,14 +113,6 @@ class Subspace:
         return Subspace(FieldMatrix(self.basis.data[:, cols], self.q), len(cols))
 
 
-def span(a: FieldMatrix, m: int | None = None) -> Subspace:
-    """Subspace spanned by the columns of a."""
-    rows = m if m is not None else a.rows
-    if a.rows != rows:
-        raise ValueError("column vectors have the wrong length")
-    return Subspace(a.T, rows)
-
-
 def _user_columns(users, m: int):
     """Validate a 1-based user index set; return sorted 0-based columns."""
     idx = sorted(set(int(u) for u in users))

@@ -11,12 +11,10 @@ import pytest
 from macpolar import (
     DiscreteMac,
     LinearComboMac,
-    MessageAssignment,
     SpecMismatchError,
     build_code,
     encode,
     frozen_from_seed,
-    message_from_info,
     random_message,
     run_trials,
     sc_decode,
@@ -28,15 +26,11 @@ from macpolar import (
 from macpolar import codec
 from macpolar.codec import (
     DECODE_CHUNK,
-    CodewordBlock,
     DecodeResult,
     _decide_batch,
     _decode_batch,
-    _decoded_info,
-    _frozen_matrix,
     _inverse_cdf,
     butterfly_transform,
-    message_matrix,
 )
 from macpolar.jsonio import load_channel
 from macpolar.mac import add_table, all_vectors
@@ -51,6 +45,14 @@ def vec_to_index(vec, q):
 
 
 DEMO_CHANNELS = Path(__file__).resolve().parent.parent / "demos" / "channels"
+
+
+def message(spec, info, frozen_seed):
+    """(N, m) message with the given information symbols, in row-major
+    order, and the seeded frozen ones."""
+    u = frozen_from_seed(spec, frozen_seed)
+    u[~spec.frozen_mask()] = info
+    return u
 
 
 def trivial_spec(q, m, l):
@@ -98,26 +100,23 @@ def brute_posterior(channel, u_true, received, b):
 
 def test_encode_single_user_single_level():
     spec = trivial_spec(2, 1, 1)
-    msg = message_from_info(spec, [1, 1], frozen_seed=0)
-    block = encode(spec, msg)
-    assert block.x.tolist() == [[0], [1]]    # '-' slot carries the sum
+    assert encode(spec, [[1], [1]]).tolist() == [[0], [1]]   # '-' slot carries the sum
 
 
 def test_encode_all_zero():
     spec = trivial_spec(2, 2, 3)
-    msg = message_from_info(spec, [0] * 16, frozen_seed=0)
-    assert not encode(spec, msg).x.any()
+    assert not encode(spec, message(spec, [0] * 16, frozen_seed=0)).any()
 
 
 def test_encode_linearity(rng):
     spec = trivial_spec(3, 2, 3)
-    n_info = len(spec.info_slots())
-    a = rng.integers(0, 3, size=n_info)
-    b = rng.integers(0, 3, size=n_info)
-    xa = encode(spec, message_from_info(spec, a, 0)).x
-    xb = encode(spec, message_from_info(spec, b, 0)).x
-    xab = encode(spec, message_from_info(spec, (a + b) % 3, 0)).x
+    a = rng.integers(0, 3, size=(8, 2))
+    b = rng.integers(0, 3, size=(8, 2))
+    xa, xb, xab = encode(spec, a), encode(spec, b), encode(spec, (a + b) % 3)
     assert np.array_equal((xa + xb) % 3, xab)
+    # A batch is encoded message by message.
+    assert np.array_equal(encode(spec, np.stack([a, b, a + b])),
+                          np.stack([xa, xb, xab]))
 
 
 def test_decoder_law_matches_transforms(rng):
@@ -137,7 +136,7 @@ def test_decoder_law_matches_transforms(rng):
                 u_true = np.stack([all_vectors(q, m)[u0],
                                    all_vectors(q, m)[0]])
                 res = sc_decode(spec, mac, np.array([y0, y1]),
-                                frozen=frozen_from_seed(spec, 0),
+                                frozen_from_seed(spec, 0),
                                 genie_u=u_true, with_details=True)
                 post0, post1 = res.posteriors
                 col = minus.table[:, y0 * n_y + y1]
@@ -155,11 +154,9 @@ def test_decoder_posterior_matches_brute_force(rng):
     mac = random_mac(rng, 2, 2, 3)
     spec = trivial_spec(2, 2, 2)
     for trial in range(5):
-        msg = random_message(spec, [trial, 0], [trial, 1])
-        u_true = message_matrix(spec, msg)
-        block = encode(spec, msg)
-        received = simulate_channel(mac, block, seed=[trial, 2])
-        res = sc_decode(spec, mac, received, frozen=msg.frozen,
+        u_true = random_message(spec, [trial, 0], [trial, 1])
+        received = simulate_channel(mac, encode(spec, u_true), seed=[trial, 2])
+        res = sc_decode(spec, mac, received, frozen_from_seed(spec, [trial, 1]),
                         genie_u=u_true, with_details=True)
         for b in range(4):
             expect = brute_posterior(mac, u_true, received, b)
@@ -175,11 +172,10 @@ def test_decode_recovers_direction_on_parity_channel():
     assert spec.block_length == 1 and spec.branches[0].s_users == (1,)
     for info in range(2):
         for seed in range(3):
-            msg = message_from_info(spec, [info], frozen_seed=seed)
-            block = encode(spec, msg)
-            received = simulate_channel(chan, block, seed=7)
-            decoded = sc_decode(spec, chan, received, frozen=msg.frozen)
-            assert decoded.info == msg.info
+            u = message(spec, [info], frozen_seed=seed)
+            received = simulate_channel(chan, encode(spec, u), seed=7)
+            decoded = sc_decode(spec, chan, received, frozen_from_seed(spec, seed))
+            assert np.array_equal(decoded, u)
 
 
 @pytest.mark.parametrize("q,m,l,trials",
@@ -190,19 +186,20 @@ def test_perfect_channel_round_trip(q, m, l, trials):
     spec = build_code(chan, l, eps=0.2, z_budget=1e-9)
     assert spec.sum_rate == pytest.approx(float(m))
     for trial in range(trials):
-        msg = random_message(spec, [trial, 0], [trial, 1])
-        block = encode(spec, msg)
-        received = simulate_channel(chan, block, seed=[trial, 2])
-        decoded = sc_decode(spec, chan, received, frozen=msg.frozen)
-        assert decoded.info == msg.info
+        u = random_message(spec, [trial, 0], [trial, 1])
+        received = simulate_channel(chan, encode(spec, u), seed=[trial, 2])
+        decoded = sc_decode(spec, chan, received, frozen_from_seed(spec, [trial, 1]))
+        assert np.array_equal(decoded, u)
+    # Only the frozen positions of the frozen array are read.
+    assert np.array_equal(sc_decode(spec, chan, received, u), u)
 
 
 def test_posterior_normalization(rng):
     mac = random_mac(rng, 2, 2, 4)
     spec = trivial_spec(2, 2, 3)
-    msg = random_message(spec, 1, 2)
-    received = simulate_channel(mac, encode(spec, msg), seed=3)
-    res = sc_decode(spec, mac, received, frozen=msg.frozen, with_details=True)
+    u = random_message(spec, 1, 2)
+    received = simulate_channel(mac, encode(spec, u), seed=3)
+    res = sc_decode(spec, mac, received, frozen_from_seed(spec, 2), with_details=True)
     for post in res.posteriors:
         assert post.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -213,17 +210,16 @@ def test_genie_equivalence_on_clean_trials(rng):
     subs = binary2_subspaces()
     chan = LinearComboMac(2, 2, [(0.2, s) for s in subs]).to_explicit()
     spec = build_code(chan, 4, eps=0.2, z_budget=0.05)
+    info = ~spec.frozen_mask()
     clean = 0
     for trial in range(30):
-        msg = random_message(spec, [trial, 0], [trial, 1])
-        u_true = message_matrix(spec, msg)
-        block = encode(spec, msg)
-        received = simulate_channel(chan, block, seed=[trial, 2])
-        plain = sc_decode(spec, chan, received, frozen=msg.frozen,
+        u_true = random_message(spec, [trial, 0], [trial, 1])
+        frozen = frozen_from_seed(spec, [trial, 1])
+        received = simulate_channel(chan, encode(spec, u_true), seed=[trial, 2])
+        plain = sc_decode(spec, chan, received, frozen, with_details=True)
+        genie = sc_decode(spec, chan, received, frozen, genie_u=u_true,
                           with_details=True)
-        genie = sc_decode(spec, chan, received, frozen=msg.frozen,
-                          genie_u=u_true, with_details=True)
-        if plain.message.info == msg.info:
+        if np.array_equal(plain.u_hat[info], u_true[info]):
             clean += 1
             assert np.array_equal(plain.u_hat, genie.u_hat)
     assert clean > 0
@@ -233,13 +229,12 @@ def test_simulate_channel_deterministic_and_reproducible():
     subs = binary2_subspaces()
     chan = LinearComboMac(2, 2, [(1.0, subs[4])]).to_explicit()
     spec = trivial_spec(2, 2, 2)
-    msg = message_from_info(spec, list(range(8)), frozen_seed=0)
-    block = encode(spec, msg)
-    a = simulate_channel(chan, block, seed=5)
-    b = simulate_channel(chan, block, seed=5)
+    x = encode(spec, message(spec, np.arange(8) % 2, frozen_seed=0))
+    a = simulate_channel(chan, x, seed=5)
+    b = simulate_channel(chan, x, seed=5)
     assert np.array_equal(a, b)
     # deterministic channel: the output index is pinned by the input
-    x_idx = [vec_to_index(block.x[t], 2) for t in range(4)]
+    x_idx = [vec_to_index(x[t], 2) for t in range(4)]
     expected = [int(np.argmax(chan.table[i])) for i in x_idx]
     assert a.tolist() == expected
 
@@ -248,8 +243,8 @@ def test_simulate_channel_frequencies(rng):
     mac = random_mac(rng, 2, 1, 3)
     row = mac.table[1]
     n = 2 ** 11
-    block = CodewordBlock(q=2, m=1, l=11, x=np.ones((n, 1), dtype=np.int64))
-    draws = np.concatenate([simulate_channel(mac, block, seed=[97, rep])
+    x = np.ones((n, 1), dtype=np.int64)
+    draws = np.concatenate([simulate_channel(mac, x, seed=[97, rep])
                             for rep in range(8)])
     counts = np.bincount(draws, minlength=3) / draws.size
     for y in range(3):
@@ -285,17 +280,19 @@ def test_wilson_interval_edges():
 
 def test_message_mismatch_errors():
     spec = trivial_spec(2, 2, 2)
-    with pytest.raises(SpecMismatchError):
-        message_from_info(spec, [0, 1], frozen_seed=0)   # wrong count
-    msg = MessageAssignment(info={}, frozen={})
-    with pytest.raises(SpecMismatchError):
-        encode(spec, msg)
+    for shape in [(4,), (3, 2), (4, 3), (2, 3, 2), (1, 2, 4, 2)]:
+        with pytest.raises(SpecMismatchError):
+            encode(spec, np.zeros(shape, dtype=int))
     chan = DiscreteMac.identity(2, 2)
+    frozen = frozen_from_seed(spec, 0)
     with pytest.raises(SpecMismatchError):
-        sc_decode(spec, chan, np.zeros(3, dtype=int), frozen_seed=0)
+        sc_decode(spec, chan, np.zeros(3, dtype=int), frozen)
     with pytest.raises(SpecMismatchError):
-        sc_decode(spec, DiscreteMac.identity(3, 2), np.zeros(4, dtype=int),
-                  frozen_seed=0)
+        sc_decode(spec, chan, np.zeros(4, dtype=int), frozen[:3])
+    with pytest.raises(SpecMismatchError):
+        sc_decode(spec, DiscreteMac.identity(3, 2), np.zeros(4, dtype=int), frozen)
+    with pytest.raises(SpecMismatchError):
+        simulate_channel(chan, np.zeros((4, 3), dtype=int), seed=0)
 
 
 def test_decide_branch_refuses_a_non_invertible_map():
@@ -313,8 +310,19 @@ def test_frozen_symbols_reproducible():
     subs = binary2_subspaces()
     chan = LinearComboMac(2, 2, [(1.0, subs[1])]).to_explicit()
     spec = build_code(chan, 3, eps=0.2, z_budget=1e-9)
-    assert frozen_from_seed(spec, 42) == frozen_from_seed(spec, 42)
-    assert frozen_from_seed(spec, 42) != frozen_from_seed(spec, 43)
+    assert np.array_equal(frozen_from_seed(spec, 42), frozen_from_seed(spec, 42))
+    assert not np.array_equal(frozen_from_seed(spec, 42), frozen_from_seed(spec, 43))
+    # One generator per seed fills the masked positions in row-major order
+    # (branch by branch, users ascending), 0 elsewhere.
+    mask = spec.frozen_mask()
+    assert mask.shape == (8, 2) and 0 < mask.sum() < 16
+    draws = lambda seed, k: np.random.default_rng([seed]).integers(0, 2, size=k)
+    frozen = frozen_from_seed(spec, 42)
+    assert frozen[mask].tolist() == draws(42, mask.sum()).tolist()
+    assert not frozen[~mask].any()
+    u = random_message(spec, 5, 42)
+    assert np.array_equal(u[mask], frozen[mask])
+    assert u[~mask].tolist() == draws(5, (~mask).sum()).tolist()
 
 
 # -- batched decoder against the one-block recursion --------------------------------
@@ -322,8 +330,11 @@ def test_frozen_symbols_reproducible():
 def sc_decode_reference(spec, channel, received, frozen, genie_u=None):
     """The one-block recursion the batched decoder replaced: node (k, pi)
     at decoding index a is evaluated on demand and cached by a per-node
-    stamp, and partial sums settle pair by pair.  Returns a DecodeResult
-    whose fallbacks count the node likelihoods that vanished."""
+    stamp, and partial sums settle pair by pair.  `frozen` is an (N, m)
+    array read at the frozen users only.  Returns a DecodeResult whose
+    fallbacks count the node likelihoods that vanished, and the
+    information symbols as the (sig, user) slots list them: decoded
+    branches in order, each one's information users in order."""
     q, m, l = spec.q, spec.m, spec.l
     n = spec.block_length
     big_q = q ** m
@@ -374,35 +385,34 @@ def sc_decode_reference(spec, channel, received, frozen, genie_u=None):
 
     u_hat = np.zeros((n, m), dtype=np.int64)
     posteriors = []
-    info = {}
+    info = []
     for b, branch in enumerate(spec.branches):
         if branch.in_good_set and branch.r > 0:
             post = compute(0, 0, b)
             post = post / post.sum()
             posteriors.append(post.copy())
-            u = decide_branch_reference(branch, post, frozen, q, m, powers)
-            for k in branch.s_users:
-                info[(branch.sig, k)] = int(u[k - 1])
+            u = decide_branch_reference(branch, post, frozen[b], q, m, powers)
+            info += [int(u[k - 1]) for k in branch.s_users]
         else:
-            u = np.array([frozen[(branch.sig, k)] for k in range(1, m + 1)],
-                         dtype=np.int64)
+            u = frozen[b].copy()
             posteriors.append(None)
         u_hat[b] = u
         decided[0][b] = u if genie_u is None else genie_u[b]
         if b & 1:
             settle(0, 0, b >> 1)
-    return DecodeResult(message=MessageAssignment(info=info, frozen=dict(frozen)),
-                        u_hat=u_hat, posteriors=posteriors, fallbacks=fallbacks[0])
+    return DecodeResult(u_hat=u_hat, posteriors=posteriors,
+                        fallbacks=fallbacks[0]), info
 
 
 def decide_branch_reference(branch, post, frozen, q, m, powers):
-    """Sequential per-direction ML over one block's candidate set."""
+    """Sequential per-direction ML over one block's candidate set; frozen
+    is the branch's row of frozen symbols."""
     a = branch.a_matrix(q)
     free = [k - 1 for k in branch.s_users]
     base = np.zeros(m, dtype=np.int64)
     for k in range(1, m + 1):
         if branch.frozen[k - 1]:
-            base[k - 1] = frozen[(branch.sig, k)]
+            base[k - 1] = frozen[k - 1]
     cand = np.repeat(base.reshape(1, -1), q ** len(free), axis=0)
     combos = all_vectors(q, len(free))
     for j, coord in enumerate(free):
@@ -455,14 +465,14 @@ def random_spec(rng, q, m, l):
 def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
     """The batched decoder on a (T, N) block of received words makes the
     recursion's decisions trial by trial, with its posteriors to 1e-12."""
-    known = np.stack([_frozen_matrix(spec, f) for f in frozen])
-    u_hat, posts, fallbacks = _decode_batch(spec, chan, received, known, genie,
+    info = ~spec.frozen_mask()
+    u_hat, posts, fallbacks = _decode_batch(spec, chan, received, frozen, genie,
                                             with_details=True)
     for t in range(len(received)):
-        ref = sc_decode_reference(spec, chan, received[t], frozen[t],
-                                  None if genie is None else genie[t])
+        ref, ref_info = sc_decode_reference(spec, chan, received[t], frozen[t],
+                                            None if genie is None else genie[t])
         assert np.array_equal(u_hat[t], ref.u_hat)
-        assert _decoded_info(spec, u_hat[t]) == ref.message.info
+        assert u_hat[t][info].tolist() == ref_info
         assert fallbacks[t] == ref.fallbacks
         for b, want in enumerate(ref.posteriors):
             if want is None:
@@ -470,19 +480,20 @@ def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
             else:
                 assert np.abs(posts[b][t] - want).max() <= 1e-12
     # The public one-block entry point runs the same decoder.
-    one = sc_decode(spec, chan, received[0], frozen=frozen[0],
+    one = sc_decode(spec, chan, received[0], frozen[0],
                     genie_u=None if genie is None else genie[0], with_details=True)
     assert np.array_equal(one.u_hat, u_hat[0]) and one.fallbacks == fallbacks[0]
 
 
 def sampled_blocks(spec, chan, trials, seed):
-    """(received, frozen dicts, true message matrices) of `trials` blocks
-    sent through the channel."""
-    msgs = [random_message(spec, [seed, t, 0], [seed, t, 1]) for t in range(trials)]
-    received = np.stack([simulate_channel(chan, encode(spec, msg), [seed, t, 2])
-                         for t, msg in enumerate(msgs)])
-    genie = np.stack([message_matrix(spec, msg) for msg in msgs])
-    return received, [msg.frozen for msg in msgs], genie
+    """(received, frozen symbols, true messages) of `trials` blocks sent
+    through the channel, as (T, N) and (T, N, m) arrays."""
+    u = np.stack([random_message(spec, [seed, t, 0], [seed, t, 1])
+                  for t in range(trials)])
+    received = np.stack([simulate_channel(chan, x, [seed, t, 2])
+                         for t, x in enumerate(encode(spec, u))])
+    frozen = np.stack([frozen_from_seed(spec, [seed, t, 1]) for t in range(trials)])
+    return received, frozen, u
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
@@ -502,7 +513,7 @@ def test_batch_decoder_matches_reference(q, m):
             assert_batch_matches_reference(spec, chan, received, frozen, genie)
         # Received words the code cannot produce: zero likelihoods and ties.
         received = rng.integers(0, chan.output_size, size=(3, n))
-        frozen = [frozen_from_seed(spec, [7, t]) for t in range(3)]
+        frozen = np.stack([frozen_from_seed(spec, [7, t]) for t in range(3)])
         assert_batch_matches_reference(spec, chan, received, frozen)
 
 
@@ -535,12 +546,13 @@ def test_decoder_counts_underflow_fallbacks():
                     union_bound=0.0)
     spec.check()
     chan = DiscreteMac.identity(2, 1)
-    msg = message_from_info(spec, [1], frozen_seed=0)
-    received = encode(spec, msg).x[:, 0]
-    clean = sc_decode(spec, chan, received, frozen=msg.frozen, with_details=True)
-    assert clean.fallbacks == 0 and clean.message.info == msg.info
-    wrong = {slot: 1 - v for slot, v in msg.frozen.items()}
-    res = sc_decode(spec, chan, received, frozen=wrong, with_details=True)
+    u = message(spec, [1], frozen_seed=0)
+    received = encode(spec, u)[:, 0]
+    frozen = frozen_from_seed(spec, 0)
+    clean = sc_decode(spec, chan, received, frozen, with_details=True)
+    assert clean.fallbacks == 0 and np.array_equal(clean.u_hat, u)
+    wrong = np.where(spec.frozen_mask(), 1 - frozen, 0)
+    res = sc_decode(spec, chan, received, wrong, with_details=True)
     assert res.fallbacks == 1
     assert np.array_equal(res.posteriors[1], [0.5, 0.5])
 
@@ -585,10 +597,12 @@ def test_run_trials_blocks_do_not_depend_on_the_trial_count(monkeypatch):
     assert np.array_equal(blocks[:5], first)
     monkeypatch.undo()
     # The chunked harness counts the errors of decoding each trial alone.
+    info = ~spec.frozen_mask()
     wrong = []
     for t in range(70):
-        msg = random_message(spec, [11, t, 0], [11, t, 1])
-        received = simulate_channel(chan, encode(spec, msg), seed=[11, t, 2])
+        u = random_message(spec, [11, t, 0], [11, t, 1])
+        received = simulate_channel(chan, encode(spec, u), seed=[11, t, 2])
         assert np.array_equal(received, blocks[t])
-        wrong.append(sc_decode(spec, chan, received, frozen=msg.frozen).info != msg.info)
+        u_hat = sc_decode(spec, chan, received, frozen_from_seed(spec, [11, t, 1]))
+        wrong.append(not np.array_equal(u_hat[info], u[info]))
     assert long.errors == sum(wrong) and short.errors == sum(wrong[:5])

@@ -316,8 +316,14 @@ def corrupted_specs():
         branches = (dataclasses.replace(first, **changes),) + spec.branches[1:]
         return dataclasses.replace(spec, branches=branches)
 
+    # Consistent rates, so only the users outside the good set are wrong.
+    outside = dataclasses.replace(
+        with_first(in_good_set=False),
+        sum_rate=spec.sum_rate - first.r / spec.block_length)
     return {
         "frozen flag": with_first(frozen=(1, 0)),
+        "info outside good set": outside,
+        "descending users": with_first(s_users=(2, 1)),
         "dependent columns": with_first(a_columns=((1, 0), (1, 0))),
         "user out of range": with_first(s_users=(1, 3)),
         "r mismatch": with_first(r=1),

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "macpolar"
@@ -20,16 +21,27 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def python_blocks(markdown: str):
+    """Bodies of the ```python fenced blocks of a Markdown text."""
+    return re.findall(r"^```python\n(.*?)^```", markdown, flags=re.M | re.S)
+
+
 def test_scripts_import_only_names_that_exist():
-    # The benchmark harness and the demos import library names inside
-    # functions and at top level; an API removal must not break them
-    # silently (`bench/run.py --calibrate`, for one, runs outside pytest).
+    # The benchmark harness, the demos and the README's Python examples
+    # import library names inside functions and at top level; an API
+    # removal must not break them silently (`bench/run.py --calibrate`, for
+    # one, runs outside pytest).
     root = PACKAGE.parents[1]
     scripts = [root / "bench" / "run.py", root / "bench" / "workloads.py",
                *sorted((root / "demos").glob("*.py"))]
+    sources = [(path.name, path.read_text(encoding="utf-8")) for path in scripts]
+    blocks = python_blocks((root / "README.md").read_text(encoding="utf-8"))
+    assert blocks
+    sources += [(f"README.md python block {i}", block)
+                for i, block in enumerate(blocks, 1)]
     checked, missing = 0, []
-    for path in scripts:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, source in sources:
+        tree = ast.parse(source, filename=name)
         for node in ast.walk(tree):
             if not (isinstance(node, ast.ImportFrom) and node.module
                     and node.module.split(".")[0] == "macpolar"):
@@ -38,7 +50,7 @@ def test_scripts_import_only_names_that_exist():
             for alias in node.names:
                 checked += 1
                 if not hasattr(module, alias.name):
-                    missing.append(f"{path.name}:{node.lineno}: "
+                    missing.append(f"{name}:{node.lineno}: "
                                    f"{node.module}.{alias.name}")
     assert checked >= 10
     assert missing == []

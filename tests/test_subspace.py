@@ -8,7 +8,6 @@ import pytest
 from macpolar import (
     AmbientMismatchError,
     BadIndexSetError,
-    FieldMatrix,
     Subspace,
     TooLargeError,
     closure,
@@ -16,7 +15,6 @@ from macpolar import (
     count_subspaces,
     enumerate_subspaces,
     orthogonal_passage_check,
-    span,
 )
 from macpolar.linear_mac import binary2_subspaces
 
@@ -33,12 +31,12 @@ def random_subspace(rng, m, q):
 
 def test_span_examples(f22):
     v0, v1, v2, v3, v4 = f22
-    zero_col = span(FieldMatrix([[0], [0]], 2))
+    zero_col = Subspace.from_vectors([[0, 0]], 2, 2)
     assert zero_col.dim == 0 and zero_col == v0
-    assert span(FieldMatrix([[1], [1]], 2)) == v3
-    assert {tuple(v) for v in span(FieldMatrix([[1], [1]], 2)).vectors()} == \
+    assert Subspace.from_vectors([[1, 1]], 2, 2) == v3
+    assert {tuple(v) for v in Subspace.from_vectors([[1, 1]], 2, 2).vectors()} == \
         {(0, 0), (1, 1)}
-    assert span(FieldMatrix.identity(2, 2)) == v4
+    assert Subspace.from_vectors([[1, 0], [0, 1]], 2, 2) == v4
 
 
 def test_intersect_examples(f22, rng):
