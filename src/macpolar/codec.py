@@ -67,12 +67,13 @@ def butterfly_transform(u: np.ndarray, q: int) -> np.ndarray:
     axis of u; the '-' slot of each stage-j pair (keys differing in bit
     j-1) receives the sum."""
     x = np.asarray(u, dtype=np.int64) % q
-    n = x.shape[-2]
-    idx = np.arange(n)
+    *batch, n, m = x.shape
     j = 1
     while j < n:
-        minus = idx[(idx & j) == 0]
-        x[..., minus, :] = (x[..., minus, :] + x[..., minus + j, :]) % q
+        # Row a*2j + b*j + c (c < j) has b as its key's bit of weight j.
+        pairs = x.reshape(*batch, n // (2 * j), 2, j, m)
+        pairs[..., 0, :, :] += pairs[..., 1, :, :]
+        pairs[..., 0, :, :] %= q
         j <<= 1
     return x
 
