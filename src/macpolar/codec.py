@@ -363,15 +363,16 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     mask = spec.frozen_mask()
+    info = ~mask
     errors = 0
     for start in range(0, n_trials, DECODE_CHUNK):
         trials = range(start, min(start + DECODE_CHUNK, n_trials))
         frozen = np.stack([_draw(mask, spec.q, [seed, t, 1]) for t in trials])
-        u = frozen + np.stack([_draw(~mask, spec.q, [seed, t, 0]) for t in trials])
+        u = frozen + np.stack([_draw(info, spec.q, [seed, t, 0]) for t in trials])
         received = np.stack([simulate_channel(channel, x, seed=[seed, t, 2])
                              for t, x in zip(trials, encode(spec, u))])
         u_hat, _, _ = _decode_batch(spec, channel, received, frozen)
-        errors += int((u_hat != u)[:, ~mask].any(axis=1).sum())
+        errors += int((u_hat != u)[:, info].any(axis=1).sum())
     bler = errors / n_trials
     lo, hi = wilson_interval(errors, n_trials)
     return TrialReport(spec=spec, trials=n_trials, errors=errors, bler=bler,

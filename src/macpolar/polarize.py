@@ -250,11 +250,11 @@ class CodeSpec:
                     raise SpecMismatchError(
                         f"branch {b.sig}: user {k}'s frozen flag contradicts "
                         f"the information users {b.s_users}")
-            if b.r and not b.in_good_set:
-                raise SpecMismatchError(
-                    f"branch {b.sig}: information users {b.s_users} on a "
-                    "branch outside the good set")
             if b.r:
+                if not b.in_good_set:
+                    raise SpecMismatchError(
+                        f"branch {b.sig}: information users {b.s_users} on a "
+                        "branch outside the good set")
                 why = _info_map_error(b.a_columns, b.s_users, self.q, m)
                 if why:
                     raise SpecMismatchError(f"branch {b.sig}: {why}")
