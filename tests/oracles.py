@@ -7,7 +7,8 @@ used before the lattice engine: it multiplies term weights pairwise and
 files each product under the intersection or sum of the two subspaces.
 Here a subspace is the set of its member vectors, so intersection is set
 intersection and the sum is the set of pairwise sums, independent of the
-library's row reduction.  Neither oracle renormalizes.
+library's row reduction.  Neither oracle renormalizes.  The set oracles
+at the end check the preservation condition on the same member sets.
 """
 
 import numpy as np
@@ -83,3 +84,53 @@ def projected_dim(members_of: frozenset, users, q: int) -> int:
     while q ** dim < size:
         dim += 1
     return dim
+
+
+# -- the preservation condition on member sets ----------------------------------
+#
+# Oracles for `closure`, `consistency_check` and `orthogonal_passage_check`:
+# a subspace is its member set, meet is set intersection, join is the set of
+# pairwise sums, and projection keeps the selected coordinates.
+
+
+def project_set(members_of: frozenset, users) -> frozenset:
+    """A member set with only the 1-based `users` coordinates kept."""
+    return frozenset(tuple(v[u - 1] for u in users) for v in members_of)
+
+
+def set_closure(family, q: int) -> frozenset:
+    """Smallest set of member sets holding the family and closed under
+    intersection and pairwise sums."""
+    closed = set(family)
+    frontier = list(closed)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(closed):
+                for c in (_combine(a, b, "-", q), _combine(a, b, "+", q)):
+                    if c not in closed:
+                        closed.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return frozenset(closed)
+
+
+def set_consistent(family, users, q: int) -> bool:
+    """Projection onto `users` commutes with intersection on every pair of
+    the family's closure."""
+    closed = set_closure(family, q)
+    return all(project_set(a & b, users) == project_set(a, users) & project_set(b, users)
+               for a in closed for b in closed)
+
+
+def set_first_witness(family, users, q: int, candidates):
+    """The first of `candidates` (member sets, in order) with q^|S| members
+    that projects onto all of GF(q)^|S| and keeps proj(W & V) = proj(V)
+    for every V of the family; None if there is none."""
+    full = q ** len(users)
+    for w in candidates:
+        if (len(w) == full and len(project_set(w, users)) == full
+                and all(project_set(w & v, users) == project_set(v, users)
+                        for v in family)):
+            return w
+    return None

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -286,6 +287,33 @@ def test_simulate_outputs_are_pinned(tmp_path, monkeypatch, capsys, channel,
     got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
            hashlib.sha256(printed.encode()).hexdigest())
     assert got == (csv_digest, json_digest), f"{channel}: {got}"
+
+
+@pytest.mark.parametrize("argv, counts, csv_digest, stdout_digest", [
+    (["--q", "2", "--m", "3", "--users", "1,2", "--max-family", "3"], (696, 445, 0),
+     "6388521fe9ed7f815052db8446e12a857a4c33f6755b3bf2f90afbbe3caed669",
+     "6c69cacaafe77ae899a8df6d75e42c0821c600a44ac1eeb04a47381182a551c1"),
+    (["--q", "3", "--m", "3", "--users", "1", "--max-family", "2"], (406, 286, 0),
+     "7b146a4da07e7c4b774d59c07aa92369546e661f7e3b5d1c1bb6a14908cc89c8",
+     "ce2340fcd0a7a6f033ba0df5eeab17a6f8196bdbbf2c998582a948b8d84c3e6d"),
+    (["--q", "2", "--m", "3", "--users", "1,2", "--max-family", "2"], (136, 115, 0),
+     "c2638ef9f62c72539b8af1a21c7e9cb3b2c32f0bddcbf9a030f56b1fb9d5ad67",
+     "a0b41d37d989d5aec5b7c438d9b58b45ae8cf3a7a1685a24b16ed64a66da4079"),
+])
+def test_probe_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv, counts,
+                                  csv_digest, stdout_digest):
+    # Written by the witness probe on the null-space subspace calculus:
+    # families scanned, consistent families with a witness, and without.
+    # Paths are relative.
+    monkeypatch.chdir(tmp_path)
+    assert main(["probe-conjectures", *argv, "--out", "out.csv", "--no-timestamp"]) == 0
+    printed = capsys.readouterr().out
+    found = re.search(r"scanned (\d+) families .*: (\d+) consistent families "
+                      r"have a witness, (\d+) lack one", printed)
+    assert tuple(int(x) for x in found.groups()) == counts
+    got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
+           hashlib.sha256(printed.encode()).hexdigest())
+    assert got == (csv_digest, stdout_digest), f"{' '.join(argv)}: {got}"
 
 
 @pytest.mark.parametrize("mode", ["sample:1", "sample:0", "sample:-3", "sample:x",

@@ -3,6 +3,7 @@ driving the preservation analysis."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from macpolar import (
@@ -17,6 +18,8 @@ from macpolar import (
     orthogonal_passage_check,
 )
 from macpolar.linear_mac import binary2_subspaces
+from conftest import subsets_of
+from oracles import members, set_closure, set_consistent, set_first_witness
 
 
 @pytest.fixture
@@ -208,3 +211,38 @@ def test_subspace_equality_is_canonical():
     a = Subspace.from_vectors([[1, 1], [1, 0]], 2, 2)
     b = Subspace.from_vectors([[0, 1], [1, 0]], 2, 2)
     assert a == b and hash(a) == hash(b)
+
+
+def lattice_order(q, m):
+    """Every subspace of GF(q)^m in lattice order, and their member sets."""
+    subs = [s for d in range(m + 1) for s in enumerate_subspaces(m, d, q)]
+    return subs, [members(s) for s in subs]
+
+
+def assert_matches_set_oracle(family, users, q, candidates):
+    sets = [members(s) for s in family]
+    assert {members(s) for s in closure(family)} == set_closure(sets, q)
+    assert consistency_check(family, users) == set_consistent(sets, users, q)
+    witness = orthogonal_passage_check(family, users)
+    got = None if witness is None else members(witness)
+    assert got == set_first_witness(sets, users, q, candidates), (family, users)
+
+
+@pytest.mark.parametrize("q, m, largest", [(2, 2, 3), (3, 2, 3), (2, 3, 2)])
+def test_preservation_matches_set_oracle(q, m, largest):
+    # Every family of up to `largest` distinct subspaces, every user subset.
+    subs, candidates = lattice_order(q, m)
+    for size in range(1, largest + 1):
+        for family in itertools.combinations(subs, size):
+            for users in subsets_of(m):
+                assert_matches_set_oracle(family, users, q, candidates)
+
+
+def test_preservation_matches_set_oracle_on_gf3_3():
+    rng = np.random.default_rng(8)
+    subs, candidates = lattice_order(3, 3)
+    for _ in range(150):
+        size = int(rng.integers(1, 4))
+        family = [subs[k] for k in rng.choice(len(subs), size=size, replace=False)]
+        users = subsets_of(3)[int(rng.integers(0, 7))]
+        assert_matches_set_oracle(family, users, 3, candidates)
