@@ -33,16 +33,12 @@ from .gfq import (
     field_inv,
     is_prime,
     mat_rank,
-    null_space,
     rref,
 )
 from .subspace import (
     Subspace,
-    closure,
-    consistency_check,
     count_subspaces,
     enumerate_subspaces,
-    orthogonal_passage_check,
 )
 from .mac import (
     DiscreteMac,
@@ -63,6 +59,9 @@ from .linear_mac import (
     binary2_evolve,
     binary2_state,
     binary2_subspaces,
+    closure,
+    consistency_check,
+    orthogonal_passage_check,
     rate_region,
     total_loss_predict,
 )

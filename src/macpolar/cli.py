@@ -29,7 +29,9 @@ from .linear_mac import (
     LinearComboMac,
     binary2_evolve,
     binary2_state,
+    consistency_check,
     level_sums,
+    orthogonal_passage_check,
     rate_region,
     subspace_lattice,
     total_loss_predict,
@@ -44,11 +46,6 @@ from .polarize import (
     summarize_levels,
 )
 from .codec import run_trials
-from .subspace import (
-    consistency_check,
-    enumerate_subspaces,
-    orthogonal_passage_check,
-)
 
 
 def _users_str(users) -> str:
@@ -275,14 +272,12 @@ def cmd_probe_conjectures(args) -> int:
     if args.q and args.m and args.users:
         ran_any = True
         users = tuple(int(u) for u in args.users.split(","))
-        all_subs = []
-        for d in range(args.m + 1):
-            all_subs.extend(enumerate_subspaces(args.m, d, args.q))
+        subspaces = subspace_lattice(args.q, args.m).subspaces
         counterexamples = 0
         consistent_with_witness = 0
         scanned = 0
         for size in range(1, args.max_family + 1):
-            for family in itertools.combinations(all_subs, size):
+            for family in itertools.combinations(subspaces, size):
                 scanned += 1
                 if not consistency_check(family, users):
                     continue

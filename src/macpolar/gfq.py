@@ -160,17 +160,3 @@ def rref(m: FieldMatrix):
 def mat_rank(m: FieldMatrix) -> int:
     """Rank over GF(q) by exact Gaussian elimination."""
     return len(rref(m)[1])
-
-
-def null_space(m: FieldMatrix) -> FieldMatrix:
-    """Basis of {x : m @ x = 0}, returned as columns of a cols x k matrix."""
-    q = m.q
-    r, pivots = rref(m)
-    cols = m.cols
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-r.data[i, fc]) % q
-    return FieldMatrix(basis, q)

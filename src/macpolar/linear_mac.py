@@ -11,7 +11,9 @@ vector over all L subspaces of GF(q)^m in `Subspace.sort_key` order, a
 level of the tree is an (L, n) array of such vectors, and a transform
 scatters pair products through the lattice's meet and join tables.  The
 two-user binary 5-vector of `binary2_evolve` is a reordering of the
-GF(2)^2 vector.
+GF(2)^2 vector.  The preservation condition (closure, the consistency
+check and the witness search) reads the same tables, plus one projection
+table per user set.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .gfq import check_prime
 from .mac import DiscreteMac, all_vectors, user_subsets
-from .subspace import Subspace, consistency_check, count_subspaces, enumerate_subspaces
+from .subspace import Subspace, count_subspaces, enumerate_subspaces, user_indices
 
 WEIGHT_TOL = 1e-12
 ENUMERATE_DEPTH_CAP = 20
@@ -200,8 +202,15 @@ class SubspaceLattice:
         idx = (np.asarray(vectors, dtype=np.int64) % self.q) @ self.q ** np.arange(self.m)
         return np.array([[mask >> int(x) & 1 for mask in self.masks] for x in idx], float)
 
+    def projection(self, users):
+        """(small, table): `small` is `subspace_lattice(q, |users|)`, and
+        table[i] is the position in it of subspaces[i] projected onto the
+        1-based `users`."""
+        return _projection(self, tuple(user_indices(users, self.m)))
+
     def projected_dims(self, users) -> np.ndarray:
-        return np.array([s.project(users).dim for s in self.subspaces])
+        small, proj = self.projection(users)
+        return small.dims[proj]
 
 
 def _bits(indices) -> int:
@@ -237,6 +246,84 @@ def subspace_lattice(q: int, m: int) -> SubspaceLattice:
         arr.setflags(write=False)
     return SubspaceLattice(q, m, subs, {s: k for k, s in enumerate(subs)},
                            tuple(masks), dims, meet, join)
+
+
+@lru_cache(maxsize=None)
+def _projection(lat: SubspaceLattice, users: tuple):
+    small = subspace_lattice(lat.q, len(users))
+    table = np.array([small.index[s.project(users)] for s in lat.subspaces])
+    table.setflags(write=False)
+    return small, table
+
+
+# -- the preservation condition ---------------------------------------------------
+
+def _family(items):
+    """The lattice of a non-empty family's ambient space, and the family's
+    positions in it."""
+    m, q = items[0].m, items[0].q
+    if any(s.m != m or s.q != q for s in items):
+        raise AmbientMismatchError("subspaces have mixed ambient spaces")
+    lat = subspace_lattice(q, m)
+    return lat, np.array([lat.index[s] for s in items])
+
+
+def _closure(lat: SubspaceLattice, family: np.ndarray) -> np.ndarray:
+    """Ascending positions of the smallest set that holds `family` and is
+    closed under meet and join."""
+    closed = np.zeros(lat.size, dtype=bool)
+    closed[family] = True
+    while True:
+        idx = np.flatnonzero(closed)
+        pairs = np.ix_(idx, idx)
+        grown = closed.copy()
+        grown[lat.meet[pairs]] = True
+        grown[lat.join[pairs]] = True
+        if (grown == closed).all():
+            return idx
+        closed = grown
+
+
+def closure(subspaces) -> frozenset:
+    """Smallest set of subspaces containing the input and closed under
+    intersection and sum."""
+    items = list(subspaces)
+    if not items:
+        return frozenset()
+    lat, family = _family(items)
+    return frozenset(lat.subspaces[i] for i in _closure(lat, family).tolist())
+
+
+def consistency_check(subspaces, users) -> bool:
+    """True iff projection onto `users` commutes with intersection for every
+    pair in the closure of the given family."""
+    items = list(subspaces)
+    if not items:
+        return True
+    lat, family = _family(items)
+    small, proj = lat.projection(users)
+    closed = _closure(lat, family)
+    image = proj[closed]
+    return bool((proj[lat.meet[np.ix_(closed, closed)]]
+                 == small.meet[np.ix_(image, image)]).all())
+
+
+def orthogonal_passage_check(subspaces, users):
+    """Search for a subspace W of dimension |users| projecting onto the full
+    space of the selected coordinates such that proj(W & V) = proj(V) for
+    every V in the family.  Returns the first such W in lattice order, or
+    None when no witness exists.
+    """
+    items = list(subspaces)
+    if not items:
+        raise ValueError("empty family")
+    lat, family = _family(items)
+    small, proj = lat.projection(users)
+    # The full space is the last subspace of the small lattice.
+    candidates = np.flatnonzero((lat.dims == small.m) & (proj == small.size - 1))
+    kept = proj[lat.meet[np.ix_(candidates, family)]] == proj[family]
+    hits = candidates[kept.all(axis=1)]
+    return lat.subspaces[hits[0]] if hits.size else None
 
 
 def lattice_children(lat: SubspaceLattice, states: np.ndarray) -> np.ndarray:

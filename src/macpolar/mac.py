@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    BadIndexSetError,
     BadRowSumError,
     BadToleranceError,
     NegativeProbabilityError,
@@ -24,6 +23,7 @@ from .errors import (
     NotSingleUserError,
 )
 from .gfq import FieldMatrix, check_prime, mat_rank
+from .subspace import user_indices
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_MERGE_TOL = 1e-9
@@ -149,15 +149,6 @@ def _entropy(p: np.ndarray, q: int) -> float:
     return float(-(p * (np.log(p) / np.log(q))).sum())
 
 
-def _users_to_axes(users, m: int):
-    idx = sorted(set(int(u) for u in users))
-    if not idx:
-        raise BadIndexSetError("index set is empty")
-    if idx[0] < 1 or idx[-1] > m:
-        raise BadIndexSetError(f"indices {idx} out of range 1..{m}")
-    return idx
-
-
 def mutual_info(mac: DiscreteMac, users) -> float:
     """I(X(S); Y, X(S^c)) under independent uniform inputs, base q.
 
@@ -165,7 +156,7 @@ def mutual_info(mac: DiscreteMac, users) -> float:
     information at the receiver.
     """
     q, m = mac.q, mac.m
-    s = _users_to_axes(users, m)
+    s = user_indices(users, m)
     joint = mac.table / q ** m                     # p(x, y)
     # Reshape to (x_m, ..., x_1, y): user k lives on axis m - k.
     shaped = joint.reshape((q,) * m + (-1,))

@@ -1,20 +1,19 @@
-"""Canonical subspaces of GF(q)^m and their lattice operations.
+"""Canonical subspaces of GF(q)^m and their enumeration.
 
 A subspace is stored as the RREF basis of its row space, which makes
-equality a plain entry comparison and lets sets of subspaces act as
-hashable fixed points for the closure computation.  User coordinates are
+equality a plain entry comparison and subspaces usable as dict keys.  Meet
+and join are tables of `linear_mac.subspace_lattice`.  User coordinates are
 numbered 1..m throughout the public API.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import AmbientMismatchError, BadIndexSetError, TooLargeError
-from .gfq import FieldMatrix, check_prime, null_space, rref
+from .errors import BadIndexSetError, TooLargeError
+from .gfq import FieldMatrix, check_prime, rref
 
 
 class Subspace:
@@ -75,17 +74,6 @@ class Subspace:
         """Dimension, then lexicographic on the flattened RREF basis."""
         return (self.dim, tuple(self.basis.data.ravel().tolist()))
 
-    def _check_ambient(self, other: "Subspace"):
-        if self.m != other.m or self.q != other.q:
-            raise AmbientMismatchError(
-                f"ambient mismatch: ({self.m}, q={self.q}) vs ({other.m}, q={other.q})")
-
-    def contains(self, vector) -> bool:
-        """Membership test for a single vector."""
-        v = np.asarray(vector, dtype=np.int64) % self.q
-        stacked = FieldMatrix(np.vstack([self.basis.data, v.reshape(1, -1)]), self.q)
-        return len(rref(stacked)[1]) == self.dim
-
     def vectors(self) -> np.ndarray:
         """All q^dim member vectors, as an array of shape (q^dim, m)."""
         if self.dim == 0:
@@ -94,89 +82,20 @@ class Subspace:
                           dtype=np.int64)
         return (coeffs @ self.basis.data) % self.q
 
-    # -- lattice operations ------------------------------------------------
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return _intersect_cached(self, other)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return _sum_cached(self, other)
-
-    __and__ = intersect
-    __add__ = sum
-
     def project(self, users) -> "Subspace":
         """Image under selection of the coordinates in `users` (1-based)."""
-        cols = _user_columns(users, self.m)
+        cols = [u - 1 for u in user_indices(users, self.m)]
         return Subspace(FieldMatrix(self.basis.data[:, cols], self.q), len(cols))
 
 
-def _user_columns(users, m: int):
-    """Validate a 1-based user index set; return sorted 0-based columns."""
+def user_indices(users, m: int) -> list:
+    """Validate a 1-based user index set; return it sorted, without repeats."""
     idx = sorted(set(int(u) for u in users))
     if not idx:
         raise BadIndexSetError("index set is empty")
     if idx[0] < 1 or idx[-1] > m:
         raise BadIndexSetError(f"indices {idx} out of range 1..{m}")
-    return [u - 1 for u in idx]
-
-
-@lru_cache(maxsize=1 << 16)
-def _intersect_cached(u: Subspace, w: Subspace) -> Subspace:
-    # Null-space method: coefficient pairs (a, b) with a@U = b@W span the
-    # intersection via a@U.
-    q = u.q
-    stacked = np.vstack([u.basis.data, (-w.basis.data) % q])
-    if u.dim == 0 or w.dim == 0:
-        return Subspace.zero(u.m, q)
-    kernel = null_space(FieldMatrix(stacked.T, q))  # (du+dw) x k columns
-    coeff_a = kernel.data[: u.dim, :].T             # k x du
-    vectors = (coeff_a @ u.basis.data) % q
-    return Subspace(FieldMatrix(vectors, q), u.m)
-
-
-@lru_cache(maxsize=1 << 16)
-def _sum_cached(u: Subspace, w: Subspace) -> Subspace:
-    stacked = np.vstack([u.basis.data, w.basis.data])
-    return Subspace(FieldMatrix(stacked, u.q), u.m)
-
-
-def closure(subspaces) -> frozenset:
-    """Smallest set of subspaces containing the input and closed under
-    intersection and sum.  Finite because the subspace lattice is finite."""
-    items = list(subspaces)
-    if not items:
-        return frozenset()
-    m, q = items[0].m, items[0].q
-    for s in items[1:]:
-        if s.m != m or s.q != q:
-            raise AmbientMismatchError("subspaces have mixed ambient spaces")
-    result = set(items)
-    frontier = list(items)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(result):
-                for c in (a.intersect(b), a.sum(b)):
-                    if c not in result:
-                        result.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return frozenset(result)
-
-
-def consistency_check(subspaces, users) -> bool:
-    """True iff projection onto `users` commutes with intersection for every
-    pair in the closure of the given family."""
-    closed = sorted(closure(subspaces), key=Subspace.sort_key)
-    for a, b in itertools.combinations_with_replacement(closed, 2):
-        lhs = a.intersect(b).project(users)
-        rhs = a.project(users).intersect(b.project(users))
-        if lhs != rhs:
-            return False
-    return True
+    return idx
 
 
 def count_subspaces(m: int, d: int, q: int) -> int:
@@ -217,27 +136,3 @@ def enumerate_subspaces(m: int, d: int, q: int, cap: int = 10 ** 6):
             out.append(Subspace(FieldMatrix(mat, q), m, _canonical=True))
     out.sort(key=Subspace.sort_key)
     return out
-
-
-def orthogonal_passage_check(subspaces, users, cap: int = 10 ** 6):
-    """Search for a subspace W of dimension |users| projecting onto the full
-    space of the selected coordinates such that proj(W & V) = proj(V) for
-    every V in the family.  Returns the first such W in canonical order, or
-    None when no witness exists.
-    """
-    family = list(subspaces)
-    if not family:
-        raise ValueError("empty family")
-    m, q = family[0].m, family[0].q
-    for s in family[1:]:
-        if s.m != m or s.q != q:
-            raise AmbientMismatchError("subspaces have mixed ambient spaces")
-    cols = _user_columns(users, m)
-    d = len(cols)
-    full = Subspace.full(d, q)
-    for w in enumerate_subspaces(m, d, q, cap=cap):
-        if w.project(users) != full:
-            continue
-        if all(w.intersect(v).project(users) == v.project(users) for v in family):
-            return w
-    return None

@@ -98,6 +98,11 @@ def project_set(members_of: frozenset, users) -> frozenset:
     return frozenset(tuple(v[u - 1] for u in users) for v in members_of)
 
 
+def set_sum(a: frozenset, b: frozenset, q: int) -> frozenset:
+    """The set of pairwise sums of two member sets."""
+    return _combine(a, b, "+", q)
+
+
 def set_closure(family, q: int) -> frozenset:
     """Smallest set of member sets holding the family and closed under
     intersection and pairwise sums."""
@@ -107,7 +112,7 @@ def set_closure(family, q: int) -> frozenset:
         fresh = []
         for a in frontier:
             for b in list(closed):
-                for c in (_combine(a, b, "-", q), _combine(a, b, "+", q)):
+                for c in (a & b, set_sum(a, b, q)):
                     if c not in closed:
                         closed.add(c)
                         fresh.append(c)

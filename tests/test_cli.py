@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,16 @@ def test_exit_codes(tmp_path, five_term_file, capsys):
     assert main(["evolve", "--channel", five_term_file, "--l", "25",
                  "--mode", "enumerate"]) == 3
     capsys.readouterr()
+
+
+def test_probe_beyond_the_lattice_cap_exits_3(capsys):
+    # GF(2)^6 has 2825 subspaces, past LATTICE_CAP: the probe refuses at
+    # once, as evolve and construct do on that space.
+    start = time.perf_counter()
+    assert main(["probe-conjectures", "--q", "2", "--m", "6", "--users", "1,2",
+                 "--max-family", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "lattice cap" in capsys.readouterr().err
 
 
 def test_out_of_memory_exits_3(explicit_file, tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ from macpolar import (
     field_inv,
     is_prime,
     mat_rank,
-    null_space,
     rref,
 )
 from conftest import random_matrix
@@ -84,18 +83,6 @@ def test_rref_idempotent(rng):
         once, _ = rref(m)
         twice, _ = rref(once)
         assert once == twice
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
-def test_rank_nullity(q):
-    rng = np.random.default_rng(q)
-    for _ in range(1000):
-        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        m = random_matrix(rng, rows, cols, q)
-        ns = null_space(m)
-        assert mat_rank(m) + ns.cols == cols
-        if ns.cols:
-            assert not ((m.data @ ns.data) % q).any()
 
 
 def test_matrix_immutable():

@@ -34,7 +34,7 @@ from macpolar.linear_mac import (
 )
 from macpolar.subspace import count_subspaces
 from conftest import binary2_levels, random_combo, subsets_of
-from oracles import binary2_step, dict_levels, dict_step, members
+from oracles import binary2_step, dict_levels, dict_step, members, project_set, set_sum
 
 
 @pytest.fixture
@@ -103,16 +103,23 @@ def test_lattice_tables_match_subspace_operations(q, m, size):
     assert list(subs) == sorted(subs, key=Subspace.sort_key)
     assert all(lat.index[s] == k for k, s in enumerate(subs))
     assert lat.dims.tolist() == [s.dim for s in subs]
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            assert subs[lat.meet[i, j]] == a.intersect(b)
-            assert subs[lat.join[i, j]] == a.sum(b)
+    sets = [members(s) for s in subs]
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            assert sets[lat.meet[i, j]] == a & b
+            assert sets[lat.join[i, j]] == set_sum(a, b, q)
+    for users in subsets_of(m):
+        small, table = lat.projection(users)
+        assert [members(small.subspaces[k]) for k in table] == \
+            [project_set(a, users) for a in sets]
 
 
 def test_lattice_cap():
     assert sum(count_subspaces(6, d, 2) for d in range(7)) > LATTICE_CAP
     with pytest.raises(TooLargeError):
         subspace_lattice(2, 6)
+    with pytest.raises(TooLargeError):
+        LinearComboMac(2, 6, [(1.0, Subspace.full(6, 2))]).preserves([1, 2])
 
 
 def test_block_walk_matches_whole_levels(monkeypatch):

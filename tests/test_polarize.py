@@ -36,7 +36,7 @@ from macpolar import (
 )
 from macpolar.cli import main
 from macpolar.linear_mac import binary2_subspaces
-from macpolar.subspace import closure
+from macpolar.linear_mac import closure
 from macpolar.jsonio import load_channel as load_channel_file
 from macpolar.jsonio import load_codespec, save_codespec
 from macpolar.polarize import CodeSpec
