@@ -305,10 +305,17 @@ def _candidate_offsets(a_columns: tuple, s_users: tuple, q: int, m: int):
 
 # -- Monte Carlo harness -------------------------------------------------------------
 
-# Trials decoded together.  The decoder's likelihoods take DECODE_CHUNK *
-# 2N * q^m floats and a minus node's gather DECODE_CHUNK * N/2 * q^2m,
-# whatever the number of trials.
+# Trials decoded together: at most DECODE_CHUNK, and only as many as keep
+# a minus node's gather of chunk * N/2 * q^2m floats, plus its product
+# temporary of the same size, within GATHER_FLOATS (128 MB of float64).
+# The likelihoods, chunk * 2N * q^m floats, take less.
 DECODE_CHUNK = 64
+GATHER_FLOATS = 1 << 24
+
+
+def _decode_chunk(n: int, inputs: int) -> int:
+    """Trials per decoder batch at block length n with q^m = inputs."""
+    return max(1, min(DECODE_CHUNK, GATHER_FLOATS // (n * inputs * inputs)))
 
 
 @dataclass(frozen=True)
@@ -358,15 +365,16 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     counts a block error whenever any decoded information symbol differs.
     Per-trial generators derive from (seed, trial, stream), so runs are
     reproducible and order-independent.  Blocks are encoded and decoded
-    DECODE_CHUNK trials at a time.
+    `_decode_chunk` trials at a time.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     mask = spec.frozen_mask()
     info = ~mask
     errors = 0
-    for start in range(0, n_trials, DECODE_CHUNK):
-        trials = range(start, min(start + DECODE_CHUNK, n_trials))
+    chunk = _decode_chunk(spec.block_length, spec.q ** spec.m)
+    for start in range(0, n_trials, chunk):
+        trials = range(start, min(start + chunk, n_trials))
         frozen = np.stack([_draw(mask, spec.q, [seed, t, 1]) for t in trials])
         u = frozen + np.stack([_draw(info, spec.q, [seed, t, 0]) for t in trials])
         received = np.stack([simulate_channel(channel, x, seed=[seed, t, 2])

@@ -26,9 +26,11 @@ from macpolar import (
 from macpolar import codec
 from macpolar.codec import (
     DECODE_CHUNK,
+    GATHER_FLOATS,
     DecodeResult,
     _decide_batch,
     _decode_batch,
+    _decode_chunk,
     _inverse_cdf,
     butterfly_transform,
 )
@@ -606,3 +608,16 @@ def test_run_trials_blocks_do_not_depend_on_the_trial_count(monkeypatch):
         u_hat = sc_decode(spec, chan, received, frozen_from_seed(spec, [11, t, 1]))
         wrong.append(not np.array_equal(u_hat[info], u[info]))
     assert long.errors == sum(wrong) and short.errors == sum(wrong[:5])
+
+
+def test_decode_chunk_bounds_the_minus_gather():
+    # A minus node's gather and its product temporary take chunk * N * q^2m
+    # floats together: 1.5 GB at 64 trials for q^m = 27 and N = 4096.
+    chunk = _decode_chunk(4096, 27)
+    assert chunk == 5
+    assert chunk * 4096 * 27 ** 2 <= GATHER_FLOATS < (chunk + 1) * 4096 * 27 ** 2
+    # The codes of the `decode` benchmark workload (q^m = 4, N <= 1024)
+    # keep a full chunk.
+    for n in (16, 256, 1024):
+        assert _decode_chunk(n, 4) == DECODE_CHUNK == 64
+    assert _decode_chunk(1 << 20, 125) == 1    # at least one trial
