@@ -8,10 +8,17 @@ files each product under the intersection or sum of the two subspaces.
 Here a subspace is the set of its member vectors, so intersection is set
 intersection and the sum is the set of pairwise sums, independent of the
 library's row reduction.  Neither oracle renormalizes.  The set oracles
-at the end check the preservation condition on the same member sets.
+check the preservation condition on the same member sets.
+
+The last two are the slow forms of linear detection in code construction:
+`span_scan` tests whether the good directions form a subspace by listing
+the members of their span, and `smallest_independent_rows` picks a good
+branch's information users by a greedy rank search.
 """
 
 import numpy as np
+
+from macpolar import FieldMatrix, mat_rank
 
 
 def binary2_step(p):
@@ -139,3 +146,39 @@ def set_first_witness(family, users, q: int, candidates):
                         for v in family)):
             return w
     return None
+
+
+# -- linear detection and the information users ----------------------------------
+
+
+def span_scan(good, m: int, q: int):
+    """The member set of the span of the `good` directions (length-m tuples
+    whose first nonzero entry is 1) if every nonzero member of that span is
+    a multiple of a good direction, else None."""
+    good = set(good)
+    span = {(0,) * m}
+    for g in good:
+        span = {tuple((x + k * y) % q for x, y in zip(s, g))
+                for s in span for k in range(q)}
+    for vec in span:
+        lead = next((x for x in vec if x), 0)
+        if lead and tuple(x * pow(lead, q - 2, q) % q for x in vec) not in good:
+            return None
+    return frozenset(span)
+
+
+def smallest_independent_rows(a_columns: tuple, q: int) -> tuple:
+    """Lexicographically smallest set of row indices (1-based) whose rows of
+    the matrix with columns `a_columns` are independent and span its row
+    space, by a greedy search with one rank per row."""
+    if not a_columns:
+        return ()
+    a = np.array(a_columns, dtype=np.int64).T
+    chosen: list[int] = []
+    for row in range(a.shape[0]):
+        rows = [k - 1 for k in chosen] + [row]
+        if mat_rank(FieldMatrix(a[rows], q)) == len(rows):
+            chosen.append(row + 1)
+        if len(chosen) == a.shape[1]:
+            break
+    return tuple(chosen)

@@ -16,12 +16,10 @@ import pytest
 from macpolar import (
     BadToleranceError,
     DiscreteMac,
-    LengthMismatchError,
     LinearComboMac,
     SpecMismatchError,
     TooLargeError,
     all_sigs,
-    branch_order_cmp,
     branch_step,
     build_code,
     detect_linear,
@@ -31,7 +29,6 @@ from macpolar import (
     polarization_tree,
     projective_directions,
     run_trials,
-    sig_key,
     sum_capacity,
 )
 from macpolar.cli import main
@@ -40,7 +37,9 @@ from macpolar.linear_mac import closure
 from macpolar.jsonio import load_channel as load_channel_file
 from macpolar.jsonio import load_codespec, save_codespec
 from macpolar.polarize import CodeSpec
+from macpolar.subspace import Subspace, enumerate_subspaces
 from conftest import binary2_levels, random_mac, random_combo, subsets_of
+from oracles import members, smallest_independent_rows, span_scan
 
 FIVE = str(Path(__file__).resolve().parents[1] / "demos" / "channels"
            / "five_component.json")
@@ -57,14 +56,14 @@ def tree_level(root, depth, step=branch_step):
 
 
 def test_branch_order_examples():
-    assert branch_order_cmp("--", "++") == -1
-    assert branch_order_cmp("+-", "-+") == -1
-    assert branch_order_cmp("-+", "-+") == 0
+    assert all_sigs(0) == [""]
+    assert all_sigs(1) == ["-", "+"]
     assert all_sigs(2) == ["--", "+-", "-+", "++"]
 
 
 def test_branch_order_pairwise_consistency():
-    # the order relation: the last differing position decides, '-' < '+'
+    # all_sigs lists the signatures in the order relation: the last
+    # differing position decides, '-' < '+'
     def slow_cmp(a, b):
         for i in reversed(range(len(a))):
             if a[i] != b[i]:
@@ -72,15 +71,10 @@ def test_branch_order_pairwise_consistency():
         return 0
 
     sigs = all_sigs(3)
-    for a in sigs:
-        for b in sigs:
-            assert branch_order_cmp(a, b) == slow_cmp(a, b)
-    assert sorted(sigs, key=sig_key) == sigs
-
-
-def test_branch_order_length_mismatch():
-    with pytest.raises(LengthMismatchError):
-        branch_order_cmp("-", "--")
+    assert len(set(sigs)) == 8 and all(len(s) == 3 for s in sigs)
+    for i, a in enumerate(sigs):
+        for j, b in enumerate(sigs):
+            assert slow_cmp(a, b) == (i > j) - (i < j)
 
 
 def test_projective_directions():
@@ -232,6 +226,65 @@ def test_detect_linear_never_fails_on_pointmass_channels():
             det = detect_linear(branch, 0.2)
             assert det is not None
             assert det[1] == sub.dim
+
+
+# -- the information map against its slow forms -----------------------------
+
+# Every nonzero subspace of these spaces: 506 in all.
+PIVOT_LATTICES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+
+
+def pivot_users(a_columns):
+    """1-based pivot columns of RREF basis rows: each row's first nonzero
+    index, plus 1."""
+    return tuple(next(k for k, x in enumerate(c) if x) + 1 for c in a_columns)
+
+
+def test_pivot_columns_are_the_smallest_independent_rows():
+    seen = 0
+    for q, m in PIVOT_LATTICES:
+        for d in range(1, m + 1):
+            for sub in enumerate_subspaces(m, d, q):
+                cols = tuple(map(tuple, sub.basis.data.tolist()))
+                assert pivot_users(cols) == smallest_independent_rows(cols, q), cols
+                seen += 1
+    assert seen == 506
+
+
+def noisy_combo(rng, q, m):
+    """A random combination's table mixed with up to 20% of a random table:
+    its directions sit near 0 or 1 but rarely on them."""
+    table = random_combo(rng, q, m, max_terms=5).to_explicit().table
+    noise = rng.dirichlet(np.ones(table.shape[1]), size=table.shape[0])
+    mix = rng.uniform(0, 0.2)
+    return DiscreteMac(q, m, (1 - mix) * table + mix * noise)
+
+
+@pytest.mark.parametrize("q, m", [(2, 2), (3, 2), (2, 3)])
+def test_detection_matches_span_scan_and_row_search(q, m):
+    # The good directions form a subspace exactly when the span scan finds
+    # no bad member, and a good branch's users are the greedy row search's.
+    rng = np.random.default_rng([q, m, 9])
+    ranks, rejected = set(), 0
+    for _ in range(150):
+        chan = noisy_combo(rng, q, m)
+        stats = direction_stats(chan)
+        for eps in (0.05, 0.2, 0.4, 0.6):
+            good = [st.alpha for st in stats if st.i > 1 - eps]
+            span = span_scan(good, m, q)
+            det = detect_linear(chan, eps, stats)
+            if span is None:
+                assert det is None
+                rejected += 1
+                continue
+            cols, r = det
+            assert members(Subspace.from_vectors(cols.data.T, m, q)) == span
+            ranks.add(r)
+            branch = build_code(chan, 0, eps, z_budget=10.0).branches[0]
+            if branch.in_good_set:
+                assert branch.a_columns == tuple(map(tuple, cols.data.T.tolist()))
+                assert branch.s_users == smallest_independent_rows(branch.a_columns, q)
+    assert rejected > 0 and ranks == set(range(m + 1))
 
 
 def test_direction_stats_extremes():
