@@ -15,7 +15,6 @@ from .errors import (
     BadIndexSetError,
     BadRowSumError,
     BadToleranceError,
-    LengthMismatchError,
     MacPolarError,
     NegativeProbabilityError,
     NonFiniteError,
@@ -70,7 +69,6 @@ from .polarize import (
     CodeSpec,
     DirectionStat,
     all_sigs,
-    branch_order_cmp,
     branch_step,
     build_code,
     detect_linear,
@@ -78,7 +76,6 @@ from .polarize import (
     martingale_report,
     polarization_tree,
     projective_directions,
-    sig_key,
 )
 from .codec import (
     DecodeResult,

@@ -242,7 +242,13 @@ def _parse_grid(spec: str):
         raise BadGridError(f"{spec}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, list) or not data:
         raise BadGridError("grid file must be a non-empty JSON list of states")
-    return [tuple(float(x) for x in row) for row in data]
+    bad = BadGridError(f"{spec}: every state must be a list of 5 numbers")
+    if any(not isinstance(row, list) or len(row) != 5 for row in data):
+        raise bad
+    try:
+        return [tuple(float(x) for x in row) for row in data]
+    except (TypeError, ValueError) as exc:
+        raise bad from exc
 
 
 def cmd_probe_conjectures(args) -> int:

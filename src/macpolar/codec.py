@@ -343,8 +343,12 @@ class TrialReport:
         return dict(zip(self.CSV_COLUMNS, self.csv_row()))
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
+WILSON_Z = 1.959963984540054     # standard normal quantile at 0.975
+
+
+def wilson_interval(errors: int, trials: int):
     """95% score interval for a binomial proportion."""
+    z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     p = errors / trials

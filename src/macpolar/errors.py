@@ -70,10 +70,6 @@ class TooDeepError(MacPolarError, ValueError):
     """Requested recursion depth exceeds the enumeration cap."""
 
 
-class LengthMismatchError(MacPolarError, ValueError):
-    """Branch signatures of different lengths compared."""
-
-
 class SpecMismatchError(MacPolarError, ValueError):
     """Message, codeword or channel is inconsistent with the code spec."""
 

@@ -79,10 +79,6 @@ class FieldMatrix:
         return self.data.shape
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, q: int) -> "FieldMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), q)
-
-    @classmethod
     def identity(cls, n: int, q: int) -> "FieldMatrix":
         return cls(np.eye(n, dtype=np.int64), q)
 

@@ -25,7 +25,7 @@ import json
 
 from .errors import NonFiniteError, ParseError
 from .linear_mac import LinearComboMac
-from .mac import DiscreteMac
+from .mac import DiscreteMac, validate
 from .polarize import CodeSpec
 from .subspace import Subspace
 
@@ -54,27 +54,29 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
         raise ParseError(f"{where}: q and m must be integers") from exc
     if "rows" in data:
         rows = data["rows"]
-        if not isinstance(rows, list) or len(rows) != q ** m:
+        if (not isinstance(rows, list) or len(rows) != q ** m
+                or any(not isinstance(r, list) for r in rows)):
             raise ParseError(f"{where}: 'rows' must list q^m = {q ** m} rows")
         n_out = data.get("outputs", len(rows[0]))
-        if any(not isinstance(r, list) or len(r) != n_out for r in rows):
+        if any(len(r) != n_out for r in rows):
             raise ParseError(f"{where}: all rows must have {n_out} entries")
         try:
             mac = DiscreteMac(q, m, rows)
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
-        mac.validate()
+        validate(mac)
         return mac
     if "terms" in data:
+        if not isinstance(data["terms"], list):
+            raise ParseError(f"{where}: 'terms' must be a list")
         terms = []
         for i, term in enumerate(data["terms"]):
-            if "p" not in term or "basis" not in term:
+            if not isinstance(term, dict) or "p" not in term or "basis" not in term:
                 raise ParseError(f"{where}: term {i} needs 'p' and 'basis'")
             try:
-                sub = Subspace.from_vectors(term["basis"], m, q)
+                terms.append((float(term["p"]), Subspace.from_vectors(term["basis"], m, q)))
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: term {i}: {exc}") from exc
-            terms.append((float(term["p"]), sub))
         try:
             return LinearComboMac(q, m, terms)
         except NonFiniteError as exc:

@@ -42,6 +42,7 @@ ENUMERATE_DEPTH_CAP = 20
 EXTREMAL_TOL = 1e-3
 LATTICE_CAP = 1024          # subspaces: GF(2)^5 has 374, GF(2)^6 has 2825
 BLOCK_FLOATS = 1 << 16      # weights in one block of a wide tree level
+MAX_EXPLICIT_CELLS = 10 ** 6   # table cells `to_explicit` may build
 
 
 class LinearComboMac:
@@ -124,14 +125,15 @@ class LinearComboMac:
             raise BadIndexSetError("index set is empty")
         return consistency_check(self.subspaces(), users)
 
-    def to_explicit(self, max_cells: int = 10 ** 6) -> DiscreteMac:
+    def to_explicit(self) -> DiscreteMac:
         """Materialize the probability table; output alphabet is the disjoint
         union over terms k of GF(q)^dim(V_k), using the canonical basis of
         each subspace as the revealed linear map."""
         q, m = self.q, self.m
         n_out = sum(q ** s.dim for _, s in self.terms)
-        if q ** m * n_out > max_cells:
-            raise TooLargeError(f"table would have {q ** m * n_out} cells")
+        if q ** m * n_out > MAX_EXPLICIT_CELLS:
+            raise TooLargeError(f"table would have {q ** m * n_out} cells "
+                                f"(cap {MAX_EXPLICIT_CELLS})")
         vecs = all_vectors(q, m)
         table = np.zeros((q ** m, n_out))
         offset = 0

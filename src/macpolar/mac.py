@@ -109,18 +109,11 @@ class DiscreteMac:
         return cls(q, m, np.full((q ** m, n_outputs), 1.0 / n_outputs))
 
     # Convenience method aliases for the module-level operations.
-    def validate(self):
-        validate(self)
-        return self
-
     def mutual_info(self, users) -> float:
         return mutual_info(self, users)
 
     def sum_capacity(self) -> float:
         return sum_capacity(self)
-
-    def bhattacharyya(self) -> float:
-        return bhattacharyya(self)
 
 
 def validate(mac: DiscreteMac) -> None:

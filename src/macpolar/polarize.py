@@ -22,13 +22,14 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import LengthMismatchError, SpecMismatchError, TooLargeError
-from .gfq import FieldMatrix, field_inv, mat_rank
+from .errors import SpecMismatchError, TooLargeError
+from .gfq import FieldMatrix, mat_rank
 from .linear_mac import LinearComboMac, lattice_levels, subspace_lattice
 from .mac import (
     DEFAULT_MERGE_TOL,
     DiscreteMac,
     all_vectors,
+    bhattacharyya,
     check_merge_tol,
     merge_outputs,
     restrict,
@@ -43,32 +44,10 @@ MAX_BRANCH_OUTPUTS = 10 ** 5
 MINUS, PLUS = "-", "+"
 
 
-# -- signatures and their total order -----------------------------------------
-
-def check_sig(sig: str) -> str:
-    if any(c not in "-+" for c in sig):
-        raise ValueError(f"bad branch signature {sig!r}")
-    return sig
-
-
-def sig_key(sig: str) -> int:
-    """Integer rank of a signature in decoding order (first symbol = LSB)."""
-    check_sig(sig)
-    return sum(1 << i for i, c in enumerate(sig) if c == PLUS)
-
+# -- signatures in decoding order ----------------------------------------------
 
 def key_sig(key: int, length: int) -> str:
     return "".join(PLUS if key >> i & 1 else MINUS for i in range(length))
-
-
-def branch_order_cmp(a: str, b: str) -> int:
-    """-1, 0 or 1; the last differing position decides, '-' before '+'."""
-    check_sig(a)
-    check_sig(b)
-    if len(a) != len(b):
-        raise LengthMismatchError(f"lengths {len(a)} and {len(b)} differ")
-    ka, kb = sig_key(a), sig_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def all_sigs(length: int):
@@ -129,14 +108,6 @@ def projective_directions(q: int, m: int):
     return dirs
 
 
-def canonical_direction(vec: np.ndarray, q: int) -> tuple:
-    nz = np.nonzero(vec % q)[0]
-    if nz.size == 0:
-        raise ValueError("zero vector has no direction")
-    scale = field_inv(int(vec[nz[0]]) % q, q)
-    return tuple(((vec * scale) % q).tolist())
-
-
 @dataclass(frozen=True)
 class DirectionStat:
     alpha: tuple   # canonical direction vector
@@ -152,7 +123,7 @@ def direction_stats(channel: DiscreteMac):
         single = restrict(channel, a)
         stats.append(DirectionStat(alpha=tuple(alpha.tolist()),
                                    i=sum_capacity(single),
-                                   z=single.bhattacharyya()))
+                                   z=bhattacharyya(single)))
     return stats
 
 
@@ -160,26 +131,23 @@ def detect_linear(channel: DiscreteMac, eps: float, stats=None):
     """Find the emergent deterministic-linear part of a nearly polarized
     channel.
 
-    Collects the directions with I > 1 - eps, spans them, and verifies the
-    whole span is made of such directions.  Returns (columns matrix, rank)
-    on success -- rank 0 with an empty matrix when no direction is good --
-    and None when the good set fails to be a subspace.
+    Collects the directions with I > 1 - eps and spans them.  The good
+    directions lie in their span, so they are all of it exactly when there
+    are (q^d - 1)/(q - 1) of them, d the span's dimension.  Returns (columns
+    matrix, rank) on success -- rank 0 with an empty matrix when no
+    direction is good -- and None when the good set fails to be a subspace.
+    The columns are the span's RREF basis rows.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     if stats is None:
         stats = direction_stats(channel)
     q, m = channel.q, channel.m
-    i_of = {st.alpha: st.i for st in stats}
     good = [st.alpha for st in stats if st.i > 1 - eps]
     span = Subspace.from_vectors(good, m, q)
-    for vec in span.vectors():
-        if not vec.any():
-            continue
-        if i_of[canonical_direction(vec, q)] <= 1 - eps:
-            return None
-    cols = FieldMatrix(span.basis.data.T.copy(), q)
-    return cols, span.dim
+    if len(good) != (q ** span.dim - 1) // (q - 1):
+        return None
+    return FieldMatrix(span.basis.data.T, q), span.dim
 
 
 # -- code specification ----------------------------------------------------------
@@ -195,11 +163,6 @@ class BranchCode:
     z_sum: float
     i_branch: float
     i_detected: float
-
-    def a_matrix(self, q: int) -> FieldMatrix:
-        if self.r == 0:
-            return FieldMatrix(np.zeros((len(self.frozen), 0), dtype=np.int64), q)
-        return FieldMatrix(np.array(self.a_columns, dtype=np.int64).T, q)
 
 
 @dataclass(frozen=True)
@@ -238,6 +201,10 @@ class CodeSpec:
             raise SpecMismatchError(
                 f"spec has {len(self.branches)} branches and "
                 f"{len(self.rate_vector)} rates, expected {n} and {m}")
+        if [b.sig for b in self.branches] != all_sigs(self.l):
+            raise SpecMismatchError(
+                f"branch signatures are not the {n} of length {self.l} "
+                "in decoding order")
         for b in self.branches:
             if not (b.r == len(b.s_users) == len(b.a_columns)
                     and len(b.frozen) == m):
@@ -340,25 +307,6 @@ def _info_map_error(a_columns: tuple, s_users: tuple, q: int, m: int) -> str:
     return ""
 
 
-@lru_cache(maxsize=None)
-def _smallest_independent_rows(a_columns: tuple, q: int) -> tuple:
-    """Lexicographically smallest set of row indices (1-based) whose rows of
-    the matrix with columns `a_columns` are linearly independent and span
-    its row space; greedy is optimal for this matroid.  A code holds only
-    a handful of distinct maps."""
-    a = FieldMatrix(np.array(a_columns, dtype=np.int64).T, q)
-    chosen: list[int] = []
-    current = np.zeros((0, a.cols), dtype=np.int64)
-    for row in range(a.rows):
-        cand = np.vstack([current, a.data[row: row + 1]])
-        if mat_rank(FieldMatrix(cand, a.q)) == len(chosen) + 1:
-            chosen.append(row + 1)
-            current = cand
-        if len(chosen) == a.cols:
-            break
-    return tuple(chosen)
-
-
 def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
                z_budget: float, merge_tol: float = DEFAULT_MERGE_TOL,
                max_outputs: int = MAX_BRANCH_OUTPUTS) -> CodeSpec:
@@ -367,8 +315,10 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
     A branch joins the good set when linear detection succeeds, the
     detected information accounts for the branch's within eps both in
     value and in integer rank, and the summed direction Bhattacharyya
-    parameters stay below z_budget.  Good branches get the lexicographically
-    smallest independent user set; everything else is frozen.
+    parameters stay below z_budget.  A good branch's columns are the RREF
+    basis rows of its detected subspace, and its information users are
+    their pivot columns: the lexicographically smallest user set on which
+    the columns' rows are independent.  Everything else is frozen.
 
     A `LinearComboMac` is polarized on its subspace lattice, with exact
     statistics and no output merging: `merge_tol` is validated and recorded
@@ -393,7 +343,7 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
         in_good = (a_cols is not None and abs(i_det - i_branch) < eps
                    and abs(len(a_cols) - i_branch) < eps and z_sum < z_budget)
         if in_good:
-            s_users = _smallest_independent_rows(a_cols, q) if a_cols else ()
+            s_users = tuple(next(k for k, x in enumerate(c) if x) + 1 for c in a_cols)
             union_bound += q * z_sum
         else:
             # Fully frozen branch: no information map is stored.
@@ -472,10 +422,6 @@ class MartingaleReport:
     averages: tuple           # averages[level][subset position]
     full_set_constant: bool   # within 1e-6 of level 0
     strict_non_increasing: bool  # per strict subset, 1e-9 slack
-
-    def column(self, subset) -> list:
-        j = self.subsets.index(tuple(subset))
-        return [row[j] for row in self.averages]
 
 
 def martingale_report(channel: DiscreteMac, depth: int,

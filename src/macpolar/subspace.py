@@ -15,6 +15,8 @@ import numpy as np
 from .errors import BadIndexSetError, TooLargeError
 from .gfq import FieldMatrix, check_prime, rref
 
+LAYER_CAP = 10 ** 6     # subspaces of one dimension `enumerate_subspaces` may list
+
 
 class Subspace:
     """A subspace of GF(q)^m, canonicalized to its RREF basis rows."""
@@ -109,16 +111,16 @@ def count_subspaces(m: int, d: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(m: int, d: int, q: int, cap: int = 10 ** 6):
+def enumerate_subspaces(m: int, d: int, q: int):
     """All d-dimensional subspaces of GF(q)^m, sorted by the canonical order
     (dimension is fixed here, so lexicographic on the RREF basis).
 
-    Raises TooLargeError if the lattice layer exceeds `cap`.
+    Raises TooLargeError if the lattice layer exceeds `LAYER_CAP`.
     """
     check_prime(q)
     total = count_subspaces(m, d, q)
-    if total > cap:
-        raise TooLargeError(f"{total} subspaces of dimension {d} exceed cap {cap}")
+    if total > LAYER_CAP:
+        raise TooLargeError(f"{total} subspaces of dimension {d} exceed cap {LAYER_CAP}")
     if d == 0:
         return [Subspace.zero(m, q)]
     out = []

@@ -66,6 +66,14 @@ def test_parse_errors(tmp_path):
         channel_from_dict({"q": 2, "m": 1, "rows": [[1.0]]})
     with pytest.raises(ParseError, match="'rows' or 'terms'"):
         channel_from_dict({"q": 2, "m": 1})
+    with pytest.raises(ParseError, match="rows"):
+        channel_from_dict({"q": 2, "m": 1, "rows": [5, 6]})
+    with pytest.raises(ParseError, match="'terms' must be a list"):
+        channel_from_dict({"q": 2, "m": 2, "terms": 5})
+    with pytest.raises(ParseError, match="term 0 needs"):
+        channel_from_dict({"q": 2, "m": 2, "terms": [5]})
+    with pytest.raises(ParseError, match="term 0"):
+        channel_from_dict({"q": 2, "m": 1, "terms": [{"p": "x", "basis": []}]})
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -168,6 +176,15 @@ def test_probe_no_dominant_states(tmp_path, capsys):
                       [[0.0, 0.5, 0.3, 0.1, 0.1]])
     assert main(["probe-conjectures", "--grid", grid, "--l", "6"]) == 0
     assert "no instances" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rows", [[[0.5, 0.5]], [0.5], [[0.1] * 6],
+                                  [[0.2, 0.2, 0.2, 0.2, "x"]],
+                                  [[0.2, 0.2, 0.2, 0.2, None]]])
+def test_probe_refuses_malformed_grid_rows(tmp_path, capsys, rows):
+    grid = write_json(tmp_path / "grid.json", [[0.0, 0.5, 0.3, 0.1, 0.1], *rows])
+    assert main(["probe-conjectures", "--grid", grid, "--l", "6"]) == 2
+    assert "list of 5 numbers" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, five_term_file, capsys):

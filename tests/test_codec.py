@@ -409,7 +409,7 @@ def sc_decode_reference(spec, channel, received, frozen, genie_u=None):
 def decide_branch_reference(branch, post, frozen, q, m, powers):
     """Sequential per-direction ML over one block's candidate set; frozen
     is the branch's row of frozen symbols."""
-    a = branch.a_matrix(q)
+    a = np.array(branch.a_columns, dtype=np.int64).reshape(-1, m).T
     free = [k - 1 for k in branch.s_users]
     base = np.zeros(m, dtype=np.int64)
     for k in range(1, m + 1):
@@ -420,7 +420,7 @@ def decide_branch_reference(branch, post, frozen, q, m, powers):
     for j, coord in enumerate(free):
         cand[:, coord] = combos[:, j]
     cand_idx = cand @ powers
-    zmat = (cand @ a.data) % q
+    zmat = (cand @ a) % q
     mask = np.ones(len(cand), dtype=bool)
     for h in range(branch.r):
         scores = np.array([post[cand_idx[mask & (zmat[:, h] == z)]].sum()

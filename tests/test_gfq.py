@@ -70,8 +70,9 @@ def test_rank_examples():
 def test_rref_examples():
     r, piv = rref(FieldMatrix.identity(3, 5))
     assert r == FieldMatrix.identity(3, 5) and piv == [0, 1, 2]
-    r, piv = rref(FieldMatrix.zeros(2, 3, 2))
-    assert r == FieldMatrix.zeros(2, 3, 2) and piv == []
+    zero = FieldMatrix(np.zeros((2, 3), dtype=np.int64), 2)
+    r, piv = rref(zero)
+    assert r == zero and piv == []
     r, piv = rref(FieldMatrix([[1, 1], [1, 0]], 2))
     assert r.data.tolist() == [[1, 0], [0, 1]]
 

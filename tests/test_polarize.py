@@ -342,7 +342,7 @@ def test_martingale_report(rng):
         assert rep.averages[0][j] == pytest.approx(mutual_info(mac, s), abs=1e-12)
     assert rep.full_set_constant
     assert rep.strict_non_increasing
-    full = rep.column((1, 2))
+    full = [row[rep.subsets.index((1, 2))] for row in rep.averages]
     assert max(abs(v - full[0]) for v in full) < 1e-6
 
 
@@ -382,6 +382,9 @@ def corrupted_specs():
         "r mismatch": with_first(r=1),
         "short frozen": with_first(frozen=(0,)),
         "missing branch": dataclasses.replace(spec, branches=spec.branches[1:]),
+        "long sig": with_first(sig="+++"),
+        "bad sig": dataclasses.replace(spec, branches=(
+            first, dataclasses.replace(spec.branches[1], sig="x")) + spec.branches[2:]),
         "rate": dataclasses.replace(spec, rate_vector=(1.0, 0.75)),
         "nan sum rate": dataclasses.replace(spec, sum_rate=float("nan")),
     }

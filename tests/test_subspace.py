@@ -192,8 +192,10 @@ def test_enumeration_counts():
 
 
 def test_enumeration_cap():
+    # GF(2)^10 has 109221651 subspaces of dimension 5, past LAYER_CAP = 10^6;
+    # the count is checked before any is listed.
     with pytest.raises(TooLargeError):
-        enumerate_subspaces(4, 2, 3, cap=10)
+        enumerate_subspaces(10, 5, 2)
 
 
 def test_orthogonal_passage_examples(f22):
