@@ -132,8 +132,7 @@ class LinearComboMac:
         q, m = self.q, self.m
         n_out = sum(q ** s.dim for _, s in self.terms)
         if q ** m * n_out > MAX_EXPLICIT_CELLS:
-            raise TooLargeError(f"table would have {q ** m * n_out} cells "
-                                f"(cap {MAX_EXPLICIT_CELLS})")
+            raise TooLargeError(f"table would have {q ** m * n_out} cells")
         vecs = all_vectors(q, m)
         table = np.zeros((q ** m, n_out))
         offset = 0
