@@ -42,12 +42,16 @@ from .subspace import Subspace
 
 MAX_BRANCH_OUTPUTS = 10 ** 5
 MINUS, PLUS = "-", "+"
+_SYMBOL_OF_BIT = str.maketrans("01", MINUS + PLUS)
 
 
 # -- signatures in decoding order ----------------------------------------------
 
 def key_sig(key: int, length: int) -> str:
-    return "".join(PLUS if key >> i & 1 else MINUS for i in range(length))
+    """Signature of rank `key`: symbol i is '+' where bit i is set.  The
+    bit above the top one pads `bin` to `length` digits, and its '1' is cut
+    off with the '0b'."""
+    return bin(key | 1 << length)[3:][::-1].translate(_SYMBOL_OF_BIT)
 
 
 def all_sigs(length: int):

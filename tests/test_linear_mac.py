@@ -168,13 +168,12 @@ def test_to_explicit_examples(f22):
 def test_to_explicit_cap(f22):
     # The full space of GF(2)^m reveals every input: a 2^m x 2^m table,
     # under MAX_EXPLICIT_CELLS = 10^6 at m = 9 and over it at m = 10.
-    for m, fits in [(9, True), (10, False)]:
-        combo = LinearComboMac(2, m, [(1.0, Subspace.full(m, 2))])
-        if fits:
-            assert combo.to_explicit().output_size == 2 ** m
-        else:
-            with pytest.raises(TooLargeError):
-                combo.to_explicit()
+    def revealing(m):
+        return LinearComboMac(2, m, [(1.0, Subspace.full(m, 2))])
+
+    assert revealing(9).to_explicit().output_size == 2 ** 9
+    with pytest.raises(TooLargeError):
+        revealing(10).to_explicit()
 
 
 def test_li_mutual_info_examples(f22):
