@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import SpecMismatchError
 from .mac import DiscreteMac, add_table, all_vectors
-from .polarize import CodeSpec
+from .polarize import CodeSpec, _info_map_error
 
 
 # -- messages -------------------------------------------------------------------
@@ -134,11 +133,12 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
     `frozen` is an (N, m) array of which only the frozen positions are
     read: a message itself will do.  Branches are processed in decoding
     order.  Frozen branches copy their known symbols.  A good branch's
-    posterior is reduced direction by direction: each detected direction
-    is ML-decided from the posterior conditioned on the frozen coordinates
-    and the directions decided before it, ties resolved toward the smaller
-    field element; the information coordinates then follow by solving the
-    linear system.  The information symbols are u_hat[~spec.frozen_mask()].
+    information users are decided one at a time, in order: direction h of
+    its canonical map is user s_h's symbol plus a shift the frozen users
+    fix, and it is ML-decided from the posterior conditioned on the frozen
+    coordinates and the users decided before it, ties resolved toward the
+    smaller field element.  The information symbols are
+    u_hat[~spec.frozen_mask()].
 
     `genie_u` (the true message) makes the conditioning use true
     predecessor branches while still recording the per-branch decisions.
@@ -186,6 +186,10 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
     q, m, l = spec.q, spec.m, spec.l
     if channel.q != q or channel.m != m:
         raise SpecMismatchError("channel does not match the code spec")
+    for b in spec.branches:
+        why = b.in_good_set and _info_map_error(b.a_columns, b.s_users, q, m)
+        if why:
+            raise SpecMismatchError(f"branch {b.sig}: {why}")
     t_count, n = received.shape
     big_q = q ** m
     add = add_table(q, m)
@@ -218,7 +222,9 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
                 # Not einsum or matmul: their rounding depends on the batch
                 # shape, and a sum along the last axis rounds each row alike,
                 # so exactly tied posteriors break the same way in any batch.
-                v = (l0[:, :, add] * l1[:, :, None, :]).sum(axis=3)
+                # That needs a C-ordered gather: l0[:, :, add] puts the trial
+                # axis innermost, and the sum then runs across rows.
+                v = (np.take(l0, add, axis=2) * l1[:, :, None, :]).sum(axis=3)
         mx = v.max(axis=2, keepdims=True)
         dead = mx[:, :, 0] <= 0
         if dead.any():
@@ -257,50 +263,30 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
 
 
 def _decide_batch(branch, post, base, q, m):
-    """Sequential per-direction ML over each trial's candidate set.
+    """Sequential ML decisions on the information users of one branch.
 
     post is (T, q^m), base the (T, m) known symbols of the branch, 0 at its
-    information users.  A trial's candidates fix its frozen coordinates and
-    run over all values of the information coordinates; each detected
-    direction is decided in turn from the posterior mass of the candidates
-    still standing, ties going to the smaller field element.  Returns (T,)
-    vector indices.
+    information users.  The map is canonical (`_info_map_error`), so
+    direction h reads user s_h's symbol plus the shift c_h = (base @ A)_h
+    that the frozen users fix.  Direction h is decided from the posterior
+    mass of the vectors that agree with the earlier decisions, ties going
+    to the smaller value z; user s_h's symbol is then z - c_h.  Returns
+    (T,) vector indices.
     """
-    a, cand_off, z_off = _candidate_offsets(branch.a_columns, branch.s_users, q, m)
-    rows = np.arange(len(base))
-    cand_idx = (base @ (q ** np.arange(m)))[:, None] + cand_off       # (T, C)
-    zmat = ((base @ a)[:, :, None] + z_off) % q                       # (T, r, C)
-    mass = post[rows[:, None], cand_idx]
-    mask = np.ones(cand_idx.shape, dtype=bool)
-    values = np.arange(q)[:, None]
-    for h in range(branch.r):
-        hit = zmat[:, None, h] == values                              # (T, q, C)
-        scores = np.where(hit & mask[:, None], mass[:, None], 0.0).sum(axis=2)
-        z_hat = scores.argmax(axis=1)     # first max: ties go to the smaller z
-        mask &= hit[rows, z_hat]
-    counts = mask.sum(axis=1)
-    bad = np.nonzero(counts != 1)[0]
-    if bad.size:
-        raise SpecMismatchError(f"branch {branch.sig}: {counts[bad[0]]} candidate "
-                                "vectors fit the direction decisions, expected 1")
-    return cand_idx[rows, mask.argmax(axis=1)]
-
-
-@lru_cache(maxsize=None)
-def _candidate_offsets(a_columns: tuple, s_users: tuple, q: int, m: int):
-    """(A, index offsets, direction offsets) of one information map: A is
-    the m x r map, and candidate c, the c-th value of the information
-    coordinates, adds cand_off[c] to the vector index and z_off[:, c] to
-    the directions.  A spec holds only a handful of distinct maps.
-    Read-only."""
-    a = np.array(a_columns, dtype=np.int64).reshape(len(a_columns), m).T
-    free = [k - 1 for k in s_users]
-    combos = np.zeros((q ** len(free), m), dtype=np.int64)
-    combos[:, free] = all_vectors(q, len(free))
-    out = (a, combos @ (q ** np.arange(m)), (combos @ a).T % q)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    a = np.array(branch.a_columns, dtype=np.int64).T
+    powers = q ** np.arange(m)
+    place = powers[[k - 1 for k in branch.s_users]]      # index weight per user
+    trials = np.arange(len(base))
+    idx = base @ powers
+    shift = base @ a
+    for h, weight in enumerate(place):
+        later = all_vectors(q, len(place) - h - 1) @ place[h + 1:]
+        x = (np.arange(q) - shift[:, h, None]) % q                   # (T, q)
+        cand = (idx[:, None] + x * weight)[:, :, None] + later       # (T, q, K)
+        # First maximum: ties go to the smaller z.
+        z_hat = post[trials[:, None, None], cand].sum(axis=2).argmax(axis=1)
+        idx += x[trials, z_hat] * weight
+    return idx
 
 
 # -- Monte Carlo harness -------------------------------------------------------------

@@ -101,10 +101,6 @@ class FieldMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         return FieldMatrix(self.data @ other.data, self.q)
 
-    @property
-    def T(self) -> "FieldMatrix":
-        return FieldMatrix(self.data.T, self.q)
-
     def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.q != other.q:
             raise ValueError("moduli differ")

@@ -52,6 +52,8 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
         q, m = int(data["q"]), int(data["m"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: q and m must be integers") from exc
+    if m < 1:
+        raise ParseError(f"{where}: m must be at least 1, got {m}")
     if "rows" in data:
         rows = data["rows"]
         if (not isinstance(rows, list) or len(rows) != q ** m
@@ -88,18 +90,6 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
 
 def load_channel(path: str):
     return channel_from_dict(_load_json(path), where=path)
-
-
-def channel_to_dict(channel) -> dict:
-    if isinstance(channel, DiscreteMac):
-        return {"q": channel.q, "m": channel.m,
-                "outputs": channel.output_size,
-                "rows": channel.table.tolist()}
-    if isinstance(channel, LinearComboMac):
-        return {"q": channel.q, "m": channel.m,
-                "terms": [{"p": w, "basis": s.basis.data.tolist()}
-                          for w, s in channel.terms]}
-    raise TypeError(f"not a channel: {type(channel)!r}")
 
 
 def load_codespec(path: str) -> CodeSpec:

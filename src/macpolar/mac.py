@@ -21,12 +21,14 @@ from .errors import (
     NonFiniteError,
     NotFullRankError,
     NotSingleUserError,
+    TooLargeError,
 )
 from .gfq import FieldMatrix, check_prime, mat_rank
 from .subspace import user_indices
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_MERGE_TOL = 1e-9
+MAX_USERS = 16          # users whose 2^m - 1 subsets `user_subsets` may list
 
 
 # -- input-vector indexing ---------------------------------------------------
@@ -46,7 +48,10 @@ def all_vectors(q: int, m: int) -> np.ndarray:
 def user_subsets(m: int) -> list:
     """All non-empty 1-based user subsets as tuples, in bitmask order:
     the subset of mask b holds user k when bit k - 1 of b is set, so the
-    full set comes last."""
+    full set comes last.  Raises TooLargeError past MAX_USERS users."""
+    if m > MAX_USERS:
+        raise TooLargeError(f"{2 ** m - 1} user subsets of m={m} users exceed "
+                            f"the cap of m={MAX_USERS}")
     return [tuple(k for k in range(1, m + 1) if mask >> (k - 1) & 1)
             for mask in range(1, 2 ** m)]
 
@@ -88,25 +93,6 @@ class DiscreteMac:
 
     def __repr__(self) -> str:
         return f"DiscreteMac(q={self.q}, m={self.m}, outputs={self.output_size})"
-
-    @classmethod
-    def deterministic(cls, q: int, m: int, output_of_input) -> "DiscreteMac":
-        """Channel y = f(x) from a list mapping input index -> output index."""
-        mapping = np.asarray(output_of_input, dtype=np.int64)
-        n_out = int(mapping.max()) + 1 if mapping.size else 1
-        table = np.zeros((q ** m, n_out))
-        table[np.arange(q ** m), mapping] = 1.0
-        return cls(q, m, table)
-
-    @classmethod
-    def identity(cls, q: int, m: int) -> "DiscreteMac":
-        """Perfect channel: the output reveals the input vector."""
-        return cls.deterministic(q, m, np.arange(q ** m))
-
-    @classmethod
-    def useless(cls, q: int, m: int, n_outputs: int = 1) -> "DiscreteMac":
-        """Output independent of the input."""
-        return cls(q, m, np.full((q ** m, n_outputs), 1.0 / n_outputs))
 
     # Convenience method aliases for the module-level operations.
     def mutual_info(self, users) -> float:

@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import SpecMismatchError, TooLargeError
-from .gfq import FieldMatrix, mat_rank
+from .gfq import FieldMatrix, rref
 from .linear_mac import LinearComboMac, lattice_levels, subspace_lattice
 from .mac import (
     DEFAULT_MERGE_TOL,
@@ -294,20 +294,19 @@ class CodeSpec:
 
 @lru_cache(maxsize=None)
 def _info_map_error(a_columns: tuple, s_users: tuple, q: int, m: int) -> str:
-    """Why a branch's information map is unusable, or '' if it is not: its
-    columns must be independent, and so must their rows at the information
-    users.  A spec holds only a handful of distinct maps."""
+    """Why a branch's information map is not canonical, or '' if it is:
+    its columns must be the RREF basis rows of their span, and its
+    information users the pivot columns, plus 1.  A spec holds only a
+    handful of distinct maps."""
     if any(len(c) != m for c in a_columns):
         return f"a_columns {a_columns} are not vectors of length {m}"
-    if list(s_users) != sorted(set(s_users)) or any(not 1 <= k <= m for k in s_users):
-        return (f"information users {s_users} are not distinct users in 1..{m} "
-                "in ascending order")
-    a = FieldMatrix(np.array(a_columns, dtype=np.int64).T, q)
-    if mat_rank(a) != a.cols:
-        return f"a_columns {a_columns} are not independent"
-    rows = FieldMatrix(a.data[[k - 1 for k in s_users], :], q)
-    if mat_rank(rows) != a.cols:
-        return f"rows {s_users} of a_columns {a_columns} are not independent"
+    rows = np.array(a_columns, dtype=np.int64).reshape(-1, m)
+    red, pivots = rref(FieldMatrix(rows, q))
+    if len(pivots) != len(rows) or tuple(map(tuple, red.data.tolist())) != a_columns:
+        return f"a_columns {a_columns} are not an RREF basis"
+    if s_users != tuple(p + 1 for p in pivots):
+        return (f"information users {s_users} are not the pivot columns of "
+                f"a_columns {a_columns}")
     return ""
 
 

@@ -40,12 +40,16 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, m: int, q: int) -> "Subspace":
-        """Span of a list of length-m vectors."""
+        """Span of a list of length-m vectors; anything that is not an
+        (n, m) array raises ValueError."""
         check_prime(q)
         arr = np.array(list(vectors), dtype=np.int64)
-        if arr.size == 0:
-            arr = np.zeros((0, m), dtype=np.int64)
-        return cls(FieldMatrix(arr.reshape(-1, m), q), m)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, m)
+        if arr.ndim != 2 or arr.shape[1] != m:
+            raise ValueError(f"expected vectors of length {m}, got an array "
+                             f"of shape {arr.shape}")
+        return cls(FieldMatrix(arr, q), m)
 
     @classmethod
     def zero(cls, m: int, q: int) -> "Subspace":

@@ -18,6 +18,26 @@ def random_mac(rng, q, m, n_out):
     return DiscreteMac(q, m, table)
 
 
+def identity_mac(q, m):
+    """Perfect channel: the output reveals the input vector."""
+    return DiscreteMac(q, m, np.eye(q ** m))
+
+
+def useless_mac(q, m, n_outputs=1):
+    """Channel whose output is independent of the input."""
+    return DiscreteMac(q, m, np.full((q ** m, n_outputs), 1.0 / n_outputs))
+
+
+def channel_dict(channel):
+    """The JSON form of a channel that `jsonio.channel_from_dict` reads."""
+    if isinstance(channel, LinearComboMac):
+        return {"q": channel.q, "m": channel.m,
+                "terms": [{"p": w, "basis": s.basis.data.tolist()}
+                          for w, s in channel.terms]}
+    return {"q": channel.q, "m": channel.m, "outputs": channel.output_size,
+            "rows": channel.table.tolist()}
+
+
 def random_matrix(rng, rows, cols, q):
     return FieldMatrix(rng.integers(0, q, size=(rows, cols)), q)
 

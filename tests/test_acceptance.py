@@ -29,10 +29,10 @@ from macpolar import (
     transform_plus,
 )
 from macpolar.cli import main
-from macpolar.jsonio import channel_to_dict
 from macpolar.linear_mac import EXTREMAL_TOL, binary2_subspaces
 from oracles import binary2_step
 from conftest import (
+    channel_dict,
     random_combo,
     random_full_column_rank,
     random_mac,
@@ -383,7 +383,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     subs = binary2_subspaces()
     five = LinearComboMac(2, 2, [(0.2, s) for s in subs])
     chan = tmp_path / "five.json"
-    chan.write_text(json.dumps(channel_to_dict(five)))
+    chan.write_text(json.dumps(channel_dict(five)))
     spec_path = tmp_path / "code.json"
     assert main(["construct", "--channel", str(chan), "--l", "3",
                  "--eps", "0.2", "--z-budget", "0.05",

@@ -10,18 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macpolar import DiscreteMac, LinearComboMac, NonFiniteError, ParseError
+from macpolar import LinearComboMac, NonFiniteError, ParseError
 from macpolar import polarize
 from macpolar.cli import _parse_mode, build_parser, main
 from macpolar.jsonio import (
     channel_from_dict,
-    channel_to_dict,
     load_channel,
     load_codespec,
 )
 from macpolar.linear_mac import EXTREMAL_TOL, binary2_subspaces
 from macpolar.subspace import enumerate_subspaces
-from conftest import subsets_of
+from conftest import channel_dict, identity_mac, subsets_of
 from oracles import dict_levels, projected_dim
 
 
@@ -34,24 +33,24 @@ def write_json(path, data):
 def five_term_file(tmp_path):
     subs = binary2_subspaces()
     combo = LinearComboMac(2, 2, [(0.2, s) for s in subs])
-    return write_json(tmp_path / "five.json", channel_to_dict(combo))
+    return write_json(tmp_path / "five.json", channel_dict(combo))
 
 
 @pytest.fixture
 def explicit_file(tmp_path):
-    mac = DiscreteMac.identity(2, 2)
-    return write_json(tmp_path / "ident.json", channel_to_dict(mac))
+    mac = identity_mac(2, 2)
+    return write_json(tmp_path / "ident.json", channel_dict(mac))
 
 
 def test_channel_roundtrip(tmp_path):
     subs = binary2_subspaces()
     combo = LinearComboMac(2, 2, [(0.3, subs[1]), (0.7, subs[3])])
-    loaded = channel_from_dict(channel_to_dict(combo))
+    loaded = channel_from_dict(channel_dict(combo))
     assert isinstance(loaded, LinearComboMac)
     assert loaded.terms == combo.terms
 
-    mac = DiscreteMac.identity(3, 1)
-    loaded = channel_from_dict(channel_to_dict(mac))
+    mac = identity_mac(3, 1)
+    loaded = channel_from_dict(channel_dict(mac))
     assert np.array_equal(loaded.table, mac.table)
 
 
@@ -74,6 +73,20 @@ def test_parse_errors(tmp_path):
         channel_from_dict({"q": 2, "m": 2, "terms": [5]})
     with pytest.raises(ParseError, match="term 0"):
         channel_from_dict({"q": 2, "m": 1, "terms": [{"p": "x", "basis": []}]})
+    # A basis vector of the wrong length, and a ragged basis.
+    with pytest.raises(ParseError, match="term 0: expected vectors of length 1"):
+        channel_from_dict({"q": 2, "m": 1, "terms": [{"p": 1, "basis": [[1, 0]]}]})
+    with pytest.raises(ParseError, match="term 0"):
+        channel_from_dict({"q": 2, "m": 2, "terms": [{"p": 1, "basis": [[1, 0], [1]]}]})
+
+
+@pytest.mark.parametrize("data", [{"q": 2, "m": 0, "rows": [[1]]},
+                                  {"q": 2, "m": -1, "terms": [{"p": 1, "basis": []}]}])
+def test_channels_need_a_user(tmp_path, capsys, data):
+    with pytest.raises(ParseError, match="m must be at least 1"):
+        channel_from_dict(data)
+    assert main(["analyze", "--channel", write_json(tmp_path / "c.json", data)]) == 2
+    assert "m must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -152,7 +165,7 @@ def test_evolve_generic_users(tmp_path):
         (0.5, Subspace.full(3, 2)),
         (0.5, Subspace.from_vectors([[1, 1, 0]], 3, 2)),
     ])
-    path = write_json(tmp_path / "m3.json", channel_to_dict(combo))
+    path = write_json(tmp_path / "m3.json", channel_dict(combo))
     out = tmp_path / "m3.csv"
     assert main(["evolve", "--channel", path, "--l", "3",
                  "--out", str(out), "--no-timestamp"]) == 0
@@ -210,6 +223,17 @@ def test_probe_beyond_the_lattice_cap_exits_3(capsys):
                  "--max-family", "1"]) == 3
     assert time.perf_counter() - start < 1.0
     assert "lattice cap" in capsys.readouterr().err
+
+
+def test_analyze_past_the_user_cap_exits_3(tmp_path, capsys):
+    # 17 users have 131071 subsets, one past the cap: analyze refuses at
+    # once instead of listing them.
+    path = write_json(tmp_path / "m17.json",
+                      {"q": 2, "m": 17, "terms": [{"p": 1.0, "basis": []}]})
+    start = time.perf_counter()
+    assert main(["analyze", "--channel", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "cap of m=16" in capsys.readouterr().err
 
 
 def test_out_of_memory_exits_3(explicit_file, tmp_path, monkeypatch, capsys):
@@ -412,7 +436,7 @@ def test_uniform_gf2_3_evolve_passes_depth_9(tmp_path, capsys):
     # in the lattice engine, and the dict oracle drops them.
     subs = [s for d in range(4) for s in enumerate_subspaces(3, d, 2)]
     combo = LinearComboMac(2, 3, [(1 / 16, s) for s in subs])
-    path = write_json(tmp_path / "uniform.json", channel_to_dict(combo))
+    path = write_json(tmp_path / "uniform.json", channel_dict(combo))
     out = tmp_path / "evolve.csv"
     assert main(["evolve", "--channel", path, "--l", "9",
                  "--out", str(out), "--no-timestamp"]) == 0

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from macpolar import (
-    DiscreteMac,
     LinearComboMac,
     SpecMismatchError,
     build_code,
@@ -36,9 +35,10 @@ from macpolar.codec import (
 )
 from macpolar.jsonio import load_channel
 from macpolar.mac import add_table, all_vectors
-from macpolar.polarize import BranchCode, CodeSpec, _info_map_error, all_sigs
+from macpolar.gfq import FieldMatrix, rref
+from macpolar.polarize import BranchCode, CodeSpec, all_sigs
 from macpolar.linear_mac import binary2_subspaces
-from conftest import random_combo, random_mac
+from conftest import identity_mac, random_combo, random_full_column_rank, random_mac
 
 
 def vec_to_index(vec, q):
@@ -184,7 +184,7 @@ def test_decode_recovers_direction_on_parity_channel():
                          [(2, 1, 6, 250), (2, 2, 4, 250),
                           (3, 1, 5, 250), (3, 2, 2, 250)])
 def test_perfect_channel_round_trip(q, m, l, trials):
-    chan = DiscreteMac.identity(q, m)
+    chan = identity_mac(q, m)
     spec = build_code(chan, l, eps=0.2, z_budget=1e-9)
     assert spec.sum_rate == pytest.approx(float(m))
     for trial in range(trials):
@@ -285,27 +285,30 @@ def test_message_mismatch_errors():
     for shape in [(4,), (3, 2), (4, 3), (2, 3, 2), (1, 2, 4, 2)]:
         with pytest.raises(SpecMismatchError):
             encode(spec, np.zeros(shape, dtype=int))
-    chan = DiscreteMac.identity(2, 2)
+    chan = identity_mac(2, 2)
     frozen = frozen_from_seed(spec, 0)
     with pytest.raises(SpecMismatchError):
         sc_decode(spec, chan, np.zeros(3, dtype=int), frozen)
     with pytest.raises(SpecMismatchError):
         sc_decode(spec, chan, np.zeros(4, dtype=int), frozen[:3])
     with pytest.raises(SpecMismatchError):
-        sc_decode(spec, DiscreteMac.identity(3, 2), np.zeros(4, dtype=int), frozen)
+        sc_decode(spec, identity_mac(3, 2), np.zeros(4, dtype=int), frozen)
     with pytest.raises(SpecMismatchError):
         simulate_channel(chan, np.zeros((4, 3), dtype=int), seed=0)
 
 
 def test_decide_branch_refuses_a_non_invertible_map():
-    # Equal columns leave two candidate vectors after the direction
-    # decisions; the decoder refuses rather than picking one.
+    # Equal columns do not determine the information users; the decoder
+    # refuses a spec that holds them rather than picking a vector.
     branch = BranchCode(sig="", in_good_set=True, r=2,
                         a_columns=((1, 0), (1, 0)), s_users=(1, 2),
                         frozen=(0, 0), z_sum=0.0, i_branch=2.0, i_detected=2.0)
-    with pytest.raises(SpecMismatchError, match="2 candidate"):
-        _decide_batch(branch, np.full((3, 4), 0.25),
-                      np.zeros((3, 2), dtype=np.int64), 2, 2)
+    spec = CodeSpec(q=2, m=2, l=0, eps=0.2, z_budget=1e-9, merge_tol=1e-9,
+                    branches=(branch,), rate_vector=(1.0, 1.0), sum_rate=2.0,
+                    union_bound=0.0)
+    with pytest.raises(SpecMismatchError, match="RREF"):
+        sc_decode(spec, identity_mac(2, 2), np.zeros(1, dtype=int),
+                  np.zeros((1, 2), dtype=int))
 
 
 def test_frozen_symbols_reproducible():
@@ -434,27 +437,33 @@ def decide_branch_reference(branch, post, frozen, q, m, powers):
     return cand[chosen[0]]
 
 
+def random_canonical_map(rng, q, m, r):
+    """(a_columns, s_users) of a random canonical information map: the RREF
+    of a random full-rank r x m matrix, with its pivot columns as users."""
+    red, pivots = rref(FieldMatrix(random_full_column_rank(rng, m, r, q).data.T, q))
+    return tuple(map(tuple, red.data.tolist())), tuple(p + 1 for p in pivots)
+
+
+def good_branch(a_columns, s_users, m, sig=""):
+    r = len(s_users)
+    return BranchCode(sig=sig, in_good_set=True, r=r, a_columns=a_columns,
+                      s_users=s_users, frozen=tuple(int(k not in s_users)
+                                                    for k in range(1, m + 1)),
+                      z_sum=0.0, i_branch=float(r), i_detected=float(r))
+
+
 def random_spec(rng, q, m, l):
     """Code spec with a random mix of frozen branches and good branches
-    whose information maps are random invertible ones."""
+    whose information maps are random canonical ones."""
     branches = []
     for sig in all_sigs(l):
-        s_users = tuple(k for k in range(1, m + 1) if rng.random() < 0.6)
-        if rng.random() < 0.3 or not s_users:
+        r = int((rng.random(m) < 0.6).sum())
+        if rng.random() < 0.3 or not r:
             branches.append(BranchCode(sig=sig, in_good_set=False, r=0,
                                        a_columns=(), s_users=(), frozen=(1,) * m,
                                        z_sum=1.0, i_branch=0.0, i_detected=0.0))
             continue
-        while True:
-            cols = tuple(tuple(int(x) for x in rng.integers(0, q, size=m))
-                         for _ in s_users)
-            if not _info_map_error(cols, s_users, q, m):
-                break
-        branches.append(BranchCode(
-            sig=sig, in_good_set=True, r=len(s_users), a_columns=cols,
-            s_users=s_users, frozen=tuple(0 if k in s_users else 1
-                                          for k in range(1, m + 1)),
-            z_sum=0.0, i_branch=float(len(s_users)), i_detected=float(len(s_users))))
+        branches.append(good_branch(*random_canonical_map(rng, q, m, r), m, sig))
     n = 1 << l
     rates = tuple(sum(1 - b.frozen[k] for b in branches) / n for k in range(m))
     spec = CodeSpec(q=q, m=m, l=l, eps=0.2, z_budget=1.0, merge_tol=1e-9,
@@ -462,6 +471,24 @@ def random_spec(rng, q, m, l):
                     sum_rate=sum(b.r for b in branches) / n, union_bound=0.0)
     spec.check()
     return spec
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (2, 3), (3, 3), (2, 4)])
+def test_decisions_match_reference_on_tied_posteriors(q, m):
+    # Small integer weights make direction scores that tie exactly before
+    # normalization; after it, a tie breaks the reference's way only if the
+    # same masses are summed in the same order.
+    rng = np.random.default_rng(70 + 10 * q + m)
+    powers = q ** np.arange(m)
+    for _ in range(50):
+        r = int(rng.integers(1, m + 1))
+        branch = good_branch(*random_canonical_map(rng, q, m, r), m)
+        weights = rng.integers(1, 4, size=(40, q ** m)).astype(float)
+        post = weights / weights.sum(axis=1, keepdims=True)
+        base = rng.integers(0, q, size=(40, m)) * np.array(branch.frozen)
+        want = [decide_branch_reference(branch, p, b, q, m, powers) @ powers
+                for p, b in zip(post, base)]
+        assert _decide_batch(branch, post, base, q, m).tolist() == want
 
 
 def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
@@ -519,6 +546,21 @@ def test_batch_decoder_matches_reference(q, m):
         assert_batch_matches_reference(spec, chan, received, frozen)
 
 
+@pytest.mark.parametrize("q,m", [(2, 3), (3, 2)])
+def test_posteriors_do_not_depend_on_the_batch(q, m):
+    # Each trial's posteriors are bit for bit those of decoding it alone, so
+    # exact ties break the same way in run_trials' chunks as in sc_decode.
+    rng = np.random.default_rng(40 + q)
+    chan = random_mac(rng, q, m, 3)
+    spec = trivial_spec(q, m, 3)
+    received, frozen, _ = sampled_blocks(spec, chan, 9, 5)
+    _, posts, _ = _decode_batch(spec, chan, received, frozen, with_details=True)
+    for t in range(9):
+        _, alone, _ = _decode_batch(spec, chan, received[t:t + 1], frozen[t:t + 1],
+                                    with_details=True)
+        assert all(np.array_equal(p[t], a[0]) for p, a in zip(posts, alone))
+
+
 def test_batch_decoder_matches_reference_on_demo_codes():
     # The parity code's posteriors are exact ties between candidates;
     # the five-component code is the one criterion 9 simulates.
@@ -547,7 +589,7 @@ def test_decoder_counts_underflow_fallbacks():
                     branches=(frozen, good), rate_vector=(0.5,), sum_rate=0.5,
                     union_bound=0.0)
     spec.check()
-    chan = DiscreteMac.identity(2, 1)
+    chan = identity_mac(2, 1)
     u = message(spec, [1], frozen_seed=0)
     received = encode(spec, u)[:, 0]
     frozen = frozen_from_seed(spec, 0)

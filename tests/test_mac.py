@@ -24,7 +24,14 @@ from macpolar import (
 )
 from macpolar.linear_mac import LinearComboMac, binary2_subspaces
 from macpolar.mac import all_vectors
-from conftest import random_mac, random_full_column_rank, subsets_of, sorted_columns
+from conftest import (
+    identity_mac,
+    random_full_column_rank,
+    random_mac,
+    sorted_columns,
+    subsets_of,
+    useless_mac,
+)
 
 
 def c_v3():
@@ -33,7 +40,7 @@ def c_v3():
 
 
 def test_validate_examples():
-    validate(DiscreteMac.identity(2, 2))
+    validate(identity_mac(2, 2))
     bad = np.array([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(BadRowSumError):
         validate(DiscreteMac(2, 1, bad))
@@ -50,23 +57,23 @@ def test_validate_rejects_non_finite(value):
 
 
 def test_mutual_info_examples():
-    ident = DiscreteMac.identity(2, 2)
+    ident = identity_mac(2, 2)
     assert mutual_info(ident, [1, 2]) == pytest.approx(2.0, abs=1e-12)
-    assert mutual_info(DiscreteMac.useless(3, 2, 4), [1]) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_info(useless_mac(3, 2, 4), [1]) == pytest.approx(0.0, abs=1e-12)
     # The receiver sees x1+x2 and is handed x2, which pins x1 exactly.
     assert mutual_info(c_v3(), [1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mutual_info_bad_subset():
     with pytest.raises(BadIndexSetError):
-        mutual_info(DiscreteMac.identity(2, 2), [])
+        mutual_info(identity_mac(2, 2), [])
     with pytest.raises(BadIndexSetError):
-        mutual_info(DiscreteMac.identity(2, 2), [3])
+        mutual_info(identity_mac(2, 2), [3])
 
 
 def test_sum_capacity_examples():
-    assert sum_capacity(DiscreteMac.identity(2, 2)) == pytest.approx(2.0)
-    assert sum_capacity(DiscreteMac.useless(2, 2)) == pytest.approx(0.0)
+    assert sum_capacity(identity_mac(2, 2)) == pytest.approx(2.0)
+    assert sum_capacity(useless_mac(2, 2)) == pytest.approx(0.0)
     five = LinearComboMac(2, 2, [(0.2, s) for s in binary2_subspaces()])
     # 0.2 * (0 + 1 + 1 + 1 + 2)
     assert sum_capacity(five.to_explicit()) == pytest.approx(1.0, abs=1e-12)
@@ -82,8 +89,8 @@ def test_bounds_hold(rng):
 
 
 def test_transform_shapes_and_edge_cases():
-    perfect = DiscreteMac.identity(2, 2)
-    useless = DiscreteMac.useless(2, 2, 3)
+    perfect = identity_mac(2, 2)
+    useless = useless_mac(2, 2, 3)
     assert sum_capacity(transform_minus(useless)) == pytest.approx(0.0, abs=1e-12)
     assert sum_capacity(transform_plus(perfect)) == pytest.approx(2.0, abs=1e-12)
     # output alphabet sizes before merging
@@ -118,7 +125,7 @@ def test_restrict_identity_relabels(rng):
 
 
 def test_restrict_perfect_observation():
-    ident = DiscreteMac.identity(2, 2)
+    ident = identity_mac(2, 2)
     single = restrict(ident, FieldMatrix([[1], [0]], 2), FieldMatrix([[0], [1]], 2))
     assert single.m == 1
     assert sum_capacity(single) == pytest.approx(1.0, abs=1e-12)
@@ -159,7 +166,7 @@ def test_restrict_matches_reference_loop():
 
 def test_restrict_rank_check():
     with pytest.raises(NotFullRankError):
-        restrict(DiscreteMac.identity(2, 2),
+        restrict(identity_mac(2, 2),
                  FieldMatrix([[1], [1]], 2), FieldMatrix([[1], [1]], 2))
 
 
@@ -215,15 +222,15 @@ def test_minus_commutation_and_plus_degradation(rng):
 
 
 def test_bhattacharyya_examples():
-    assert bhattacharyya(DiscreteMac.identity(2, 1)) == pytest.approx(0.0, abs=1e-12)
-    assert bhattacharyya(DiscreteMac.useless(3, 1, 2)) == pytest.approx(1.0, abs=1e-12)
+    assert bhattacharyya(identity_mac(2, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert bhattacharyya(useless_mac(3, 1, 2)) == pytest.approx(1.0, abs=1e-12)
     flip = DiscreteMac(2, 1, [[0.75, 0.25], [0.25, 0.75]])
     assert bhattacharyya(flip) == pytest.approx(2 * np.sqrt(0.25 * 0.75), abs=1e-12)
 
 
 def test_bhattacharyya_requires_single_user():
     with pytest.raises(NotSingleUserError):
-        bhattacharyya(DiscreteMac.identity(2, 2))
+        bhattacharyya(identity_mac(2, 2))
 
 
 def test_bhattacharyya_range(rng):

@@ -22,9 +22,9 @@ from macpolar import (
     transform_plus,
 )
 from macpolar.cli import main
-from macpolar.jsonio import channel_to_dict, load_channel
+from macpolar.jsonio import load_channel
 
-from conftest import subsets_of
+from conftest import channel_dict, identity_mac, subsets_of
 
 FIVE = str(Path(__file__).resolve().parents[1] / "demos" / "channels"
            / "five_component.json")
@@ -158,7 +158,7 @@ def test_merge_matches_reference_on_five_component_tree():
 @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf])
 def test_merge_rejects_bad_tolerance(tol):
     with pytest.raises(BadToleranceError):
-        merge_outputs(DiscreteMac.identity(2, 2), tol)
+        merge_outputs(identity_mac(2, 2), tol)
 
 
 def test_merge_infinite_tolerance_merges_all(rng):
@@ -195,7 +195,7 @@ def test_construct_output_is_pinned(tmp_path):
     # the combination file itself takes the lattice path, which merges
     # nothing.
     explicit = tmp_path / "five_explicit.json"
-    explicit.write_text(json.dumps(channel_to_dict(load_channel(FIVE).to_explicit())))
+    explicit.write_text(json.dumps(channel_dict(load_channel(FIVE).to_explicit())))
     out = tmp_path / "code.json"
     assert main(["construct", "--channel", str(explicit), "--l", "6", "--eps", "0.2",
                  "--z-budget", "1e-3", "--out", str(out), "--no-timestamp"]) == 0

@@ -38,7 +38,14 @@ from macpolar.jsonio import load_channel as load_channel_file
 from macpolar.jsonio import load_codespec, save_codespec
 from macpolar.polarize import CodeSpec
 from macpolar.subspace import Subspace, enumerate_subspaces
-from conftest import binary2_levels, random_mac, random_combo, subsets_of
+from conftest import (
+    binary2_levels,
+    identity_mac,
+    random_combo,
+    random_mac,
+    subsets_of,
+    useless_mac,
+)
 from oracles import members, smallest_independent_rows, span_scan
 
 FIVE = str(Path(__file__).resolve().parents[1] / "demos" / "channels"
@@ -159,7 +166,7 @@ def test_tree_refuses_bad_merge_tol_before_any_transform(monkeypatch, tol):
 
     monkeypatch.setattr("macpolar.polarize.transform_minus", forbidden)
     monkeypatch.setattr("macpolar.polarize.transform_plus", forbidden)
-    tree = polarization_tree(DiscreteMac.identity(2, 2), 2,
+    tree = polarization_tree(identity_mac(2, 2), 2,
                              partial(branch_step, merge_tol=tol))
     assert next(tree)[0] == ""
     with pytest.raises(BadToleranceError):
@@ -192,9 +199,9 @@ def test_detect_linear_examples():
     c3 = LinearComboMac(2, 2, [(1.0, subs[3])]).to_explicit()
     cols, r = detect_linear(c3, 0.1)
     assert r == 1 and cols.data.T.tolist() == [[1, 1]]
-    _, r = detect_linear(DiscreteMac.identity(2, 2), 0.1)
+    _, r = detect_linear(identity_mac(2, 2), 0.1)
     assert r == 2
-    cols, r = detect_linear(DiscreteMac.useless(2, 2), 0.1)
+    cols, r = detect_linear(useless_mac(2, 2), 0.1)
     assert r == 0 and cols.shape == (2, 0)
 
 
@@ -300,13 +307,13 @@ def test_direction_stats_extremes():
 
 
 def test_build_code_perfect_and_useless():
-    perfect = DiscreteMac.identity(2, 2)
+    perfect = identity_mac(2, 2)
     spec = build_code(perfect, 2, eps=0.2, z_budget=1e-6)
     spec.check()
     assert spec.sum_rate == pytest.approx(2.0)
     assert all(b.in_good_set and b.r == 2 for b in spec.branches)
 
-    useless = DiscreteMac.useless(2, 2)
+    useless = useless_mac(2, 2)
     spec = build_code(useless, 2, eps=0.2, z_budget=1e-6)
     spec.check()
     assert spec.sum_rate == 0.0
@@ -362,7 +369,7 @@ def test_polarization_trend_even_levels():
 
 def corrupted_specs():
     """Code specs that each break one invariant of CodeSpec.check."""
-    spec = build_code(DiscreteMac.identity(2, 2), 2, eps=0.2, z_budget=1e-6)
+    spec = build_code(identity_mac(2, 2), 2, eps=0.2, z_budget=1e-6)
     first = spec.branches[0]
 
     def with_first(**changes):
@@ -373,11 +380,19 @@ def corrupted_specs():
     outside = dataclasses.replace(
         with_first(in_good_set=False),
         sum_rate=spec.sum_rate - first.r / spec.block_length)
+    # An invertible map whose user is not its pivot column, with the rates
+    # it implies: only the canonical form is wrong.
+    one_user = dataclasses.replace(
+        with_first(r=1, a_columns=((1, 1),), s_users=(2,), frozen=(1, 0)),
+        rate_vector=(spec.rate_vector[0] - 1 / spec.block_length, spec.rate_vector[1]),
+        sum_rate=spec.sum_rate - 1 / spec.block_length)
     return {
         "frozen flag": with_first(frozen=(1, 0)),
         "info outside good set": outside,
         "descending users": with_first(s_users=(2, 1)),
         "dependent columns": with_first(a_columns=((1, 0), (1, 0))),
+        "not RREF": with_first(a_columns=((1, 1), (0, 1))),
+        "users are not the pivots": one_user,
         "user out of range": with_first(s_users=(1, 3)),
         "r mismatch": with_first(r=1),
         "short frozen": with_first(frozen=(0,)),
