@@ -15,18 +15,35 @@ stage-wise layout of Leroux, Tal, Vardy and Gross), so its Python work
 grows with the tree, not with the number of blocks.  Likelihoods stay in
 the linear domain and are rescaled by their maximum at every node, which
 keeps deep trees away from underflow without log arithmetic.
+
+A linear combination of linear channels needs none of that arithmetic.
+Each of its outputs reveals a linear image of the input, so each column of
+its table (`to_explicit()`) is a constant on an affine set of GF(q)^m, a
+coset of a subspace.  Then every rescaled node likelihood is exactly 1.0
+on an affine set and 0 elsewhere: a minus node sums equal counts on the
+difference set S_i - S_j, a plus node keeps (S_i - sibling) & S_j, and an
+empty meet is the uniform fallback, whose minus nodes sum equal terms at
+every input.  A table whose every column passes that test takes a second
+decoder that holds one affine-set index per node and looks every node up
+in small cached tables (`_coset_tables`); its decisions come from running
+the float decoder's rule on each set's posterior, so the two decoders
+agree bit for bit.  Any other table takes the float decoder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import SpecMismatchError
+from .linear_mac import subspace_lattice
 from .mac import DiscreteMac, add_table, all_vectors
 from .polarize import CodeSpec, _info_map_error
+from .subspace import count_subspaces
 
 
 # -- messages -------------------------------------------------------------------
@@ -167,40 +184,49 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
 def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
                   frozen: np.ndarray, genie_u: np.ndarray | None = None,
                   with_details: bool = False):
-    """Decode T blocks at once, level by level.
+    """Decode T blocks at once.
 
     received is (T, N) output indices, frozen the (T, N, m) frozen symbols,
     0 at the information positions, and genie_u an optional (T, N, m)
-    true message.
-    Level k holds a (T, 2^k, q^m) likelihood array for one decoding index
-    at a time: it is recomputed from level k+1 only when a good branch
-    needs a new index there, so every trial evaluates exactly the nodes of
-    the one-block recursion.  Decided vectors are kept as indices into
-    GF(q)^m, one (T, N) array per level.
+    true message.  A channel whose every output column is constant on an
+    affine support goes to `_decode_coset`, any other to `_decode_float`;
+    both make the same decisions and return the same arrays.
 
     Returns (u_hat (T, N, m), posteriors, fallbacks): posteriors is a
     per-branch list of (T, q^m) arrays (None on undecided branches) when
     with_details is set, and fallbacks counts per trial the node rows whose
     likelihood vanished and were replaced by the uniform one.
     """
-    q, m, l = spec.q, spec.m, spec.l
+    q, m = spec.q, spec.m
     if channel.q != q or channel.m != m:
         raise SpecMismatchError("channel does not match the code spec")
     for b in spec.branches:
         why = b.in_good_set and _info_map_error(b.a_columns, b.s_users, q, m)
         if why:
             raise SpecMismatchError(f"branch {b.sig}: {why}")
+    leaves = _coset_leaves(channel)
+    if leaves is None:
+        return _decode_float(spec, channel, received, frozen, genie_u, with_details)
+    return _decode_coset(spec, leaves[received], frozen, genie_u, with_details)
+
+
+def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
+                  frozen: np.ndarray, genie_u: np.ndarray | None = None,
+                  with_details: bool = False):
+    """`_decode_batch` on likelihood arrays, for any channel.
+
+    Level k holds a (T, 2^k, q^m) likelihood array for one decoding index
+    at a time: it is recomputed from level k+1 only when a good branch
+    needs a new index there, so every trial evaluates exactly the nodes of
+    the one-block recursion.
+    """
+    q, m, l = spec.q, spec.m, spec.l
     t_count, n = received.shape
     big_q = q ** m
     add = add_table(q, m)
-    vecs = all_vectors(q, m)
-    powers = q ** np.arange(m)
-    known = frozen @ powers                          # (T, N) vector indices
-    genie = None if genie_u is None else (genie_u % q) @ powers
-
     like = [None] * (l + 1)
     stamp = [-1] * (l + 1)
-    decided = np.zeros((l + 1, t_count, n), dtype=np.int64)
+    partial = np.empty((t_count, n), dtype=np.int64)        # filled by _walk
     fallbacks = np.zeros(t_count, dtype=np.int64)
     trial = np.arange(t_count)[:, None, None]        # gather grids
     pos = [np.arange(1 << k)[None, :, None] for k in range(l)]
@@ -216,7 +242,7 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
             half = 1 << k
             l0, l1 = like[k + 1][:, :half], like[k + 1][:, half:]
             if a & 1:
-                sib = decided[k, :, (a - 1) * half: a * half]
+                sib = partial[:, (a - 1) * half: a * half]
                 v = l0[trial, pos[k], add[sib]] * l1
             else:
                 # Not einsum or matmul: their rounding depends on the batch
@@ -237,29 +263,101 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
         like[k] = v
         stamp[k] = a
 
-    u_idx = np.empty((t_count, n), dtype=np.int64)
+    def root(b: int, branch):
+        ensure(0, b)
+        post = like[0][:, 0]
+        post = post / post.sum(axis=1, keepdims=True)
+        return post, _decide_batch(branch, post, frozen[:, b], q, m)
+
+    return _walk(spec, root, partial, fallbacks, frozen, genie_u, with_details)
+
+
+def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
+                  genie_u: np.ndarray | None = None, with_details: bool = False):
+    """`_decode_batch` on affine-set indices.
+
+    leaf is (T, N): the `_coset_tables` index of each received output's
+    support.  Where every leaf likelihood is a constant on an affine set,
+    every node likelihood that `_decode_float` normalizes is exactly 1.0
+    on an affine set and 0 elsewhere, or the uniform fallback, so level k
+    holds one (T, 2^k) array of set indices and each node is a gather from
+    the tables.  The index `dead` stands for the uniform fallback.
+    """
+    q, m, l = spec.q, spec.m, spec.l
+    tab = _coset_tables(q, m)
+    t_count, n = leaf.shape
+    node = [None] * (l + 1)
+    stamp = [-1] * (l + 1)
+    partial = np.empty((t_count, n), dtype=np.int64)        # filled by _walk
+    fallbacks = np.zeros(t_count, dtype=np.int64)
+    known = frozen @ q ** np.arange(m)
+
+    def ensure(k: int, a: int):
+        """Make node[k] hold decoding index a at every position of level k."""
+        if stamp[k] == a:
+            return
+        if k == l:
+            v = leaf
+        else:
+            ensure(k + 1, a >> 1)
+            half = 1 << k
+            l0, l1 = node[k + 1][:, :half], node[k + 1][:, half:]
+            if a & 1:
+                sib = partial[:, (a - 1) * half: a * half]
+                v = tab.meet[tab.trans[l0, sib], l1]
+                dead = v == tab.dead
+                if dead.any():
+                    fallbacks[:] += dead.sum(axis=1)
+            else:
+                v = tab.minus[l0, l1]
+        node[k] = v
+        stamp[k] = a
+
+    def root(b: int, branch):
+        ensure(0, b)
+        sets = node[0][:, 0]
+        decide = _decision_table(q, m, branch.a_columns, branch.s_users)
+        return (tab.post[sets] if with_details else None), decide[sets, known[:, b]]
+
+    return _walk(spec, root, partial, fallbacks, frozen, genie_u, with_details)
+
+
+def _walk(spec: CodeSpec, root, partial: np.ndarray, fallbacks: np.ndarray,
+          frozen: np.ndarray, genie_u: np.ndarray | None, with_details: bool):
+    """The branch loop both decoders share.
+
+    root(b, branch) evaluates good branch b's node and returns its (T, q^m)
+    posterior (None is allowed when with_details is off) and its (T,)
+    decided vector indices.  partial is the (T, N) array of vector indices
+    that root reads at plus nodes: the node at level k and decoding index a
+    reads positions [(a-1) 2^k, a 2^k), which by then hold the k-stage
+    butterfly of the vectors decided there; this loop fills and keeps it.
+    """
+    q, m = spec.q, spec.m
+    add = add_table(q, m)
+    powers = q ** np.arange(m)
+    u_idx = frozen @ powers                          # (T, N) vector indices
+    # A position is read only once its branch is finished, so it can hold
+    # the frozen (or true) vector of every branch from the start.
+    partial[:] = u_idx if genie_u is None else (genie_u % q) @ powers
     posteriors = [] if with_details else None
     for b, branch in enumerate(spec.branches):
         post = None
         if branch.in_good_set and branch.r > 0:
-            ensure(0, b)
-            post = like[0][:, 0]
-            post = post / post.sum(axis=1, keepdims=True)
-            u_idx[:, b] = _decide_batch(branch, post, frozen[:, b], q, m)
-        else:
-            u_idx[:, b] = known[:, b]
+            post, u_idx[:, b] = root(b, branch)
+            if genie_u is None:
+                partial[:, b] = u_idx[:, b]
         if with_details:
             posteriors.append(post)
-        decided[0, :, b] = u_idx[:, b] if genie is None else genie[:, b]
-        # Partial sums: a butterfly over the contiguous block that the
-        # finished pair of decoding indices covers, level after level.
+        # Partial sums, in place: each finished pair of sibling blocks
+        # becomes (left + right, right), one level up, while the index of
+        # the block just finished is odd.
         k, a = 0, b
-        while a & 1 and k < l:
+        while a & 1:
             lo, mid, hi = (a - 1) << k, a << k, (a + 1) << k
-            decided[k + 1, :, lo:mid] = add[decided[k, :, lo:mid], decided[k, :, mid:hi]]
-            decided[k + 1, :, mid:hi] = decided[k, :, mid:hi]
+            partial[:, lo:mid] = add[partial[:, lo:mid], partial[:, mid:hi]]
             k, a = k + 1, a >> 1
-    return vecs[u_idx], posteriors, fallbacks
+    return all_vectors(q, m)[u_idx], posteriors, fallbacks
 
 
 def _decide_batch(branch, post, base, q, m):
@@ -287,6 +385,117 @@ def _decide_batch(branch, post, base, q, m):
         z_hat = post[trials[:, None, None], cand].sum(axis=2).argmax(axis=1)
         idx += x[trials, z_hat] * weight
     return idx
+
+
+# -- the affine-set tables of the coset decoder --------------------------------------
+
+# The coset decoder keeps an affine set as an int64 bit mask over the q^m
+# input vectors, so it takes at most COSET_INPUTS of them, and a shape whose
+# node and posterior tables hold more than COSET_CELLS cells stays on the
+# float decoder: GF(2)^4 (307 sets) needs 0.2M cells, GF(2)^5 (2451) 12M.
+COSET_INPUTS = 63
+COSET_CELLS = 1 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class CosetTables:
+    """Every affine set S_i of GF(q)^m (a coset of a `subspace_lattice`
+    subspace), with the node updates of `_decode_coset` as index tables.
+    Index `dead` = len(keys) is the uniform fallback likelihood; as an
+    operand it acts as the full space.  Read-only."""
+
+    keys: np.ndarray     # (A,) ascending; bit x set when input vector x is in S_i
+    minus: np.ndarray    # (A+1, A+1): S_i - S_j, the minus node's support
+    trans: np.ndarray    # (A+1, q^m): S_i - s
+    meet: np.ndarray     # (A+1, A+1): S_i & S_j, `dead` when it is empty
+    post: np.ndarray     # (A+1, q^m): normalized posterior of each index
+    dead: int
+
+
+def _coset_count(q: int, m: int) -> int:
+    """Affine sets of GF(q)^m: q^(m-d) cosets of each d-dim subspace."""
+    return sum(count_subspaces(m, d, q) * q ** (m - d) for d in range(m + 1))
+
+
+def _coset_fits(q: int, m: int) -> bool:
+    """Whether GF(q)^m is within COSET_INPUTS and COSET_CELLS."""
+    size = _coset_count(q, m) + 1
+    return q ** m <= COSET_INPUTS and 2 * size * (size + q ** m) <= COSET_CELLS
+
+
+@lru_cache(maxsize=None)
+def _coset_tables(q: int, m: int) -> CosetTables:
+    """The tables of GF(q)^m; the shape must pass `_coset_fits`.
+
+    Set i is K + r with K = `subspace_lattice` subspace sub[i] and r a
+    member rep[i].  Then S_i - S_j = (K_i + K_j) + (r_i - r_j), and a
+    non-empty S_i & S_j is (K_i & K_j) + x for its lowest member x, so
+    every entry is a lookup in coset[K, v], the index of K + v.
+    """
+    lat = subspace_lattice(q, m)
+    big_q = q ** m
+    vecs = all_vectors(q, m)
+    diff = add_table(q, m)[:, ((-vecs) % q) @ q ** np.arange(m)]    # u - v
+    inputs = np.arange(big_q)
+    member = (np.array(lat.masks, dtype=np.int64)[:, None] >> inputs) & 1
+    # K + v holds u when u - v lies in K.
+    masks = member[:, diff.T] @ (1 << inputs)                        # (L, q^m)
+    keys, first, coset = np.unique(masks, return_index=True, return_inverse=True)
+    coset = coset.reshape(masks.shape)
+    sub, rep = np.divmod(first, big_q)
+    dead = len(keys)
+    ii, jj = np.ix_(np.arange(dead), np.arange(dead))
+    minus = coset[lat.join[sub[ii], sub[jj]], diff[rep[ii], rep[jj]]]
+    trans = coset[sub[:, None], diff[rep]]
+    both = keys[ii] & keys[jj]
+    lowest = np.frexp((both & -both).astype(np.float64))[1] - 1
+    meet = np.where(both != 0, coset[lat.meet[sub[ii], sub[jj]], lowest], dead)
+    # The dead index is an operand like the full space, whose mask is the
+    # largest key.
+    ext = np.append(np.arange(dead), dead - 1)
+    rows = np.vstack([(keys[:, None] >> inputs) & 1, np.full((1, big_q), 1.0 / big_q)])
+    tables = CosetTables(keys=keys, minus=minus[np.ix_(ext, ext)], trans=trans[ext],
+                         meet=meet[np.ix_(ext, ext)],
+                         post=rows / rows.sum(axis=1, keepdims=True), dead=dead)
+    for arr in (tables.keys, tables.minus, tables.trans, tables.meet, tables.post):
+        arr.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _decision_table(q: int, m: int, a_columns: tuple, s_users: tuple) -> np.ndarray:
+    """(A+1, q^m) decided vector index of a good branch with this canonical
+    map, by node index and frozen base (the index of the branch's known
+    symbols, 0 at the information users; other columns hold 0).  Built by
+    `_decide_batch` on the node's posterior, so ties break as the float
+    decoder breaks them."""
+    post = _coset_tables(q, m).post
+    vecs = all_vectors(q, m)
+    bases = np.flatnonzero((vecs[:, [k - 1 for k in s_users]] == 0).all(axis=1))
+    branch = SimpleNamespace(a_columns=a_columns, s_users=s_users)
+    decided = _decide_batch(branch, np.repeat(post, len(bases), axis=0),
+                            np.tile(vecs[bases], (len(post), 1)), q, m)
+    table = np.zeros(post.shape, dtype=np.int64)
+    table[:, bases] = decided.reshape(len(post), len(bases))
+    table.setflags(write=False)
+    return table
+
+
+def _coset_leaves(channel: DiscreteMac):
+    """The `_coset_tables` index of every output column's support when each
+    column is constant on a non-empty affine support (as every column of a
+    linear combination's `to_explicit` table is) and the shape fits; None
+    otherwise, and then the channel takes the float decoder."""
+    q, m, t = channel.q, channel.m, channel.table
+    if not _coset_fits(q, m):
+        return None
+    top = t.max(axis=0)
+    if not ((top > 0).all() and ((t == top) | (t == 0)).all()):
+        return None
+    keys = _coset_tables(q, m).keys
+    support = (1 << np.arange(q ** m)) @ (t > 0)
+    at = np.minimum(np.searchsorted(keys, support), len(keys) - 1)
+    return at if (keys[at] == support).all() else None
 
 
 # -- Monte Carlo harness -------------------------------------------------------------

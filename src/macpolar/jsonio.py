@@ -26,7 +26,7 @@ import json
 from .errors import NonFiniteError, ParseError
 from .linear_mac import LinearComboMac
 from .mac import DiscreteMac, validate
-from .polarize import CodeSpec
+from .polarize import CodeSpec, _json_int, _json_ints
 from .subspace import Subspace
 
 
@@ -49,7 +49,7 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
         if key not in data:
             raise ParseError(f"{where}: missing field {key!r}")
     try:
-        q, m = int(data["q"]), int(data["m"])
+        q, m = _json_int(data["q"]), _json_int(data["m"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: q and m must be integers") from exc
     if m < 1:
@@ -76,7 +76,8 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
             if not isinstance(term, dict) or "p" not in term or "basis" not in term:
                 raise ParseError(f"{where}: term {i} needs 'p' and 'basis'")
             try:
-                terms.append((float(term["p"]), Subspace.from_vectors(term["basis"], m, q)))
+                basis = [_json_ints(v) for v in term["basis"]]
+                terms.append((float(term["p"]), Subspace.from_vectors(basis, m, q)))
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: term {i}: {exc}") from exc
         try:

@@ -17,6 +17,7 @@ branch statistic is an exact weighted sum.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -267,21 +268,24 @@ class CodeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodeSpec":
+        """The spec of a parsed JSON object; a missing field raises
+        KeyError, a malformed one TypeError or ValueError (a fractional
+        number in an integer field among them)."""
         branches = tuple(
             BranchCode(
                 sig=b["sig"],
                 in_good_set=bool(b["in_good_set"]),
-                r=int(b["r"]),
-                a_columns=tuple(tuple(int(x) for x in c) for c in b["a_columns"]),
-                s_users=tuple(int(k) for k in b["s_users"]),
-                frozen=tuple(int(f) for f in b["frozen"]),
+                r=_json_int(b["r"]),
+                a_columns=tuple(_json_ints(c) for c in b["a_columns"]),
+                s_users=_json_ints(b["s_users"]),
+                frozen=_json_ints(b["frozen"]),
                 z_sum=float(b["z_sum"]),
                 i_branch=float(b["i_branch"]),
                 i_detected=float(b["i_detected"]),
             )
             for b in d["branches"]
         )
-        return cls(q=int(d["q"]), m=int(d["m"]), l=int(d["l"]),
+        return cls(q=_json_int(d["q"]), m=_json_int(d["m"]), l=_json_int(d["l"]),
                    eps=float(d["eps"]), z_budget=float(d["z_budget"]),
                    merge_tol=float(d["merge_tol"]), branches=branches,
                    rate_vector=tuple(float(r) for r in d["rate_vector"]),
@@ -290,6 +294,24 @@ class CodeSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+
+
+def _json_int(value) -> int:
+    """An integer field of a JSON file.  int() would truncate 2.6 to 2, so
+    a float must have an integral value; anything else int() refuses
+    raises as int() does."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _json_ints(values) -> tuple:
+    """A JSON list of integers as a tuple of ints, by `_json_int`; a list of
+    Python ints, the usual case, is converted in one C-level pass."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(map(_json_int, values))
 
 
 @lru_cache(maxsize=None)

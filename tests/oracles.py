@@ -10,11 +10,16 @@ intersection and the sum is the set of pairwise sums, independent of the
 library's row reduction.  Neither oracle renormalizes.  The set oracles
 check the preservation condition on the same member sets.
 
+`affine_sets` and the `set_*` node updates check the coset decoder's
+tables: an affine set is found by testing every subset of GF(q)^m.
+
 The last two are the slow forms of linear detection in code construction:
 `span_scan` tests whether the good directions form a subspace by listing
 the members of their span, and `smallest_independent_rows` picks a good
 branch's information users by a greedy rank search.
 """
+
+import itertools
 
 import numpy as np
 
@@ -146,6 +151,37 @@ def set_first_witness(family, users, q: int, candidates):
                         for v in family)):
             return w
     return None
+
+
+# -- affine sets: the coset decoder's node updates on member sets ------------------
+
+
+def _vec_sub(u, v, q):
+    return tuple((x - y) % q for x, y in zip(u, v))
+
+
+def affine_sets(q: int, m: int) -> frozenset:
+    """Every non-empty subset S of GF(q)^m whose differences S - s, for one
+    member s, are closed under addition (a subspace, q being prime)."""
+    space = list(itertools.product(range(q), repeat=m))
+    found = set()
+    for mask in range(1, 1 << len(space)):
+        members = [v for k, v in enumerate(space) if mask >> k & 1]
+        diffs = {_vec_sub(v, members[0], q) for v in members}
+        if all(tuple((x + y) % q for x, y in zip(a, b)) in diffs
+               for a in diffs for b in diffs):
+            found.add(frozenset(members))
+    return frozenset(found)
+
+
+def set_difference(a: frozenset, b: frozenset, q: int) -> frozenset:
+    """{x - y : x in a, y in b}: the support of a minus node."""
+    return frozenset(_vec_sub(x, y, q) for x in a for y in b)
+
+
+def set_translate(a: frozenset, s, q: int) -> frozenset:
+    """{x - s : x in a}."""
+    return frozenset(_vec_sub(x, s, q) for x in a)
 
 
 # -- linear detection and the information users ----------------------------------

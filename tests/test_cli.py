@@ -200,6 +200,41 @@ def test_probe_refuses_malformed_grid_rows(tmp_path, capsys, rows):
     assert "list of 5 numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch", [{"q": 2.6}, {"m": 2.9},
+                                   {"terms": [{"p": 1.0, "basis": [[1.5, 1]]}]}])
+def test_fractional_channel_fields_are_refused(tmp_path, capsys, patch):
+    # int() would run these as q=2, m=2 and the basis [1, 1].
+    data = {"q": 2, "m": 2, "terms": [{"p": 1.0, "basis": [[1, 1]]}], **patch}
+    with pytest.raises(ParseError):
+        channel_from_dict(data)
+    assert main(["analyze", "--channel", write_json(tmp_path / "c.json", data)]) == 2
+    assert "error" in capsys.readouterr().err
+    # An integral float is an integer.
+    data = {"q": 2.0, "m": 2, "terms": [{"p": 1.0, "basis": [[1.0, 1]]}]}
+    assert channel_from_dict(data).terms == channel_from_dict(
+        {"q": 2, "m": 2, "terms": [{"p": 1.0, "basis": [[1, 1]]}]}).terms
+
+
+@pytest.mark.parametrize("patch", [
+    lambda d: d.update(q=2.6),
+    lambda d: d.update(l=1.5),
+    lambda d: d["branches"][-1].update(a_columns=[[1.7, 1.2]]),
+    lambda d: d["branches"][-1].update(frozen=[0.5, 1]),
+])
+def test_fractional_codespec_fields_are_refused(five_term_file, tmp_path, capsys, patch):
+    spec = tmp_path / "code.json"
+    assert main(["construct", "--channel", five_term_file, "--l", "1", "--eps", "0.2",
+                 "--z-budget", "1e-3", "--out", str(spec), "--no-timestamp"]) == 0
+    data = json.loads(spec.read_text())
+    patch(data)
+    bad = write_json(tmp_path / "bad.json", data)
+    with pytest.raises(ParseError, match="not an integer"):
+        load_codespec(bad)
+    assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
+                 "--trials", "2", "--seed", "1"]) == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, five_term_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

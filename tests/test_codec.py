@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from macpolar import (
+    DiscreteMac,
     LinearComboMac,
     SpecMismatchError,
     build_code,
@@ -27,9 +28,16 @@ from macpolar.codec import (
     DECODE_CHUNK,
     GATHER_FLOATS,
     DecodeResult,
+    _coset_count,
+    _coset_fits,
+    _coset_leaves,
+    _coset_tables,
     _decide_batch,
+    _decision_table,
     _decode_batch,
     _decode_chunk,
+    _decode_coset,
+    _decode_float,
     _inverse_cdf,
     butterfly_transform,
 )
@@ -37,8 +45,9 @@ from macpolar.jsonio import load_channel
 from macpolar.mac import add_table, all_vectors
 from macpolar.gfq import FieldMatrix, rref
 from macpolar.polarize import BranchCode, CodeSpec, all_sigs
-from macpolar.linear_mac import binary2_subspaces
+from macpolar.linear_mac import binary2_subspaces, subspace_lattice
 from conftest import identity_mac, random_combo, random_full_column_rank, random_mac
+from oracles import affine_sets, set_difference, set_translate
 
 
 def vec_to_index(vec, q):
@@ -663,3 +672,160 @@ def test_decode_chunk_bounds_the_minus_gather():
     for n in (16, 256, 1024):
         assert _decode_chunk(n, 4) == DECODE_CHUNK == 64
     assert _decode_chunk(1 << 20, 125) == 1    # at least one trial
+
+
+# -- the coset decoder against the float decoder ----------------------------------
+
+COSET_SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 3)]
+
+
+def assert_same_decoding(got, want):
+    """Two (u_hat, posteriors, fallbacks) results agree exactly."""
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[2], want[2])
+    assert len(got[1]) == len(want[1])
+    for g, w in zip(got[1], want[1]):
+        assert (g is None and w is None) or np.array_equal(g, w)
+
+
+def decode_both(spec, chan, received, frozen, genie=None):
+    """Both decoders on the same blocks: they must agree exactly, in
+    decisions, posteriors and fallbacks.  Returns the fallback total."""
+    want = _decode_float(spec, chan, received, frozen, genie, with_details=True)
+    got = _decode_coset(spec, _coset_leaves(chan)[received], frozen, genie,
+                        with_details=True)
+    assert_same_decoding(got, want)
+    return int(want[2].sum())
+
+
+@pytest.mark.parametrize("q,m", COSET_SHAPES)
+def test_coset_decoder_matches_float_decoder(q, m):
+    rng = np.random.default_rng(300 + 10 * q + m)
+    depth = {1: 5, 2: 3, 3: 2}[m]
+    every = subspace_lattice(q, m).subspaces
+    combos = [random_combo(rng, q, m, max_terms=2 if m == 1 else 3),
+              LinearComboMac(q, m, zip(rng.dirichlet(np.ones(len(every))).tolist(), every))]
+    fallbacks = 0
+    for rep, combo in enumerate(combos):
+        chan = combo.to_explicit()
+        for spec in (random_spec(rng, q, m, depth),
+                     build_code(combo, depth, eps=0.2, z_budget=0.5)):
+            for trials in (1, 3, DECODE_CHUNK + 1):
+                received, frozen, genie = sampled_blocks(spec, chan, trials, rep)
+                fallbacks += decode_both(spec, chan, received, frozen)
+                fallbacks += decode_both(spec, chan, received, frozen, genie)
+            # Received words the code cannot produce: empty meets.
+            received = rng.integers(0, chan.output_size, size=(20, spec.block_length))
+            frozen = np.stack([frozen_from_seed(spec, [rep, t]) for t in range(20)])
+            fallbacks += decode_both(spec, chan, received, frozen)
+    assert fallbacks > 0
+
+
+def test_fallback_posterior_is_the_float_decoders():
+    # N=2 on the noiseless GF(3)^3 channel, decoded against the wrong frozen
+    # vector: the '+' root meets an empty set.  The float decoder's posterior
+    # is then the uniform row 1/27 over its own sum, which differs in the
+    # last bit from the normalized full-space indicator.
+    q, m = 3, 3
+    ident = tuple(tuple(int(i == j) for i in range(m)) for j in range(m))
+    frozen_branch = BranchCode(sig="-", in_good_set=False, r=0, a_columns=(),
+                               s_users=(), frozen=(1,) * m, z_sum=1.0,
+                               i_branch=0.0, i_detected=0.0)
+    spec = CodeSpec(q=q, m=m, l=1, eps=0.2, z_budget=1e-9, merge_tol=1e-9,
+                    branches=(frozen_branch, good_branch(ident, (1, 2, 3), m, "+")),
+                    rate_vector=(0.5,) * m, sum_rate=1.5, union_bound=0.0)
+    spec.check()
+    chan = identity_mac(q, m)
+    u = frozen_from_seed(spec, 1)
+    u[1] = [2, 0, 1]
+    received = encode(spec, u) @ q ** np.arange(m)
+    wrong = np.where(spec.frozen_mask(), (u + 1) % q, 0)
+    res = sc_decode(spec, chan, received, wrong, with_details=True)
+    assert res.fallbacks == 1
+    uniform = np.full(q ** m, 1.0 / q ** m)
+    assert np.array_equal(res.posteriors[1], uniform / uniform.sum())
+    assert not np.array_equal(uniform / uniform.sum(), np.full(q ** m, 1.0) / q ** m)
+    assert decode_both(spec, chan, received[None], wrong[None]) == 1
+
+
+@pytest.mark.parametrize("q,m", COSET_SHAPES + [(2, 4), (7, 2)])
+def test_minus_node_over_a_fallback_row_is_flat(q, m):
+    # Why the coset decoder is exact after a fallback: the float decoder's
+    # minus node over a uniform 1/q^m row sums the same count of equal
+    # terms at every input, in positions that vary, and every such sum
+    # rounds alike, so the normalized row is exactly 1.0 everywhere.
+    tab = _coset_tables(q, m)
+    big_q = q ** m
+    sets = ((tab.keys[:, None] >> np.arange(big_q)) & 1).astype(float)
+    uniform = np.full((len(sets), big_q), 1.0 / big_q)
+    v = (np.take(sets[None], add_table(q, m), axis=2) * uniform[None, :, None, :]).sum(axis=3)
+    assert (v == v.max(axis=2, keepdims=True)).all()
+
+
+def test_decoder_routing():
+    rng = np.random.default_rng(88)
+    uneven = DiscreteMac(2, 1, [[0.5, 0.5], [0.25, 0.75]])
+    # Columns 0 and 2 are constant on three points of GF(2)^2: not affine.
+    three_points = DiscreteMac(2, 2, [[0.5, 0.0, 0.5], [0.5, 0.0, 0.5],
+                                      [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    generic = [random_mac(rng, 2, 2, 3), random_mac(rng, 3, 1, 4), uneven,
+               load_channel(str(DEMO_CHANNELS / "random_ternary.json")), three_points]
+    combos = [identity_mac(2, 2), identity_mac(3, 1), identity_mac(2, 4),
+              load_channel(str(DEMO_CHANNELS / "five_component.json")).to_explicit(),
+              random_combo(rng, 3, 2).to_explicit()]
+    for chan, coset in [(c, False) for c in generic] + [(c, True) for c in combos]:
+        leaves = _coset_leaves(chan)
+        assert (leaves is not None) == coset
+        spec = random_spec(rng, chan.q, chan.m, 2)
+        received, frozen, genie = sampled_blocks(spec, chan, 3, 1)
+        got = _decode_batch(spec, chan, received, frozen, genie, with_details=True)
+        if coset:
+            want = _decode_coset(spec, leaves[received], frozen, genie, with_details=True)
+        else:
+            want = _decode_float(spec, chan, received, frozen, genie, with_details=True)
+        assert_same_decoding(got, want)
+    # The check is one pass over a wide table: 40 000 singleton columns.
+    wide = DiscreteMac(2, 2, np.tile(np.eye(4), 10 ** 4) / 10 ** 4)
+    assert np.array_equal(_coset_leaves(wide),
+                          np.tile(_coset_leaves(identity_mac(2, 2)), 10 ** 4))
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
+def test_coset_tables_match_set_oracle(q, m):
+    tab = _coset_tables(q, m)
+    vecs = [tuple(v) for v in all_vectors(q, m).tolist()]
+    sets = [frozenset(v for x, v in enumerate(vecs) if key >> x & 1)
+            for key in tab.keys.tolist()]
+    assert frozenset(sets) == affine_sets(q, m)
+    assert len(sets) == tab.dead == _coset_count(q, m)
+    # The dead index acts as the full space.
+    as_operand = sets + [frozenset(vecs)]
+    index = {s: i for i, s in enumerate(sets)}
+    for i, a in enumerate(as_operand):
+        assert [as_operand[k] for k in tab.trans[i]] == [set_translate(a, s, q) for s in vecs]
+        for j, b in enumerate(as_operand):
+            assert tab.minus[i, j] == index[set_difference(a, b, q)]
+            assert tab.meet[i, j] == index.get(a & b, tab.dead)
+    for arr in (tab.keys, tab.minus, tab.trans, tab.meet, tab.post):
+        assert not arr.flags.writeable
+    ident = tuple(tuple(int(i == j) for i in range(m)) for j in range(m))
+    assert not _decision_table(q, m, ident, tuple(range(1, m + 1))).flags.writeable
+
+
+def test_coset_tables_size_cap(monkeypatch):
+    # GF(3)^3 and GF(2)^4 fit; GF(2)^5 (2451 sets) and GF(11)^2 (more than
+    # 63 inputs) stay on the float decoder without building a table.
+    assert [_coset_count(3, 3), _coset_count(2, 4)] == [184, 307]
+    assert _coset_fits(3, 3) and _coset_fits(2, 4)
+    assert not _coset_fits(2, 5) and not _coset_fits(11, 2)
+    before = _coset_tables.cache_info().currsize
+    assert _coset_leaves(identity_mac(2, 5)) is None
+    assert _coset_tables.cache_info().currsize == before
+    # Under a smaller cap, GF(2)^2 decodes on the float decoder.
+    chan = identity_mac(2, 2)
+    spec = trivial_spec(2, 2, 3)
+    received, frozen, _ = sampled_blocks(spec, chan, 2, 4)
+    monkeypatch.setattr(codec, "COSET_CELLS", 100)
+    assert _coset_leaves(chan) is None
+    assert_same_decoding(_decode_batch(spec, chan, received, frozen, with_details=True),
+                         _decode_float(spec, chan, received, frozen, with_details=True))
