@@ -6,15 +6,20 @@ branch b's vector; the spec's frozen mask marks the frozen positions and
 the rest carry information.  The encoder runs the butterfly recursion per
 user; stage j combines message rows whose keys differ in bit j-1, with the
 '-' slot receiving the sum.
-The decoder walks branches in decoding order and evaluates each branch's
-exact posterior over GF(q)^m by the two-node recursion the transforms
-define: a minus node convolves the two child likelihoods over the sibling
-vector, a plus node conditions on the already-decided sibling.  It decodes
-a batch of blocks at once, one likelihood array per tree level (the
-stage-wise layout of Leroux, Tal, Vardy and Gross), so its Python work
-grows with the tree, not with the number of blocks.  Likelihoods stay in
-the linear domain and are rescaled by their maximum at every node, which
-keeps deep trees away from underflow without log arithmetic.
+The decoder evaluates each good branch's exact posterior over GF(q)^m by
+the two-node recursion the transforms define: a minus node convolves the
+two child likelihoods over the sibling vector, a plus node conditions on
+the already-decided sibling.  It is one recursive walk over blocks of
+branches in decoding order, each block's minus half before its plus half.
+A block that holds no good branch is never descended (the rate-0 nodes of
+the simplified decoder of Alamdar-Yazdi and Kschischang): where its
+partial sums are read, they are the butterfly of its frozen vectors,
+known in advance, so no decision changes.  The walk decodes a batch of
+blocks at once, one array per visited node (the stage-wise layout of
+Leroux, Tal, Vardy and Gross), so its Python work grows with the visited
+nodes, not with the number of blocks.  Likelihoods stay in the linear
+domain and are rescaled by their maximum at every node, which keeps deep
+trees away from underflow without log arithmetic.
 
 A linear combination of linear channels needs none of that arithmetic.
 Each of its outputs reveals a linear image of the input, so each column of
@@ -181,30 +186,31 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
     return u_hat[0]
 
 
+# Default of `_decode_batch`'s leaves: resolve the route from the channel.
+_ROUTE = object()
+
+
 def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
                   frozen: np.ndarray, genie_u: np.ndarray | None = None,
-                  with_details: bool = False):
+                  with_details: bool = False, leaves=_ROUTE):
     """Decode T blocks at once.
 
     received is (T, N) output indices, frozen the (T, N, m) frozen symbols,
     0 at the information positions, and genie_u an optional (T, N, m)
     true message.  A channel whose every output column is constant on an
     affine support goes to `_decode_coset`, any other to `_decode_float`;
-    both make the same decisions and return the same arrays.
+    both make the same decisions and return the same arrays.  leaves is
+    `_coset_leaves(channel)` when the caller has it already.
 
     Returns (u_hat (T, N, m), posteriors, fallbacks): posteriors is a
     per-branch list of (T, q^m) arrays (None on undecided branches) when
     with_details is set, and fallbacks counts per trial the node rows whose
     likelihood vanished and were replaced by the uniform one.
     """
-    q, m = spec.q, spec.m
-    if channel.q != q or channel.m != m:
+    if channel.q != spec.q or channel.m != spec.m:
         raise SpecMismatchError("channel does not match the code spec")
-    for b in spec.branches:
-        why = b.in_good_set and _info_map_error(b.a_columns, b.s_users, q, m)
-        if why:
-            raise SpecMismatchError(f"branch {b.sig}: {why}")
-    leaves = _coset_leaves(channel)
+    if leaves is _ROUTE:
+        leaves = _coset_leaves(channel)
     if leaves is None:
         return _decode_float(spec, channel, received, frozen, genie_u, with_details)
     return _decode_coset(spec, leaves[received], frozen, genie_u, with_details)
@@ -213,63 +219,44 @@ def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
 def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
                   frozen: np.ndarray, genie_u: np.ndarray | None = None,
                   with_details: bool = False):
-    """`_decode_batch` on likelihood arrays, for any channel.
-
-    Level k holds a (T, 2^k, q^m) likelihood array for one decoding index
-    at a time: it is recomputed from level k+1 only when a good branch
-    needs a new index there, so every trial evaluates exactly the nodes of
-    the one-block recursion.
-    """
-    q, m, l = spec.q, spec.m, spec.l
-    t_count, n = received.shape
+    """`_decode_batch` on likelihood arrays, for any channel: a level-k
+    node holds (2^k, T, q^m) likelihoods, each row rescaled by its
+    maximum."""
+    q, m = spec.q, spec.m
     big_q = q ** m
     add = add_table(q, m)
-    like = [None] * (l + 1)
-    stamp = [-1] * (l + 1)
-    partial = np.empty((t_count, n), dtype=np.int64)        # filled by _walk
-    fallbacks = np.zeros(t_count, dtype=np.int64)
-    trial = np.arange(t_count)[:, None, None]        # gather grids
-    pos = [np.arange(1 << k)[None, :, None] for k in range(l)]
+    fallbacks = np.zeros(len(received), dtype=np.int64)
+    _info_maps(spec)                     # refuses a non-canonical map
 
-    def ensure(k: int, a: int):
-        """Make like[k] hold decoding index a at every position of level k."""
-        if stamp[k] == a:
-            return
-        if k == l:
-            v = channel.table.T[received]
-        else:
-            ensure(k + 1, a >> 1)
-            half = 1 << k
-            l0, l1 = like[k + 1][:, :half], like[k + 1][:, half:]
-            if a & 1:
-                sib = partial[:, (a - 1) * half: a * half]
-                v = l0[trial, pos[k], add[sib]] * l1
-            else:
-                # Not einsum or matmul: their rounding depends on the batch
-                # shape, and a sum along the last axis rounds each row alike,
-                # so exactly tied posteriors break the same way in any batch.
-                # That needs a C-ordered gather: l0[:, :, add] puts the trial
-                # axis innermost, and the sum then runs across rows.
-                v = (np.take(l0, add, axis=2) * l1[:, :, None, :]).sum(axis=3)
+    def scaled(v):
         mx = v.max(axis=2, keepdims=True)
         dead = mx[:, :, 0] <= 0
-        if dead.any():
-            fallbacks[:] += dead.sum(axis=1)
-            mx[dead] = 1.0
-            v = v / mx
-            v[dead] = 1.0 / big_q
-        else:
-            v = v / mx
-        like[k] = v
-        stamp[k] = a
+        if not dead.any():
+            return v / mx
+        fallbacks[:] += dead.sum(axis=0)
+        mx[dead] = 1.0
+        v = v / mx
+        v[dead] = 1.0 / big_q
+        return v
 
-    def root(b: int, branch):
-        ensure(0, b)
-        post = like[0][:, 0]
-        post = post / post.sum(axis=1, keepdims=True)
-        return post, _decide_batch(branch, post, frozen[:, b], q, m)
+    def minus(l0, l1):
+        # Not einsum or matmul: their rounding depends on the batch shape,
+        # and a sum along the last axis rounds each row alike, so exactly
+        # tied posteriors break the same way in any batch.  That needs a
+        # C-ordered gather: l0[:, :, add] may put another axis innermost, and
+        # the sum then runs across rows.
+        return scaled((np.take(l0, add, axis=2) * l1[:, :, None, :]).sum(axis=3))
 
-    return _walk(spec, root, partial, fallbacks, frozen, genie_u, with_details)
+    def plus(l0, l1, sib):
+        return scaled(np.take_along_axis(l0, add[sib], axis=2) * l1)
+
+    def leaf(b, v):
+        post = v[0] / v[0].sum(axis=1, keepdims=True)
+        return post, _decide_batch(spec.branches[b], post, frozen[:, b], q, m)
+
+    u_hat, posteriors = _walk(spec, lambda: scaled(channel.table.T[received.T]),
+                              minus, plus, leaf, frozen, genie_u, with_details)
+    return u_hat, posteriors, fallbacks
 
 
 def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
@@ -279,85 +266,134 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
     leaf is (T, N): the `_coset_tables` index of each received output's
     support.  Where every leaf likelihood is a constant on an affine set,
     every node likelihood that `_decode_float` normalizes is exactly 1.0
-    on an affine set and 0 elsewhere, or the uniform fallback, so level k
-    holds one (T, 2^k) array of set indices and each node is a gather from
+    on an affine set and 0 elsewhere, or the uniform fallback, so a
+    level-k node is one (2^k, T) array of set indices, each a gather from
     the tables.  The index `dead` stands for the uniform fallback.
     """
-    q, m, l = spec.q, spec.m, spec.l
+    q, m = spec.q, spec.m
     tab = _coset_tables(q, m)
-    t_count, n = leaf.shape
-    node = [None] * (l + 1)
-    stamp = [-1] * (l + 1)
-    partial = np.empty((t_count, n), dtype=np.int64)        # filled by _walk
-    fallbacks = np.zeros(t_count, dtype=np.int64)
-    known = frozen @ q ** np.arange(m)
+    fallbacks = np.zeros(len(leaf), dtype=np.int64)
+    # Plus nodes one or two branches wide, the most numerous, are checked for
+    # an empty meet together at the end; they take at most N T indices.
+    narrow = [np.zeros((0, len(leaf)), dtype=np.int64)]
+    known = (frozen @ q ** np.arange(m)).T
+    decide = [None] * spec.block_length
+    for (columns, users), where in _info_maps(spec).items():
+        if users:                   # branches without information are not decided
+            table = _decision_table(q, m, columns, users)
+            for b in where:
+                decide[b] = table
 
-    def ensure(k: int, a: int):
-        """Make node[k] hold decoding index a at every position of level k."""
-        if stamp[k] == a:
-            return
-        if k == l:
-            v = leaf
+    def minus(l0, l1):
+        return tab.minus[l0, l1]
+
+    def count_dead(v):
+        fallbacks[:] += (v == tab.dead).sum(axis=0)
+
+    def plus(l0, l1, sib):
+        v = tab.meet[tab.trans[l0, sib], l1]
+        if len(v) > 2:
+            count_dead(v)
         else:
-            ensure(k + 1, a >> 1)
-            half = 1 << k
-            l0, l1 = node[k + 1][:, :half], node[k + 1][:, half:]
-            if a & 1:
-                sib = partial[:, (a - 1) * half: a * half]
-                v = tab.meet[tab.trans[l0, sib], l1]
-                dead = v == tab.dead
-                if dead.any():
-                    fallbacks[:] += dead.sum(axis=1)
-            else:
-                v = tab.minus[l0, l1]
-        node[k] = v
-        stamp[k] = a
+            narrow.append(v)
+        return v
 
-    def root(b: int, branch):
-        ensure(0, b)
-        sets = node[0][:, 0]
-        decide = _decision_table(q, m, branch.a_columns, branch.s_users)
-        return (tab.post[sets] if with_details else None), decide[sets, known[:, b]]
+    def decided(b, v):
+        sets = v[0]
+        return (tab.post[sets] if with_details else None), decide[b][sets, known[b]]
 
-    return _walk(spec, root, partial, fallbacks, frozen, genie_u, with_details)
+    u_hat, posteriors = _walk(spec, lambda: leaf.T, minus, plus, decided, frozen,
+                              genie_u, with_details)
+    count_dead(np.vstack(narrow))
+    return u_hat, posteriors, fallbacks
 
 
-def _walk(spec: CodeSpec, root, partial: np.ndarray, fallbacks: np.ndarray,
-          frozen: np.ndarray, genie_u: np.ndarray | None, with_details: bool):
-    """The branch loop both decoders share.
+def _info_maps(spec: CodeSpec) -> dict:
+    """{(a_columns, s_users): indices of the good branches with that map},
+    in order of first use.  Raises SpecMismatchError naming the first good
+    branch whose map `_info_map_error` refuses, checking each distinct map
+    once."""
+    maps = {}
+    for b, branch in enumerate(spec.branches):
+        if branch.in_good_set:
+            maps.setdefault((branch.a_columns, branch.s_users), []).append(b)
+    for (columns, users), where in maps.items():
+        why = _info_map_error(columns, users, spec.q, spec.m)
+        if why:
+            raise SpecMismatchError(f"branch {spec.branches[where[0]].sig}: {why}")
+    return maps
 
-    root(b, branch) evaluates good branch b's node and returns its (T, q^m)
-    posterior (None is allowed when with_details is off) and its (T,)
-    decided vector indices.  partial is the (T, N) array of vector indices
-    that root reads at plus nodes: the node at level k and decoding index a
-    reads positions [(a-1) 2^k, a 2^k), which by then hold the k-stage
-    butterfly of the vectors decided there; this loop fills and keeps it.
+
+def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
+          genie_u: np.ndarray | None, with_details: bool):
+    """The recursive successive-cancellation walk both decoders share.
+
+    Block a of level k holds branches [a 2^k, (a+1) 2^k); its node values
+    are (2^k, T, ...), position first, so that a block is a slice of rows,
+    and top() gives the level-l block's.  minus(l0, l1) and plus(l0, l1,
+    sib) give a child's values from the two halves of its parent's, plus
+    reading sib, the left sibling's partial sums: the (2^k, T) k-stage
+    butterfly of the vector indices decided there.
+    leaf(b, v) gives good branch b's (T, q^m) posterior (None is allowed
+    when with_details is off) and its (T,) decided vector indices.
+
+    A block without a good branch is never descended: its partial sums,
+    when read, are the butterfly of its frozen (or true) vectors, done in
+    its k stages at once.  Every other node is evaluated exactly once,
+    as the one-block recursion evaluates it.  Returns (u_hat, posteriors).
     """
     q, m = spec.q, spec.m
     add = add_table(q, m)
     powers = q ** np.arange(m)
-    u_idx = frozen @ powers                          # (T, N) vector indices
+    u_idx = (frozen @ powers).T.copy()               # (N, T) vector indices
     # A position is read only once its branch is finished, so it can hold
     # the frozen (or true) vector of every branch from the start.
-    partial[:] = u_idx if genie_u is None else (genie_u % q) @ powers
-    posteriors = [] if with_details else None
-    for b, branch in enumerate(spec.branches):
-        post = None
-        if branch.in_good_set and branch.r > 0:
-            post, u_idx[:, b] = root(b, branch)
-            if genie_u is None:
-                partial[:, b] = u_idx[:, b]
-        if with_details:
-            posteriors.append(post)
-        # Partial sums, in place: each finished pair of sibling blocks
-        # becomes (left + right, right), one level up, while the index of
-        # the block just finished is odd.
-        k, a = 0, b
-        while a & 1:
-            lo, mid, hi = (a - 1) << k, a << k, (a + 1) << k
-            partial[:, lo:mid] = add[partial[:, lo:mid], partial[:, mid:hi]]
-            k, a = k + 1, a >> 1
-    return all_vectors(q, m)[u_idx], posteriors, fallbacks
+    partial = u_idx.copy() if genie_u is None else ((genie_u % q) @ powers).T.copy()
+    posteriors = [None] * len(spec.branches) if with_details else None
+    # Good branches before each position: block [lo, hi) holds one when
+    # ahead[hi] > ahead[lo].
+    ahead = [0]
+    for branch in spec.branches:
+        ahead.append(ahead[-1] + (branch.in_good_set and branch.r > 0))
+
+    def settle(lo: int, k: int):
+        """The k-stage butterfly of partial[lo:lo + 2^k], in place."""
+        block = partial[lo:lo + (1 << k)]
+        j = 1
+        while j < 1 << k:
+            # Row c*2j + j + d is the '+' sibling of row c*2j + d.
+            pairs = block.reshape(-1, 2, j, block.shape[1])
+            pairs[:, 0] = add[pairs[:, 0], pairs[:, 1]]
+            j <<= 1
+
+    def sc(k: int, lo: int, v, need: bool):
+        """Decode the level-k block starting at branch lo from its node
+        values v; when need is set, leave its k-stage partial sums."""
+        if k == 0:
+            post, u_idx[lo] = leaf(lo, v)
+            if need and genie_u is None:
+                partial[lo] = u_idx[lo]
+            if with_details:
+                posteriors[lo] = post
+            return
+        half = 1 << (k - 1)
+        mid, hi = lo + half, lo + 2 * half
+        l0, l1 = v[:half], v[half:]
+        right = ahead[hi] > ahead[mid]
+        if ahead[mid] > ahead[lo]:
+            sc(k - 1, lo, minus(l0, l1), need or right)
+        else:                   # then the right block holds the good branches
+            settle(lo, k - 1)
+        if right:
+            sc(k - 1, mid, plus(l0, l1, partial[lo:mid]), need)
+        elif need:
+            settle(mid, k - 1)
+        if need:
+            partial[lo:mid] = add[partial[lo:mid], partial[mid:hi]]
+
+    if ahead[-1]:
+        sc(spec.l, 0, top(), False)
+    return all_vectors(q, m)[u_idx.T.copy()], posteriors
 
 
 def _decide_batch(branch, post, base, q, m):
@@ -500,16 +536,18 @@ def _coset_leaves(channel: DiscreteMac):
 
 # -- Monte Carlo harness -------------------------------------------------------------
 
-# Trials decoded together: at most DECODE_CHUNK, and only as many as keep
-# a minus node's gather of chunk * N/2 * q^2m floats, plus its product
-# temporary of the same size, within GATHER_FLOATS (128 MB of float64).
-# The likelihoods, chunk * 2N * q^m floats, take less.
+# Trials decoded together: at most DECODE_CHUNK, and on the float decoder
+# only as many as keep a minus node's gather of chunk * N/2 * q^2m floats,
+# plus its product temporary of the same size, within GATHER_FLOATS (128 MB
+# of float64); its likelihoods, chunk * 2N * q^m floats, take less.  The
+# coset decoder's largest arrays are the chunk * N * m message symbols,
+# held to the same budget.
 DECODE_CHUNK = 64
 GATHER_FLOATS = 1 << 24
 
 
 def _decode_chunk(n: int, inputs: int) -> int:
-    """Trials per decoder batch at block length n with q^m = inputs."""
+    """Trials per float-decoder batch at block length n with q^m = inputs."""
     return max(1, min(DECODE_CHUNK, GATHER_FLOATS // (n * inputs * inputs)))
 
 
@@ -564,21 +602,26 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     counts a block error whenever any decoded information symbol differs.
     Per-trial generators derive from (seed, trial, stream), so runs are
     reproducible and order-independent.  Blocks are encoded and decoded
-    `_decode_chunk` trials at a time.
+    a chunk of trials at a time (see DECODE_CHUNK).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     mask = spec.frozen_mask()
     info = ~mask
     errors = 0
-    chunk = _decode_chunk(spec.block_length, spec.q ** spec.m)
+    n = spec.block_length
+    leaves = _coset_leaves(channel)
+    if leaves is None:
+        chunk = _decode_chunk(n, spec.q ** spec.m)
+    else:
+        chunk = max(1, min(DECODE_CHUNK, GATHER_FLOATS // (n * spec.m)))
     for start in range(0, n_trials, chunk):
         trials = range(start, min(start + chunk, n_trials))
         frozen = np.stack([_draw(mask, spec.q, [seed, t, 1]) for t in trials])
         u = frozen + np.stack([_draw(info, spec.q, [seed, t, 0]) for t in trials])
         received = np.stack([simulate_channel(channel, x, seed=[seed, t, 2])
                              for t, x in zip(trials, encode(spec, u))])
-        u_hat, _, _ = _decode_batch(spec, channel, received, frozen)
+        u_hat, _, _ = _decode_batch(spec, channel, received, frozen, leaves=leaves)
         errors += int((u_hat != u)[:, info].any(axis=1).sum())
     bler = errors / n_trials
     lo, hi = wilson_interval(errors, n_trials)

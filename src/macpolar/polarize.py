@@ -210,6 +210,7 @@ class CodeSpec:
             raise SpecMismatchError(
                 f"branch signatures are not the {n} of length {self.l} "
                 "in decoding order")
+        map_errors = {}           # each distinct map is checked once
         for b in self.branches:
             if not (b.r == len(b.s_users) == len(b.a_columns)
                     and len(b.frozen) == m):
@@ -227,7 +228,10 @@ class CodeSpec:
                     raise SpecMismatchError(
                         f"branch {b.sig}: information users {b.s_users} on a "
                         "branch outside the good set")
-                why = _info_map_error(b.a_columns, b.s_users, self.q, m)
+                key = (b.a_columns, b.s_users)
+                if key not in map_errors:
+                    map_errors[key] = _info_map_error(*key, self.q, m)
+                why = map_errors[key]
                 if why:
                     raise SpecMismatchError(f"branch {b.sig}: {why}")
         for k in range(1, m + 1):

@@ -461,13 +461,18 @@ def good_branch(a_columns, s_users, m, sig=""):
                       z_sum=0.0, i_branch=float(r), i_detected=float(r))
 
 
-def random_spec(rng, q, m, l):
+def random_spec(rng, q, m, l, good=None):
     """Code spec with a random mix of frozen branches and good branches
-    whose information maps are random canonical ones."""
+    whose information maps are random canonical ones; `good`, when given,
+    lists the indices of the good branches."""
     branches = []
-    for sig in all_sigs(l):
-        r = int((rng.random(m) < 0.6).sum())
-        if rng.random() < 0.3 or not r:
+    for i, sig in enumerate(all_sigs(l)):
+        if good is None:
+            r = int((rng.random(m) < 0.6).sum())
+            r = 0 if rng.random() < 0.3 else r
+        else:
+            r = int(rng.integers(1, m + 1)) if i in good else 0
+        if not r:
             branches.append(BranchCode(sig=sig, in_good_set=False, r=0,
                                        a_columns=(), s_users=(), frozen=(1,) * m,
                                        z_sum=1.0, i_branch=0.0, i_detected=0.0))
@@ -480,6 +485,15 @@ def random_spec(rng, q, m, l):
                     sum_rate=sum(b.r for b in branches) / n, union_bound=0.0)
     spec.check()
     return spec
+
+
+def subtree_specs(rng, q, m, l):
+    """Specs whose frozen branches fill whole subtrees: no good branch,
+    only the last one, and good branches in the upper half only, which
+    leaves the lower half (2^(l-1) branches) frozen."""
+    n = 1 << l
+    upper = [i for i in range(n // 2, n) if rng.random() < 0.6] or [n - 1]
+    return [random_spec(rng, q, m, l, good) for good in ([], [n - 1], upper)]
 
 
 @pytest.mark.parametrize("q,m", [(3, 2), (2, 3), (3, 3), (2, 4)])
@@ -543,6 +557,8 @@ def test_batch_decoder_matches_reference(q, m):
     cases = [(random_spec(rng, q, m, depth), explicit),
              (random_spec(rng, q, m, depth), combo),
              (build_code(combo, depth, eps=0.2, z_budget=0.5), combo)]
+    subtrees = subtree_specs(np.random.default_rng(2000 * q + m), q, m, depth)
+    cases += [(spec, chan) for spec in subtrees for chan in (explicit, combo)]
     for spec, chan in cases:
         n = spec.block_length
         for trials in (1, 3, DECODE_CHUNK + 1):
@@ -661,6 +677,38 @@ def test_run_trials_blocks_do_not_depend_on_the_trial_count(monkeypatch):
     assert long.errors == sum(wrong) and short.errors == sum(wrong[:5])
 
 
+def test_run_trials_chunk_follows_the_decoder(monkeypatch):
+    # The coset decoder holds O(T N m) integers and no minus-node gather,
+    # so a GF(3)^3 combination at N=512 decodes 50 trials in one batch,
+    # where a generic channel keeps _decode_chunk(512, 27) = 44.  Each
+    # run_trials call resolves the route once.
+    rng = np.random.default_rng(512)
+    spec = random_spec(rng, 3, 3, 9)
+    combo = random_combo(rng, 3, 3).to_explicit()
+    generic = random_mac(rng, 3, 3, 4)
+    resolve = codec._coset_leaves
+    routes, seen = [], []
+
+    def counting(channel):
+        routes.append(channel)
+        return resolve(channel)
+
+    def recording(spec, channel, received, frozen, leaves):
+        seen.append(len(received))
+        if leaves is None:      # spare the float decoder's 44-trial gathers
+            return np.zeros(frozen.shape, dtype=np.int64), None, None
+        return _decode_batch(spec, channel, received, frozen, leaves=leaves)
+
+    monkeypatch.setattr(codec, "_coset_leaves", counting)
+    monkeypatch.setattr(codec, "_decode_batch", recording)
+    assert _decode_chunk(512, 27) == 44 and resolve(combo) is not None
+    run_trials(spec, combo, 50, seed=2)
+    assert seen == [50] and routes == [combo]
+    seen.clear()
+    run_trials(spec, generic, 50, seed=2)
+    assert seen == [44, 6] and routes == [combo, generic]
+
+
 def test_decode_chunk_bounds_the_minus_gather():
     # A minus node's gather and its product temporary take chunk * N * q^2m
     # floats together: 1.5 GB at 64 trials for q^m = 27 and N = 4096.
@@ -705,11 +753,12 @@ def test_coset_decoder_matches_float_decoder(q, m):
     every = subspace_lattice(q, m).subspaces
     combos = [random_combo(rng, q, m, max_terms=2 if m == 1 else 3),
               LinearComboMac(q, m, zip(rng.dirichlet(np.ones(len(every))).tolist(), every))]
+    subtrees = subtree_specs(np.random.default_rng(400 + 10 * q + m), q, m, depth)
     fallbacks = 0
     for rep, combo in enumerate(combos):
         chan = combo.to_explicit()
-        for spec in (random_spec(rng, q, m, depth),
-                     build_code(combo, depth, eps=0.2, z_budget=0.5)):
+        for spec in [random_spec(rng, q, m, depth),
+                     build_code(combo, depth, eps=0.2, z_budget=0.5)] + subtrees:
             for trials in (1, 3, DECODE_CHUNK + 1):
                 received, frozen, genie = sampled_blocks(spec, chan, trials, rep)
                 fallbacks += decode_both(spec, chan, received, frozen)
