@@ -331,12 +331,19 @@ GENERIC_COMBOS = {
      "a52fb33de2b54680712a6c62e6b7bc6f36213f39918ea8208a6c392029cdfd0b"),
     (["analyze", "--channel", "random_ternary.json"],
      "ca8fb0ad204f27f80e51e11ce708308c1638b7f5dcb8497d945baf6d24a5a04a"),
+    (["evolve", "--channel", "five_component.json", "--l", "6"],
+     "b35229390bce9543daf8d7bb5ca19870ce54be4459ee5f19741c736226e440b2"),
+    (["evolve", "--channel", "five_component.json", "--l", "5",
+      "--mode", "sample:200", "--seed", "3"],
+     "27fe340d59764d1d67c98f812ff0953c5df233025f41a321fe9bc93810b642dd"),
 ])
 def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # sha256 values written by the separate tree walks the one walker
     # replaced; the two generic `evolve` digests were re-pinned when the
     # lattice engine took over, after test_generic_evolve_matches_dict_oracle
-    # bounded the change at depths 0..6.  Paths are relative, so the config
+    # bounded the change at depths 0..6.  The two five-component `evolve`
+    # digests were written while (2,2) kept its own evolution loop and
+    # hand-written information formulas.  Paths are relative, so the config
     # echo does not depend on where the test runs.
     monkeypatch.chdir(tmp_path)
     for name in ("five_component.json", "random_ternary.json"):
@@ -401,6 +408,19 @@ def test_probe_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv, counts,
     got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
            hashlib.sha256(printed.encode()).hexdigest())
     assert got == (csv_digest, stdout_digest), f"{' '.join(argv)}: {got}"
+
+
+def test_grid_probe_is_pinned(tmp_path, monkeypatch, capsys):
+    # Written while the (2,2) evolution kept its own 5-state loop and
+    # hand-written information formulas.  Paths are relative.
+    monkeypatch.chdir(tmp_path)
+    assert main(["probe-conjectures", "--grid", "step:3", "--l", "8",
+                 "--out", "out.csv", "--no-timestamp"]) == 0
+    printed = capsys.readouterr().out
+    got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
+           hashlib.sha256(printed.encode()).hexdigest())
+    assert got == ("616c0104a80f37f6b0f91f0405ffe689da124ed4f09d62ca07851ba3ecc49f24",
+                   "4f6a25b16258983fb53d5c0a3d1ec3ebcee781a95caf283203c0b239e65f56af")
 
 
 @pytest.mark.parametrize("mode", ["sample:1", "sample:0", "sample:-3", "sample:x",
