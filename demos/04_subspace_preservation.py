@@ -14,7 +14,7 @@ from macpolar import (
     orthogonal_passage_check,
     total_loss_predict,
 )
-from macpolar.linear_mac import binary2_subspaces
+from macpolar.linear_mac import binary2_subspaces, subspace_lattice
 
 v0, v1, v2, v3, v4 = binary2_subspaces()
 names = {v0: "0", v1: "span{(1,0)}", v2: "span{(0,1)}",
@@ -29,11 +29,12 @@ for family in ([v4], [v1, v2], [v1, v3]):
           f"witness: {wtxt}")
 
 print("\ntotal-loss probe (diagonal dominated by an axis component):")
+diagonal = subspace_lattice(2, 2).index[v3]
 for state in ([0, 0.3, 0.3, 0.1, 0.3], [0, 0.1, 0.1, 0.5, 0.3]):
     predicted = total_loss_predict(state)
     final = binary2_evolve(state, 14, mode="enumerate").final
     print(f"  start {state}: loss predicted {predicted}; averaged diagonal "
-          f"weight at depth 14 = {final.p_avg[3]:.2e}")
+          f"weight at depth 14 = {final.weights[diagonal]:.2e}")
 print("(the second start keeps a dominant diagonal; whether its diagonal "
       "weight can survive in the limit is an open question -- this is "
       "numerical evidence, not proof)")

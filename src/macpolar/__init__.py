@@ -60,6 +60,7 @@ from .linear_mac import (
     binary2_subspaces,
     closure,
     consistency_check,
+    evolve,
     orthogonal_passage_check,
     rate_region,
     total_loss_predict,
@@ -73,7 +74,6 @@ from .polarize import (
     build_code,
     detect_linear,
     direction_stats,
-    martingale_report,
     polarization_tree,
     projective_directions,
 )

@@ -14,6 +14,7 @@ import itertools
 import json
 import sys
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,10 +28,11 @@ from .errors import (
 )
 from .linear_mac import (
     LinearComboMac,
+    _binary2_order,
     binary2_evolve,
     binary2_state,
     consistency_check,
-    level_sums,
+    evolve,
     orthogonal_passage_check,
     rate_region,
     subspace_lattice,
@@ -176,44 +178,35 @@ def cmd_evolve(args) -> int:
     if not isinstance(channel, LinearComboMac):
         raise ParseError("evolve needs a linear-combination channel")
     mode, n_paths = _parse_mode(args.mode)
-    config = _config_echo(args, ("channel", "l", "mode", "seed", "out"))
-    if channel.q == 2 and channel.m == 2:
-        state = binary2_state(channel)
-        rep = binary2_evolve(state, args.l, mode=mode,
-                             n_paths=n_paths or 1000, seed=args.seed)
-        predicted = total_loss_predict(state)
+    binary2 = channel.q == 2 and channel.m == 2
+    if mode != "enumerate" and not binary2:
+        raise ParseError("sample mode is only available for q=2, m=2")
+    rep = evolve(channel, args.l, mode, n_paths or 1000, args.seed)
+    if binary2:
+        # The 5-state columns are the lattice weights in component order;
+        # the information columns are I[{1}], I[{2}] and I[{1,2}].
+        five = itemgetter(*_binary2_order())
+        predicted = total_loss_predict(binary2_state(channel))
         cols = ["level", "p0", "p1", "p2", "p3", "p4", "i1", "i2", "i_sum",
                 "extremal_fraction", "pred_total_loss"]
         if mode == "sample":
             cols += [f"se_p{k}" for k in range(5)]
-        rows = [(lv.level, *lv.p_avg, lv.i1, lv.i2, lv.i_sum, lv.extremal_fraction,
-                 int(predicted), *(lv.stderr if mode == "sample" else ()))
+        rows = [(lv.level, *five(lv.weights), *lv.info, lv.extremal_fraction,
+                 int(predicted), *(five(lv.stderr) if mode == "sample" else ()))
                 for lv in rep.levels]
-        final = rep.final
         print(f"total loss predicted: {predicted}; "
-              f"p3 average at level {args.l}: {final.p_avg[3]:.6e}; "
-              f"extremal fraction: {final.extremal_fraction:.4f}")
-        if args.out:
-            jsonio.write_csv(args.out, cols, rows, config=config,
-                             timestamp=not args.no_timestamp)
-        return 0
-    if mode != "enumerate":
-        raise ParseError("sample mode is only available for q=2, m=2")
-    lat = subspace_lattice(channel.q, channel.m)
-    subsets = user_subsets(channel.m)
-    pdims = np.array([lat.projected_dims(s) for s in subsets], dtype=np.float64)
-    sums, extremal = level_sums(lat, channel.weights(), args.l)
-    rows = []
-    for lvl in range(args.l + 1):
-        info = pdims @ (sums[lvl] / 2 ** lvl)
-        for j, s in enumerate(subsets):
-            rows.append((lvl, _users_str(s), float(info[j]),
-                         float(extremal[lvl] / 2 ** lvl)))
-    print(f"evolved to depth {args.l}: {2 ** args.l} branch channels")
+              f"p3 average at level {args.l}: {five(rep.final.weights)[3]:.6e}; "
+              f"extremal fraction: {rep.final.extremal_fraction:.4f}")
+    else:
+        cols = ["level", "users", "i_avg", "extremal_fraction"]
+        rows = [(lv.level, _users_str(s), i, lv.extremal_fraction)
+                for lv in rep.levels for s, i in zip(user_subsets(channel.m), lv.info)]
+        print(f"evolved to depth {args.l}: {2 ** args.l} branch channels")
     if args.out:
-        jsonio.write_csv(args.out, ("level", "users", "i_avg",
-                                    "extremal_fraction"), rows,
-                         config=config, timestamp=not args.no_timestamp)
+        jsonio.write_csv(args.out, cols, rows,
+                         config=_config_echo(args, ("channel", "l", "mode",
+                                                    "seed", "out")),
+                         timestamp=not args.no_timestamp)
     return 0
 
 
@@ -266,9 +259,10 @@ def cmd_probe_conjectures(args) -> int:
                   "dominant in grid")
         else:
             worst = None
+            diagonal = _binary2_order()[3]
             for s in hits:
                 rep = binary2_evolve(np.array(s), args.l, mode="enumerate")
-                p3 = rep.final.p_avg[3]
+                p3 = rep.final.weights[diagonal]
                 rows.append(("total_loss", json.dumps(s), args.l, p3))
                 if worst is None or p3 < worst[1]:
                     worst = (s, p3)

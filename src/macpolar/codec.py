@@ -165,8 +165,10 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
     `genie_u` (the true message) makes the conditioning use true
     predecessor branches while still recording the per-branch decisions.
     Returns the decided (N, m) array u_hat, or a DecodeResult when
-    with_details is set.
+    with_details is set.  A spec that `CodeSpec.check` refuses raises its
+    SpecMismatchError.
     """
+    spec.check()
     n = spec.block_length
     received = np.asarray(received, dtype=np.int64)
     if received.shape != (n,):

@@ -9,11 +9,12 @@ them, and all mutual informations reduce to weighted projected dimensions.
 One engine runs that process for every (q, m).  A branch is a weight
 vector over all L subspaces of GF(q)^m in `Subspace.sort_key` order, a
 level of the tree is an (L, n) array of such vectors, and a transform
-scatters pair products through the lattice's meet and join tables.  The
-two-user binary 5-vector of `binary2_evolve` is a reordering of the
-GF(2)^2 vector.  The preservation condition (closure, the consistency
-check and the witness search) reads the same tables, plus one projection
-table per user set.
+scatters pair products through the lattice's meet and join tables.
+`evolve` follows the tree of any combination channel and reads each
+level's I[S] off its averaged weight vector; the two-user binary 5-vector
+of `binary2_evolve` is a reordering of the GF(2)^2 vector.  The
+preservation condition (closure, the consistency check and the witness
+search) reads the same tables, plus one projection table per user set.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ class LinearComboMac:
         body = ", ".join(f"{w:.4g}*dim{s.dim}" for w, s in self.terms)
         return f"LinearComboMac(q={self.q}, m={self.m}, [{body}])"
 
-    def subspaces(self):
-        return [s for _, s in self.terms]
-
     def weights(self) -> np.ndarray:
         """The channel's weight vector over `subspace_lattice(q, m)`."""
         lat = subspace_lattice(self.q, self.m)
@@ -117,13 +115,6 @@ class LinearComboMac:
         w = lattice_children(lat, self.weights()[:, None])[:, branch]
         return LinearComboMac(self.q, self.m, [(float(x), s) for x, s in
                                                zip(w, lat.subspaces) if x > 0])
-
-    def preserves(self, users) -> bool:
-        """Whether I[S] survives polarization (projection/intersection
-        commute on the closure of the term subspaces)."""
-        if not users:
-            raise BadIndexSetError("index set is empty")
-        return consistency_check(self.subspaces(), users)
 
     def to_explicit(self) -> DiscreteMac:
         """Materialize the probability table; output alphabet is the disjoint
@@ -390,6 +381,73 @@ def level_sums(lat: SubspaceLattice, root: np.ndarray, depth: int):
     return sums, extremal
 
 
+# -- evolution -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EvolveLevel:
+    level: int
+    weights: tuple               # lattice weight vector averaged over branches
+    info: tuple                  # averaged I[S] per `user_subsets(m)` set
+    extremal_fraction: float
+    stderr: tuple | None = None  # per-weight standard error (sample mode)
+
+
+@dataclass(frozen=True)
+class EvolveReport:
+    mode: str                    # "enumerate" or "sample"
+    levels: tuple                # EvolveLevel per depth 0..l
+    n_paths: int | None = None
+    seed: int | None = None
+
+    @property
+    def final(self) -> EvolveLevel:
+        return self.levels[-1]
+
+
+def evolve(combo: LinearComboMac, depth: int, mode: str = "enumerate",
+           n_paths: int = 1000, seed: int = 0) -> EvolveReport:
+    """Evolve a combination channel through `depth` polarization levels.
+
+    Each level reports the lattice weight vector averaged over its
+    branches; I[S] of that average is its projected dimensions, the
+    average of I[S] over the branches.  mode="enumerate" sums all 2^depth
+    branches exactly (depth <= 20); mode="sample" follows `n_paths` seeded
+    random branch paths and also reports standard errors of the averages.
+    """
+    lat = subspace_lattice(combo.q, combo.m)
+    pdims = np.array([lat.projected_dims(s) for s in user_subsets(combo.m)],
+                     dtype=np.float64)
+    root = combo.weights()
+
+    def entry(level, avg, extremal, stderr=None):
+        return EvolveLevel(level, tuple(avg.tolist()), tuple((pdims @ avg).tolist()),
+                           float(extremal), stderr)
+
+    if mode == "enumerate":
+        sums, extremal = level_sums(lat, root, depth)
+        return EvolveReport(mode="enumerate", levels=tuple(
+            entry(lvl, sums[lvl] / 2 ** lvl, extremal[lvl] / 2 ** lvl)
+            for lvl in range(depth + 1)))
+    if mode == "sample":
+        if n_paths < 2:
+            raise ValueError(f"sample mode needs at least 2 paths, got {n_paths}")
+        rng = np.random.default_rng([seed])
+        states = np.repeat(root[:, None], n_paths, axis=1)
+        levels = [entry(0, root, root.max() >= 1.0 - EXTREMAL_TOL,
+                        stderr=(0.0,) * lat.size)]
+        for lvl in range(1, depth + 1):
+            children = lattice_children(lat, states)
+            pick = rng.integers(0, 2, size=n_paths)
+            states = np.where(pick == 0, children[:, 0::2], children[:, 1::2])
+            se = states.std(axis=1, ddof=1) / np.sqrt(n_paths)
+            levels.append(entry(lvl, states.mean(axis=1),
+                                np.mean(states.max(axis=0) >= 1.0 - EXTREMAL_TOL),
+                                stderr=tuple(se.tolist())))
+        return EvolveReport(mode="sample", levels=tuple(levels),
+                            n_paths=n_paths, seed=seed)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 # -- two-user binary states --------------------------------------------------------
 
 # The five subspaces of GF(2)^2 in their fixed component order: the zero
@@ -417,91 +475,27 @@ def binary2_state(combo: LinearComboMac) -> np.ndarray:
     return combo.weights()[_binary2_order()]
 
 
-def _binary2_root(p) -> np.ndarray:
-    """A 5-state as a GF(2)^2 weight vector, checked as channel weights are
-    (zero components are legal)."""
+def _binary2_combo(p) -> LinearComboMac:
+    """A 5-state as a channel, checked as channel weights are (zero
+    components are legal)."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (5,):
         raise ValueError(f"state must have 5 components, got shape {p.shape}")
     return LinearComboMac(2, 2, [(w, s) for w, s in zip(p.tolist(), binary2_subspaces())
-                                 if w != 0]).weights()
+                                 if w != 0])
 
 
 def total_loss_predict(p) -> bool:
     """Sufficient condition for the dominant face to collapse to a point:
     the diagonal component is dominated by an axis component (ties count).
     Callers compare against the empirically evolved state."""
-    _binary2_root(p)
+    _binary2_combo(p)
     return bool(p[3] <= max(p[1], p[2]))
-
-
-@dataclass(frozen=True)
-class EvolveLevel:
-    level: int
-    p_avg: tuple                 # averaged 5-state over branches
-    i1: float
-    i2: float
-    i_sum: float
-    extremal_fraction: float
-    stderr: tuple | None = None  # per-component standard error (sample mode)
-
-
-@dataclass(frozen=True)
-class EvolveReport:
-    mode: str                    # "enumerate" or "sample"
-    levels: tuple                # EvolveLevel per depth 0..l
-    n_paths: int | None = None
-    seed: int | None = None
-
-    @property
-    def final(self) -> EvolveLevel:
-        return self.levels[-1]
-
-
-def _level_entry(level, avg, extremal, stderr=None):
-    return EvolveLevel(
-        level=level,
-        p_avg=tuple(avg.tolist()),
-        i1=float(avg[1] + avg[3] + avg[4]),
-        i2=float(avg[2] + avg[3] + avg[4]),
-        i_sum=float(avg[1] + avg[2] + avg[3] + 2 * avg[4]),
-        extremal_fraction=float(extremal),
-        stderr=stderr,
-    )
 
 
 def binary2_evolve(p, depth: int, mode: str = "enumerate",
                    n_paths: int = 1000, seed: int = 0) -> EvolveReport:
-    """Evolve a 5-state through `depth` polarization levels.
-
-    mode="enumerate" tracks all 2^depth branches exactly (depth <= 20);
-    mode="sample" follows `n_paths` seeded random branch paths and also
-    reports standard errors of the per-component averages.
-    """
-    lat = subspace_lattice(2, 2)
-    root = _binary2_root(p)
-    order = _binary2_order()
-    if mode == "enumerate":
-        sums, extremal = level_sums(lat, root, depth)
-        return EvolveReport(mode="enumerate", levels=tuple(
-            _level_entry(lvl, sums[lvl, order] / 2 ** lvl, extremal[lvl] / 2 ** lvl)
-            for lvl in range(depth + 1)))
-    if mode == "sample":
-        if n_paths < 2:
-            raise ValueError(f"sample mode needs at least 2 paths, got {n_paths}")
-        rng = np.random.default_rng([seed])
-        states = np.repeat(root[:, None], n_paths, axis=1)
-        levels = [_level_entry(0, root[order], root.max() >= 1.0 - EXTREMAL_TOL,
-                               stderr=(0.0,) * 5)]
-        for lvl in range(1, depth + 1):
-            children = lattice_children(lat, states)
-            pick = rng.integers(0, 2, size=n_paths)
-            states = np.where(pick == 0, children[:, 0::2], children[:, 1::2])
-            se = states[order].std(axis=1, ddof=1) / np.sqrt(n_paths)
-            levels.append(_level_entry(
-                lvl, states[order].mean(axis=1),
-                np.mean(states.max(axis=0) >= 1.0 - EXTREMAL_TOL),
-                stderr=tuple(se.tolist())))
-        return EvolveReport(mode="sample", levels=tuple(levels),
-                            n_paths=n_paths, seed=seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    """`evolve` of the channel with 5-state `p`.  The report's weights are
+    in lattice order: the diagonal span{(1,1)} is component 3 there too,
+    and the two axes trade places."""
+    return evolve(_binary2_combo(p), depth, mode, n_paths, seed)

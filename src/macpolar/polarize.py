@@ -37,7 +37,6 @@ from .mac import (
     sum_capacity,
     transform_minus,
     transform_plus,
-    user_subsets,
 )
 from .subspace import Subspace
 
@@ -451,20 +450,6 @@ class MartingaleReport:
     averages: tuple           # averages[level][subset position]
     full_set_constant: bool   # within 1e-6 of level 0
     strict_non_increasing: bool  # per strict subset, 1e-9 slack
-
-
-def martingale_report(channel: DiscreteMac, depth: int,
-                      merge_tol: float = DEFAULT_MERGE_TOL,
-                      max_outputs: int = MAX_BRANCH_OUTPUTS) -> MartingaleReport:
-    """Per-level averages of I[S] over all branches, with the conservation
-    flags: the full-set average is a constant and strict subsets never
-    increase."""
-    subsets = user_subsets(channel.m)
-    levels = [[] for _ in range(depth + 1)]
-    step = partial(branch_step, merge_tol=merge_tol, max_outputs=max_outputs)
-    for sig, ch in polarization_tree(channel, depth, step):
-        levels[len(sig)].append([ch.mutual_info(s) for s in subsets])
-    return summarize_levels(subsets, levels)
 
 
 def summarize_levels(subsets, levels) -> MartingaleReport:

@@ -20,6 +20,7 @@ from macpolar import (
     binary2_evolve,
     binary2_state,
     build_code,
+    consistency_check,
     merge_outputs,
     mutual_info,
     restrict,
@@ -29,7 +30,7 @@ from macpolar import (
     transform_plus,
 )
 from macpolar.cli import main
-from macpolar.linear_mac import EXTREMAL_TOL, binary2_subspaces
+from macpolar.linear_mac import EXTREMAL_TOL, _binary2_order, binary2_subspaces
 from oracles import binary2_step
 from conftest import (
     channel_dict,
@@ -216,10 +217,10 @@ def test_criterion_06_total_loss_at_depth_14():
     worst_drift = 0.0
     for p in grid:
         rep = binary2_evolve(p, 14, mode="enumerate")
-        worst_p3 = max(worst_p3, rep.levels[14].p_avg[3])
-        base = rep.levels[0].i_sum
+        worst_p3 = max(worst_p3, rep.levels[14].weights[_binary2_order()[3]])
+        base = rep.levels[0].info[-1]
         worst_drift = max(worst_drift,
-                          max(abs(lv.i_sum - base) for lv in rep.levels))
+                          max(abs(lv.info[-1] - base) for lv in rep.levels))
     ok = worst_p3 < 1e-3 and worst_drift < 1e-9
     assert report(6, "total loss", ok,
                   f"20-state grid; max averaged diagonal weight at depth 14 "
@@ -240,7 +241,7 @@ def test_criterion_07_preservation_characterization():
     detail = []
     for combo in (LinearComboMac(2, 2, [(1.0, v4)]),
                   LinearComboMac(2, 2, [(0.5, v1), (0.5, v2)])):
-        assert combo.preserves([1])
+        assert consistency_check([s for _, s in combo.terms], [1])
         base = combo.mutual_info([1])
         level = [combo]
         worst = 0.0
@@ -262,7 +263,7 @@ def test_criterion_07_preservation_characterization():
     ok = ok and all(c.mutual_info([1]) == 1.0 for c in level)
     # Inconsistent family: the average drops strictly at depth 1.
     bad = LinearComboMac(2, 2, [(0.5, v1), (0.5, v3)])
-    assert not bad.preserves([1])
+    assert not consistency_check([s for _, s in bad.terms], [1])
     drop = bad.mutual_info([1]) - 0.5 * (bad.minus().mutual_info([1])
                                          + bad.plus().mutual_info([1]))
     ok = ok and drop > 1e-3

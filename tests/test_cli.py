@@ -18,7 +18,12 @@ from macpolar.jsonio import (
     load_channel,
     load_codespec,
 )
-from macpolar.linear_mac import EXTREMAL_TOL, binary2_subspaces
+from macpolar.linear_mac import (
+    EXTREMAL_TOL,
+    _binary2_order,
+    binary2_evolve,
+    binary2_subspaces,
+)
 from macpolar.subspace import enumerate_subspaces
 from conftest import channel_dict, identity_mac, subsets_of
 from oracles import dict_levels, projected_dim
@@ -157,6 +162,22 @@ def test_evolve_command(five_term_file, tmp_path):
                  "--mode", "sample:200", "--seed", "3",
                  "--out", str(out), "--no-timestamp"]) == 0
     assert "se_p0" in out.read_text().splitlines()[1]
+
+    # With unequal axis weights the 5-state columns must be in component
+    # order (p1 is span{(1,0)}), though the library reports lattice order.
+    state = [0.1, 0.3, 0.15, 0.25, 0.2]
+    combo = LinearComboMac(2, 2, list(zip(state, binary2_subspaces())))
+    path = write_json(tmp_path / "skew.json", channel_dict(combo))
+    assert main(["evolve", "--channel", path, "--l", "3", "--mode", "sample:50",
+                 "--out", str(out), "--no-timestamp"]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in out.read_text().strip().splitlines()[2:]]
+    p = rows[0][1:6]
+    assert p == pytest.approx(state, abs=1e-15)
+    assert rows[0][6:8] == pytest.approx([p[1] + p[3] + p[4], p[2] + p[3] + p[4]],
+                                         abs=1e-15)
+    stderr = binary2_evolve(state, 3, "sample", 50, 0).final.stderr
+    assert rows[3][11:] == [stderr[k] for k in _binary2_order()]
 
 
 def test_evolve_generic_users(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from macpolar import (
     AmbientMismatchError,
+    BadIndexSetError,
     BadRowSumError,
     LinearComboMac,
     NegativeProbabilityError,
@@ -16,6 +17,8 @@ from macpolar import (
     TooManyUsersError,
     binary2_evolve,
     binary2_state,
+    consistency_check,
+    evolve,
     merge_outputs,
     mutual_info,
     rate_region,
@@ -27,6 +30,7 @@ from macpolar import (
 from macpolar import linear_mac
 from macpolar.linear_mac import (
     LATTICE_CAP,
+    _binary2_order,
     binary2_subspaces,
     lattice_children,
     lattice_levels,
@@ -118,8 +122,9 @@ def test_lattice_cap():
     assert sum(count_subspaces(6, d, 2) for d in range(7)) > LATTICE_CAP
     with pytest.raises(TooLargeError):
         subspace_lattice(2, 6)
+    combo = LinearComboMac(2, 6, [(1.0, Subspace.full(6, 2))])
     with pytest.raises(TooLargeError):
-        LinearComboMac(2, 6, [(1.0, Subspace.full(6, 2))]).preserves([1, 2])
+        consistency_check([s for _, s in combo.terms], [1, 2])
 
 
 def test_block_walk_matches_whole_levels(monkeypatch):
@@ -234,19 +239,25 @@ def test_li_transforms_match_generic(rng):
                     mutual_info(chan, s), abs=1e-9)
 
 
+def preserves(combo, users):
+    return consistency_check([s for _, s in combo.terms], users)
+
+
 def test_preservation_check(f22):
-    assert LinearComboMac(2, 2, [(1.0, f22[4])]).preserves([1])
+    assert preserves(LinearComboMac(2, 2, [(1.0, f22[4])]), [1])
     bad = LinearComboMac(2, 2, [(0.4, f22[1]), (0.6, f22[3])])
-    assert not bad.preserves([1])
+    assert not preserves(bad, [1])
     good = LinearComboMac(2, 2, [(0.5, f22[1]), (0.5, f22[2])])
-    assert good.preserves([1])
+    assert preserves(good, [1])
+    with pytest.raises(BadIndexSetError, match="empty"):
+        preserves(good, [])
 
 
 def test_preservation_means_average_is_conserved(f22):
     # When the family is consistent, every tree node splits I[S] evenly;
     # the branch values may move but their mean at each level does not.
     combo = LinearComboMac(2, 2, [(0.5, f22[1]), (0.5, f22[2])])
-    assert combo.preserves([1])
+    assert preserves(combo, [1])
     level = [combo]
     base = combo.mutual_info([1])
     for _ in range(4):
@@ -307,7 +318,7 @@ def test_transforms_match_dict_oracle(q, m):
         combo = random_combo(rng, q, m, max_terms=4)
         for symbol, child in (("-", combo.minus()), ("+", combo.plus())):
             want = dict_step({members(s): w for w, s in combo.terms}, symbol, q)
-            assert set(want) == {members(s) for s in child.subspaces()}
+            assert set(want) == {members(s) for _, s in child.terms}
             for w, s in child.terms:
                 assert w == pytest.approx(want[members(s)], rel=1e-15, abs=0)
 
@@ -326,26 +337,47 @@ def test_transforms_survive_depth_9(f22):
     assert worst < 1e-12
 
 
+DIAGONAL = _binary2_order()[3]     # lattice position of span{(1,1)}
+
+
 def test_evolve_level_zero(rng):
     p = rng.dirichlet(np.ones(5))
     rep = binary2_evolve(p, 0)
-    assert np.allclose(rep.levels[0].p_avg, p)
+    assert np.allclose(np.array(rep.levels[0].weights)[_binary2_order()], p)
 
 
 def test_evolve_sum_capacity_martingale(rng):
     for _ in range(5):
         p = rng.dirichlet(np.ones(5))
         rep = binary2_evolve(p, 10)
-        base = rep.levels[0].i_sum
+        base = rep.levels[0].info[-1]
         for lv in rep.levels:
-            assert lv.i_sum == pytest.approx(base, abs=1e-9)
+            assert lv.info[-1] == pytest.approx(base, abs=1e-9)
+
+
+@pytest.mark.parametrize("q, m", [(2, 2), (3, 2), (2, 3)])
+def test_evolve_info_is_the_branch_average(q, m):
+    # Each level's I[S] is the average over its branch channels, walked
+    # here as LinearComboMac nodes; sampled levels start from the root.
+    combo = random_combo(np.random.default_rng([q, m, 5]), q, m, max_terms=4)
+    rep = evolve(combo, 4)
+    level = [combo]
+    for lv in rep.levels:
+        for info, users in zip(lv.info, subsets_of(m)):
+            want = np.mean([c.mutual_info(users) for c in level])
+            assert info == pytest.approx(want, abs=1e-12)
+        level = [c for node in level for c in (node.minus(), node.plus())]
+    sampled = evolve(combo, 4, mode="sample", n_paths=50, seed=1)
+    assert sampled.levels[0].info == rep.levels[0].info
+    assert sampled.levels[0].weights == tuple(combo.weights().tolist())
+    assert len(sampled.final.stderr) == len(sampled.final.weights)
 
 
 def test_evolve_uniform_depth14_decay():
     # Exact enumeration; the averaged diagonal weight decays from 0.2 to
     # the 5e-3 range by depth 14 but not below 1e-3 yet.
     rep = binary2_evolve([0.2] * 5, 14)
-    p3 = [lv.p_avg[3] for lv in rep.levels]
+    p3 = [lv.weights[DIAGONAL] for lv in rep.levels]
     assert 0.005 < p3[14] < 0.006
     assert all(p3[i + 1] < p3[i] for i in range(4, 14))
 
@@ -355,14 +387,14 @@ def test_evolve_modes_and_caps():
         binary2_evolve([0.2] * 5, 21, mode="enumerate")
     a = binary2_evolve([0.2] * 5, 6, mode="sample", n_paths=200, seed=9)
     b = binary2_evolve([0.2] * 5, 6, mode="sample", n_paths=200, seed=9)
-    assert a.levels[-1].p_avg == b.levels[-1].p_avg
+    assert a.levels[-1].weights == b.levels[-1].weights
     assert a.levels[-1].stderr is not None
     with pytest.raises(ValueError, match="at least 2 paths"):
         binary2_evolve([0.2] * 5, 6, mode="sample", n_paths=1)
     exact = binary2_evolve([0.2] * 5, 6, mode="enumerate")
     for j in range(5):
         se = max(a.levels[-1].stderr[j], 1e-3)
-        assert abs(a.levels[-1].p_avg[j] - exact.levels[-1].p_avg[j]) < 5 * se
+        assert abs(a.levels[-1].weights[j] - exact.levels[-1].weights[j]) < 5 * se
 
 
 def test_order_preservation(rng):
@@ -400,7 +432,7 @@ def test_dominated_component_dies(rng):
             if p[3] + 0.15 <= max(p[1], p[2]):
                 break
         rep = binary2_evolve(p, 14)
-        assert rep.levels[14].p_avg[3] < 1e-3
+        assert rep.levels[14].weights[DIAGONAL] < 1e-3
 
 
 def test_symmetry_when_diagonal_dominates(rng):
@@ -413,9 +445,10 @@ def test_symmetry_when_diagonal_dominates(rng):
                 break
         rep = binary2_evolve(p, 14)
         final = rep.levels[14]
-        assert abs(final.i1 - final.i2) == pytest.approx(
-            abs(final.p_avg[1] - final.p_avg[2]), abs=1e-12)
-        assert abs(final.p_avg[1] - final.p_avg[2]) < 1e-3
+        axes = [final.weights[k] for k in _binary2_order()[1:3]]
+        assert abs(final.info[0] - final.info[1]) == pytest.approx(
+            abs(axes[0] - axes[1]), abs=1e-12)
+        assert abs(axes[0] - axes[1]) < 1e-3
 
 
 def test_rate_region_examples(f22):

@@ -24,19 +24,20 @@ from macpolar import (
     build_code,
     detect_linear,
     direction_stats,
-    martingale_report,
     mutual_info,
     polarization_tree,
     projective_directions,
     run_trials,
+    sc_decode,
     sum_capacity,
+    user_subsets,
 )
 from macpolar.cli import main
 from macpolar.linear_mac import binary2_subspaces
 from macpolar.linear_mac import closure
 from macpolar.jsonio import load_channel as load_channel_file
 from macpolar.jsonio import load_codespec, save_codespec
-from macpolar.polarize import CodeSpec
+from macpolar.polarize import CodeSpec, summarize_levels
 from macpolar.subspace import Subspace, enumerate_subspaces
 from conftest import (
     binary2_levels,
@@ -344,7 +345,10 @@ def test_codespec_json_roundtrip(rng):
 
 def test_martingale_report(rng):
     mac = random_mac(rng, 2, 2, 4)
-    rep = martingale_report(mac, 2)
+    levels = [[], [], []]
+    for sig, ch in polarization_tree(mac, 2, branch_step):
+        levels[len(sig)].append([ch.mutual_info(s) for s in user_subsets(2)])
+    rep = summarize_levels(user_subsets(2), levels)
     for j, s in enumerate(rep.subsets):
         assert rep.averages[0][j] == pytest.approx(mutual_info(mac, s), abs=1e-12)
     assert rep.full_set_constant
@@ -416,6 +420,20 @@ def test_codespec_check_and_load_refuse_corruption(tmp_path, name):
         load_codespec(str(path))
 
 
+@pytest.mark.parametrize("name", sorted(corrupted_specs()))
+def test_sc_decode_refuses_corruption(name):
+    # The decoder runs the spec's own check first, so it never decodes a
+    # spec that `check` refuses, nor fails on one with a numpy error.
+    spec = corrupted_specs()[name]
+    with pytest.raises(SpecMismatchError) as checked:
+        spec.check()
+    n = spec.block_length
+    with pytest.raises(SpecMismatchError) as decoded:
+        sc_decode(spec, identity_mac(2, 2), np.zeros(n, dtype=np.int64),
+                  np.zeros((n, 2), dtype=np.int64))
+    assert str(decoded.value) == str(checked.value)
+
+
 def test_corrupted_spec_refused_under_optimize(tmp_path):
     # `python -O` strips assert statements; the spec checks must survive it.
     src = Path(__file__).resolve().parents[1] / "src"
@@ -445,7 +463,7 @@ def cheap_combo(rng, q, m, cells=2_000_000):
     q^m * n^2 * q^m cells."""
     while True:
         combo = random_combo(rng, q, m, max_terms=2 if m == 1 else 3)
-        n = sum(q ** s.dim for s in closure(combo.subspaces()))
+        n = sum(q ** s.dim for s in closure(s for _, s in combo.terms))
         if q ** (2 * m) * n * n <= cells:
             return combo
 

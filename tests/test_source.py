@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "macpolar"
@@ -54,3 +57,31 @@ def test_scripts_import_only_names_that_exist():
                                    f"{node.module}.{alias.name}")
     assert checked >= 10
     assert missing == []
+
+
+def run_python(args, cwd):
+    """Run the interpreter on the library in `src`; the finished process."""
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_readme_commands_run(tmp_path):
+    # Checking imports alone lets a renamed report field break the
+    # documented commands silently, so they are run: every Python block,
+    # and the one-liners that reproduce criterion 8's two fractions.
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = python_blocks(readme)
+    assert blocks
+    for i, block in enumerate(blocks, 1):
+        run = run_python(["-c", block], tmp_path)
+        assert run.returncode == 0, f"README.md python block {i}: {run.stderr}"
+    one_liners = re.findall(r'`python -c "(.*?)"`', readme, flags=re.S)
+    printed = []
+    for code in one_liners:
+        run = run_python(["-c", code], tmp_path)
+        assert run.returncode == 0, f"{code}: {run.stderr}"
+        printed.append(run.stdout.strip())
+    assert printed == ["0.81884765625", "0.90155029296875"]
