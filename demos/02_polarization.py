@@ -15,8 +15,8 @@ report = evolve(combo, 16, mode="enumerate")
 
 print("level   I1_avg   I2_avg   I_sum   extremal fraction")
 for lv in report.levels:
-    i1, i2, i_sum = lv.info
     if lv.level % 2 == 0:
+        i1, i2, i_sum = lv.info
         print(f"{lv.level:5d}   {i1:.4f}   {i2:.4f}   {i_sum:.4f}"
               f"   {lv.extremal_fraction:.4f}")
 
