@@ -357,6 +357,18 @@ GENERIC_COMBOS = {
     (["evolve", "--channel", "five_component.json", "--l", "5",
       "--mode", "sample:200", "--seed", "3"],
      "27fe340d59764d1d67c98f812ff0953c5df233025f41a321fe9bc93810b642dd"),
+    (["construct", "--channel", "five_component.json", "--l", "6",
+      "--eps", "0.2", "--z-budget", "1e-3"],
+     "832d48572ca7fb16b18b6bbee388af79e5307b41b3584f8f123383bb67200b9e"),
+    (["construct", "--channel", "gf3_2.json", "--l", "3",
+      "--eps", "0.2", "--z-budget", "0.1"],
+     "8c16ddf1d3e6950f1f85b2c068c1b19a27bb03c93d1e332ea1f9f393a4be3569"),
+    (["construct", "--channel", "gf2_3.json", "--l", "3",
+      "--eps", "0.2", "--z-budget", "0.1"],
+     "0815286b54e71c641d5d87654a3e5c73c422e6294c0e26523516908897a4aa32"),
+    (["construct", "--channel", "random_ternary.json", "--l", "1",
+      "--eps", "0.2", "--z-budget", "0.1"],
+     "54f91a37bc5cf8d62d0c29e0a5a8afc2b199f1982f28747dfe14543c29ad1ec8"),
 ])
 def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # sha256 values written by the separate tree walks the one walker
@@ -364,8 +376,10 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # lattice engine took over, after test_generic_evolve_matches_dict_oracle
     # bounded the change at depths 0..6.  The two five-component `evolve`
     # digests were written while (2,2) kept its own evolution loop and
-    # hand-written information formulas.  Paths are relative, so the config
-    # echo does not depend on where the test runs.
+    # hand-written information formulas.  The four `construct` digests are
+    # code-spec files (written to out.csv) from `json.dumps(..., indent=1)`,
+    # on the lattice path and, for random_ternary, the explicit path.  Paths
+    # are relative, so the config echo does not depend on where the test runs.
     monkeypatch.chdir(tmp_path)
     for name in ("five_component.json", "random_ternary.json"):
         shutil.copy(DEMO_CHANNELS / name, name)
