@@ -16,10 +16,12 @@ branch statistic is an exact weighted sum.
 
 from __future__ import annotations
 
-import json
-import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, index, itemgetter
 
 import numpy as np
 
@@ -42,21 +44,18 @@ from .subspace import Subspace
 
 MAX_BRANCH_OUTPUTS = 10 ** 5
 MINUS, PLUS = "-", "+"
-_SYMBOL_OF_BIT = str.maketrans("01", MINUS + PLUS)
 
 
 # -- signatures in decoding order ----------------------------------------------
 
-def key_sig(key: int, length: int) -> str:
-    """Signature of rank `key`: symbol i is '+' where bit i is set.  The
-    bit above the top one pads `bin` to `length` digits, and its '1' is cut
-    off with the '0b'."""
-    return bin(key | 1 << length)[3:][::-1].translate(_SYMBOL_OF_BIT)
-
-
 def all_sigs(length: int):
-    """All 2^length signatures in decoding order."""
-    return [key_sig(k, length) for k in range(1 << length)]
+    """All 2^length signatures in decoding order.  The last symbol is the
+    most significant, so each length lists the one before it with '-'
+    appended, then with '+' appended."""
+    sigs = [""]
+    for _ in range(length):
+        sigs = [s + MINUS for s in sigs] + [s + PLUS for s in sigs]
+    return sigs
 
 
 # -- the polarization tree ----------------------------------------------------
@@ -205,89 +204,56 @@ class CodeSpec:
             raise SpecMismatchError(
                 f"spec has {len(self.branches)} branches and "
                 f"{len(self.rate_vector)} rates, expected {n} and {m}")
-        if [b.sig for b in self.branches] != all_sigs(self.l):
+        if list(map(_SIG, self.branches)) != all_sigs(self.l):
             raise SpecMismatchError(
                 f"branch signatures are not the {n} of length {self.l} "
                 "in decoding order")
-        map_errors = {}           # each distinct map is checked once
-        for b in self.branches:
-            if not (b.r == len(b.s_users) == len(b.a_columns)
-                    and len(b.frozen) == m):
-                raise SpecMismatchError(
-                    f"branch {b.sig}: r={b.r} does not match its "
-                    f"{len(b.s_users)} users and {len(b.a_columns)} columns, "
-                    f"or it has {len(b.frozen)} frozen flags for m={m}")
-            for k in range(1, m + 1):
-                if (b.frozen[k - 1] == 0) != (k in b.s_users):
-                    raise SpecMismatchError(
-                        f"branch {b.sig}: user {k}'s frozen flag contradicts "
-                        f"the information users {b.s_users}")
-            if b.r:
-                if not b.in_good_set:
-                    raise SpecMismatchError(
-                        f"branch {b.sig}: information users {b.s_users} on a "
-                        "branch outside the good set")
-                key = (b.a_columns, b.s_users)
-                if key not in map_errors:
-                    map_errors[key] = _info_map_error(*key, self.q, m)
-                why = map_errors[key]
-                if why:
-                    raise SpecMismatchError(f"branch {b.sig}: {why}")
+        shapes = list(map(_SHAPE, self.branches))
+        counts = Counter(shapes)          # each distinct shape is decided once
+        errors = {shape: _shape_error(*shape, self.q, m) for shape in counts}
+        if any(errors.values()):
+            at = next(i for i, shape in enumerate(shapes) if errors[shape])
+            raise SpecMismatchError(
+                f"branch {self.branches[at].sig}: {errors[shapes[at]]}")
         for k in range(1, m + 1):
-            rk = sum(1 - b.frozen[k - 1] for b in self.branches) / n
+            rk = sum(c * (1 - shape[4][k - 1]) for shape, c in counts.items()) / n
             if not abs(rk - self.rate_vector[k - 1]) < 1e-12:
                 raise SpecMismatchError(
                     f"R_{k} = {self.rate_vector[k - 1]!r}, but the frozen "
                     f"map gives {rk!r}")
-        r_total = sum(b.r for b in self.branches if b.in_good_set) / n
+        r_total = sum(c * shape[1] for shape, c in counts.items() if shape[0]) / n
         if not abs(r_total - self.sum_rate) < 1e-12:
             raise SpecMismatchError(f"sum rate {self.sum_rate!r}, but the good "
                                     f"set gives {r_total!r}")
         return True
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q, "m": self.m, "l": self.l,
-            "eps": self.eps, "z_budget": self.z_budget,
-            "merge_tol": self.merge_tol,
-            "rate_vector": list(self.rate_vector),
-            "sum_rate": self.sum_rate,
-            "union_bound": self.union_bound,
-            "branches": [
-                {
-                    "sig": b.sig,
-                    "in_good_set": b.in_good_set,
-                    "r": b.r,
-                    "a_columns": [list(c) for c in b.a_columns],
-                    "s_users": list(b.s_users),
-                    "frozen": list(b.frozen),
-                    "z_sum": b.z_sum,
-                    "i_branch": b.i_branch,
-                    "i_detected": b.i_detected,
-                }
-                for b in self.branches
-            ],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "CodeSpec":
-        """The spec of a parsed JSON object; a missing field raises
-        KeyError, a malformed one TypeError or ValueError (a fractional
-        number in an integer field among them)."""
-        branches = tuple(
-            BranchCode(
-                sig=b["sig"],
-                in_good_set=bool(b["in_good_set"]),
-                r=_json_int(b["r"]),
-                a_columns=tuple(_json_ints(c) for c in b["a_columns"]),
-                s_users=_json_ints(b["s_users"]),
-                frozen=_json_ints(b["frozen"]),
-                z_sum=float(b["z_sum"]),
-                i_branch=float(b["i_branch"]),
-                i_detected=float(b["i_detected"]),
-            )
-            for b in d["branches"]
-        )
+        """The spec of a parsed JSON object, read field by field across
+        the branches.  A missing field raises KeyError, a malformed one
+        TypeError or ValueError: among them an integer field holding a
+        boolean, a string or a fractional number, and an `in_good_set`
+        that is not a boolean."""
+        rows = d["branches"]
+
+        def column(name):
+            return list(map(itemgetter(name), rows))
+
+        good = column("in_good_set")
+        for g in good:
+            if type(g) is not bool:
+                raise ValueError(f"in_good_set {g!r} is not a boolean")
+        a_columns = column("a_columns")
+        if not set(map(type, a_columns)) <= {list}:
+            raise TypeError("a_columns must be lists of columns")
+        flat = iter(_json_int_rows(list(chain.from_iterable(a_columns))))
+        a_columns = [tuple(islice(flat, len(cols))) for cols in a_columns]
+        r = _json_int_rows([column("r")])[0]      # the column as one list
+        branches = tuple(map(
+            BranchCode, column("sig"), good, r, a_columns,
+            _json_int_rows(column("s_users")), _json_int_rows(column("frozen")),
+            map(float, column("z_sum")), map(float, column("i_branch")),
+            map(float, column("i_detected"))))
         return cls(q=_json_int(d["q"]), m=_json_int(d["m"]), l=_json_int(d["l"]),
                    eps=float(d["eps"]), z_budget=float(d["z_budget"]),
                    merge_tol=float(d["merge_tol"]), branches=branches,
@@ -296,25 +262,138 @@ class CodeSpec:
                    union_bound=float(d["union_bound"]))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        """The spec as `json.dumps(..., sort_keys=True, indent=1)` writes
+        it, from one template per branch.  Integer fields hold ints (a bool
+        among them is written as 0 or 1), float fields floats and
+        `in_good_set` a boolean.  The few distinct integer tuples of a spec
+        are each formatted once."""
+        tuples = {}
+
+        def text(values):
+            found = tuples.get(values)
+            if found is None:
+                found = tuples[values] = _json_list(
+                    [_json_list(list(map(int.__repr__, v)), 4)
+                     if isinstance(v, tuple) else int.__repr__(v) for v in values], 3)
+            return found
+
+        branches = self.branches
+        z_sum, i_branch, i_detected = (
+            _json_floats(map(attrgetter(name), branches))
+            for name in ("z_sum", "i_branch", "i_detected"))
+        body = [_BRANCH % (text(b.a_columns), text(b.frozen), ib, idt,
+                           "true" if b.in_good_set else "false", int.__repr__(b.r),
+                           text(b.s_users), encode_basestring_ascii(b.sig), zs)
+                for b, zs, ib, idt in zip(branches, z_sum, i_branch, i_detected)]
+        fields = {
+            "branches": _json_list(body, 1),
+            "eps": _json_number(self.eps),
+            "l": _json_number(self.l),
+            "m": _json_number(self.m),
+            "merge_tol": _json_number(self.merge_tol),
+            "q": _json_number(self.q),
+            "rate_vector": _json_list(list(map(_json_number, self.rate_vector)), 1),
+            "sum_rate": _json_number(self.sum_rate),
+            "union_bound": _json_number(self.union_bound),
+            "z_budget": _json_number(self.z_budget),
+        }
+        return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in fields.items()) + "\n}"
+
+
+# One branch object of a spec file, at the depth json.dumps(indent=1) gives
+# it, with its keys in sorted order.
+_BRANCH = """{
+   "a_columns": %s,
+   "frozen": %s,
+   "i_branch": %s,
+   "i_detected": %s,
+   "in_good_set": %s,
+   "r": %s,
+   "s_users": %s,
+   "sig": %s,
+   "z_sum": %s
+  }"""
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_list(items: list, depth: int) -> str:
+    """A JSON list of formatted items, nested `depth` levels deep, as
+    json.dumps(indent=1) writes it."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _json_floats(values) -> list:
+    """Floats (np.float64 among them) as json writes them: repr, with
+    NaN and the infinities spelled as JavaScript spells them."""
+    texts = list(map(float.__repr__, values))
+    if "nan" in texts or "inf" in texts or "-inf" in texts:
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _json_number(value) -> str:
+    """A header number as json writes it, int or float."""
+    if isinstance(value, float):
+        return _json_floats([value])[0]
+    return int.__repr__(value)
 
 
 def _json_int(value) -> int:
-    """An integer field of a JSON file.  int() would truncate 2.6 to 2, so
-    a float must have an integral value; anything else int() refuses
-    raises as int() does."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    """An integer field of a JSON file: an integer, or a float with an
+    integral value (int() would truncate 2.6 to 2).  A boolean is refused,
+    although Python counts it as an int, and so is a string."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _json_ints(values) -> tuple:
-    """A JSON list of integers as a tuple of ints, by `_json_int`; a list of
-    Python ints, the usual case, is converted in one C-level pass."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        return tuple(map(_json_int, values))
+    """A JSON list of integers as a tuple of ints, by `_json_int`."""
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not an integer list")
+    return tuple(map(_json_int, values))
+
+
+def _json_int_rows(rows: list) -> list:
+    """JSON lists of integers as tuples of ints, one per row, by
+    `_json_ints`.  Lists of plain ints, the usual case, are checked in one
+    pass over all their entries."""
+    if (set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        return list(map(tuple, rows))
+    return list(map(_json_ints, rows))
+
+
+# The fields of a branch that `CodeSpec.check` decides together, and its
+# signature.
+_SHAPE = attrgetter("in_good_set", "r", "a_columns", "s_users", "frozen")
+_SIG = attrgetter("sig")
+
+
+def _shape_error(in_good_set, r, a_columns, s_users, frozen, q: int, m: int) -> str:
+    """Why a branch with these fields does not belong in a spec over
+    GF(q)^m, or '' if it does."""
+    if not (r == len(s_users) == len(a_columns) and len(frozen) == m):
+        return (f"r={r} does not match its {len(s_users)} users and "
+                f"{len(a_columns)} columns, or it has {len(frozen)} frozen "
+                f"flags for m={m}")
+    for k in range(1, m + 1):
+        if (frozen[k - 1] == 0) != (k in s_users):
+            return (f"user {k}'s frozen flag contradicts the information "
+                    f"users {s_users}")
+    if not r:
+        return ""
+    if not in_good_set:
+        return f"information users {s_users} on a branch outside the good set"
+    return _info_map_error(a_columns, s_users, q, m)
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ branch's information users by a greedy rank search.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -218,3 +219,35 @@ def smallest_independent_rows(a_columns: tuple, q: int) -> tuple:
         if len(chosen) == a.shape[1]:
             break
     return tuple(chosen)
+
+
+def codespec_dict(spec) -> dict:
+    """A code spec as the plain dict its JSON file holds."""
+    return {
+        "q": spec.q, "m": spec.m, "l": spec.l,
+        "eps": spec.eps, "z_budget": spec.z_budget,
+        "merge_tol": spec.merge_tol,
+        "rate_vector": list(spec.rate_vector),
+        "sum_rate": spec.sum_rate,
+        "union_bound": spec.union_bound,
+        "branches": [
+            {
+                "sig": b.sig,
+                "in_good_set": b.in_good_set,
+                "r": b.r,
+                "a_columns": [list(c) for c in b.a_columns],
+                "s_users": list(b.s_users),
+                "frozen": list(b.frozen),
+                "z_sum": b.z_sum,
+                "i_branch": b.i_branch,
+                "i_detected": b.i_detected,
+            }
+            for b in spec.branches
+        ],
+    }
+
+
+def codespec_json(spec) -> str:
+    """The generic encoder's text of a code spec, which `CodeSpec.to_json`
+    must reproduce byte for byte."""
+    return json.dumps(codespec_dict(spec), sort_keys=True, indent=1)

@@ -222,9 +222,13 @@ def test_probe_refuses_malformed_grid_rows(tmp_path, capsys, rows):
 
 
 @pytest.mark.parametrize("patch", [{"q": 2.6}, {"m": 2.9},
-                                   {"terms": [{"p": 1.0, "basis": [[1.5, 1]]}]}])
+                                   {"terms": [{"p": 1.0, "basis": [[1.5, 1]]}]},
+                                   {"m": True, "terms": [{"p": 1.0, "basis": [[1]]}]},
+                                   {"q": "2"},
+                                   {"terms": [{"p": 1.0, "basis": [[True, 1]]}]}])
 def test_fractional_channel_fields_are_refused(tmp_path, capsys, patch):
-    # int() would run these as q=2, m=2 and the basis [1, 1].
+    # int() would run these as q=2, m=2 and the basis [1, 1]; a boolean or
+    # a string is no integer either.
     data = {"q": 2, "m": 2, "terms": [{"p": 1.0, "basis": [[1, 1]]}], **patch}
     with pytest.raises(ParseError):
         channel_from_dict(data)
@@ -241,6 +245,13 @@ def test_fractional_channel_fields_are_refused(tmp_path, capsys, patch):
     lambda d: d.update(l=1.5),
     lambda d: d["branches"][-1].update(a_columns=[[1.7, 1.2]]),
     lambda d: d["branches"][-1].update(frozen=[0.5, 1]),
+    # Booleans and strings are no integers either.
+    lambda d: d["branches"][-1].update(r=True),
+    lambda d: d["branches"][-1].update(frozen=[True, 1]),
+    lambda d: d["branches"][-1].update(s_users=[True]),
+    lambda d: d["branches"][-1].update(a_columns=[[True, 0]]),
+    lambda d: d["branches"][-1].update(frozen="11"),
+    lambda d: d.update(m=True),
 ])
 def test_fractional_codespec_fields_are_refused(five_term_file, tmp_path, capsys, patch):
     spec = tmp_path / "code.json"
@@ -254,6 +265,25 @@ def test_fractional_codespec_fields_are_refused(five_term_file, tmp_path, capsys
     assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
                  "--trials", "2", "--seed", "1"]) == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", "no", 1.5, [], 0])
+def test_non_boolean_in_good_set_is_refused(five_term_file, tmp_path, capsys, value):
+    # bool() would read each of these on a frozen branch, and a frozen
+    # branch with no information users passes every other check.
+    spec = tmp_path / "code.json"
+    assert main(["construct", "--channel", five_term_file, "--l", "1", "--eps", "0.2",
+                 "--z-budget", "1e-3", "--out", str(spec), "--no-timestamp"]) == 0
+    data = json.loads(spec.read_text())
+    outside = [b for b in data["branches"] if b["in_good_set"] is False]
+    assert outside
+    outside[0]["in_good_set"] = value
+    bad = write_json(tmp_path / "bad.json", data)
+    with pytest.raises(ParseError, match="is not a boolean"):
+        load_codespec(bad)
+    assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
+                 "--trials", "2", "--seed", "1"]) == 2
+    assert "is not a boolean" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, five_term_file, capsys):

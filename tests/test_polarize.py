@@ -47,7 +47,13 @@ from conftest import (
     subsets_of,
     useless_mac,
 )
-from oracles import members, smallest_independent_rows, span_scan
+from oracles import (
+    codespec_dict,
+    codespec_json,
+    members,
+    smallest_independent_rows,
+    span_scan,
+)
 
 FIVE = str(Path(__file__).resolve().parents[1] / "demos" / "channels"
            / "five_component.json")
@@ -336,11 +342,59 @@ def test_build_code_single_term_v3():
 
 def test_codespec_json_roundtrip(rng):
     spec = build_code(uniform_five_explicit(), 3, eps=0.2, z_budget=0.1)
-    again = CodeSpec.from_dict(spec.to_dict())
+    again = CodeSpec.from_dict(codespec_dict(spec))
     assert again == spec
-    import json
     assert json.loads(spec.to_json()) == json.loads(
         CodeSpec.from_dict(json.loads(spec.to_json())).to_json())
+
+
+def uniform_combo(q, m):
+    subs = [s for d in range(m + 1) for s in enumerate_subspaces(m, d, q)]
+    return LinearComboMac(q, m, [(1 / len(subs), s) for s in subs])
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_to_json_matches_the_generic_encoder(tmp_path, q, m):
+    # Depths 0..8 of a uniform combination: depth 0 is one branch with
+    # signature "", and the shallow depths have an empty good set.
+    combo = uniform_combo(q, m)
+    good_counts, info = set(), False
+    for depth in range(9):
+        for z_budget in (1e-3, 0.2):
+            spec = build_code(combo, depth, eps=0.2, z_budget=z_budget)
+            text = spec.to_json()
+            assert text == codespec_json(spec), (depth, z_budget)
+            good_counts.add(spec.good_count > 0)
+            info = info or any(b.r for b in spec.branches)
+            # save, load and save again: the same bytes.
+            path = tmp_path / "code.json"
+            save_codespec(str(path), spec)
+            first = path.read_bytes()
+            assert first == (text + "\n").encode()
+            save_codespec(str(path), load_codespec(str(path)))
+            assert path.read_bytes() == first
+    assert good_counts == {False, True} and info
+
+
+def test_to_json_spells_floats_as_json_does():
+    spec = build_code(load_channel_file(FIVE), 2, eps=0.2, z_budget=0.1)
+    first, second, *rest = spec.branches
+    odd = dataclasses.replace(
+        spec, eps=np.float64(0.2), union_bound=math.inf, sum_rate=math.nan,
+        rate_vector=(-0.0, 5e-324), merge_tol=0,
+        branches=(dataclasses.replace(first, z_sum=math.nan, i_branch=math.inf,
+                                      i_detected=-math.inf),
+                  dataclasses.replace(second, z_sum=-0.0, i_branch=5e-324,
+                                      i_detected=1e308),
+                  *(dataclasses.replace(b, z_sum=np.float64(b.z_sum) / 3)
+                    for b in rest)))
+    text = odd.to_json()
+    assert text == codespec_json(odd)
+    for token in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e+308"):
+        assert token in text
+    # json reads the spellings back, and writing again gives the same text.
+    assert CodeSpec.from_dict(json.loads(text)).to_json() == text.replace(
+        '"merge_tol": 0,', '"merge_tol": 0.0,')
 
 
 def test_martingale_report(rng):
