@@ -448,6 +448,32 @@ def test_simulate_outputs_are_pinned(tmp_path, monkeypatch, capsys, channel,
     assert got == (csv_digest, json_digest), f"{channel}: {got}"
 
 
+def test_simulate_on_the_float_decoder_is_pinned(tmp_path, monkeypatch, capsys):
+    # The five-component code sent through the five-component table mixed
+    # with a uniform 0.1: no column is constant on an affine support, so
+    # the float decoder runs.  sha256 of the CSV and of the printed report,
+    # written before the decoder set-up was shared by sc_decode and
+    # run_trials.  Paths are relative.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO_CHANNELS / "five_component.json", "five_component.json")
+    five = load_channel("five_component.json").to_explicit()
+    write_json(tmp_path / "noisy.json", {
+        "q": 2, "m": 2, "outputs": five.output_size,
+        "rows": (0.9 * five.table + 0.1 / five.output_size).tolist()})
+    assert main(["construct", "--channel", "five_component.json", "--l", "6",
+                 "--eps", "0.2", "--z-budget", "1e-3", "--out", "code.json"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--codespec", "code.json", "--channel", "noisy.json",
+                 "--trials", "200", "--seed", "5", "--out", "out.csv",
+                 "--no-timestamp"]) == 0
+    printed = capsys.readouterr().out
+    assert '"errors": 20,' in printed
+    got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
+           hashlib.sha256(printed.encode()).hexdigest())
+    assert got == ("88c23749f4c36c06f220e12a97bb7da35a05071ac5bd23297054a99c823872a2",
+                   "1b1ca91b2582338fe655f72d489dea2e149fce55f0aa25919f3022384cee6704")
+
+
 @pytest.mark.parametrize("argv, counts, csv_digest, stdout_digest", [
     (["--q", "2", "--m", "3", "--users", "1,2", "--max-family", "3"], (696, 445, 0),
      "6388521fe9ed7f815052db8446e12a857a4c33f6755b3bf2f90afbbe3caed669",
