@@ -28,8 +28,8 @@ from .errors import (
 )
 from .linear_mac import (
     LinearComboMac,
-    _binary2_order,
     binary2_evolve,
+    binary2_order,
     binary2_state,
     consistency_check,
     evolve,
@@ -185,7 +185,7 @@ def cmd_evolve(args) -> int:
     if binary2:
         # The 5-state columns are the lattice weights in component order;
         # the information columns are I[{1}], I[{2}] and I[{1,2}].
-        five = itemgetter(*_binary2_order())
+        five = itemgetter(*binary2_order())
         predicted = total_loss_predict(binary2_state(channel))
         cols = ["level", "p0", "p1", "p2", "p3", "p4", "i1", "i2", "i_sum",
                 "extremal_fraction", "pred_total_loss"]
@@ -259,7 +259,7 @@ def cmd_probe_conjectures(args) -> int:
                   "dominant in grid")
         else:
             worst = None
-            diagonal = _binary2_order()[3]
+            diagonal = binary2_order()[3]
             for s in hits:
                 rep = binary2_evolve(np.array(s), args.l, mode="enumerate")
                 p3 = rep.final.weights[diagonal]

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import SpecMismatchError
 from .linear_mac import subspace_lattice
 from .mac import DiscreteMac, add_table, all_vectors
-from .polarize import CodeSpec, _info_map_error
+from .polarize import CodeSpec
 from .subspace import count_subspaces
 
 
@@ -168,7 +168,7 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
     with_details is set.  A spec that `CodeSpec.check` refuses raises its
     SpecMismatchError.
     """
-    spec.check()
+    decode, _ = _decoder(spec, channel)
     n = spec.block_length
     received = np.asarray(received, dtype=np.int64)
     if received.shape != (n,):
@@ -179,8 +179,7 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
                                 f"got {frozen.shape}")
     known = np.where(spec.frozen_mask(), frozen % spec.q, 0)
     genie = None if genie_u is None else np.asarray(genie_u, dtype=np.int64)[None]
-    u_hat, posteriors, fallbacks = _decode_batch(
-        spec, channel, received[None], known[None], genie, with_details)
+    u_hat, posteriors, fallbacks = decode(received[None], known[None], genie, with_details)
     if with_details:
         return DecodeResult(u_hat=u_hat[0],
                             posteriors=[None if p is None else p[0] for p in posteriors],
@@ -188,47 +187,44 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
     return u_hat[0]
 
 
-# Default of `_decode_batch`'s leaves: resolve the route from the channel.
-_ROUTE = object()
-
-
-def _decode_batch(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
-                  frozen: np.ndarray, genie_u: np.ndarray | None = None,
-                  with_details: bool = False, leaves=_ROUTE):
-    """Decode T blocks at once.
-
-    received is (T, N) output indices, frozen the (T, N, m) frozen symbols,
-    0 at the information positions, and genie_u an optional (T, N, m)
-    true message.  A channel whose every output column is constant on an
-    affine support goes to `_decode_coset`, any other to `_decode_float`;
-    both make the same decisions and return the same arrays.  leaves is
-    `_coset_leaves(channel)` when the caller has it already.
-
-    Returns (u_hat (T, N, m), posteriors, fallbacks): posteriors is a
-    per-branch list of (T, q^m) arrays (None on undecided branches) when
-    with_details is set, and fallbacks counts per trial the node rows whose
-    likelihood vanished and were replaced by the uniform one.
-    """
+def _decoder(spec: CodeSpec, channel: DiscreteMac):
+    """(decode, chunk) after `spec.check()`, the q and m match and the
+    choice of route, each run once.  decode(received, frozen, genie_u=None,
+    with_details=False) decodes T blocks: received (T, N) output indices,
+    frozen the (T, N, m) frozen symbols (0 at the information positions),
+    genie_u an optional (T, N, m) true message.  A channel whose every
+    output column is constant on an affine support takes `_decode_coset`,
+    any other `_decode_float`; both return the same (u_hat (T, N, m),
+    posteriors, fallbacks): posteriors a per-branch list of (T, q^m) arrays
+    (None on undecided branches) when with_details is set, fallbacks per
+    trial the node rows whose likelihood vanished and were set uniform.
+    chunk is the number of trials to decode at once (see DECODE_CHUNK)."""
+    spec.check()
     if channel.q != spec.q or channel.m != spec.m:
         raise SpecMismatchError("channel does not match the code spec")
-    if leaves is _ROUTE:
-        leaves = _coset_leaves(channel)
-    if leaves is None:
-        return _decode_float(spec, channel, received, frozen, genie_u, with_details)
-    return _decode_coset(spec, leaves[received], frozen, genie_u, with_details)
+    leaves = _coset_leaves(channel)
+    # Floats (or integers) per trial and branch in the route's largest arrays.
+    cells = spec.q ** (2 * spec.m) if leaves is None else spec.m
+    chunk = max(1, min(DECODE_CHUNK, GATHER_FLOATS // (spec.block_length * cells)))
+
+    def decode(received, frozen, genie_u=None, with_details=False):
+        if leaves is None:
+            return _decode_float(spec, channel, received, frozen, genie_u, with_details)
+        return _decode_coset(spec, leaves[received], frozen, genie_u, with_details)
+
+    return decode, chunk
 
 
 def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
                   frozen: np.ndarray, genie_u: np.ndarray | None = None,
                   with_details: bool = False):
-    """`_decode_batch` on likelihood arrays, for any channel: a level-k
+    """`_decoder`'s decode on likelihood arrays, for any channel: a level-k
     node holds (2^k, T, q^m) likelihoods, each row rescaled by its
     maximum."""
     q, m = spec.q, spec.m
     big_q = q ** m
     add = add_table(q, m)
     fallbacks = np.zeros(len(received), dtype=np.int64)
-    _info_maps(spec)                     # refuses a non-canonical map
 
     def scaled(v):
         mx = v.max(axis=2, keepdims=True)
@@ -263,7 +259,7 @@ def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
 
 def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
                   genie_u: np.ndarray | None = None, with_details: bool = False):
-    """`_decode_batch` on affine-set indices.
+    """`_decoder`'s decode on affine-set indices.
 
     leaf is (T, N): the `_coset_tables` index of each received output's
     support.  Where every leaf likelihood is a constant on an affine set,
@@ -311,18 +307,11 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
 
 
 def _info_maps(spec: CodeSpec) -> dict:
-    """{(a_columns, s_users): indices of the good branches with that map},
-    in order of first use.  Raises SpecMismatchError naming the first good
-    branch whose map `_info_map_error` refuses, checking each distinct map
-    once."""
+    """{(a_columns, s_users): the good branches with that map}, by first use."""
     maps = {}
     for b, branch in enumerate(spec.branches):
         if branch.in_good_set:
             maps.setdefault((branch.a_columns, branch.s_users), []).append(b)
-    for (columns, users), where in maps.items():
-        why = _info_map_error(columns, users, spec.q, spec.m)
-        if why:
-            raise SpecMismatchError(f"branch {spec.branches[where[0]].sig}: {why}")
     return maps
 
 
@@ -402,7 +391,7 @@ def _decide_batch(branch, post, base, q, m):
     """Sequential ML decisions on the information users of one branch.
 
     post is (T, q^m), base the (T, m) known symbols of the branch, 0 at its
-    information users.  The map is canonical (`_info_map_error`), so
+    information users.  The map is canonical (`CodeSpec.check`), so
     direction h reads user s_h's symbol plus the shift c_h = (base @ A)_h
     that the frozen users fix.  Direction h is decided from the posterior
     mass of the vectors that agree with the earlier decisions, ties going
@@ -548,11 +537,6 @@ DECODE_CHUNK = 64
 GATHER_FLOATS = 1 << 24
 
 
-def _decode_chunk(n: int, inputs: int) -> int:
-    """Trials per float-decoder batch at block length n with q^m = inputs."""
-    return max(1, min(DECODE_CHUNK, GATHER_FLOATS // (n * inputs * inputs)))
-
-
 @dataclass(frozen=True)
 class TrialReport:
     spec: CodeSpec
@@ -608,22 +592,17 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    decode, chunk = _decoder(spec, channel)
     mask = spec.frozen_mask()
     info = ~mask
     errors = 0
-    n = spec.block_length
-    leaves = _coset_leaves(channel)
-    if leaves is None:
-        chunk = _decode_chunk(n, spec.q ** spec.m)
-    else:
-        chunk = max(1, min(DECODE_CHUNK, GATHER_FLOATS // (n * spec.m)))
     for start in range(0, n_trials, chunk):
         trials = range(start, min(start + chunk, n_trials))
         frozen = np.stack([_draw(mask, spec.q, [seed, t, 1]) for t in trials])
         u = frozen + np.stack([_draw(info, spec.q, [seed, t, 0]) for t in trials])
         received = np.stack([simulate_channel(channel, x, seed=[seed, t, 2])
                              for t, x in zip(trials, encode(spec, u))])
-        u_hat, _, _ = _decode_batch(spec, channel, received, frozen, leaves=leaves)
+        u_hat, _, _ = decode(received, frozen)
         errors += int((u_hat != u)[:, info].any(axis=1).sum())
     bler = errors / n_trials
     lo, hi = wilson_interval(errors, n_trials)

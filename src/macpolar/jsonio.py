@@ -13,6 +13,11 @@ linear combination        {"q": 2, "m": 2,
     each term carries a weight and a list of vectors spanning its
     subspace (an empty list is the zero subspace).
 
+A code spec is the text `json.dumps(..., sort_keys=True, indent=1)` gives
+a `CodeSpec`; whether it is consistent is for `CodeSpec.check` to decide.
+In every file an integer field refuses a boolean, a string or a fraction,
+and a float field a boolean or a string.
+
 CSV files start with an optional "# generated:" timestamp line (suppressed
 for byte-reproducible runs) followed by a "# config:" echo of the resolved
 run configuration; floats are written with repr so files round-trip.
@@ -22,11 +27,15 @@ from __future__ import annotations
 
 import datetime
 import json
+from functools import lru_cache
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, index, itemgetter
 
 from .errors import NonFiniteError, ParseError
 from .linear_mac import LinearComboMac
 from .mac import DiscreteMac, validate
-from .polarize import CodeSpec, _json_int, _json_ints
+from .polarize import BranchCode, CodeSpec
 from .subspace import Subspace
 
 
@@ -59,12 +68,13 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
         if (not isinstance(rows, list) or len(rows) != q ** m
                 or any(not isinstance(r, list) for r in rows)):
             raise ParseError(f"{where}: 'rows' must list q^m = {q ** m} rows")
-        n_out = data.get("outputs", len(rows[0]))
-        if any(len(r) != n_out for r in rows):
-            raise ParseError(f"{where}: all rows must have {n_out} entries")
         try:
+            n_out = _json_int(data.get("outputs", len(rows[0])))
+            rows = [_json_float_list(r) for r in rows]
+            if any(len(r) != n_out for r in rows):
+                raise ValueError(f"all rows must have {n_out} entries")
             mac = DiscreteMac(q, m, rows)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         validate(mac)
         return mac
@@ -77,7 +87,7 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
                 raise ParseError(f"{where}: term {i} needs 'p' and 'basis'")
             try:
                 basis = [_json_ints(v) for v in term["basis"]]
-                terms.append((float(term["p"]), Subspace.from_vectors(basis, m, q)))
+                terms.append((_json_float(term["p"]), Subspace.from_vectors(basis, m, q)))
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: term {i}: {exc}") from exc
         try:
@@ -97,7 +107,7 @@ def load_codespec(path: str) -> CodeSpec:
     """Read a code spec and check its consistency (SpecMismatchError)."""
     data = _load_json(path)
     try:
-        spec = CodeSpec.from_dict(data)
+        spec = codespec_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad code spec: {exc}") from exc
     spec.check()
@@ -106,8 +116,159 @@ def load_codespec(path: str) -> CodeSpec:
 
 def save_codespec(path: str, spec: CodeSpec) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(spec.to_json())
-        fh.write("\n")
+        fh.write(codespec_to_json(spec) + "\n")
+
+
+def codespec_from_dict(data: dict) -> CodeSpec:
+    """The spec of a parsed JSON object, read column by column across the
+    branches.  A missing field raises KeyError, a malformed one TypeError or
+    ValueError: a refused integer or float field, or a non-boolean `in_good_set`."""
+    rows = data["branches"]
+
+    def column(name):
+        return list(map(itemgetter(name), rows))
+
+    good = column("in_good_set")
+    for g in good:
+        if type(g) is not bool:
+            raise ValueError(f"in_good_set {g!r} is not a boolean")
+    a_columns = column("a_columns")
+    if not set(map(type, a_columns)) <= {list}:
+        raise TypeError("a_columns must be lists of columns")
+    flat = iter(_json_int_rows(list(chain.from_iterable(a_columns))))
+    a_columns = [tuple(islice(flat, len(cols))) for cols in a_columns]
+    r = _json_int_rows([column("r")])[0]      # the column as one list
+    branches = tuple(map(
+        BranchCode, column("sig"), good, r, a_columns,
+        _json_int_rows(column("s_users")), _json_int_rows(column("frozen")),
+        *(_json_float_list(column(name)) for name in ("z_sum", "i_branch", "i_detected"))))
+    return CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=_json_int(data["l"]),
+                    eps=_json_float(data["eps"]), z_budget=_json_float(data["z_budget"]),
+                    merge_tol=_json_float(data["merge_tol"]), branches=branches,
+                    rate_vector=tuple(_json_float_list(data["rate_vector"])),
+                    sum_rate=_json_float(data["sum_rate"]),
+                    union_bound=_json_float(data["union_bound"]))
+
+
+def codespec_to_json(spec: CodeSpec) -> str:
+    """The spec as `json.dumps(..., sort_keys=True, indent=1)` writes it,
+    from one template per branch.  Integer fields hold ints (a bool among
+    them is written as 0 or 1), float fields floats and `in_good_set` a
+    boolean.  The few distinct integer tuples of a spec are each formatted
+    once."""
+    @lru_cache(maxsize=None)
+    def text(values):
+        return _json_list([_json_list(list(map(int.__repr__, v)), 4)
+                           if isinstance(v, tuple) else int.__repr__(v) for v in values], 3)
+
+    branches = spec.branches
+    z_sum, i_branch, i_detected = (
+        _json_floats(map(attrgetter(name), branches))
+        for name in ("z_sum", "i_branch", "i_detected"))
+    body = [_BRANCH % (text(b.a_columns), text(b.frozen), ib, idt,
+                       "true" if b.in_good_set else "false", int.__repr__(b.r),
+                       text(b.s_users), encode_basestring_ascii(b.sig), zs)
+            for b, zs, ib, idt in zip(branches, z_sum, i_branch, i_detected)]
+    fields = {
+        "branches": _json_list(body, 1),
+        "eps": _json_number(spec.eps),
+        "l": _json_number(spec.l),
+        "m": _json_number(spec.m),
+        "merge_tol": _json_number(spec.merge_tol),
+        "q": _json_number(spec.q),
+        "rate_vector": _json_list(list(map(_json_number, spec.rate_vector)), 1),
+        "sum_rate": _json_number(spec.sum_rate),
+        "union_bound": _json_number(spec.union_bound),
+        "z_budget": _json_number(spec.z_budget),
+    }
+    return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in fields.items()) + "\n}"
+
+
+# One branch object of a spec file, at the depth json.dumps(indent=1) gives
+# it, with its keys in sorted order.
+_BRANCH = """{
+   "a_columns": %s,
+   "frozen": %s,
+   "i_branch": %s,
+   "i_detected": %s,
+   "in_good_set": %s,
+   "r": %s,
+   "s_users": %s,
+   "sig": %s,
+   "z_sum": %s
+  }"""
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_list(items: list, depth: int) -> str:
+    """A JSON list of formatted items, nested `depth` levels deep, as
+    json.dumps(indent=1) writes it."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _json_floats(values) -> list:
+    """Floats (np.float64 among them) as json writes them: repr, with
+    NaN and the infinities spelled as JavaScript spells them."""
+    texts = list(map(float.__repr__, values))
+    if "nan" in texts or "inf" in texts or "-inf" in texts:
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _json_number(value) -> str:
+    """A header number as json writes it, int or float."""
+    return _json_floats([value])[0] if isinstance(value, float) else int.__repr__(value)
+
+
+def _json_int(value) -> int:
+    """An integer field of a JSON file: an integer, or a float with an
+    integral value (int() would truncate 2.6 to 2).  A boolean is refused,
+    although Python counts it as an int, and so is a string."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def _json_ints(values) -> tuple:
+    """A JSON list of integers as a tuple of ints, by `_json_int`."""
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not an integer list")
+    return tuple(map(_json_int, values))
+
+
+def _json_int_rows(rows: list) -> list:
+    """JSON lists of integers as tuples of ints, one per row, by
+    `_json_ints`.  Lists of plain ints, the usual case, are checked in one
+    pass over all their entries."""
+    if (set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        return list(map(tuple, rows))
+    return list(map(_json_ints, rows))
+
+
+def _json_float(value) -> float:
+    """A float field of a JSON file: a number, not a boolean or a string."""
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{value!r} is not a number")
+
+
+def _json_float_list(values) -> list:
+    """A JSON list of numbers as floats, by `_json_float`; plain floats and
+    ints, the usual case, are checked in one pass."""
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not a number list")
+    if set(map(type, values)) <= {float, int}:
+        return list(map(float, values))
+    return list(map(_json_float, values))
 
 
 def fmt(value) -> str:

@@ -462,7 +462,7 @@ def binary2_subspaces():
     ]
 
 
-def _binary2_order() -> list:
+def binary2_order() -> list:
     """Lattice positions of the five components, in component order."""
     index = subspace_lattice(2, 2).index
     return [index[s] for s in binary2_subspaces()]
@@ -472,7 +472,7 @@ def binary2_state(combo: LinearComboMac) -> np.ndarray:
     """5-vector of weights in the fixed component order (q=2, m=2 only)."""
     if combo.q != 2 or combo.m != 2:
         raise AmbientMismatchError("binary two-user state requires q=2, m=2")
-    return combo.weights()[_binary2_order()]
+    return combo.weights()[binary2_order()]
 
 
 def _binary2_combo(p) -> LinearComboMac:

@@ -12,6 +12,9 @@ Explicit branch channels are built with output merging after every step,
 which is what keeps depth-8 trees tractable.  A linear combination is
 polarized on its subspace lattice instead (`linear_mac`), where every
 branch statistic is an exact weighted sum.
+
+Construction ends in a `CodeSpec`, whose `check` alone decides whether a
+spec is consistent; its file format is `jsonio`'s.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter, index, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -226,150 +227,6 @@ class CodeSpec:
             raise SpecMismatchError(f"sum rate {self.sum_rate!r}, but the good "
                                     f"set gives {r_total!r}")
         return True
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CodeSpec":
-        """The spec of a parsed JSON object, read field by field across
-        the branches.  A missing field raises KeyError, a malformed one
-        TypeError or ValueError: among them an integer field holding a
-        boolean, a string or a fractional number, and an `in_good_set`
-        that is not a boolean."""
-        rows = d["branches"]
-
-        def column(name):
-            return list(map(itemgetter(name), rows))
-
-        good = column("in_good_set")
-        for g in good:
-            if type(g) is not bool:
-                raise ValueError(f"in_good_set {g!r} is not a boolean")
-        a_columns = column("a_columns")
-        if not set(map(type, a_columns)) <= {list}:
-            raise TypeError("a_columns must be lists of columns")
-        flat = iter(_json_int_rows(list(chain.from_iterable(a_columns))))
-        a_columns = [tuple(islice(flat, len(cols))) for cols in a_columns]
-        r = _json_int_rows([column("r")])[0]      # the column as one list
-        branches = tuple(map(
-            BranchCode, column("sig"), good, r, a_columns,
-            _json_int_rows(column("s_users")), _json_int_rows(column("frozen")),
-            map(float, column("z_sum")), map(float, column("i_branch")),
-            map(float, column("i_detected"))))
-        return cls(q=_json_int(d["q"]), m=_json_int(d["m"]), l=_json_int(d["l"]),
-                   eps=float(d["eps"]), z_budget=float(d["z_budget"]),
-                   merge_tol=float(d["merge_tol"]), branches=branches,
-                   rate_vector=tuple(float(r) for r in d["rate_vector"]),
-                   sum_rate=float(d["sum_rate"]),
-                   union_bound=float(d["union_bound"]))
-
-    def to_json(self) -> str:
-        """The spec as `json.dumps(..., sort_keys=True, indent=1)` writes
-        it, from one template per branch.  Integer fields hold ints (a bool
-        among them is written as 0 or 1), float fields floats and
-        `in_good_set` a boolean.  The few distinct integer tuples of a spec
-        are each formatted once."""
-        tuples = {}
-
-        def text(values):
-            found = tuples.get(values)
-            if found is None:
-                found = tuples[values] = _json_list(
-                    [_json_list(list(map(int.__repr__, v)), 4)
-                     if isinstance(v, tuple) else int.__repr__(v) for v in values], 3)
-            return found
-
-        branches = self.branches
-        z_sum, i_branch, i_detected = (
-            _json_floats(map(attrgetter(name), branches))
-            for name in ("z_sum", "i_branch", "i_detected"))
-        body = [_BRANCH % (text(b.a_columns), text(b.frozen), ib, idt,
-                           "true" if b.in_good_set else "false", int.__repr__(b.r),
-                           text(b.s_users), encode_basestring_ascii(b.sig), zs)
-                for b, zs, ib, idt in zip(branches, z_sum, i_branch, i_detected)]
-        fields = {
-            "branches": _json_list(body, 1),
-            "eps": _json_number(self.eps),
-            "l": _json_number(self.l),
-            "m": _json_number(self.m),
-            "merge_tol": _json_number(self.merge_tol),
-            "q": _json_number(self.q),
-            "rate_vector": _json_list(list(map(_json_number, self.rate_vector)), 1),
-            "sum_rate": _json_number(self.sum_rate),
-            "union_bound": _json_number(self.union_bound),
-            "z_budget": _json_number(self.z_budget),
-        }
-        return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in fields.items()) + "\n}"
-
-
-# One branch object of a spec file, at the depth json.dumps(indent=1) gives
-# it, with its keys in sorted order.
-_BRANCH = """{
-   "a_columns": %s,
-   "frozen": %s,
-   "i_branch": %s,
-   "i_detected": %s,
-   "in_good_set": %s,
-   "r": %s,
-   "s_users": %s,
-   "sig": %s,
-   "z_sum": %s
-  }"""
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_list(items: list, depth: int) -> str:
-    """A JSON list of formatted items, nested `depth` levels deep, as
-    json.dumps(indent=1) writes it."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
-
-
-def _json_floats(values) -> list:
-    """Floats (np.float64 among them) as json writes them: repr, with
-    NaN and the infinities spelled as JavaScript spells them."""
-    texts = list(map(float.__repr__, values))
-    if "nan" in texts or "inf" in texts or "-inf" in texts:
-        texts = [_NON_FINITE.get(t, t) for t in texts]
-    return texts
-
-
-def _json_number(value) -> str:
-    """A header number as json writes it, int or float."""
-    if isinstance(value, float):
-        return _json_floats([value])[0]
-    return int.__repr__(value)
-
-
-def _json_int(value) -> int:
-    """An integer field of a JSON file: an integer, or a float with an
-    integral value (int() would truncate 2.6 to 2).  A boolean is refused,
-    although Python counts it as an int, and so is a string."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, bool):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{value!r} is not an integer")
-
-
-def _json_ints(values) -> tuple:
-    """A JSON list of integers as a tuple of ints, by `_json_int`."""
-    if not isinstance(values, list):
-        raise TypeError(f"{values!r} is not an integer list")
-    return tuple(map(_json_int, values))
-
-
-def _json_int_rows(rows: list) -> list:
-    """JSON lists of integers as tuples of ints, one per row, by
-    `_json_ints`.  Lists of plain ints, the usual case, are checked in one
-    pass over all their entries."""
-    if (set(map(type, rows)) <= {list}
-            and set(map(type, chain.from_iterable(rows))) <= {int}):
-        return list(map(tuple, rows))
-    return list(map(_json_ints, rows))
 
 
 # The fields of a branch that `CodeSpec.check` decides together, and its

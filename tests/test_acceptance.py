@@ -30,7 +30,7 @@ from macpolar import (
     transform_plus,
 )
 from macpolar.cli import main
-from macpolar.linear_mac import EXTREMAL_TOL, _binary2_order, binary2_subspaces
+from macpolar.linear_mac import EXTREMAL_TOL, binary2_order, binary2_subspaces
 from oracles import binary2_step
 from conftest import (
     channel_dict,
@@ -217,7 +217,7 @@ def test_criterion_06_total_loss_at_depth_14():
     worst_drift = 0.0
     for p in grid:
         rep = binary2_evolve(p, 14, mode="enumerate")
-        worst_p3 = max(worst_p3, rep.levels[14].weights[_binary2_order()[3]])
+        worst_p3 = max(worst_p3, rep.levels[14].weights[binary2_order()[3]])
         base = rep.levels[0].info[-1]
         worst_drift = max(worst_drift,
                           max(abs(lv.info[-1] - base) for lv in rep.levels))

@@ -20,8 +20,8 @@ from macpolar.jsonio import (
 )
 from macpolar.linear_mac import (
     EXTREMAL_TOL,
-    _binary2_order,
     binary2_evolve,
+    binary2_order,
     binary2_subspaces,
 )
 from macpolar.subspace import enumerate_subspaces
@@ -177,7 +177,7 @@ def test_evolve_command(five_term_file, tmp_path):
     assert rows[0][6:8] == pytest.approx([p[1] + p[3] + p[4], p[2] + p[3] + p[4]],
                                          abs=1e-15)
     stderr = binary2_evolve(state, 3, "sample", 50, 0).final.stderr
-    assert rows[3][11:] == [stderr[k] for k in _binary2_order()]
+    assert rows[3][11:] == [stderr[k] for k in binary2_order()]
 
 
 def test_evolve_generic_users(tmp_path):
@@ -265,6 +265,49 @@ def test_fractional_codespec_fields_are_refused(five_term_file, tmp_path, capsys
     assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
                  "--trials", "2", "--seed", "1"]) == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch", [
+    lambda d: d.update(eps=True),
+    lambda d: d.update(z_budget="0.001"),
+    lambda d: d.update(merge_tol=str(d["merge_tol"])),
+    lambda d: d.update(sum_rate=str(d["sum_rate"])),
+    lambda d: d.update(union_bound=str(d["union_bound"])),
+    lambda d: d.update(rate_vector=[str(r) for r in d["rate_vector"]]),
+    lambda d: d["branches"][-1].update(z_sum="nan"),
+    lambda d: d["branches"][-1].update(i_branch=str(d["branches"][-1]["i_branch"])),
+    lambda d: d["branches"][-1].update(i_detected=True),
+])
+def test_non_numeric_codespec_fields_are_refused(five_term_file, tmp_path, capsys, patch):
+    # float() would read each of these, as 1.0 for true.
+    spec = tmp_path / "code.json"
+    assert main(["construct", "--channel", five_term_file, "--l", "1", "--eps", "0.2",
+                 "--z-budget", "1e-3", "--out", str(spec), "--no-timestamp"]) == 0
+    data = json.loads(spec.read_text())
+    patch(data)
+    bad = write_json(tmp_path / "bad.json", data)
+    with pytest.raises(ParseError, match="not a number"):
+        load_codespec(bad)
+    assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
+                 "--trials", "2", "--seed", "1"]) == 2
+    assert "not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, why", [
+    ({"q": 2, "m": 2, "terms": [{"p": "0.5", "basis": [[1, 0]]},
+                                {"p": 0.5, "basis": [[0, 1]]}]}, "not a number"),
+    ({"q": 2, "m": 2, "terms": [{"p": True, "basis": [[1, 1]]}]}, "not a number"),
+    ({"q": 2, "m": 1, "rows": [[True, 0.0], [0.0, 1.0]]}, "not a number"),
+    ({"q": 2, "m": 1, "rows": [["0.5", 0.5], [0.5, 0.5]]}, "not a number"),
+    ({"q": 2, "m": 1, "outputs": True, "rows": [[1.0], [1.0]]}, "not an integer"),
+])
+def test_non_numeric_channel_fields_are_refused(tmp_path, capsys, data, why):
+    # float() would read each weight and table entry, and `outputs` true
+    # passed as 1.
+    with pytest.raises(ParseError, match=why):
+        channel_from_dict(data)
+    assert main(["analyze", "--channel", write_json(tmp_path / "c.json", data)]) == 2
+    assert why in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["false", "no", 1.5, [], 0])

@@ -34,10 +34,9 @@ from macpolar.codec import (
     _coset_tables,
     _decide_batch,
     _decision_table,
-    _decode_batch,
-    _decode_chunk,
     _decode_coset,
     _decode_float,
+    _decoder,
     _inverse_cdf,
     butterfly_transform,
 )
@@ -48,6 +47,11 @@ from macpolar.polarize import BranchCode, CodeSpec, all_sigs
 from macpolar.linear_mac import binary2_subspaces, subspace_lattice
 from conftest import identity_mac, random_combo, random_full_column_rank, random_mac
 from oracles import affine_sets, set_difference, set_translate
+
+
+def decode_batch(spec, chan, *args, **kwargs):
+    """T blocks through the decoder `sc_decode` and `run_trials` set up."""
+    return _decoder(spec, chan)[0](*args, **kwargs)
 
 
 def vec_to_index(vec, q):
@@ -518,7 +522,7 @@ def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
     """The batched decoder on a (T, N) block of received words makes the
     recursion's decisions trial by trial, with its posteriors to 1e-12."""
     info = ~spec.frozen_mask()
-    u_hat, posts, fallbacks = _decode_batch(spec, chan, received, frozen, genie,
+    u_hat, posts, fallbacks = decode_batch(spec, chan, received, frozen, genie,
                                             with_details=True)
     for t in range(len(received)):
         ref, ref_info = sc_decode_reference(spec, chan, received[t], frozen[t],
@@ -579,9 +583,9 @@ def test_posteriors_do_not_depend_on_the_batch(q, m):
     chan = random_mac(rng, q, m, 3)
     spec = trivial_spec(q, m, 3)
     received, frozen, _ = sampled_blocks(spec, chan, 9, 5)
-    _, posts, _ = _decode_batch(spec, chan, received, frozen, with_details=True)
+    _, posts, _ = decode_batch(spec, chan, received, frozen, with_details=True)
     for t in range(9):
-        _, alone, _ = _decode_batch(spec, chan, received[t:t + 1], frozen[t:t + 1],
+        _, alone, _ = decode_batch(spec, chan, received[t:t + 1], frozen[t:t + 1],
                                     with_details=True)
         assert all(np.array_equal(p[t], a[0]) for p, a in zip(posts, alone))
 
@@ -652,11 +656,15 @@ def test_run_trials_blocks_do_not_depend_on_the_trial_count(monkeypatch):
     spec = build_code(chan, 4, eps=0.2, z_budget=0.05)
     seen = []
 
-    def recording(spec, channel, received, *args, **kwargs):
-        seen.append(received.copy())
-        return _decode_batch(spec, channel, received, *args, **kwargs)
+    def recording(spec, channel):
+        decode, chunk = _decoder(spec, channel)
 
-    monkeypatch.setattr(codec, "_decode_batch", recording)
+        def record(received, *args):
+            seen.append(received.copy())
+            return decode(received, *args)
+        return record, chunk
+
+    monkeypatch.setattr(codec, "_decoder", recording)
     short = run_trials(spec, chan, 5, seed=11)
     first = np.concatenate(seen)
     seen.clear()
@@ -680,8 +688,8 @@ def test_run_trials_blocks_do_not_depend_on_the_trial_count(monkeypatch):
 def test_run_trials_chunk_follows_the_decoder(monkeypatch):
     # The coset decoder holds O(T N m) integers and no minus-node gather,
     # so a GF(3)^3 combination at N=512 decodes 50 trials in one batch,
-    # where a generic channel keeps _decode_chunk(512, 27) = 44.  Each
-    # run_trials call resolves the route once.
+    # where a generic channel's chunk is 44.  Each run_trials call resolves
+    # the route once.
     rng = np.random.default_rng(512)
     spec = random_spec(rng, 3, 3, 9)
     combo = random_combo(rng, 3, 3).to_explicit()
@@ -693,15 +701,19 @@ def test_run_trials_chunk_follows_the_decoder(monkeypatch):
         routes.append(channel)
         return resolve(channel)
 
-    def recording(spec, channel, received, frozen, leaves):
-        seen.append(len(received))
-        if leaves is None:      # spare the float decoder's 44-trial gathers
-            return np.zeros(frozen.shape, dtype=np.int64), None, None
-        return _decode_batch(spec, channel, received, frozen, leaves=leaves)
+    def recording(spec, channel):
+        decode, chunk = _decoder(spec, channel)
 
+        def record(received, frozen):
+            seen.append(len(received))
+            if channel is generic:      # spare the float decoder's 44-trial gathers
+                return np.zeros(frozen.shape, dtype=np.int64), None, None
+            return decode(received, frozen)
+        return record, chunk
+
+    assert _decoder(spec, generic)[1] == 44 and resolve(combo) is not None
     monkeypatch.setattr(codec, "_coset_leaves", counting)
-    monkeypatch.setattr(codec, "_decode_batch", recording)
-    assert _decode_chunk(512, 27) == 44 and resolve(combo) is not None
+    monkeypatch.setattr(codec, "_decoder", recording)
     run_trials(spec, combo, 50, seed=2)
     assert seen == [50] and routes == [combo]
     seen.clear()
@@ -709,17 +721,21 @@ def test_run_trials_chunk_follows_the_decoder(monkeypatch):
     assert seen == [44, 6] and routes == [combo, generic]
 
 
-def test_decode_chunk_bounds_the_minus_gather():
+def test_decode_chunk_bounds_the_minus_gather(monkeypatch):
     # A minus node's gather and its product temporary take chunk * N * q^2m
     # floats together: 1.5 GB at 64 trials for q^m = 27 and N = 4096.
-    chunk = _decode_chunk(4096, 27)
+    rng = np.random.default_rng(4096)
+    _, chunk = _decoder(trivial_spec(3, 3, 12), random_mac(rng, 3, 3, 4))
     assert chunk == 5
     assert chunk * 4096 * 27 ** 2 <= GATHER_FLOATS < (chunk + 1) * 4096 * 27 ** 2
     # The codes of the `decode` benchmark workload (q^m = 4, N <= 1024)
     # keep a full chunk.
-    for n in (16, 256, 1024):
-        assert _decode_chunk(n, 4) == DECODE_CHUNK == 64
-    assert _decode_chunk(1 << 20, 125) == 1    # at least one trial
+    generic = random_mac(rng, 2, 2, 3)
+    for l in (4, 8, 10):
+        assert _decoder(trivial_spec(2, 2, l), generic)[1] == DECODE_CHUNK == 64
+    monkeypatch.setattr(codec, "GATHER_FLOATS", 1)
+    for chan in (generic, identity_mac(2, 2)):
+        assert _decoder(trivial_spec(2, 2, 4), chan)[1] == 1    # at least one trial
 
 
 # -- the coset decoder against the float decoder ----------------------------------
@@ -827,7 +843,7 @@ def test_decoder_routing():
         assert (leaves is not None) == coset
         spec = random_spec(rng, chan.q, chan.m, 2)
         received, frozen, genie = sampled_blocks(spec, chan, 3, 1)
-        got = _decode_batch(spec, chan, received, frozen, genie, with_details=True)
+        got = decode_batch(spec, chan, received, frozen, genie, with_details=True)
         if coset:
             want = _decode_coset(spec, leaves[received], frozen, genie, with_details=True)
         else:
@@ -876,5 +892,5 @@ def test_coset_tables_size_cap(monkeypatch):
     received, frozen, _ = sampled_blocks(spec, chan, 2, 4)
     monkeypatch.setattr(codec, "COSET_CELLS", 100)
     assert _coset_leaves(chan) is None
-    assert_same_decoding(_decode_batch(spec, chan, received, frozen, with_details=True),
+    assert_same_decoding(decode_batch(spec, chan, received, frozen, with_details=True),
                          _decode_float(spec, chan, received, frozen, with_details=True))

@@ -30,7 +30,7 @@ from macpolar import (
 from macpolar import linear_mac
 from macpolar.linear_mac import (
     LATTICE_CAP,
-    _binary2_order,
+    binary2_order,
     binary2_subspaces,
     lattice_children,
     lattice_levels,
@@ -337,13 +337,13 @@ def test_transforms_survive_depth_9(f22):
     assert worst < 1e-12
 
 
-DIAGONAL = _binary2_order()[3]     # lattice position of span{(1,1)}
+DIAGONAL = binary2_order()[3]     # lattice position of span{(1,1)}
 
 
 def test_evolve_level_zero(rng):
     p = rng.dirichlet(np.ones(5))
     rep = binary2_evolve(p, 0)
-    assert np.allclose(np.array(rep.levels[0].weights)[_binary2_order()], p)
+    assert np.allclose(np.array(rep.levels[0].weights)[binary2_order()], p)
 
 
 def test_evolve_sum_capacity_martingale(rng):
@@ -445,7 +445,7 @@ def test_symmetry_when_diagonal_dominates(rng):
                 break
         rep = binary2_evolve(p, 14)
         final = rep.levels[14]
-        axes = [final.weights[k] for k in _binary2_order()[1:3]]
+        axes = [final.weights[k] for k in binary2_order()[1:3]]
         assert abs(final.info[0] - final.info[1]) == pytest.approx(
             abs(axes[0] - axes[1]), abs=1e-12)
         assert abs(axes[0] - axes[1]) < 1e-3

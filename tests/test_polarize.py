@@ -36,8 +36,13 @@ from macpolar.cli import main
 from macpolar.linear_mac import binary2_subspaces
 from macpolar.linear_mac import closure
 from macpolar.jsonio import load_channel as load_channel_file
-from macpolar.jsonio import load_codespec, save_codespec
-from macpolar.polarize import CodeSpec, summarize_levels
+from macpolar.jsonio import (
+    codespec_from_dict,
+    codespec_to_json,
+    load_codespec,
+    save_codespec,
+)
+from macpolar.polarize import summarize_levels
 from macpolar.subspace import Subspace, enumerate_subspaces
 from conftest import (
     binary2_levels,
@@ -342,10 +347,10 @@ def test_build_code_single_term_v3():
 
 def test_codespec_json_roundtrip(rng):
     spec = build_code(uniform_five_explicit(), 3, eps=0.2, z_budget=0.1)
-    again = CodeSpec.from_dict(codespec_dict(spec))
+    again = codespec_from_dict(codespec_dict(spec))
     assert again == spec
-    assert json.loads(spec.to_json()) == json.loads(
-        CodeSpec.from_dict(json.loads(spec.to_json())).to_json())
+    assert json.loads(codespec_to_json(spec)) == json.loads(
+        codespec_to_json(codespec_from_dict(json.loads(codespec_to_json(spec)))))
 
 
 def uniform_combo(q, m):
@@ -362,7 +367,7 @@ def test_to_json_matches_the_generic_encoder(tmp_path, q, m):
     for depth in range(9):
         for z_budget in (1e-3, 0.2):
             spec = build_code(combo, depth, eps=0.2, z_budget=z_budget)
-            text = spec.to_json()
+            text = codespec_to_json(spec)
             assert text == codespec_json(spec), (depth, z_budget)
             good_counts.add(spec.good_count > 0)
             info = info or any(b.r for b in spec.branches)
@@ -388,12 +393,12 @@ def test_to_json_spells_floats_as_json_does():
                                       i_detected=1e308),
                   *(dataclasses.replace(b, z_sum=np.float64(b.z_sum) / 3)
                     for b in rest)))
-    text = odd.to_json()
+    text = codespec_to_json(odd)
     assert text == codespec_json(odd)
     for token in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e+308"):
         assert token in text
     # json reads the spellings back, and writing again gives the same text.
-    assert CodeSpec.from_dict(json.loads(text)).to_json() == text.replace(
+    assert codespec_to_json(codespec_from_dict(json.loads(text))) == text.replace(
         '"merge_tol": 0,', '"merge_tol": 0.0,')
 
 
@@ -476,8 +481,9 @@ def test_codespec_check_and_load_refuse_corruption(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(corrupted_specs()))
 def test_sc_decode_refuses_corruption(name):
-    # The decoder runs the spec's own check first, so it never decodes a
-    # spec that `check` refuses, nor fails on one with a numpy error.
+    # The decoder set-up runs the spec's own check first, so neither
+    # sc_decode nor run_trials decodes a spec that `check` refuses, nor
+    # fails on one with a numpy error.
     spec = corrupted_specs()[name]
     with pytest.raises(SpecMismatchError) as checked:
         spec.check()
@@ -486,6 +492,9 @@ def test_sc_decode_refuses_corruption(name):
         sc_decode(spec, identity_mac(2, 2), np.zeros(n, dtype=np.int64),
                   np.zeros((n, 2), dtype=np.int64))
     assert str(decoded.value) == str(checked.value)
+    with pytest.raises(SpecMismatchError) as simulated:
+        run_trials(spec, identity_mac(2, 2), 3, seed=1)
+    assert str(simulated.value) == str(checked.value)
 
 
 def test_corrupted_spec_refused_under_optimize(tmp_path):

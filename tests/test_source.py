@@ -24,6 +24,20 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_imports_no_private_names_from_sibling_modules():
+    # A `_`-prefixed name is its module's own business; a sibling that
+    # needs it shares a decision that belongs to one owner.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "macpolar"):
+                found += [f"{path.name}:{node.lineno}: {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def python_blocks(markdown: str):
     """Bodies of the ```python fenced blocks of a Markdown text."""
     return re.findall(r"^```python\n(.*?)^```", markdown, flags=re.M | re.S)
