@@ -588,7 +588,8 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     counts a block error whenever any decoded information symbol differs.
     Per-trial generators derive from (seed, trial, stream), so runs are
     reproducible and order-independent.  Blocks are encoded and decoded
-    a chunk of trials at a time (see DECODE_CHUNK).
+    a chunk of trials at a time (see DECODE_CHUNK).  A spec that
+    `CodeSpec.check` refuses raises its SpecMismatchError.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")

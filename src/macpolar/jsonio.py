@@ -69,7 +69,7 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
                 or any(not isinstance(r, list) for r in rows)):
             raise ParseError(f"{where}: 'rows' must list q^m = {q ** m} rows")
         try:
-            n_out = _json_int(data.get("outputs", len(rows[0])))
+            n_out = _json_int(data.get("outputs", len(rows[0]) if rows else 0))
             rows = [_json_float_list(r) for r in rows]
             if any(len(r) != n_out for r in rows):
                 raise ValueError(f"all rows must have {n_out} entries")

@@ -248,6 +248,6 @@ def codespec_dict(spec) -> dict:
 
 
 def codespec_json(spec) -> str:
-    """The generic encoder's text of a code spec, which `CodeSpec.to_json`
-    must reproduce byte for byte."""
+    """The generic encoder's text of a code spec, which
+    `jsonio.codespec_to_json` must reproduce byte for byte."""
     return json.dumps(codespec_dict(spec), sort_keys=True, indent=1)

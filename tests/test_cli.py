@@ -72,6 +72,9 @@ def test_parse_errors(tmp_path):
         channel_from_dict({"q": 2, "m": 1})
     with pytest.raises(ParseError, match="rows"):
         channel_from_dict({"q": 2, "m": 1, "rows": [5, 6]})
+    # q = 0 asks for no rows; the field check, not an IndexError, refuses it.
+    with pytest.raises(ParseError, match="prime"):
+        channel_from_dict({"q": 0, "m": 1, "rows": []})
     with pytest.raises(ParseError, match="'terms' must be a list"):
         channel_from_dict({"q": 2, "m": 2, "terms": 5})
     with pytest.raises(ParseError, match="term 0 needs"):

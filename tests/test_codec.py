@@ -523,7 +523,7 @@ def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
     recursion's decisions trial by trial, with its posteriors to 1e-12."""
     info = ~spec.frozen_mask()
     u_hat, posts, fallbacks = decode_batch(spec, chan, received, frozen, genie,
-                                            with_details=True)
+                                           with_details=True)
     for t in range(len(received)):
         ref, ref_info = sc_decode_reference(spec, chan, received[t], frozen[t],
                                             None if genie is None else genie[t])
@@ -586,7 +586,7 @@ def test_posteriors_do_not_depend_on_the_batch(q, m):
     _, posts, _ = decode_batch(spec, chan, received, frozen, with_details=True)
     for t in range(9):
         _, alone, _ = decode_batch(spec, chan, received[t:t + 1], frozen[t:t + 1],
-                                    with_details=True)
+                                   with_details=True)
         assert all(np.array_equal(p[t], a[0]) for p, a in zip(posts, alone))
 
 
