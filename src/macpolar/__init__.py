@@ -66,7 +66,6 @@ from .linear_mac import (
     total_loss_predict,
 )
 from .polarize import (
-    BranchCode,
     CodeSpec,
     DirectionStat,
     all_sigs,

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -250,7 +249,8 @@ def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
 
     def leaf(b, v):
         post = v[0] / v[0].sum(axis=1, keepdims=True)
-        return post, _decide_batch(spec.branches[b], post, frozen[:, b], q, m)
+        a_columns, s_users = spec.shapes[spec.shape_index[b]][2:4]
+        return post, _decide_batch(a_columns, s_users, post, frozen[:, b], q, m)
 
     u_hat, posteriors = _walk(spec, lambda: scaled(channel.table.T[received.T]),
                               minus, plus, leaf, frozen, genie_u, with_details)
@@ -275,12 +275,9 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
     # an empty meet together at the end; they take at most N T indices.
     narrow = [np.zeros((0, len(leaf)), dtype=np.int64)]
     known = (frozen @ q ** np.arange(m)).T
-    decide = [None] * spec.block_length
-    for (columns, users), where in _info_maps(spec).items():
-        if users:                   # branches without information are not decided
-            table = _decision_table(q, m, columns, users)
-            for b in where:
-                decide[b] = table
+    # One table per shape; shapes without information are not decided.
+    decide = [_decision_table(q, m, s[2], s[3]) if s[0] and s[1] else None
+              for s in spec.shapes]
 
     def minus(l0, l1):
         return tab.minus[l0, l1]
@@ -297,22 +294,13 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
         return v
 
     def decided(b, v):
-        sets = v[0]
-        return (tab.post[sets] if with_details else None), decide[b][sets, known[b]]
+        sets, table = v[0], decide[spec.shape_index[b]]
+        return (tab.post[sets] if with_details else None), table[sets, known[b]]
 
     u_hat, posteriors = _walk(spec, lambda: leaf.T, minus, plus, decided, frozen,
                               genie_u, with_details)
     count_dead(np.vstack(narrow))
     return u_hat, posteriors, fallbacks
-
-
-def _info_maps(spec: CodeSpec) -> dict:
-    """{(a_columns, s_users): the good branches with that map}, by first use."""
-    maps = {}
-    for b, branch in enumerate(spec.branches):
-        if branch.in_good_set:
-            maps.setdefault((branch.a_columns, branch.s_users), []).append(b)
-    return maps
 
 
 def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
@@ -340,12 +328,11 @@ def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
     # A position is read only once its branch is finished, so it can hold
     # the frozen (or true) vector of every branch from the start.
     partial = u_idx.copy() if genie_u is None else ((genie_u % q) @ powers).T.copy()
-    posteriors = [None] * len(spec.branches) if with_details else None
+    posteriors = [None] * spec.block_length if with_details else None
     # Good branches before each position: block [lo, hi) holds one when
     # ahead[hi] > ahead[lo].
-    ahead = [0]
-    for branch in spec.branches:
-        ahead.append(ahead[-1] + (branch.in_good_set and branch.r > 0))
+    carries = np.array([bool(s[0] and s[1]) for s in spec.shapes])
+    ahead = [0] + np.cumsum(carries[spec.shape_index]).tolist()
 
     def settle(lo: int, k: int):
         """The k-stage butterfly of partial[lo:lo + 2^k], in place."""
@@ -387,8 +374,9 @@ def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
     return all_vectors(q, m)[u_idx.T.copy()], posteriors
 
 
-def _decide_batch(branch, post, base, q, m):
-    """Sequential ML decisions on the information users of one branch.
+def _decide_batch(a_columns, s_users, post, base, q, m):
+    """Sequential ML decisions on the information users of one branch with
+    this map.
 
     post is (T, q^m), base the (T, m) known symbols of the branch, 0 at its
     information users.  The map is canonical (`CodeSpec.check`), so
@@ -398,9 +386,9 @@ def _decide_batch(branch, post, base, q, m):
     to the smaller value z; user s_h's symbol is then z - c_h.  Returns
     (T,) vector indices.
     """
-    a = np.array(branch.a_columns, dtype=np.int64).T
+    a = np.array(a_columns, dtype=np.int64).T
     powers = q ** np.arange(m)
-    place = powers[[k - 1 for k in branch.s_users]]      # index weight per user
+    place = powers[[k - 1 for k in s_users]]      # index weight per user
     trials = np.arange(len(base))
     idx = base @ powers
     shift = base @ a
@@ -499,8 +487,7 @@ def _decision_table(q: int, m: int, a_columns: tuple, s_users: tuple) -> np.ndar
     post = _coset_tables(q, m).post
     vecs = all_vectors(q, m)
     bases = np.flatnonzero((vecs[:, [k - 1 for k in s_users]] == 0).all(axis=1))
-    branch = SimpleNamespace(a_columns=a_columns, s_users=s_users)
-    decided = _decide_batch(branch, np.repeat(post, len(bases), axis=0),
+    decided = _decide_batch(a_columns, s_users, np.repeat(post, len(bases), axis=0),
                             np.tile(vecs[bases], (len(post), 1)), q, m)
     table = np.zeros(post.shape, dtype=np.int64)
     table[:, bases] = decided.reshape(len(post), len(bases))

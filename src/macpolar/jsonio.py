@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import datetime
 import json
-from functools import lru_cache
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter, index, itemgetter
+from operator import index, itemgetter
 
-from .errors import NonFiniteError, ParseError
+import numpy as np
+
+from .errors import NonFiniteError, ParseError, SpecMismatchError
 from .linear_mac import LinearComboMac
 from .mac import DiscreteMac, validate
-from .polarize import BranchCode, CodeSpec
+from .polarize import CodeSpec, all_sigs
 from .subspace import Subspace
 
 
@@ -103,14 +103,18 @@ def load_channel(path: str):
     return channel_from_dict(_load_json(path), where=path)
 
 
-def load_codespec(path: str) -> CodeSpec:
-    """Read a code spec and check its consistency (SpecMismatchError)."""
+def load_codespec(path: str, check: bool = True) -> CodeSpec:
+    """Read a code spec and, unless `check` is off, check its consistency
+    (SpecMismatchError); `simulate` leaves that to its decoder set-up."""
     data = _load_json(path)
     try:
         spec = codespec_from_dict(data)
+    except SpecMismatchError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad code spec: {exc}") from exc
-    spec.check()
+    if check:
+        spec.check()
     return spec
 
 
@@ -120,83 +124,79 @@ def save_codespec(path: str, spec: CodeSpec) -> None:
 
 
 def codespec_from_dict(data: dict) -> CodeSpec:
-    """The spec of a parsed JSON object, read column by column across the
-    branches.  A missing field raises KeyError, a malformed one TypeError or
-    ValueError: a refused integer or float field, or a non-boolean `in_good_set`."""
+    """The spec of a parsed JSON object, read into columns.  A missing field
+    raises KeyError, a malformed one TypeError or ValueError: a refused
+    integer or float field, or a non-boolean `in_good_set`.  Signatures are
+    not kept: with 2^l branches and m rates, any but `all_sigs(l)` raise
+    SpecMismatchError; other inconsistencies are for `CodeSpec.check`."""
     rows = data["branches"]
-
-    def column(name):
-        return list(map(itemgetter(name), rows))
-
-    good = column("in_good_set")
+    sigs, good, r, a_columns, s_users, frozen, *floats = (
+        list(map(itemgetter(name), rows)) for name in _BRANCH_KEYS)
     for g in good:
         if type(g) is not bool:
             raise ValueError(f"in_good_set {g!r} is not a boolean")
-    a_columns = column("a_columns")
     if not set(map(type, a_columns)) <= {list}:
         raise TypeError("a_columns must be lists of columns")
     flat = iter(_json_int_rows(list(chain.from_iterable(a_columns))))
     a_columns = [tuple(islice(flat, len(cols))) for cols in a_columns]
-    r = _json_int_rows([column("r")])[0]      # the column as one list
-    branches = tuple(map(
-        BranchCode, column("sig"), good, r, a_columns,
-        _json_int_rows(column("s_users")), _json_int_rows(column("frozen")),
-        *(_json_float_list(column(name)) for name in ("z_sum", "i_branch", "i_detected"))))
-    return CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=_json_int(data["l"]),
+    shapes = {}
+    shape_index = [shapes.setdefault(shape, len(shapes)) for shape in zip(
+        good, _json_int_rows([r])[0], a_columns, _json_int_rows(s_users),
+        _json_int_rows(frozen))]
+    z_sum, i_branch, i_detected = (np.array(_json_float_list(c), dtype=float) for c in floats)
+    spec = CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=_json_int(data["l"]),
                     eps=_json_float(data["eps"]), z_budget=_json_float(data["z_budget"]),
-                    merge_tol=_json_float(data["merge_tol"]), branches=branches,
+                    merge_tol=_json_float(data["merge_tol"]), shapes=tuple(shapes),
+                    shape_index=np.array(shape_index, dtype=np.intp), z_sum=z_sum,
+                    i_branch=i_branch, i_detected=i_detected,
                     rate_vector=tuple(_json_float_list(data["rate_vector"])),
                     sum_rate=_json_float(data["sum_rate"]),
                     union_bound=_json_float(data["union_bound"]))
+    if (len(sigs) == spec.block_length and len(spec.rate_vector) == spec.m
+            and sigs != all_sigs(spec.l)):
+        raise SpecMismatchError(f"branch signatures are not the {len(sigs)} of "
+                                f"length {spec.l} in decoding order")
+    return spec
 
 
 def codespec_to_json(spec: CodeSpec) -> str:
     """The spec as `json.dumps(..., sort_keys=True, indent=1)` writes it,
-    from one template per branch.  Integer fields hold ints (a bool among
-    them is written as 0 or 1), float fields floats and `in_good_set` a
-    boolean.  The few distinct integer tuples of a spec are each formatted
-    once."""
-    @lru_cache(maxsize=None)
+    from one branch text per shape: only a branch's signature and three
+    floats are formatted per branch.  Shape integers are written with
+    int.__repr__ (a bool as 0 or 1), and `in_good_set` as a boolean."""
     def text(values):
         return _json_list([_json_list(list(map(int.__repr__, v)), 4)
                            if isinstance(v, tuple) else int.__repr__(v) for v in values], 3)
 
-    branches = spec.branches
-    z_sum, i_branch, i_detected = (
-        _json_floats(map(attrgetter(name), branches))
-        for name in ("z_sum", "i_branch", "i_detected"))
-    body = [_BRANCH % (text(b.a_columns), text(b.frozen), ib, idt,
-                       "true" if b.in_good_set else "false", int.__repr__(b.r),
-                       text(b.s_users), encode_basestring_ascii(b.sig), zs)
-            for b, zs, ib, idt in zip(branches, z_sum, i_branch, i_detected)]
-    fields = {
-        "branches": _json_list(body, 1),
-        "eps": _json_number(spec.eps),
-        "l": _json_number(spec.l),
-        "m": _json_number(spec.m),
-        "merge_tol": _json_number(spec.merge_tol),
-        "q": _json_number(spec.q),
-        "rate_vector": _json_list(list(map(_json_number, spec.rate_vector)), 1),
-        "sum_rate": _json_number(spec.sum_rate),
-        "union_bound": _json_number(spec.union_bound),
-        "z_budget": _json_number(spec.z_budget),
-    }
-    return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in fields.items()) + "\n}"
+    templates = [_BRANCH % (text(a_cols), text(frozen), "true" if good else "false",
+                            int.__repr__(r), text(s_users))
+                 for good, r, a_cols, s_users, frozen in spec.shapes]
+    z_sum, i_branch, i_detected = (_json_floats(column.tolist()) for column in (
+        spec.z_sum, spec.i_branch, spec.i_detected))
+    body = [templates[i] % (ib, idt, sig, zs) for i, ib, idt, sig, zs in zip(
+        spec.shape_index.tolist(), i_branch, i_detected, spec.sigs(), z_sum)]
+    fields = {k: _json_number(getattr(spec, k)) for k in (
+        "eps", "l", "m", "merge_tol", "q", "sum_rate", "union_bound", "z_budget")}
+    fields.update(branches=_json_list(body, 1),
+                  rate_vector=_json_list(list(map(_json_number, spec.rate_vector)), 1))
+    return "{\n" + ",\n".join(f' "{k}": {fields[k]}' for k in sorted(fields)) + "\n}"
 
 
-# One branch object of a spec file, at the depth json.dumps(indent=1) gives
-# it, with its keys in sorted order.
+# One shape's branch object at the depth json.dumps(indent=1) gives it, keys
+# sorted; its %%s then take a branch's i_branch, i_detected, sig and z_sum.
 _BRANCH = """{
    "a_columns": %s,
    "frozen": %s,
-   "i_branch": %s,
-   "i_detected": %s,
+   "i_branch": %%s,
+   "i_detected": %%s,
    "in_good_set": %s,
    "r": %s,
    "s_users": %s,
-   "sig": %s,
-   "z_sum": %s
+   "sig": "%%s",
+   "z_sum": %%s
   }"""
+_BRANCH_KEYS = ("sig", "in_good_set", "r", "a_columns", "s_users", "frozen",
+                "z_sum", "i_branch", "i_detected")
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 

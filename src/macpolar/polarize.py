@@ -13,16 +13,17 @@ which is what keeps depth-8 trees tractable.  A linear combination is
 polarized on its subspace lattice instead (`linear_mac`), where every
 branch statistic is an exact weighted sum.
 
-Construction ends in a `CodeSpec`, whose `check` alone decides whether a
-spec is consistent; its file format is `jsonio`'s.
+Construction ends in a `CodeSpec`, held in columns: each distinct branch
+shape once, and per branch a shape index and three floats, built from the
+leaf statistics as arrays.  Its `check` alone decides whether a spec is
+consistent, and its file format is `jsonio`'s.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -156,28 +157,31 @@ def detect_linear(channel: DiscreteMac, eps: float, stats=None):
 
 # -- code specification ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchCode:
-    sig: str
-    in_good_set: bool
-    r: int
-    a_columns: tuple          # r column vectors of length m (tuples)
-    s_users: tuple            # 1-based users carrying information
-    frozen: tuple             # m flags, frozen[k-1] == 1 iff user k frozen
-    z_sum: float
-    i_branch: float
-    i_detected: float
+# One branch of a spec, as the `CodeSpec.branches` view lists it.
+BranchCode = namedtuple("BranchCode", ("sig", "in_good_set", "r", "a_columns", "s_users",
+                                       "frozen", "z_sum", "i_branch", "i_detected"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
+    """A polar code in columns.  A branch's shape, (in_good_set, r,
+    a_columns, s_users, frozen), is what its frozen map is made of: r
+    column tuples of length m, the 1-based users carrying information, and
+    m flags, 1 where a user is frozen.  Each distinct shape is stored once,
+    by first use.  Branch b, in decoding order, has shape
+    shapes[shape_index[b]], the floats z_sum[b], i_branch[b] and
+    i_detected[b], and the signature all_sigs(l)[b]."""
     q: int
     m: int
     l: int
     eps: float
     z_budget: float
     merge_tol: float
-    branches: tuple           # BranchCode in decoding order
+    shapes: tuple             # distinct (in_good_set, r, a_columns, s_users, frozen)
+    shape_index: np.ndarray   # (N,) ints into shapes
+    z_sum: np.ndarray         # (N,) floats
+    i_branch: np.ndarray      # (N,) floats
+    i_detected: np.ndarray    # (N,) floats
     rate_vector: tuple        # R_k per user
     sum_rate: float
     union_bound: float
@@ -188,51 +192,59 @@ class CodeSpec:
 
     @property
     def good_count(self) -> int:
-        return sum(1 for b in self.branches if b.in_good_set)
+        return sum(c for s, c in zip(self.shapes, np.bincount(self.shape_index).tolist()) if s[0])
+
+    @property
+    def branches(self) -> tuple:
+        """One `BranchCode` per branch in decoding order, built on each call."""
+        rows = zip(self.sigs(), map(self.shapes.__getitem__, self.shape_index.tolist()),
+                   self.z_sum.tolist(), self.i_branch.tolist(), self.i_detected.tolist())
+        return tuple(BranchCode(sig, *shape, *floats) for sig, shape, *floats in rows)
+
+    def sigs(self) -> list:
+        """all_sigs(l), padded with "" to one signature per stored branch."""
+        return all_sigs(self.l) + [""] * (len(self.shape_index) - self.block_length)
 
     def frozen_mask(self) -> np.ndarray:
         """(N, m) booleans in key order, True where a branch's user is
         frozen.  A message is an (N, m) array of GF(q) symbols; its
         information symbols are the ones at the False positions."""
-        return np.array([b.frozen for b in self.branches],
-                        dtype=bool).reshape(self.block_length, self.m)
+        return np.array([s[4] for s in self.shapes], dtype=bool).reshape(
+            len(self.shapes), self.m)[self.shape_index]
 
     def check(self):
-        """Internal consistency of the stored code; raises
-        SpecMismatchError at the first inconsistency."""
-        n, m = self.block_length, self.m
-        if len(self.branches) != n or len(self.rate_vector) != m:
-            raise SpecMismatchError(
-                f"spec has {len(self.branches)} branches and "
-                f"{len(self.rate_vector)} rates, expected {n} and {m}")
-        if list(map(_SIG, self.branches)) != all_sigs(self.l):
-            raise SpecMismatchError(
-                f"branch signatures are not the {n} of length {self.l} "
-                "in decoding order")
-        shapes = list(map(_SHAPE, self.branches))
-        counts = Counter(shapes)          # each distinct shape is decided once
-        errors = {shape: _shape_error(*shape, self.q, m) for shape in counts}
-        if any(errors.values()):
-            at = next(i for i, shape in enumerate(shapes) if errors[shape])
-            raise SpecMismatchError(
-                f"branch {self.branches[at].sig}: {errors[shapes[at]]}")
-        for k in range(1, m + 1):
-            rk = sum(c * (1 - shape[4][k - 1]) for shape, c in counts.items()) / n
-            if not abs(rk - self.rate_vector[k - 1]) < 1e-12:
-                raise SpecMismatchError(
-                    f"R_{k} = {self.rate_vector[k - 1]!r}, but the frozen "
-                    f"map gives {rk!r}")
-        r_total = sum(c * shape[1] for shape, c in counts.items() if shape[0]) / n
-        if not abs(r_total - self.sum_rate) < 1e-12:
+        """Internal consistency of the stored code, each shape in use decided
+        once; raises SpecMismatchError at the first inconsistency."""
+        n, m, index = self.block_length, self.m, self.shape_index
+        if len(index) != n or len(self.rate_vector) != m:
+            raise SpecMismatchError(f"spec has {len(index)} branches and {len(self.rate_vector)} "
+                                    f"rates, expected {n} and {m}")
+        if ({len(self.z_sum), len(self.i_branch), len(self.i_detected)} != {n}
+                or not 0 <= index.min() <= index.max() < len(self.shapes)):
+            raise SpecMismatchError(f"branch columns are not {n} entries each, or a shape "
+                                    f"index is not one of the {len(self.shapes)} shapes")
+        counts = np.bincount(index, minlength=len(self.shapes)).tolist()
+        errors = [c and _shape_error(*shape, self.q, m) for shape, c in zip(self.shapes, counts)]
+        if any(errors):
+            at = int(np.flatnonzero(np.array(list(map(bool, errors)))[index])[0])
+            raise SpecMismatchError(f"branch {all_sigs(self.l)[at]}: {errors[index[at]]}")
+        rate_vector, sum_rate = _rates(self.shapes, counts, m)
+        for k, (rk, stored) in enumerate(zip(rate_vector, self.rate_vector), 1):
+            if not abs(rk - stored) < 1e-12:
+                raise SpecMismatchError(f"R_{k} = {stored!r}, but the frozen map gives {rk!r}")
+        if not abs(sum_rate - self.sum_rate) < 1e-12:
             raise SpecMismatchError(f"sum rate {self.sum_rate!r}, but the good "
-                                    f"set gives {r_total!r}")
+                                    f"set gives {sum_rate!r}")
         return True
 
 
-# The fields of a branch that `CodeSpec.check` decides together, and its
-# signature.
-_SHAPE = attrgetter("in_good_set", "r", "a_columns", "s_users", "frozen")
-_SIG = attrgetter("sig")
+def _rates(shapes, counts, m: int):
+    """(rate_vector, sum_rate) of branches with these shapes and counts:
+    per user the share not frozen, and the good branches' summed r per branch."""
+    n = sum(counts)
+    used = [(shape, c) for shape, c in zip(shapes, counts) if c]
+    return (tuple(sum(c * (1 - shape[4][k]) for shape, c in used) / n for k in range(m)),
+            sum(c * shape[1] for shape, c in used if shape[0]) / n)
 
 
 def _shape_error(in_good_set, r, a_columns, s_users, frozen, q: int, m: int) -> str:
@@ -295,55 +307,58 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
     check_merge_tol(merge_tol)
     q, m = channel.q, channel.m
     if isinstance(channel, LinearComboMac):
-        leaves = _lattice_leaves(channel, depth, eps)
+        maps, which, z_sum, i_branch, i_det = _lattice_leaves(channel, depth, eps)
     else:
         step = partial(branch_step, merge_tol=merge_tol, max_outputs=max_outputs)
-        leaves = (_explicit_leaf(sig, ch, eps)
-                  for sig, ch in polarization_tree(channel, depth, step)
-                  if len(sig) == depth)
-    branches = []
-    union_bound = 0.0
-    for sig, a_cols, z_sum, i_branch, i_det in leaves:
-        in_good = (a_cols is not None and abs(i_det - i_branch) < eps
-                   and abs(len(a_cols) - i_branch) < eps and z_sum < z_budget)
-        if in_good:
-            s_users = tuple(next(k for k, x in enumerate(c) if x) + 1 for c in a_cols)
-            union_bound += q * z_sum
-        else:
-            # Fully frozen branch: no information map is stored.
-            a_cols, s_users = (), ()
-        branches.append(BranchCode(
-            sig=sig, in_good_set=in_good, r=len(a_cols), a_columns=a_cols,
-            s_users=s_users, frozen=tuple(int(k not in s_users) for k in range(1, m + 1)),
-            z_sum=z_sum, i_branch=i_branch, i_detected=i_det))
-    n = 1 << depth
-    rate_vector = tuple(
-        sum(1 - b.frozen[k] for b in branches) / n for k in range(m))
-    sum_rate = sum(b.r for b in branches if b.in_good_set) / n
-    return CodeSpec(q=q, m=m, l=depth, eps=eps, z_budget=z_budget,
-                    merge_tol=merge_tol, branches=tuple(branches),
-                    rate_vector=rate_vector, sum_rate=sum_rate,
-                    union_bound=union_bound)
+        maps, which, z_sum, i_branch, i_det = _explicit_leaves(channel, depth, eps, step)
+    rank = np.array([-1 if cols is None else len(cols) for cols in maps])[which]
+    good = ((rank >= 0) & (abs(i_det - i_branch) < eps) & (abs(rank - i_branch) < eps)
+            & (z_sum < z_budget))
+    # Branch b's shape is its detected subspace's if it is good, else the
+    # fully frozen one (-1); shapes are numbered by first use.
+    keys, first, inverse = np.unique(np.where(good, which, -1), return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    shapes = []
+    for k in keys[order].tolist():
+        cols = maps[k] if k >= 0 else ()
+        users = tuple(next(i for i, x in enumerate(c) if x) + 1 for c in cols)
+        shapes.append((k >= 0, len(cols), cols, users,
+                       tuple(int(u not in users) for u in range(1, m + 1))))
+    shape_index = np.argsort(order)[inverse.reshape(-1)]
+    rate_vector, sum_rate = _rates(shapes, np.bincount(shape_index).tolist(), m)
+    # q z_sum over the good branches, added one at a time in decoding order.
+    union_bound = float(np.add.accumulate(np.append(0.0, q * z_sum[good]))[-1])
+    return CodeSpec(q=q, m=m, l=depth, eps=eps, z_budget=z_budget, merge_tol=merge_tol,
+                    shapes=tuple(shapes), shape_index=shape_index, z_sum=z_sum,
+                    i_branch=i_branch, i_detected=i_det, rate_vector=rate_vector,
+                    sum_rate=sum_rate, union_bound=union_bound)
 
 
-def _explicit_leaf(sig: str, ch: DiscreteMac, eps: float):
-    """(sig, a_columns, z_sum, i_branch, i_detected) of an explicit branch
-    channel; a_columns holds the detected linear part's columns, or is
-    None when the good directions do not form a subspace."""
-    stats = direction_stats(ch)
-    i_branch = sum_capacity(ch)
-    det = detect_linear(ch, eps, stats)
-    if det is None:
-        return sig, None, 0.0, i_branch, 0.0
-    a, r = det
-    z_of = {st.alpha: st.z for st in stats}
-    z_sum = float(sum(z_of[tuple(a.data[:, j].tolist())] for j in range(r)))
-    i_det = sum_capacity(restrict(ch, a)) if r else 0.0
-    return sig, tuple(tuple(a.data[:, j].tolist()) for j in range(r)), z_sum, i_branch, i_det
+def _explicit_leaves(channel: DiscreteMac, depth: int, eps: float, step):
+    """(maps, which, z_sum, i_branch, i_detected) of the depth-`depth`
+    branches in decoding order: maps lists the distinct detected columns
+    (None where the good directions do not form a subspace), which is
+    each branch's position in maps, and the rest are (N,) float arrays."""
+    maps, which, floats = {}, [], []
+    for sig, ch in polarization_tree(channel, depth, step):
+        if len(sig) < depth:
+            continue
+        stats = direction_stats(ch)
+        det = detect_linear(ch, eps, stats)
+        a, r = det or (None, 0)
+        a_cols = None if det is None else tuple(map(tuple, a.data.T.tolist()))
+        z_of = {st.alpha: st.z for st in stats}
+        z_sum = float(sum(z_of[c] for c in a_cols or ()))
+        i_det = sum_capacity(restrict(ch, a)) if r else 0.0
+        which.append(maps.setdefault(a_cols, len(maps)))
+        floats.append((z_sum, sum_capacity(ch), i_det))
+    return (list(maps), np.array(which), *np.array(floats, dtype=np.float64).T.copy())
 
 
 def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
-    """The leaves of `_explicit_leaf`, read off the subspace weights.
+    """`_explicit_leaves` read off the subspace weights, with one map per
+    lattice subspace.
 
     Every direction channel of a linear combination is an erasure channel:
     I_alpha is the weight of the subspaces that contain alpha, Z_alpha the
@@ -360,21 +375,20 @@ def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
     # Entry s: the RREF basis rows (canonical directions) of subspace s as
     # columns, which of the directions they are, and dim(V & S) for every V.
     # The extra last entry stands for a failed detection.
-    columns = [tuple(map(tuple, sub.basis.data.tolist())) for sub in lat.subspaces] + [None]
+    maps = [tuple(map(tuple, sub.basis.data.tolist())) for sub in lat.subspaces] + [None]
     basis_pick = np.zeros((lat.size + 1, len(dirs)))
-    for s, cols in enumerate(columns[:-1]):
+    for s, cols in enumerate(maps[:-1]):
         basis_pick[s, [position[c] for c in cols]] = 1.0
     meet_dims = np.vstack([lat.dims[lat.meet], np.zeros(lat.size)])
-    sigs = iter(all_sigs(depth))
+    blocks = []
     for level, w in lattice_levels(lat, combo.weights(), depth):
         if level < depth:
             continue
-        spans = [span_of.get(good.tobytes(), lat.size) for good in (inside @ w > 1 - eps).T]
-        z_sum = np.einsum("td,dt->t", basis_pick[spans], (1.0 - inside) @ w).tolist()
-        i_det = np.einsum("tl,lt->t", meet_dims[spans], w).tolist()
-        i_branch = (lat.dims @ w).tolist()
-        for t, s in enumerate(spans):
-            yield next(sigs), columns[s], z_sum[t], i_branch[t], i_det[t]
+        spans = np.array([span_of.get(good.tobytes(), lat.size)
+                          for good in (inside @ w > 1 - eps).T])
+        blocks.append((spans, np.einsum("td,dt->t", basis_pick[spans], (1.0 - inside) @ w),
+                       lat.dims @ w, np.einsum("tl,lt->t", meet_dims[spans], w)))
+    return (maps, *map(np.concatenate, zip(*blocks)))
 
 
 # -- martingale diagnostics -------------------------------------------------------

@@ -13,18 +13,34 @@ check the preservation condition on the same member sets.
 `affine_sets` and the `set_*` node updates check the coset decoder's
 tables: an affine set is found by testing every subset of GF(q)^m.
 
-The last two are the slow forms of linear detection in code construction:
-`span_scan` tests whether the good directions form a subspace by listing
-the members of their span, and `smallest_independent_rows` picks a good
-branch's information users by a greedy rank search.
+`span_scan` and `smallest_independent_rows` are the slow forms of linear
+detection in code construction: the first tests whether the good
+directions form a subspace by listing the members of their span, the
+second picks a good branch's information users by a greedy rank search.
+
+The row oracle is code construction as it was before specs were held in
+columns: `build_code_rows` assembles one `BranchCode` per branch from the
+same leaf statistics, and `codespec_json` writes a spec with the generic
+JSON encoder.  `spec_from_branches` builds a columnar spec from rows.
 """
 
 import itertools
 import json
+from functools import partial
 
 import numpy as np
 
-from macpolar import FieldMatrix, mat_rank
+from macpolar import FieldMatrix, LinearComboMac, mat_rank
+from macpolar.mac import DEFAULT_MERGE_TOL
+from macpolar.polarize import (
+    MAX_BRANCH_OUTPUTS,
+    BranchCode,
+    CodeSpec,
+    _explicit_leaves,
+    _lattice_leaves,
+    all_sigs,
+    branch_step,
+)
 
 
 def binary2_step(p):
@@ -251,3 +267,57 @@ def codespec_json(spec) -> str:
     """The generic encoder's text of a code spec, which
     `jsonio.codespec_to_json` must reproduce byte for byte."""
     return json.dumps(codespec_dict(spec), sort_keys=True, indent=1)
+
+
+# -- the row oracle of code construction -------------------------------------------
+
+
+def build_code_rows(channel, depth: int, eps: float, z_budget: float,
+                    merge_tol: float = DEFAULT_MERGE_TOL,
+                    max_outputs: int = MAX_BRANCH_OUTPUTS):
+    """(branches, rate_vector, sum_rate, union_bound) of `build_code`'s
+    spec, assembled one `BranchCode` at a time from the library's leaf
+    statistics: the good-set rule, the information users and the union
+    bound's running sum, branch by branch in decoding order."""
+    q, m = channel.q, channel.m
+    if isinstance(channel, LinearComboMac):
+        maps, which, *floats = _lattice_leaves(channel, depth, eps)
+    else:
+        step = partial(branch_step, merge_tol=merge_tol, max_outputs=max_outputs)
+        maps, which, *floats = _explicit_leaves(channel, depth, eps, step)
+    leaves = zip(all_sigs(depth), [maps[w] for w in which.tolist()],
+                 *(f.tolist() for f in floats))
+    branches = []
+    union_bound = 0.0
+    for sig, a_cols, z_sum, i_branch, i_det in leaves:
+        in_good = (a_cols is not None and abs(i_det - i_branch) < eps
+                   and abs(len(a_cols) - i_branch) < eps and z_sum < z_budget)
+        if in_good:
+            s_users = tuple(next(k for k, x in enumerate(c) if x) + 1 for c in a_cols)
+            union_bound += q * z_sum
+        else:
+            a_cols, s_users = (), ()
+        branches.append(BranchCode(
+            sig=sig, in_good_set=in_good, r=len(a_cols), a_columns=a_cols,
+            s_users=s_users, frozen=tuple(int(k not in s_users) for k in range(1, m + 1)),
+            z_sum=z_sum, i_branch=i_branch, i_detected=i_det))
+    n = 1 << depth
+    rate_vector = tuple(
+        sum(1 - b.frozen[k] for b in branches) / n for k in range(m))
+    sum_rate = sum(b.r for b in branches if b.in_good_set) / n
+    return branches, rate_vector, sum_rate, union_bound
+
+
+def spec_from_branches(branches, **header) -> CodeSpec:
+    """The columnar spec of `BranchCode` rows in decoding order (their
+    signatures are dropped) and the header fields, q to union_bound."""
+    shapes = {}
+    index = [shapes.setdefault((b.in_good_set, b.r, b.a_columns, b.s_users, b.frozen),
+                               len(shapes)) for b in branches]
+
+    def column(name):
+        return np.array([getattr(b, name) for b in branches], dtype=np.float64)
+
+    return CodeSpec(shapes=tuple(shapes), shape_index=np.array(index, dtype=np.intp),
+                    z_sum=column("z_sum"), i_branch=column("i_branch"),
+                    i_detected=column("i_detected"), **header)

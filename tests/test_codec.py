@@ -43,10 +43,10 @@ from macpolar.codec import (
 from macpolar.jsonio import load_channel
 from macpolar.mac import add_table, all_vectors
 from macpolar.gfq import FieldMatrix, rref
-from macpolar.polarize import BranchCode, CodeSpec, all_sigs
+from macpolar.polarize import BranchCode, all_sigs
 from macpolar.linear_mac import binary2_subspaces, subspace_lattice
 from conftest import identity_mac, random_combo, random_full_column_rank, random_mac
-from oracles import affine_sets, set_difference, set_translate
+from oracles import affine_sets, set_difference, set_translate, spec_from_branches
 
 
 def decode_batch(spec, chan, *args, **kwargs):
@@ -83,9 +83,9 @@ def trivial_spec(q, m, l):
                                    s_users=tuple(range(1, m + 1)),
                                    frozen=(0,) * m, z_sum=0.0,
                                    i_branch=float(m), i_detected=float(m)))
-    return CodeSpec(q=q, m=m, l=l, eps=0.1, z_budget=1e-6, merge_tol=1e-9,
-                    branches=tuple(branches), rate_vector=(1.0,) * m,
-                    sum_rate=float(m), union_bound=0.0)
+    return spec_from_branches(branches, q=q, m=m, l=l, eps=0.1, z_budget=1e-6,
+                              merge_tol=1e-9, rate_vector=(1.0,) * m,
+                              sum_rate=float(m), union_bound=0.0)
 
 
 def brute_posterior(channel, u_true, received, b):
@@ -316,9 +316,9 @@ def test_decide_branch_refuses_a_non_invertible_map():
     branch = BranchCode(sig="", in_good_set=True, r=2,
                         a_columns=((1, 0), (1, 0)), s_users=(1, 2),
                         frozen=(0, 0), z_sum=0.0, i_branch=2.0, i_detected=2.0)
-    spec = CodeSpec(q=2, m=2, l=0, eps=0.2, z_budget=1e-9, merge_tol=1e-9,
-                    branches=(branch,), rate_vector=(1.0, 1.0), sum_rate=2.0,
-                    union_bound=0.0)
+    spec = spec_from_branches([branch], q=2, m=2, l=0, eps=0.2, z_budget=1e-9,
+                              merge_tol=1e-9, rate_vector=(1.0, 1.0), sum_rate=2.0,
+                              union_bound=0.0)
     with pytest.raises(SpecMismatchError, match="RREF"):
         sc_decode(spec, identity_mac(2, 2), np.zeros(1, dtype=int),
                   np.zeros((1, 2), dtype=int))
@@ -484,9 +484,9 @@ def random_spec(rng, q, m, l, good=None):
         branches.append(good_branch(*random_canonical_map(rng, q, m, r), m, sig))
     n = 1 << l
     rates = tuple(sum(1 - b.frozen[k] for b in branches) / n for k in range(m))
-    spec = CodeSpec(q=q, m=m, l=l, eps=0.2, z_budget=1.0, merge_tol=1e-9,
-                    branches=tuple(branches), rate_vector=rates,
-                    sum_rate=sum(b.r for b in branches) / n, union_bound=0.0)
+    spec = spec_from_branches(branches, q=q, m=m, l=l, eps=0.2, z_budget=1.0,
+                              merge_tol=1e-9, rate_vector=rates,
+                              sum_rate=sum(b.r for b in branches) / n, union_bound=0.0)
     spec.check()
     return spec
 
@@ -515,7 +515,7 @@ def test_decisions_match_reference_on_tied_posteriors(q, m):
         base = rng.integers(0, q, size=(40, m)) * np.array(branch.frozen)
         want = [decide_branch_reference(branch, p, b, q, m, powers) @ powers
                 for p, b in zip(post, base)]
-        assert _decide_batch(branch, post, base, q, m).tolist() == want
+        assert _decide_batch(branch.a_columns, branch.s_users, post, base, q, m).tolist() == want
 
 
 def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
@@ -614,9 +614,9 @@ def test_decoder_counts_underflow_fallbacks():
     good = BranchCode(sig="+", in_good_set=True, r=1, a_columns=((1,),),
                       s_users=(1,), frozen=(0,), z_sum=0.0, i_branch=1.0,
                       i_detected=1.0)
-    spec = CodeSpec(q=2, m=1, l=1, eps=0.2, z_budget=1e-9, merge_tol=1e-9,
-                    branches=(frozen, good), rate_vector=(0.5,), sum_rate=0.5,
-                    union_bound=0.0)
+    spec = spec_from_branches([frozen, good], q=2, m=1, l=1, eps=0.2, z_budget=1e-9,
+                              merge_tol=1e-9, rate_vector=(0.5,), sum_rate=0.5,
+                              union_bound=0.0)
     spec.check()
     chan = identity_mac(2, 1)
     u = message(spec, [1], frozen_seed=0)
@@ -796,9 +796,9 @@ def test_fallback_posterior_is_the_float_decoders():
     frozen_branch = BranchCode(sig="-", in_good_set=False, r=0, a_columns=(),
                                s_users=(), frozen=(1,) * m, z_sum=1.0,
                                i_branch=0.0, i_detected=0.0)
-    spec = CodeSpec(q=q, m=m, l=1, eps=0.2, z_budget=1e-9, merge_tol=1e-9,
-                    branches=(frozen_branch, good_branch(ident, (1, 2, 3), m, "+")),
-                    rate_vector=(0.5,) * m, sum_rate=1.5, union_bound=0.0)
+    spec = spec_from_branches([frozen_branch, good_branch(ident, (1, 2, 3), m, "+")],
+                              q=q, m=m, l=1, eps=0.2, z_budget=1e-9, merge_tol=1e-9,
+                              rate_vector=(0.5,) * m, sum_rate=1.5, union_bound=0.0)
     spec.check()
     chan = identity_mac(q, m)
     u = frozen_from_seed(spec, 1)

@@ -42,7 +42,7 @@ from macpolar.jsonio import (
     load_codespec,
     save_codespec,
 )
-from macpolar.polarize import summarize_levels
+from macpolar.polarize import CodeSpec, summarize_levels
 from macpolar.subspace import Subspace, enumerate_subspaces
 from conftest import (
     binary2_levels,
@@ -53,11 +53,13 @@ from conftest import (
     useless_mac,
 )
 from oracles import (
+    build_code_rows,
     codespec_dict,
     codespec_json,
     members,
     smallest_independent_rows,
     span_scan,
+    spec_from_branches,
 )
 
 FIVE = str(Path(__file__).resolve().parents[1] / "demos" / "channels"
@@ -345,10 +347,19 @@ def test_build_code_single_term_v3():
         assert b.s_users == (1,) and b.a_columns == ((1, 1),)
 
 
+def assert_same_spec(got, want):
+    """The same header, shapes and columns, value for value."""
+    fields = ("q", "m", "l", "eps", "z_budget", "merge_tol", "shapes",
+              "rate_vector", "sum_rate", "union_bound")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    for name in ("shape_index", "z_sum", "i_branch", "i_detected"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_codespec_json_roundtrip(rng):
     spec = build_code(uniform_five_explicit(), 3, eps=0.2, z_budget=0.1)
     again = codespec_from_dict(codespec_dict(spec))
-    assert again == spec
+    assert_same_spec(again, spec)
     assert json.loads(codespec_to_json(spec)) == json.loads(
         codespec_to_json(codespec_from_dict(json.loads(codespec_to_json(spec)))))
 
@@ -383,16 +394,15 @@ def test_to_json_matches_the_generic_encoder(tmp_path, q, m):
 
 def test_to_json_spells_floats_as_json_does():
     spec = build_code(load_channel_file(FIVE), 2, eps=0.2, z_budget=0.1)
-    first, second, *rest = spec.branches
+    # The first two branches take the odd values, the rest a third of z_sum.
+    z_sum, i_branch, i_detected = spec.z_sum / 3, spec.i_branch.copy(), spec.i_detected.copy()
+    z_sum[:2] = math.nan, -0.0
+    i_branch[:2] = math.inf, 5e-324
+    i_detected[:2] = -math.inf, 1e308
     odd = dataclasses.replace(
         spec, eps=np.float64(0.2), union_bound=math.inf, sum_rate=math.nan,
-        rate_vector=(-0.0, 5e-324), merge_tol=0,
-        branches=(dataclasses.replace(first, z_sum=math.nan, i_branch=math.inf,
-                                      i_detected=-math.inf),
-                  dataclasses.replace(second, z_sum=-0.0, i_branch=5e-324,
-                                      i_detected=1e308),
-                  *(dataclasses.replace(b, z_sum=np.float64(b.z_sum) / 3)
-                    for b in rest)))
+        rate_vector=(-0.0, 5e-324), merge_tol=0, z_sum=z_sum, i_branch=i_branch,
+        i_detected=i_detected)
     text = codespec_to_json(odd)
     assert text == codespec_json(odd)
     for token in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e+308"):
@@ -400,6 +410,61 @@ def test_to_json_spells_floats_as_json_does():
     # json reads the spellings back, and writing again gives the same text.
     assert codespec_to_json(codespec_from_dict(json.loads(text))) == text.replace(
         '"merge_tol": 0,', '"merge_tol": 0.0,')
+
+
+def assert_matches_row_oracle(channel, depth, eps, z_budget):
+    """build_code's columns, rates and union bound equal the row oracle's
+    bit for bit, and its file text is the generic encoder's.  Returns the
+    spec."""
+    spec = build_code(channel, depth, eps, z_budget)
+    rows, rate_vector, sum_rate, union_bound = build_code_rows(channel, depth, eps, z_budget)
+    shapes = [(b.in_good_set, b.r, b.a_columns, b.s_users, b.frozen) for b in rows]
+    assert spec.shapes == tuple(dict.fromkeys(shapes))     # distinct, by first use
+    assert [spec.shapes[i] for i in spec.shape_index.tolist()] == shapes
+    for name in ("z_sum", "i_branch", "i_detected"):
+        want = np.array([getattr(b, name) for b in rows], dtype=np.float64)
+        assert np.array_equal(getattr(spec, name).view(np.int64), want.view(np.int64)), name
+    assert spec.rate_vector == rate_vector and spec.sum_rate == sum_rate
+    assert spec.union_bound.hex() == union_bound.hex()
+    assert spec.branches == tuple(rows)
+    spec.check()
+    assert codespec_to_json(spec) == codespec_json(spec)
+    return spec
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_columns_match_the_row_oracle_on_five_component(depth):
+    five = load_channel_file(FIVE)
+    for z_budget in (1e-3, 0.16, 1e9):
+        assert_matches_row_oracle(five, depth, 0.2, z_budget)
+
+
+@pytest.mark.parametrize("q, m", [(3, 2), (2, 3)])
+def test_columns_match_the_row_oracle_on_seeded_combinations(q, m):
+    rng = np.random.default_rng([q, m, 16])
+    shapes = set()
+    for _ in range(4):
+        combo = random_combo(rng, q, m, max_terms=4)
+        for depth in (0, 2, 5, 7):
+            for z_budget in (1e-2, 0.2):
+                spec = assert_matches_row_oracle(combo, depth, 0.2, z_budget)
+                shapes.update(s[:2] for s in spec.shapes)
+    # Frozen branches, and good ones without and with information.
+    assert {(False, 0), (True, 0), (True, 1)} <= shapes
+
+
+def test_columns_match_the_row_oracle_on_rows_channels():
+    # Explicit tables take the transform tree; depth 3 keeps them small.
+    channels = [uniform_five_explicit(), random_mac(np.random.default_rng(16), 2, 1, 2),
+                identity_mac(2, 2), useless_mac(2, 2),
+                LinearComboMac(2, 2, [(0.9, binary2_subspaces()[3]),
+                                      (0.1, binary2_subspaces()[4])]).to_explicit()]
+    shapes = set()
+    for channel in channels:
+        for depth in range(4):
+            spec = assert_matches_row_oracle(channel, depth, 0.2, 0.2)
+            shapes.update(s[:2] for s in spec.shapes)
+    assert {(False, 0), (True, 0), (True, 1), (True, 2)} <= shapes
 
 
 def test_martingale_report(rng):
@@ -431,13 +496,18 @@ def test_polarization_trend_even_levels():
 
 
 def corrupted_specs():
-    """Code specs that each break one invariant of CodeSpec.check."""
+    """Code specs that each break one invariant of CodeSpec.check.  A spec
+    holds no signatures, so the signature cases are files
+    (`SIGNATURE_CORRUPTIONS`)."""
     spec = build_code(identity_mac(2, 2), 2, eps=0.2, z_budget=1e-6)
-    first = spec.branches[0]
+    rows = spec.branches
+    first = rows[0]
+    header = {f: getattr(spec, f) for f in ("q", "m", "l", "eps", "z_budget", "merge_tol",
+                                            "rate_vector", "sum_rate", "union_bound")}
 
     def with_first(**changes):
-        branches = (dataclasses.replace(first, **changes),) + spec.branches[1:]
-        return dataclasses.replace(spec, branches=branches)
+        return spec_from_branches((first._replace(**changes),) + rows[1:],
+                                  **header)
 
     # Consistent rates, so only the users outside the good set are wrong.
     outside = dataclasses.replace(
@@ -459,24 +529,64 @@ def corrupted_specs():
         "user out of range": with_first(s_users=(1, 3)),
         "r mismatch": with_first(r=1),
         "short frozen": with_first(frozen=(0,)),
-        "missing branch": dataclasses.replace(spec, branches=spec.branches[1:]),
-        "long sig": with_first(sig="+++"),
-        "bad sig": dataclasses.replace(spec, branches=(
-            first, dataclasses.replace(spec.branches[1], sig="x")) + spec.branches[2:]),
+        "missing branch": spec_from_branches(rows[1:], **header),
         "rate": dataclasses.replace(spec, rate_vector=(1.0, 0.75)),
         "nan sum rate": dataclasses.replace(spec, sum_rate=float("nan")),
     }
 
 
-@pytest.mark.parametrize("name", sorted(corrupted_specs()))
+# Edits of the intact spec's file that only a stored signature can carry;
+# the reader refuses them.
+SIGNATURE_CORRUPTIONS = {
+    "long sig": lambda d: d["branches"][0].update(sig="+++"),
+    "bad sig": lambda d: d["branches"][1].update(sig="x"),
+}
+
+# Every refusal's message, as the row-form spec gave it.
+CORRUPTION_MESSAGES = {
+    "bad sig": "branch signatures are not the 4 of length 2 in decoding order",
+    "dependent columns": "branch --: a_columns ((1, 0), (1, 0)) are not an RREF basis",
+    "descending users": "branch --: information users (2, 1) are not the pivot columns "
+                        "of a_columns ((1, 0), (0, 1))",
+    "frozen flag": "branch --: user 1's frozen flag contradicts the information users (1, 2)",
+    "info outside good set": "branch --: information users (1, 2) on a branch outside "
+                             "the good set",
+    "long sig": "branch signatures are not the 4 of length 2 in decoding order",
+    "missing branch": "spec has 3 branches and 2 rates, expected 4 and 2",
+    "nan sum rate": "sum rate nan, but the good set gives 2.0",
+    "not RREF": "branch --: a_columns ((1, 1), (0, 1)) are not an RREF basis",
+    "r mismatch": "branch --: r=1 does not match its 2 users and 2 columns, or it has 2 "
+                  "frozen flags for m=2",
+    "rate": "R_2 = 0.75, but the frozen map gives 1.0",
+    "short frozen": "branch --: r=2 does not match its 2 users and 2 columns, or it has 1 "
+                    "frozen flags for m=2",
+    "user out of range": "branch --: user 2's frozen flag contradicts the information "
+                         "users (1, 3)",
+    "users are not the pivots": "branch --: information users (2,) are not the pivot "
+                                "columns of a_columns ((1, 1),)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTION_MESSAGES))
 def test_codespec_check_and_load_refuse_corruption(tmp_path, name):
-    spec = corrupted_specs()[name]
-    with pytest.raises(SpecMismatchError):
-        spec.check()
+    # A corrupted spec is refused by its check, and its file by
+    # load_codespec, with the same message; a file with corrupted
+    # signatures is refused by the reader.
     path = tmp_path / "spec.json"
-    save_codespec(str(path), spec)
-    with pytest.raises(SpecMismatchError):
+    if name in SIGNATURE_CORRUPTIONS:
+        save_codespec(str(path), build_code(identity_mac(2, 2), 2, eps=0.2, z_budget=1e-6))
+        data = json.loads(path.read_text())
+        SIGNATURE_CORRUPTIONS[name](data)
+        path.write_text(json.dumps(data))
+    else:
+        spec = corrupted_specs()[name]
+        with pytest.raises(SpecMismatchError) as checked:
+            spec.check()
+        assert str(checked.value) == CORRUPTION_MESSAGES[name]
+        save_codespec(str(path), spec)
+    with pytest.raises(SpecMismatchError) as loaded:
         load_codespec(str(path))
+    assert str(loaded.value) == CORRUPTION_MESSAGES[name]
 
 
 @pytest.mark.parametrize("name", sorted(corrupted_specs()))
@@ -495,6 +605,22 @@ def test_sc_decode_refuses_corruption(name):
     with pytest.raises(SpecMismatchError) as simulated:
         run_trials(spec, identity_mac(2, 2), 3, seed=1)
     assert str(simulated.value) == str(checked.value)
+
+
+def test_simulate_checks_the_spec_once(tmp_path, monkeypatch, capsys):
+    # The decoder set-up owns the check: `simulate` reads the file without
+    # it, so one run checks the spec once.
+    spec_path, chan_path = tmp_path / "code.json", tmp_path / "ident.json"
+    save_codespec(str(spec_path), build_code(identity_mac(2, 2), 3, eps=0.2, z_budget=1e-6))
+    chan_path.write_text(json.dumps({"q": 2, "m": 2, "outputs": 4,
+                                     "rows": np.eye(4).tolist()}))
+    calls = []
+    check = CodeSpec.check
+    monkeypatch.setattr(CodeSpec, "check", lambda spec: calls.append(spec) or check(spec))
+    assert main(["simulate", "--codespec", str(spec_path), "--channel", str(chan_path),
+                 "--trials", "3", "--seed", "1"]) == 0
+    assert len(calls) == 1
+    assert '"errors": 0' in capsys.readouterr().out
 
 
 def test_corrupted_spec_refused_under_optimize(tmp_path):

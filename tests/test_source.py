@@ -38,6 +38,22 @@ def test_library_imports_no_private_names_from_sibling_modules():
     assert found == []
 
 
+def test_only_polarize_names_the_branch_view():
+    # `CodeSpec.branches` builds one object per branch; the library works
+    # on the columns, so the view stays off every other module.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "polarize.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = {"Name": "id", "alias": "name", "Attribute": "attr"}
+            name = getattr(node, names.get(type(node).__name__, ""), None)
+            if name == "BranchCode" or (isinstance(node, ast.Attribute) and name == "branches"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    assert found == []
+
+
 def python_blocks(markdown: str):
     """Bodies of the ```python fenced blocks of a Markdown text."""
     return re.findall(r"^```python\n(.*?)^```", markdown, flags=re.M | re.S)
