@@ -249,8 +249,8 @@ def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
 
     def leaf(b, v):
         post = v[0] / v[0].sum(axis=1, keepdims=True)
-        a_columns, s_users = spec.shapes[spec.shape_index[b]][2:4]
-        return post, _decide_batch(a_columns, s_users, post, frozen[:, b], q, m)
+        shape = spec.shapes[spec.shape_index[b]]
+        return post, _decide_batch(shape.a_columns, shape.s_users, post, frozen[:, b], q, m)
 
     u_hat, posteriors = _walk(spec, lambda: scaled(channel.table.T[received.T]),
                               minus, plus, leaf, frozen, genie_u, with_details)
@@ -276,8 +276,8 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
     narrow = [np.zeros((0, len(leaf)), dtype=np.int64)]
     known = (frozen @ q ** np.arange(m)).T
     # One table per shape; shapes without information are not decided.
-    decide = [_decision_table(q, m, s[2], s[3]) if s[0] and s[1] else None
-              for s in spec.shapes]
+    decide = [_decision_table(q, m, s.a_columns, s.s_users) if s.in_good_set and s.r
+              else None for s in spec.shapes]
 
     def minus(l0, l1):
         return tab.minus[l0, l1]
@@ -331,7 +331,7 @@ def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
     posteriors = [None] * spec.block_length if with_details else None
     # Good branches before each position: block [lo, hi) holds one when
     # ahead[hi] > ahead[lo].
-    carries = np.array([bool(s[0] and s[1]) for s in spec.shapes])
+    carries = np.array([bool(s.in_good_set and s.r) for s in spec.shapes])
     ahead = [0] + np.cumsum(carries[spec.shape_index]).tolist()
 
     def settle(lo: int, k: int):
@@ -375,8 +375,7 @@ def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
 
 
 def _decide_batch(a_columns, s_users, post, base, q, m):
-    """Sequential ML decisions on the information users of one branch with
-    this map.
+    """Sequential ML decisions on the information users of one branch.
 
     post is (T, q^m), base the (T, m) known symbols of the branch, 0 at its
     information users.  The map is canonical (`CodeSpec.check`), so

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NonFiniteError, ParseError, SpecMismatchError
 from .linear_mac import LinearComboMac
 from .mac import DiscreteMac, validate
-from .polarize import CodeSpec, all_sigs
+from .polarize import BranchShape, CodeSpec, all_sigs
 from .subspace import Subspace
 
 
@@ -146,7 +146,8 @@ def codespec_from_dict(data: dict) -> CodeSpec:
     z_sum, i_branch, i_detected = (np.array(_json_float_list(c), dtype=float) for c in floats)
     spec = CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=_json_int(data["l"]),
                     eps=_json_float(data["eps"]), z_budget=_json_float(data["z_budget"]),
-                    merge_tol=_json_float(data["merge_tol"]), shapes=tuple(shapes),
+                    merge_tol=_json_float(data["merge_tol"]),
+                    shapes=tuple(map(BranchShape._make, shapes)),
                     shape_index=np.array(shape_index, dtype=np.intp), z_sum=z_sum,
                     i_branch=i_branch, i_detected=i_detected,
                     rate_vector=tuple(_json_float_list(data["rate_vector"])),

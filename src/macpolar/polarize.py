@@ -157,18 +157,18 @@ def detect_linear(channel: DiscreteMac, eps: float, stats=None):
 
 # -- code specification ----------------------------------------------------------
 
+# What a branch's frozen map is made of: r column tuples of length m, the
+# 1-based users carrying information, and m flags, 1 where a user is frozen.
+BranchShape = namedtuple("BranchShape", "in_good_set r a_columns s_users frozen")
 # One branch of a spec, as the `CodeSpec.branches` view lists it.
-BranchCode = namedtuple("BranchCode", ("sig", "in_good_set", "r", "a_columns", "s_users",
-                                       "frozen", "z_sum", "i_branch", "i_detected"))
+BranchCode = namedtuple("BranchCode", "sig in_good_set r a_columns s_users frozen z_sum "
+                                      "i_branch i_detected")
 
 
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
-    """A polar code in columns.  A branch's shape, (in_good_set, r,
-    a_columns, s_users, frozen), is what its frozen map is made of: r
-    column tuples of length m, the 1-based users carrying information, and
-    m flags, 1 where a user is frozen.  Each distinct shape is stored once,
-    by first use.  Branch b, in decoding order, has shape
+    """A polar code in columns.  Each distinct `BranchShape` is stored
+    once, by first use.  Branch b, in decoding order, has the shape
     shapes[shape_index[b]], the floats z_sum[b], i_branch[b] and
     i_detected[b], and the signature all_sigs(l)[b]."""
     q: int
@@ -177,7 +177,7 @@ class CodeSpec:
     eps: float
     z_budget: float
     merge_tol: float
-    shapes: tuple             # distinct (in_good_set, r, a_columns, s_users, frozen)
+    shapes: tuple             # distinct BranchShapes
     shape_index: np.ndarray   # (N,) ints into shapes
     z_sum: np.ndarray         # (N,) floats
     i_branch: np.ndarray      # (N,) floats
@@ -192,7 +192,8 @@ class CodeSpec:
 
     @property
     def good_count(self) -> int:
-        return sum(c for s, c in zip(self.shapes, np.bincount(self.shape_index).tolist()) if s[0])
+        counts = np.bincount(self.shape_index).tolist()
+        return sum(c for shape, c in zip(self.shapes, counts) if shape.in_good_set)
 
     @property
     def branches(self) -> tuple:
@@ -209,7 +210,7 @@ class CodeSpec:
         """(N, m) booleans in key order, True where a branch's user is
         frozen.  A message is an (N, m) array of GF(q) symbols; its
         information symbols are the ones at the False positions."""
-        return np.array([s[4] for s in self.shapes], dtype=bool).reshape(
+        return np.array([s.frozen for s in self.shapes], dtype=bool).reshape(
             len(self.shapes), self.m)[self.shape_index]
 
     def check(self):
@@ -243,8 +244,8 @@ def _rates(shapes, counts, m: int):
     per user the share not frozen, and the good branches' summed r per branch."""
     n = sum(counts)
     used = [(shape, c) for shape, c in zip(shapes, counts) if c]
-    return (tuple(sum(c * (1 - shape[4][k]) for shape, c in used) / n for k in range(m)),
-            sum(c * shape[1] for shape, c in used if shape[0]) / n)
+    return (tuple(sum(c * (1 - shape.frozen[k]) for shape, c in used) / n for k in range(m)),
+            sum(c * shape.r for shape, c in used if shape.in_good_set) / n)
 
 
 def _shape_error(in_good_set, r, a_columns, s_users, frozen, q: int, m: int) -> str:
@@ -323,8 +324,8 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
     for k in keys[order].tolist():
         cols = maps[k] if k >= 0 else ()
         users = tuple(next(i for i, x in enumerate(c) if x) + 1 for c in cols)
-        shapes.append((k >= 0, len(cols), cols, users,
-                       tuple(int(u not in users) for u in range(1, m + 1))))
+        shapes.append(BranchShape(k >= 0, len(cols), cols, users,
+                                  tuple(int(u not in users) for u in range(1, m + 1))))
     shape_index = np.argsort(order)[inverse.reshape(-1)]
     rate_vector, sum_rate = _rates(shapes, np.bincount(shape_index).tolist(), m)
     # q z_sum over the good branches, added one at a time in decoding order.
@@ -357,8 +358,7 @@ def _explicit_leaves(channel: DiscreteMac, depth: int, eps: float, step):
 
 
 def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
-    """`_explicit_leaves` read off the subspace weights, with one map per
-    lattice subspace.
+    """`_explicit_leaves` read off the subspace weights, one map per subspace.
 
     Every direction channel of a linear combination is an erasure channel:
     I_alpha is the weight of the subspaces that contain alpha, Z_alpha the

@@ -35,6 +35,7 @@ from macpolar.mac import DEFAULT_MERGE_TOL
 from macpolar.polarize import (
     MAX_BRANCH_OUTPUTS,
     BranchCode,
+    BranchShape,
     CodeSpec,
     _explicit_leaves,
     _lattice_leaves,
@@ -318,6 +319,7 @@ def spec_from_branches(branches, **header) -> CodeSpec:
     def column(name):
         return np.array([getattr(b, name) for b in branches], dtype=np.float64)
 
-    return CodeSpec(shapes=tuple(shapes), shape_index=np.array(index, dtype=np.intp),
+    return CodeSpec(shapes=tuple(map(BranchShape._make, shapes)),
+                    shape_index=np.array(index, dtype=np.intp),
                     z_sum=column("z_sum"), i_branch=column("i_branch"),
                     i_detected=column("i_detected"), **header)
