@@ -3,9 +3,10 @@
 The block uses 2^l copies of the channel, one per branch signature.  A
 message is an (N, m) array of GF(q) symbols in key order, row b holding
 branch b's vector; the spec's frozen mask marks the frozen positions and
-the rest carry information.  The encoder runs the butterfly recursion per
-user; stage j combines message rows whose keys differ in bit j-1, with the
-'-' slot receiving the sum.
+the rest carry information.  The decoders read branch b's map from its
+shape, spec.shapes[spec.shape_index[b]].  The encoder runs the butterfly
+recursion per user; stage j combines message rows whose keys differ in
+bit j-1, with the '-' slot receiving the sum.
 The decoder evaluates each good branch's exact posterior over GF(q)^m by
 the two-node recursion the transforms define: a minus node convolves the
 two child likelihoods over the sibling vector, a plus node conditions on
@@ -275,7 +276,6 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
     # an empty meet together at the end; they take at most N T indices.
     narrow = [np.zeros((0, len(leaf)), dtype=np.int64)]
     known = (frozen @ q ** np.arange(m)).T
-    # One table per shape; shapes without information are not decided.
     decide = [_decision_table(q, m, s.a_columns, s.s_users) if s.in_good_set and s.r
               else None for s in spec.shapes]
 

@@ -14,7 +14,8 @@ linear combination        {"q": 2, "m": 2,
     subspace (an empty list is the zero subspace).
 
 A code spec is the text `json.dumps(..., sort_keys=True, indent=1)` gives
-a `CodeSpec`; whether it is consistent is for `CodeSpec.check` to decide.
+a `CodeSpec`, written per branch shape and read into the spec's columns;
+whether it is consistent is for `CodeSpec.check` to decide.
 In every file an integer field refuses a boolean, a string or a fraction,
 and a float field a boolean or a string.
 
@@ -119,8 +120,9 @@ def load_codespec(path: str, check: bool = True) -> CodeSpec:
 
 
 def save_codespec(path: str, spec: CodeSpec) -> None:
+    text = codespec_to_json(spec)       # first, so that a failure leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(codespec_to_json(spec) + "\n")
+        fh.writelines((text, "\n"))
 
 
 def codespec_from_dict(data: dict) -> CodeSpec:

@@ -13,9 +13,8 @@ which is what keeps depth-8 trees tractable.  A linear combination is
 polarized on its subspace lattice instead (`linear_mac`), where every
 branch statistic is an exact weighted sum.
 
-Construction ends in a `CodeSpec`, held in columns: each distinct branch
-shape once, and per branch a shape index and three floats, built from the
-leaf statistics as arrays.  Its `check` alone decides whether a spec is
+Construction ends in a `CodeSpec`, held in columns built from the leaf
+statistics as arrays.  Its `check` alone decides whether a spec is
 consistent, and its file format is `jsonio`'s.
 """
 
@@ -192,8 +191,7 @@ class CodeSpec:
 
     @property
     def good_count(self) -> int:
-        counts = np.bincount(self.shape_index).tolist()
-        return sum(c for shape, c in zip(self.shapes, counts) if shape.in_good_set)
+        return int(np.array([s.in_good_set for s in self.shapes])[self.shape_index].sum())
 
     @property
     def branches(self) -> tuple:

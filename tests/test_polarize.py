@@ -32,6 +32,7 @@ from macpolar import (
     sum_capacity,
     user_subsets,
 )
+from macpolar import jsonio
 from macpolar.cli import main
 from macpolar.linear_mac import binary2_subspaces
 from macpolar.linear_mac import closure
@@ -362,6 +363,21 @@ def test_codespec_json_roundtrip(rng):
     assert_same_spec(again, spec)
     assert json.loads(codespec_to_json(spec)) == json.loads(
         codespec_to_json(codespec_from_dict(json.loads(codespec_to_json(spec)))))
+
+
+def test_save_leaves_the_file_when_formatting_fails(tmp_path, monkeypatch):
+    # The text is made before the file is opened, so a spec too large to
+    # format does not leave an empty file in place of the old one.
+    path = tmp_path / "code.json"
+    path.write_text("old")
+
+    def fail(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(jsonio, "codespec_to_json", fail)
+    with pytest.raises(MemoryError):
+        save_codespec(str(path), build_code(identity_mac(2, 2), 1, eps=0.2, z_budget=1e-6))
+    assert path.read_text() == "old"
 
 
 def uniform_combo(q, m):
