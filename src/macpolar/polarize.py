@@ -364,11 +364,10 @@ def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
     exactly the directions of one subspace S; then the branch carries
     sum_V w_V dim V and S carries sum_V w_V dim(V & S).
     """
-    q, m = combo.q, combo.m
-    lat = subspace_lattice(q, m)
-    dirs = projective_directions(q, m)
+    lat = subspace_lattice(combo.q, combo.m)
+    dirs = projective_directions(combo.q, combo.m)
     inside = lat.contains(dirs)                               # (D, L)
-    span_of = {col.tobytes(): s for s, col in enumerate(inside.T > 0)}
+    sizes = inside.sum(axis=0)[:, None]                       # directions per subspace
     position = {tuple(d.tolist()): k for k, d in enumerate(dirs)}
     # Entry s: the RREF basis rows (canonical directions) of subspace s as
     # columns, which of the directions they are, and dim(V & S) for every V.
@@ -382,8 +381,9 @@ def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
     for level, w in lattice_levels(lat, combo.weights(), depth):
         if level < depth:
             continue
-        spans = np.array([span_of.get(good.tobytes(), lat.size)
-                          for good in (inside @ w > 1 - eps).T])
+        good = (inside @ w > 1 - eps).astype(float)           # (D, T)
+        found = (inside.T @ good == sizes) & (sizes == good.sum(axis=0))
+        spans = np.where(found.any(axis=0), found.argmax(axis=0), lat.size)
         blocks.append((spans, np.einsum("td,dt->t", basis_pick[spans], (1.0 - inside) @ w),
                        lat.dims @ w, np.einsum("tl,lt->t", meet_dims[spans], w)))
     return (maps, *map(np.concatenate, zip(*blocks)))
