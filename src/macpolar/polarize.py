@@ -326,7 +326,7 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
                                   tuple(int(u not in users) for u in range(1, m + 1))))
     shape_index = np.argsort(order)[inverse.reshape(-1)]
     rate_vector, sum_rate = _rates(shapes, np.bincount(shape_index).tolist(), m)
-    # q z_sum over the good branches, added one at a time in decoding order.
+    # One term at a time in decoding order: the bits of a per-branch running sum.
     union_bound = float(np.add.accumulate(np.append(0.0, q * z_sum[good]))[-1])
     return CodeSpec(q=q, m=m, l=depth, eps=eps, z_budget=z_budget, merge_tol=merge_tol,
                     shapes=tuple(shapes), shape_index=shape_index, z_sum=z_sum,
