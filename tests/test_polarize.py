@@ -605,11 +605,29 @@ def test_codespec_check_and_load_refuse_corruption(tmp_path, name):
     assert str(loaded.value) == CORRUPTION_MESSAGES[name]
 
 
-@pytest.mark.parametrize("name", sorted(corrupted_specs()))
-def test_sc_decode_refuses_corruption(name):
+@pytest.mark.parametrize("name", sorted(CORRUPTION_MESSAGES))
+def test_sc_decode_refuses_corruption(tmp_path, capsys, name):
     # The decoder set-up runs the spec's own check first, so neither
     # sc_decode nor run_trials decodes a spec that `check` refuses, nor
-    # fails on one with a numpy error.
+    # fails on one with a numpy error.  A spec holds no signatures: a file
+    # with corrupted ones is refused as `simulate` reads it, unchecked,
+    # before any decoding.
+    if name in SIGNATURE_CORRUPTIONS:
+        spec_path, chan_path = tmp_path / "code.json", tmp_path / "ident.json"
+        save_codespec(str(spec_path), build_code(identity_mac(2, 2), 2, eps=0.2,
+                                                 z_budget=1e-6))
+        data = json.loads(spec_path.read_text())
+        SIGNATURE_CORRUPTIONS[name](data)
+        spec_path.write_text(json.dumps(data))
+        chan_path.write_text(json.dumps({"q": 2, "m": 2, "outputs": 4,
+                                         "rows": np.eye(4).tolist()}))
+        with pytest.raises(SpecMismatchError) as read:
+            load_codespec(str(spec_path), check=False)
+        assert str(read.value) == CORRUPTION_MESSAGES[name]
+        assert main(["simulate", "--codespec", str(spec_path), "--channel", str(chan_path),
+                     "--trials", "3", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {CORRUPTION_MESSAGES[name]}\n"
+        return
     spec = corrupted_specs()[name]
     with pytest.raises(SpecMismatchError) as checked:
         spec.check()
