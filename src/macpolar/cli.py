@@ -304,6 +304,18 @@ def cmd_probe_conjectures(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------------
 
+def _depth(text: str) -> int:
+    """The type of every --l option: a polarization depth, a non-negative
+    integer."""
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return depth
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macpolar",
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polarize", help="per-level averages and branch stats")
     p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_depth, required=True)
     p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
     p.add_argument("--max-outputs", type=int, default=MAX_BRANCH_OUTPUTS)
     common(p)
@@ -332,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a code spec")
     p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_depth, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--z-budget", type=float, required=True)
     p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
@@ -351,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="subspace-weight evolution of a "
                                       "linear-combination channel")
     p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_depth, required=True)
     p.add_argument("--mode", default="enumerate",
                    help="enumerate or sample:N")
     p.add_argument("--seed", type=int, default=0)
@@ -362,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numeric probes of the open questions")
     p.add_argument("--grid", default=None,
                    help="total-loss probe grid: step:K or a JSON file")
-    p.add_argument("--l", type=int, default=14)
+    p.add_argument("--l", type=_depth, default=14)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--users", default=None,

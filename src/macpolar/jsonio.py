@@ -1,6 +1,6 @@
 """File formats: channel specs in JSON, code specs in JSON, results in CSV.
 
-Two channel formats are accepted and distinguished by their keys:
+Two channel formats, told apart by their keys, and one code-spec format:
 
 explicit table            {"q": 2, "m": 2, "outputs": 4,
                            "rows": [[p, ...], ...]}
@@ -13,9 +13,16 @@ linear combination        {"q": 2, "m": 2,
     each term carries a weight and a list of vectors spanning its
     subspace (an empty list is the zero subspace).
 
-A code spec is the text `json.dumps(..., sort_keys=True, indent=1)` gives
-a `CodeSpec`, written per branch shape and read into the spec's columns;
-whether it is consistent is for `CodeSpec.check` to decide.
+code spec                 {"eps": 0.2,
+                           ...
+                           "z_sum": [...]}
+    one object holding a `CodeSpec`'s own columns, one key per line in
+    sorted order: the header numbers, `rate_vector`, `shapes` (each
+    distinct branch shape as an object, by first use), `shape_index` and
+    the float columns `z_sum`, `i_branch` and `i_detected`.  No signature
+    is stored: branch b's is all_sigs(l)[b].  Whether the columns are
+    consistent is for `CodeSpec.check` to decide.
+
 In every file an integer field refuses a boolean, a string or a fraction,
 and a float field a boolean or a string.
 
@@ -28,15 +35,15 @@ from __future__ import annotations
 
 import datetime
 import json
-from itertools import chain, islice
-from operator import index, itemgetter
+from itertools import chain
+from operator import index
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError, SpecMismatchError
+from .errors import NonFiniteError, ParseError
 from .linear_mac import LinearComboMac
 from .mac import DiscreteMac, validate
-from .polarize import BranchShape, CodeSpec, all_sigs
+from .polarize import BranchShape, CodeSpec
 from .subspace import Subspace
 
 
@@ -105,14 +112,15 @@ def load_channel(path: str):
 
 
 def load_codespec(path: str, check: bool = True) -> CodeSpec:
-    """Read a code spec and, unless `check` is off, check its consistency
-    (SpecMismatchError); `simulate` leaves that to its decoder set-up."""
+    """Read a code spec (ParseError if a field is missing or malformed)
+    and, unless `check` is off, check its consistency (SpecMismatchError);
+    `simulate` leaves that to its decoder set-up."""
     data = _load_json(path)
     try:
         spec = codespec_from_dict(data)
-    except SpecMismatchError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"{path}: bad code spec: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad code spec: {exc}") from exc
     if check:
         spec.check()
@@ -126,104 +134,42 @@ def save_codespec(path: str, spec: CodeSpec) -> None:
 
 
 def codespec_from_dict(data: dict) -> CodeSpec:
-    """The spec of a parsed JSON object, read into columns.  A missing field
-    raises KeyError, a malformed one TypeError or ValueError: a refused
-    integer or float field, or a non-boolean `in_good_set`.  Signatures are
-    not kept: with 2^l branches and m rates, any but `all_sigs(l)` raise
-    SpecMismatchError; other inconsistencies are for `CodeSpec.check`."""
-    rows = data["branches"]
-    sigs, good, r, a_columns, s_users, frozen, *floats = (
-        list(map(itemgetter(name), rows)) for name in _BRANCH_KEYS)
-    for g in good:
-        if type(g) is not bool:
-            raise ValueError(f"in_good_set {g!r} is not a boolean")
-    if not set(map(type, a_columns)) <= {list}:
-        raise TypeError("a_columns must be lists of columns")
-    flat = iter(_json_int_rows(list(chain.from_iterable(a_columns))))
-    a_columns = [tuple(islice(flat, len(cols))) for cols in a_columns]
-    shapes = {}
-    shape_index = [shapes.setdefault(shape, len(shapes)) for shape in zip(
-        good, _json_int_rows([r])[0], a_columns, _json_int_rows(s_users),
-        _json_int_rows(frozen))]
-    z_sum, i_branch, i_detected = (np.array(_json_float_list(c), dtype=float) for c in floats)
-    spec = CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=_json_int(data["l"]),
+    """The spec of a parsed code-spec object, each column read once.  A
+    missing field raises KeyError, a malformed one TypeError or ValueError:
+    a refused integer or float field, or a non-boolean `in_good_set`.
+    Whether the columns fit together is for `CodeSpec.check` to decide."""
+    shapes = []
+    for shape in data["shapes"]:
+        good = shape["in_good_set"]
+        if type(good) is not bool:
+            raise ValueError(f"in_good_set {good!r} is not a boolean")
+        shapes.append(BranchShape(good, _json_int(shape["r"]),
+                                  tuple(_json_int_rows(shape["a_columns"])),
+                                  _json_ints(shape["s_users"]), _json_ints(shape["frozen"])))
+    z_sum, i_branch, i_detected = (np.array(_json_float_list(data[k]), dtype=float)
+                                   for k in ("z_sum", "i_branch", "i_detected"))
+    return CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=_json_int(data["l"]),
                     eps=_json_float(data["eps"]), z_budget=_json_float(data["z_budget"]),
-                    merge_tol=_json_float(data["merge_tol"]),
-                    shapes=tuple(map(BranchShape._make, shapes)),
-                    shape_index=np.array(shape_index, dtype=np.intp), z_sum=z_sum,
-                    i_branch=i_branch, i_detected=i_detected,
+                    merge_tol=_json_float(data["merge_tol"]), shapes=tuple(shapes),
+                    shape_index=np.array(_json_int_rows([data["shape_index"]])[0],
+                                         dtype=np.intp),
+                    z_sum=z_sum, i_branch=i_branch, i_detected=i_detected,
                     rate_vector=tuple(_json_float_list(data["rate_vector"])),
                     sum_rate=_json_float(data["sum_rate"]),
                     union_bound=_json_float(data["union_bound"]))
-    if (len(sigs) == spec.block_length and len(spec.rate_vector) == spec.m
-            and sigs != all_sigs(spec.l)):
-        raise SpecMismatchError(f"branch signatures are not the {len(sigs)} of "
-                                f"length {spec.l} in decoding order")
-    return spec
 
 
 def codespec_to_json(spec: CodeSpec) -> str:
-    """The spec as `json.dumps(..., sort_keys=True, indent=1)` writes it,
-    from one branch text per shape: only a branch's signature and three
-    floats are formatted per branch.  Shape integers are written with
-    int.__repr__ (a bool as 0 or 1), and `in_good_set` as a boolean."""
-    def text(values):
-        return _json_list([_json_list(list(map(int.__repr__, v)), 4)
-                           if isinstance(v, tuple) else int.__repr__(v) for v in values], 3)
-
-    templates = [_BRANCH % (text(a_cols), text(frozen), "true" if good else "false",
-                            int.__repr__(r), text(s_users))
-                 for good, r, a_cols, s_users, frozen in spec.shapes]
-    z_sum, i_branch, i_detected = (_json_floats(column.tolist()) for column in (
-        spec.z_sum, spec.i_branch, spec.i_detected))
-    body = [templates[i] % (ib, idt, sig, zs) for i, ib, idt, sig, zs in zip(
-        spec.shape_index.tolist(), i_branch, i_detected, spec.sigs(), z_sum)]
-    fields = {k: _json_number(getattr(spec, k)) for k in (
-        "eps", "l", "m", "merge_tol", "q", "sum_rate", "union_bound", "z_budget")}
-    fields.update(branches=_json_list(body, 1),
-                  rate_vector=_json_list(list(map(_json_number, spec.rate_vector)), 1))
-    return "{\n" + ",\n".join(f' "{k}": {fields[k]}' for k in sorted(fields)) + "\n}"
-
-
-# One shape's branch object at the depth json.dumps(indent=1) gives it, keys
-# sorted; its %%s then take a branch's i_branch, i_detected, sig and z_sum.
-_BRANCH = """{
-   "a_columns": %s,
-   "frozen": %s,
-   "i_branch": %%s,
-   "i_detected": %%s,
-   "in_good_set": %s,
-   "r": %s,
-   "s_users": %s,
-   "sig": "%%s",
-   "z_sum": %%s
-  }"""
-_BRANCH_KEYS = ("sig", "in_good_set", "r", "a_columns", "s_users", "frozen",
-                "z_sum", "i_branch", "i_detected")
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_list(items: list, depth: int) -> str:
-    """A JSON list of formatted items, nested `depth` levels deep, as
-    json.dumps(indent=1) writes it."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
-
-
-def _json_floats(values) -> list:
-    """Floats (np.float64 among them) as json writes them: repr, with
-    NaN and the infinities spelled as JavaScript spells them."""
-    texts = list(map(float.__repr__, values))
-    if "nan" in texts or "inf" in texts or "-inf" in texts:
-        texts = [_NON_FINITE.get(t, t) for t in texts]
-    return texts
-
-
-def _json_number(value) -> str:
-    """A header number as json writes it, int or float."""
-    return _json_floats([value])[0] if isinstance(value, float) else int.__repr__(value)
+    """The spec's file text: one key per line, sorted, each value as
+    `json.dumps(value, sort_keys=True)` writes it."""
+    fields = {k: getattr(spec, k) for k in (
+        "eps", "l", "m", "merge_tol", "q", "rate_vector", "sum_rate", "union_bound",
+        "z_budget")}
+    fields.update(shapes=[shape._asdict() for shape in spec.shapes],
+                  **{k: getattr(spec, k).tolist() for k in (
+                      "shape_index", "z_sum", "i_branch", "i_detected")})
+    return "{\n" + ",\n".join(f' "{k}": {json.dumps(fields[k], sort_keys=True)}'
+                               for k in sorted(fields)) + "\n}"
 
 
 def _json_int(value) -> int:

@@ -212,8 +212,9 @@ class CodeSpec:
             len(self.shapes), self.m)[self.shape_index]
 
     def check(self):
-        """Internal consistency of the stored code, each shape in use decided
-        once; raises SpecMismatchError at the first inconsistency."""
+        """Internal consistency of the stored code, each shape decided once
+        and used at least once; raises SpecMismatchError at the first
+        inconsistency."""
         n, m, index = self.block_length, self.m, self.shape_index
         if len(index) != n or len(self.rate_vector) != m:
             raise SpecMismatchError(f"spec has {len(index)} branches and {len(self.rate_vector)} "
@@ -223,7 +224,9 @@ class CodeSpec:
             raise SpecMismatchError(f"branch columns are not {n} entries each, or a shape "
                                     f"index is not one of the {len(self.shapes)} shapes")
         counts = np.bincount(index, minlength=len(self.shapes)).tolist()
-        errors = [c and _shape_error(*shape, self.q, m) for shape, c in zip(self.shapes, counts)]
+        if 0 in counts:
+            raise SpecMismatchError(f"shape {counts.index(0)} is used by no branch")
+        errors = [_shape_error(*shape, self.q, m) for shape in self.shapes]
         if any(errors):
             at = int(np.flatnonzero(np.array(list(map(bool, errors)))[index])[0])
             raise SpecMismatchError(f"branch {all_sigs(self.l)[at]}: {errors[index[at]]}")

@@ -26,7 +26,7 @@ from macpolar.linear_mac import (
 )
 from macpolar.subspace import enumerate_subspaces
 from conftest import channel_dict, identity_mac, subsets_of
-from oracles import dict_levels, projected_dim
+from oracles import codespec_json, dict_levels, projected_dim
 
 
 def write_json(path, data):
@@ -243,18 +243,26 @@ def test_fractional_channel_fields_are_refused(tmp_path, capsys, patch):
         {"q": 2, "m": 2, "terms": [{"p": 1.0, "basis": [[1, 1]]}]}).terms
 
 
+def set_last(column, value):
+    """A patch that sets the last entry of a code-spec column."""
+    return lambda d: d[column].__setitem__(-1, value)
+
+
 @pytest.mark.parametrize("patch", [
     lambda d: d.update(q=2.6),
     lambda d: d.update(l=1.5),
-    lambda d: d["branches"][-1].update(a_columns=[[1.7, 1.2]]),
-    lambda d: d["branches"][-1].update(frozen=[0.5, 1]),
+    lambda d: d["shapes"][-1].update(a_columns=[[1.7, 1.2]]),
+    lambda d: d["shapes"][-1].update(frozen=[0.5, 1]),
     # Booleans and strings are no integers either.
-    lambda d: d["branches"][-1].update(r=True),
-    lambda d: d["branches"][-1].update(frozen=[True, 1]),
-    lambda d: d["branches"][-1].update(s_users=[True]),
-    lambda d: d["branches"][-1].update(a_columns=[[True, 0]]),
-    lambda d: d["branches"][-1].update(frozen="11"),
+    lambda d: d["shapes"][-1].update(r=True),
+    lambda d: d["shapes"][-1].update(frozen=[True, 1]),
+    lambda d: d["shapes"][-1].update(s_users=[True]),
+    lambda d: d["shapes"][-1].update(a_columns=[[True, 0]]),
+    lambda d: d["shapes"][-1].update(frozen="11"),
     lambda d: d.update(m=True),
+    set_last("shape_index", 0.5),
+    set_last("shape_index", True),
+    set_last("shape_index", "0"),
 ])
 def test_fractional_codespec_fields_are_refused(five_term_file, tmp_path, capsys, patch):
     spec = tmp_path / "code.json"
@@ -277,9 +285,9 @@ def test_fractional_codespec_fields_are_refused(five_term_file, tmp_path, capsys
     lambda d: d.update(sum_rate=str(d["sum_rate"])),
     lambda d: d.update(union_bound=str(d["union_bound"])),
     lambda d: d.update(rate_vector=[str(r) for r in d["rate_vector"]]),
-    lambda d: d["branches"][-1].update(z_sum="nan"),
-    lambda d: d["branches"][-1].update(i_branch=str(d["branches"][-1]["i_branch"])),
-    lambda d: d["branches"][-1].update(i_detected=True),
+    set_last("z_sum", "nan"),
+    lambda d: set_last("i_branch", str(d["i_branch"][-1]))(d),
+    set_last("i_detected", True),
 ])
 def test_non_numeric_codespec_fields_are_refused(five_term_file, tmp_path, capsys, patch):
     # float() would read each of these, as 1.0 for true.
@@ -315,13 +323,13 @@ def test_non_numeric_channel_fields_are_refused(tmp_path, capsys, data, why):
 
 @pytest.mark.parametrize("value", ["false", "no", 1.5, [], 0])
 def test_non_boolean_in_good_set_is_refused(five_term_file, tmp_path, capsys, value):
-    # bool() would read each of these on a frozen branch, and a frozen
-    # branch with no information users passes every other check.
+    # bool() would read each of these on a frozen shape, and a frozen
+    # shape with no information users passes every other check.
     spec = tmp_path / "code.json"
     assert main(["construct", "--channel", five_term_file, "--l", "1", "--eps", "0.2",
                  "--z-budget", "1e-3", "--out", str(spec), "--no-timestamp"]) == 0
     data = json.loads(spec.read_text())
-    outside = [b for b in data["branches"] if b["in_good_set"] is False]
+    outside = [s for s in data["shapes"] if s["in_good_set"] is False]
     assert outside
     outside[0]["in_good_set"] = value
     bad = write_json(tmp_path / "bad.json", data)
@@ -330,6 +338,24 @@ def test_non_boolean_in_good_set_is_refused(five_term_file, tmp_path, capsys, va
     assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
                  "--trials", "2", "--seed", "1"]) == 2
     assert "is not a boolean" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["polarize", "--channel", "c.json"],
+    ["construct", "--channel", "c.json", "--eps", "0.2", "--z-budget", "1e-3"],
+    ["evolve", "--channel", "c.json"],
+    ["probe-conjectures", "--grid", "step:2"],
+])
+def test_negative_depth_is_refused(capsys, argv):
+    # One argument type serves every --l: a usage error (exit 2) that names
+    # the option, before any file is read.
+    for depth in ("-1", "-2", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--l", depth])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --l: '{depth}' is not a non-negative integer" in err
+        assert "Traceback" not in err
 
 
 def test_exit_codes(tmp_path, five_term_file, capsys):
@@ -453,17 +479,36 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # bounded the change at depths 0..6.  The two five-component `evolve`
     # digests were written while (2,2) kept its own evolution loop and
     # hand-written information formulas.  The four `construct` digests are
-    # code-spec files (written to out.csv) from `json.dumps(..., indent=1)`,
-    # on the lattice path and, for random_ternary, the explicit path.  Paths
-    # are relative, so the config echo does not depend on where the test runs.
+    # of code specs (written to out.csv), on the lattice path and, for
+    # random_ternary, the explicit path.  They were pinned on the per-branch
+    # file, `json.dumps(..., indent=1)` of one object per branch; the file
+    # is columnar now, so each is hashed over that per-branch text rebuilt
+    # from the loaded file by `oracles.codespec_json`.  Paths are relative,
+    # so the config echo does not depend on where the test runs.
     monkeypatch.chdir(tmp_path)
     for name in ("five_component.json", "random_ternary.json"):
         shutil.copy(DEMO_CHANNELS / name, name)
     for name, data in GENERIC_COMBOS.items():
         write_json(tmp_path / name, data)
     assert main(argv + ["--out", "out.csv", "--no-timestamp"]) == 0
-    got = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+    if argv[0] == "construct":
+        text = (codespec_json(load_codespec("out.csv")) + "\n").encode()
+    else:
+        text = (tmp_path / "out.csv").read_bytes()
+    got = hashlib.sha256(text).hexdigest()
     assert got == digest, f"{' '.join(argv)}: {got}"
+
+
+def test_columnar_construct_output_is_pinned(tmp_path, monkeypatch):
+    # sha256 of the columnar file itself, for the five-component code at
+    # l=6 whose per-branch text `test_outputs_are_pinned` pins.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO_CHANNELS / "five_component.json", "five_component.json")
+    assert main(["construct", "--channel", "five_component.json", "--l", "6",
+                 "--eps", "0.2", "--z-budget", "1e-3", "--out", "code.json",
+                 "--no-timestamp"]) == 0
+    got = hashlib.sha256((tmp_path / "code.json").read_bytes()).hexdigest()
+    assert got == "7b7afd163d35b1d4b754353e8d63d13a770cb7b741659a29063ab28924950fb4", got
 
 
 @pytest.mark.parametrize("channel, z_budget, trials, seed, csv_digest, json_digest", [

@@ -17,6 +17,7 @@ from macpolar import (
     BadToleranceError,
     DiscreteMac,
     LinearComboMac,
+    ParseError,
     SpecMismatchError,
     TooLargeError,
     all_sigs,
@@ -43,7 +44,7 @@ from macpolar.jsonio import (
     load_codespec,
     save_codespec,
 )
-from macpolar.polarize import CodeSpec, summarize_levels
+from macpolar.polarize import BranchShape, CodeSpec, summarize_levels
 from macpolar.subspace import Subspace, enumerate_subspaces
 from conftest import (
     binary2_levels,
@@ -55,7 +56,6 @@ from conftest import (
 )
 from oracles import (
     build_code_rows,
-    codespec_dict,
     codespec_json,
     members,
     smallest_independent_rows,
@@ -348,21 +348,41 @@ def test_build_code_single_term_v3():
         assert b.s_users == (1,) and b.a_columns == ((1, 1),)
 
 
-def assert_same_spec(got, want):
-    """The same header, shapes and columns, value for value."""
-    fields = ("q", "m", "l", "eps", "z_budget", "merge_tol", "shapes",
-              "rate_vector", "sum_rate", "union_bound")
+def assert_same_bits(got, want):
+    """The same integers and shapes, and every float with the same bits."""
+    fields = ("q", "m", "l", "shapes")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
-    for name in ("shape_index", "z_sum", "i_branch", "i_detected"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.shape_index, want.shape_index)
+    for name in ("eps", "z_budget", "merge_tol", "rate_vector", "sum_rate", "union_bound",
+                 "z_sum", "i_branch", "i_detected"):
+        a, b = (np.array(getattr(spec, name), dtype=np.float64) for spec in (got, want))
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
-def test_codespec_json_roundtrip(rng):
+def assert_file_round_trip(spec, path):
+    """Save the spec, load it and save it again: the same bytes, and the
+    loaded spec equal to `spec` bit for bit, its shapes made of bools and
+    int tuples (the decoders cache their tables on them).  Returns the
+    first text."""
+    save_codespec(str(path), spec)
+    first = path.read_bytes()
+    loaded = load_codespec(str(path), check=False)
+    save_codespec(str(path), loaded)
+    assert path.read_bytes() == first
+    assert_same_bits(loaded, spec)
+    for good, r, a_columns, s_users, frozen in loaded.shapes:
+        assert type(good) is bool and type(r) is int
+        for ints in (*a_columns, s_users, frozen):
+            assert type(ints) is tuple and {type(x) for x in ints} <= {int}
+        assert type(a_columns) is tuple
+    return first.decode()
+
+
+def test_codespec_json_roundtrip():
     spec = build_code(uniform_five_explicit(), 3, eps=0.2, z_budget=0.1)
-    again = codespec_from_dict(codespec_dict(spec))
-    assert_same_spec(again, spec)
-    assert json.loads(codespec_to_json(spec)) == json.loads(
-        codespec_to_json(codespec_from_dict(json.loads(codespec_to_json(spec)))))
+    text = codespec_to_json(spec)
+    assert_same_bits(codespec_from_dict(json.loads(text)), spec)
+    assert codespec_to_json(codespec_from_dict(json.loads(text))) == text
 
 
 def test_save_leaves_the_file_when_formatting_fails(tmp_path, monkeypatch):
@@ -388,27 +408,25 @@ def uniform_combo(q, m):
 @pytest.mark.parametrize("q, m", [(2, 1), (2, 2), (3, 2), (2, 3)])
 def test_to_json_matches_the_generic_encoder(tmp_path, q, m):
     # Depths 0..8 of a uniform combination: depth 0 is one branch with
-    # signature "", and the shallow depths have an empty good set.
+    # signature "", and the shallow depths have an empty good set.  The
+    # file is one key per line, sorted, each value the json encoder's
+    # text; it round-trips bit for bit.
     combo = uniform_combo(q, m)
     good_counts, info = set(), False
     for depth in range(9):
         for z_budget in (1e-3, 0.2):
             spec = build_code(combo, depth, eps=0.2, z_budget=z_budget)
-            text = codespec_to_json(spec)
-            assert text == codespec_json(spec), (depth, z_budget)
+            text = assert_file_round_trip(spec, tmp_path / "code.json")
+            data = json.loads(text)
+            assert text == "{\n" + ",\n".join(
+                f' "{k}": {json.dumps(v, sort_keys=True)}'
+                for k, v in sorted(data.items())) + "\n}\n", (depth, z_budget)
             good_counts.add(spec.good_count > 0)
             info = info or any(b.r for b in spec.branches)
-            # save, load and save again: the same bytes.
-            path = tmp_path / "code.json"
-            save_codespec(str(path), spec)
-            first = path.read_bytes()
-            assert first == (text + "\n").encode()
-            save_codespec(str(path), load_codespec(str(path)))
-            assert path.read_bytes() == first
     assert good_counts == {False, True} and info
 
 
-def test_to_json_spells_floats_as_json_does():
+def test_to_json_spells_floats_as_json_does(tmp_path):
     spec = build_code(load_channel_file(FIVE), 2, eps=0.2, z_budget=0.1)
     # The first two branches take the odd values, the rest a third of z_sum.
     z_sum, i_branch, i_detected = spec.z_sum / 3, spec.i_branch.copy(), spec.i_detected.copy()
@@ -417,21 +435,21 @@ def test_to_json_spells_floats_as_json_does():
     i_detected[:2] = -math.inf, 1e308
     odd = dataclasses.replace(
         spec, eps=np.float64(0.2), union_bound=math.inf, sum_rate=math.nan,
-        rate_vector=(-0.0, 5e-324), merge_tol=0, z_sum=z_sum, i_branch=i_branch,
+        rate_vector=(-0.0, 5e-324), merge_tol=0.0, z_sum=z_sum, i_branch=i_branch,
         i_detected=i_detected)
-    text = codespec_to_json(odd)
-    assert text == codespec_json(odd)
+    text = assert_file_round_trip(odd, tmp_path / "code.json")
     for token in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e+308"):
         assert token in text
-    # json reads the spellings back, and writing again gives the same text.
-    assert codespec_to_json(codespec_from_dict(json.loads(text))) == text.replace(
-        '"merge_tol": 0,', '"merge_tol": 0.0,')
+    # An integral merge tolerance is written as an integer and read as a float.
+    path = tmp_path / "int.json"
+    save_codespec(str(path), dataclasses.replace(odd, merge_tol=0))
+    assert '"merge_tol": 0,' in path.read_text()
+    assert_same_bits(load_codespec(str(path), check=False), odd)
 
 
-def assert_matches_row_oracle(channel, depth, eps, z_budget):
+def assert_matches_row_oracle(channel, depth, eps, z_budget, tmp_path):
     """build_code's columns, rates and union bound equal the row oracle's
-    bit for bit, and its file text is the generic encoder's.  Returns the
-    spec."""
+    bit for bit, and its file round-trips bit for bit.  Returns the spec."""
     spec = build_code(channel, depth, eps, z_budget)
     rows, rate_vector, sum_rate, union_bound = build_code_rows(channel, depth, eps, z_budget)
     shapes = [(b.in_good_set, b.r, b.a_columns, b.s_users, b.frozen) for b in rows]
@@ -444,32 +462,32 @@ def assert_matches_row_oracle(channel, depth, eps, z_budget):
     assert spec.union_bound.hex() == union_bound.hex()
     assert spec.branches == tuple(rows)
     spec.check()
-    assert codespec_to_json(spec) == codespec_json(spec)
+    assert_file_round_trip(spec, tmp_path / "code.json")
     return spec
 
 
 @pytest.mark.parametrize("depth", range(11))
-def test_columns_match_the_row_oracle_on_five_component(depth):
+def test_columns_match_the_row_oracle_on_five_component(tmp_path, depth):
     five = load_channel_file(FIVE)
     for z_budget in (1e-3, 0.16, 1e9):
-        assert_matches_row_oracle(five, depth, 0.2, z_budget)
+        assert_matches_row_oracle(five, depth, 0.2, z_budget, tmp_path)
 
 
 @pytest.mark.parametrize("q, m", [(3, 2), (2, 3)])
-def test_columns_match_the_row_oracle_on_seeded_combinations(q, m):
+def test_columns_match_the_row_oracle_on_seeded_combinations(tmp_path, q, m):
     rng = np.random.default_rng([q, m, 16])
     shapes = set()
     for _ in range(4):
         combo = random_combo(rng, q, m, max_terms=4)
         for depth in (0, 2, 5, 7):
             for z_budget in (1e-2, 0.2):
-                spec = assert_matches_row_oracle(combo, depth, 0.2, z_budget)
+                spec = assert_matches_row_oracle(combo, depth, 0.2, z_budget, tmp_path)
                 shapes.update(s[:2] for s in spec.shapes)
     # Frozen branches, and good ones without and with information.
     assert {(False, 0), (True, 0), (True, 1)} <= shapes
 
 
-def test_columns_match_the_row_oracle_on_rows_channels():
+def test_columns_match_the_row_oracle_on_rows_channels(tmp_path):
     # Explicit tables take the transform tree; depth 3 keeps them small.
     channels = [uniform_five_explicit(), random_mac(np.random.default_rng(16), 2, 1, 2),
                 identity_mac(2, 2), useless_mac(2, 2),
@@ -478,7 +496,7 @@ def test_columns_match_the_row_oracle_on_rows_channels():
     shapes = set()
     for channel in channels:
         for depth in range(4):
-            spec = assert_matches_row_oracle(channel, depth, 0.2, 0.2)
+            spec = assert_matches_row_oracle(channel, depth, 0.2, 0.2, tmp_path)
             shapes.update(s[:2] for s in spec.shapes)
     assert {(False, 0), (True, 0), (True, 1), (True, 2)} <= shapes
 
@@ -512,9 +530,7 @@ def test_polarization_trend_even_levels():
 
 
 def corrupted_specs():
-    """Code specs that each break one invariant of CodeSpec.check.  A spec
-    holds no signatures, so the signature cases are files
-    (`SIGNATURE_CORRUPTIONS`)."""
+    """Code specs that each break one invariant of CodeSpec.check."""
     spec = build_code(identity_mac(2, 2), 2, eps=0.2, z_budget=1e-6)
     rows = spec.branches
     first = rows[0]
@@ -544,40 +560,45 @@ def corrupted_specs():
         "users are not the pivots": one_user,
         "user out of range": with_first(s_users=(1, 3)),
         "r mismatch": with_first(r=1),
-        "short frozen": with_first(frozen=(0,)),
+        "shape index out of range": "branch columns are not 4 entries each, or a shape index "
+                                "is not one of the 1 shapes",
+    "short frozen": with_first(frozen=(0,)),
         "missing branch": spec_from_branches(rows[1:], **header),
         "rate": dataclasses.replace(spec, rate_vector=(1.0, 0.75)),
         "nan sum rate": dataclasses.replace(spec, sum_rate=float("nan")),
+        "negative shape index": dataclasses.replace(
+            spec, shape_index=np.append(-1, spec.shape_index[1:])),
+        "shape index out of range": dataclasses.replace(
+            spec, shape_index=np.append(spec.shape_index[:-1], len(spec.shapes))),
+        # A shape no branch names; its frozen flags are not even m long.
+        "unused shape": dataclasses.replace(
+            spec, shapes=spec.shapes + (BranchShape(True, 1, ((1, 1, 1),), (1,), (0,)),)),
     }
 
 
-# Edits of the intact spec's file that only a stored signature can carry;
-# the reader refuses them.
-SIGNATURE_CORRUPTIONS = {
-    "long sig": lambda d: d["branches"][0].update(sig="+++"),
-    "bad sig": lambda d: d["branches"][1].update(sig="x"),
-}
-
 # Every refusal's message, as the row-form spec gave it.
 CORRUPTION_MESSAGES = {
-    "bad sig": "branch signatures are not the 4 of length 2 in decoding order",
     "dependent columns": "branch --: a_columns ((1, 0), (1, 0)) are not an RREF basis",
     "descending users": "branch --: information users (2, 1) are not the pivot columns "
                         "of a_columns ((1, 0), (0, 1))",
     "frozen flag": "branch --: user 1's frozen flag contradicts the information users (1, 2)",
     "info outside good set": "branch --: information users (1, 2) on a branch outside "
                              "the good set",
-    "long sig": "branch signatures are not the 4 of length 2 in decoding order",
     "missing branch": "spec has 3 branches and 2 rates, expected 4 and 2",
     "nan sum rate": "sum rate nan, but the good set gives 2.0",
+    "negative shape index": "branch columns are not 4 entries each, or a shape index is "
+                            "not one of the 1 shapes",
     "not RREF": "branch --: a_columns ((1, 1), (0, 1)) are not an RREF basis",
     "r mismatch": "branch --: r=1 does not match its 2 users and 2 columns, or it has 2 "
                   "frozen flags for m=2",
     "rate": "R_2 = 0.75, but the frozen map gives 1.0",
+    "shape index out of range": "branch columns are not 4 entries each, or a shape index "
+                                "is not one of the 1 shapes",
     "short frozen": "branch --: r=2 does not match its 2 users and 2 columns, or it has 1 "
                     "frozen flags for m=2",
     "user out of range": "branch --: user 2's frozen flag contradicts the information "
                          "users (1, 3)",
+    "unused shape": "shape 1 is used by no branch",
     "users are not the pivots": "branch --: information users (2,) are not the pivot "
                                 "columns of a_columns ((1, 1),)",
 }
@@ -586,48 +607,23 @@ CORRUPTION_MESSAGES = {
 @pytest.mark.parametrize("name", sorted(CORRUPTION_MESSAGES))
 def test_codespec_check_and_load_refuse_corruption(tmp_path, name):
     # A corrupted spec is refused by its check, and its file by
-    # load_codespec, with the same message; a file with corrupted
-    # signatures is refused by the reader.
+    # load_codespec, with the same message.
     path = tmp_path / "spec.json"
-    if name in SIGNATURE_CORRUPTIONS:
-        save_codespec(str(path), build_code(identity_mac(2, 2), 2, eps=0.2, z_budget=1e-6))
-        data = json.loads(path.read_text())
-        SIGNATURE_CORRUPTIONS[name](data)
-        path.write_text(json.dumps(data))
-    else:
-        spec = corrupted_specs()[name]
-        with pytest.raises(SpecMismatchError) as checked:
-            spec.check()
-        assert str(checked.value) == CORRUPTION_MESSAGES[name]
-        save_codespec(str(path), spec)
+    spec = corrupted_specs()[name]
+    with pytest.raises(SpecMismatchError) as checked:
+        spec.check()
+    assert str(checked.value) == CORRUPTION_MESSAGES[name]
+    save_codespec(str(path), spec)
     with pytest.raises(SpecMismatchError) as loaded:
         load_codespec(str(path))
     assert str(loaded.value) == CORRUPTION_MESSAGES[name]
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTION_MESSAGES))
-def test_sc_decode_refuses_corruption(tmp_path, capsys, name):
+def test_sc_decode_refuses_corruption(name):
     # The decoder set-up runs the spec's own check first, so neither
     # sc_decode nor run_trials decodes a spec that `check` refuses, nor
-    # fails on one with a numpy error.  A spec holds no signatures: a file
-    # with corrupted ones is refused as `simulate` reads it, unchecked,
-    # before any decoding.
-    if name in SIGNATURE_CORRUPTIONS:
-        spec_path, chan_path = tmp_path / "code.json", tmp_path / "ident.json"
-        save_codespec(str(spec_path), build_code(identity_mac(2, 2), 2, eps=0.2,
-                                                 z_budget=1e-6))
-        data = json.loads(spec_path.read_text())
-        SIGNATURE_CORRUPTIONS[name](data)
-        spec_path.write_text(json.dumps(data))
-        chan_path.write_text(json.dumps({"q": 2, "m": 2, "outputs": 4,
-                                         "rows": np.eye(4).tolist()}))
-        with pytest.raises(SpecMismatchError) as read:
-            load_codespec(str(spec_path), check=False)
-        assert str(read.value) == CORRUPTION_MESSAGES[name]
-        assert main(["simulate", "--codespec", str(spec_path), "--channel", str(chan_path),
-                     "--trials", "3", "--seed", "1"]) == 2
-        assert capsys.readouterr().err == f"error: {CORRUPTION_MESSAGES[name]}\n"
-        return
+    # fails on one with a numpy error.
     spec = corrupted_specs()[name]
     with pytest.raises(SpecMismatchError) as checked:
         spec.check()
@@ -639,6 +635,23 @@ def test_sc_decode_refuses_corruption(tmp_path, capsys, name):
     with pytest.raises(SpecMismatchError) as simulated:
         run_trials(spec, identity_mac(2, 2), 3, seed=1)
     assert str(simulated.value) == str(checked.value)
+
+
+def test_per_branch_spec_file_is_refused(tmp_path, capsys):
+    # A file in the earlier format, one object per branch with its
+    # signature, has none of the columns; it is rebuilt with `construct`.
+    spec_path, chan_path = tmp_path / "code.json", tmp_path / "ident.json"
+    spec_path.write_text(codespec_json(build_code(identity_mac(2, 2), 2, eps=0.2,
+                                                  z_budget=1e-6)) + "\n")
+    chan_path.write_text(json.dumps({"q": 2, "m": 2, "outputs": 4,
+                                     "rows": np.eye(4).tolist()}))
+    why = f"{spec_path}: bad code spec: missing field 'shapes'"
+    with pytest.raises(ParseError) as read:
+        load_codespec(str(spec_path))
+    assert str(read.value) == why
+    assert main(["simulate", "--codespec", str(spec_path), "--channel", str(chan_path),
+                 "--trials", "3", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {why}\n"
 
 
 def test_simulate_checks_the_spec_once(tmp_path, monkeypatch, capsys):
