@@ -136,7 +136,8 @@ def save_codespec(path: str, spec: CodeSpec) -> None:
 def codespec_from_dict(data: dict) -> CodeSpec:
     """The spec of a parsed code-spec object, each column read once.  A
     missing field raises KeyError, a malformed one TypeError or ValueError:
-    a refused integer or float field, or a non-boolean `in_good_set`.
+    a refused integer or float field, a negative l, or a non-boolean
+    `in_good_set`.
     Whether the columns fit together is for `CodeSpec.check` to decide."""
     shapes = []
     for shape in data["shapes"]:
@@ -148,7 +149,10 @@ def codespec_from_dict(data: dict) -> CodeSpec:
                                   _json_ints(shape["s_users"]), _json_ints(shape["frozen"])))
     z_sum, i_branch, i_detected = (np.array(_json_float_list(data[k]), dtype=float)
                                    for k in ("z_sum", "i_branch", "i_detected"))
-    return CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=_json_int(data["l"]),
+    l = _json_int(data["l"])
+    if l < 0:
+        raise ValueError(f"l={l} is negative")
+    return CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=l,
                     eps=_json_float(data["eps"]), z_budget=_json_float(data["z_budget"]),
                     merge_tol=_json_float(data["merge_tol"]), shapes=tuple(shapes),
                     shape_index=np.array(_json_int_rows([data["shape_index"]])[0],

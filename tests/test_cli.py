@@ -340,6 +340,18 @@ def test_non_boolean_in_good_set_is_refused(five_term_file, tmp_path, capsys, va
     assert "is not a boolean" in capsys.readouterr().err
 
 
+def test_negative_depth_in_a_spec_file_is_refused(five_term_file, tmp_path, capsys):
+    spec = tmp_path / "code.json"
+    assert main(["construct", "--channel", five_term_file, "--l", "1", "--eps", "0.2",
+                 "--z-budget", "1e-3", "--out", str(spec), "--no-timestamp"]) == 0
+    bad = write_json(tmp_path / "bad.json", {**json.loads(spec.read_text()), "l": -1})
+    with pytest.raises(ParseError, match="l=-1 is negative"):
+        load_codespec(bad)
+    assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
+                 "--trials", "2", "--seed", "1"]) == 2
+    assert "l=-1 is negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["polarize", "--channel", "c.json"],
     ["construct", "--channel", "c.json", "--eps", "0.2", "--z-budget", "1e-3"],

@@ -560,9 +560,7 @@ def corrupted_specs():
         "users are not the pivots": one_user,
         "user out of range": with_first(s_users=(1, 3)),
         "r mismatch": with_first(r=1),
-        "shape index out of range": "branch columns are not 4 entries each, or a shape index "
-                                "is not one of the 1 shapes",
-    "short frozen": with_first(frozen=(0,)),
+        "short frozen": with_first(frozen=(0,)),
         "missing branch": spec_from_branches(rows[1:], **header),
         "rate": dataclasses.replace(spec, rate_vector=(1.0, 0.75)),
         "nan sum rate": dataclasses.replace(spec, sum_rate=float("nan")),
@@ -576,7 +574,8 @@ def corrupted_specs():
     }
 
 
-# Every refusal's message, as the row-form spec gave it.
+# Every refusal's message, as `check` gives it; the row-form spec gave the
+# same for every case it could hold.
 CORRUPTION_MESSAGES = {
     "dependent columns": "branch --: a_columns ((1, 0), (1, 0)) are not an RREF basis",
     "descending users": "branch --: information users (2, 1) are not the pivot columns "
