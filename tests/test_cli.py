@@ -286,7 +286,7 @@ def test_fractional_codespec_fields_are_refused(five_term_file, tmp_path, capsys
     lambda d: d.update(union_bound=str(d["union_bound"])),
     lambda d: d.update(rate_vector=[str(r) for r in d["rate_vector"]]),
     set_last("z_sum", "nan"),
-    lambda d: set_last("i_branch", str(d["i_branch"][-1]))(d),
+    lambda d: d["i_branch"].append(str(d["i_branch"].pop())),
     set_last("i_detected", True),
 ])
 def test_non_numeric_codespec_fields_are_refused(five_term_file, tmp_path, capsys, patch):
