@@ -18,6 +18,10 @@ detection in code construction: the first tests whether the good
 directions form a subspace by listing the members of their span, the
 second picks a good branch's information users by a greedy rank search.
 
+`level_sums_reference` is the exact enumeration of `evolve` as it was
+before settled states were counted instead of expanded: it walks every
+one of the 2^(depth+1) - 1 states of the tree.
+
 The row oracle is code construction as it was before specs were held in
 columns: `build_code_rows` assembles one `BranchCode` per branch from the
 same leaf statistics, and `codespec_json` writes a spec with the generic
@@ -31,6 +35,13 @@ from functools import partial
 import numpy as np
 
 from macpolar import FieldMatrix, LinearComboMac, mat_rank
+from macpolar.errors import TooDeepError
+from macpolar.linear_mac import (
+    ENUMERATE_DEPTH_CAP,
+    EXTREMAL_TOL,
+    SubspaceLattice,
+    lattice_levels,
+)
 from macpolar.mac import DEFAULT_MERGE_TOL
 from macpolar.polarize import (
     MAX_BRANCH_OUTPUTS,
@@ -323,3 +334,22 @@ def spec_from_branches(branches, **header) -> CodeSpec:
                     shape_index=np.array(index, dtype=np.intp),
                     z_sum=column("z_sum"), i_branch=column("i_branch"),
                     i_detected=column("i_detected"), **header)
+
+
+# -- the full walk of exact enumeration ---------------------------------------------
+
+
+def level_sums_reference(lat: SubspaceLattice, root: np.ndarray, depth: int):
+    """Per level 0..depth, the weight vectors summed over its states,
+    (depth + 1, L), and the count of extremal states (a weight of at
+    least 1 - EXTREMAL_TOL), (depth + 1,).  Every evolution that
+    enumerates branches comes here, so the depth cap is checked here."""
+    if depth > ENUMERATE_DEPTH_CAP:
+        raise TooDeepError(
+            f"enumeration of 2^{depth} branches exceeds cap 2^{ENUMERATE_DEPTH_CAP}")
+    sums = np.zeros((depth + 1, lat.size))
+    extremal = np.zeros(depth + 1, dtype=np.int64)
+    for level, block in lattice_levels(lat, root, depth):
+        sums[level] += block.sum(axis=1)
+        extremal[level] += np.count_nonzero(block.max(axis=0) >= 1.0 - EXTREMAL_TOL)
+    return sums, extremal

@@ -34,11 +34,21 @@ from macpolar.linear_mac import (
     binary2_subspaces,
     lattice_children,
     lattice_levels,
+    level_sums,
     subspace_lattice,
 )
+from macpolar.cli import _parse_grid
 from macpolar.subspace import count_subspaces
 from conftest import binary2_levels, random_combo, subsets_of
-from oracles import binary2_step, dict_levels, dict_step, members, project_set, set_sum
+from oracles import (
+    binary2_step,
+    dict_levels,
+    dict_step,
+    level_sums_reference,
+    members,
+    project_set,
+    set_sum,
+)
 
 
 @pytest.fixture
@@ -338,6 +348,45 @@ def test_transforms_survive_depth_9(f22):
 
 
 DIAGONAL = binary2_order()[3]     # lattice position of span{(1,1)}
+
+
+def enumeration_roots():
+    """(label, q, m, root, depth): seeded and uniform states of three
+    lattices, and every state of the `step:3` total-loss grid."""
+    cases = []
+    for q, m, depth in ((2, 2, 16), (3, 2, 12), (2, 3, 10)):
+        size = subspace_lattice(q, m).size
+        cases.append(("uniform", q, m, np.full(size, 1 / size), depth))
+        rng = np.random.default_rng([q, m, depth])
+        for seed in range(3):
+            cases.append((f"seeded{seed}", q, m, rng.dirichlet(np.ones(size)), depth))
+    five = np.random.default_rng(11).dirichlet(np.ones(5))
+    cases += [("seeded-l1", 2, 2, five, 1), ("seeded-l8", 2, 2, five, 8),
+              ("seeded-l20", 2, 2, five, 20)]
+    for j, state in enumerate(_parse_grid("step:3")):
+        root = np.zeros(5)
+        root[binary2_order()] = state
+        cases.append((f"grid{j}", 2, 2, root, 16))
+    return cases
+
+
+# L1 distance allowed between a level's averaged weight vectors: the
+# settled-state rule's 2 * 2^-53, plus 1e-15 for summing in another order.
+AVERAGE_L1_TOL = 1.2220446049250313e-15
+
+
+@pytest.mark.parametrize("label, q, m, root, depth", enumeration_roots(),
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_level_sums_match_the_full_walk(label, q, m, root, depth):
+    # Counting settled states instead of expanding them keeps every
+    # extremal count and moves each level average by at most the bound.
+    lat = subspace_lattice(q, m)
+    sums, extremal = level_sums(lat, root, depth)
+    want_sums, want_extremal = level_sums_reference(lat, root, depth)
+    assert np.array_equal(extremal, want_extremal)
+    scale = 2.0 ** np.arange(depth + 1)[:, None]
+    worst = np.abs(sums / scale - want_sums / scale).sum(axis=1).max()
+    assert worst <= AVERAGE_L1_TOL, worst
 
 
 def test_evolve_level_zero(rng):
