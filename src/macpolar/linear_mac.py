@@ -41,6 +41,7 @@ from .subspace import Subspace, count_subspaces, enumerate_subspaces, user_indic
 WEIGHT_TOL = 1e-12
 ENUMERATE_DEPTH_CAP = 20
 EXTREMAL_TOL = 1e-3
+SETTLE_TOL = 2.0 ** -53     # off-k weight, times 2^(levels left), of a state left unexpanded
 LATTICE_CAP = 1024          # subspaces: GF(2)^5 has 374, GF(2)^6 has 2825
 BLOCK_FLOATS = 1 << 16      # weights in one block of a wide tree level
 MAX_EXPLICIT_CELLS = 10 ** 6   # table cells `to_explicit` may build
@@ -369,15 +370,48 @@ def level_sums(lat: SubspaceLattice, root: np.ndarray, depth: int):
     """Per level 0..depth, the weight vectors summed over its states,
     (depth + 1, L), and the count of extremal states (a weight of at
     least 1 - EXTREMAL_TOL), (depth + 1,).  Every evolution that
-    enumerates branches comes here, so the depth cap is checked here."""
+    enumerates branches comes here, so the depth cap is checked here.
+
+    A state at level t is settled when its largest weight is on subspace
+    k and its weight off k, delta, has delta * 2^(depth - t) <= SETTLE_TOL.
+    It is counted but not expanded: each of its 2^(d - t) descendants at
+    level d counts as the unit vector on k.  Since meet(k, k) = join(k, k)
+    = k, a child keeps at least the square of its parent's weight on k, so
+    the off-k weight at most doubles per level.  Each level average then
+    moves by at most 2 * SETTLE_TOL in L1, I[S] by at most 2m * SETTLE_TOL,
+    and the extremal counts are exact."""
     if depth > ENUMERATE_DEPTH_CAP:
         raise TooDeepError(
             f"enumeration of 2^{depth} branches exceeds cap 2^{ENUMERATE_DEPTH_CAP}")
     sums = np.zeros((depth + 1, lat.size))
     extremal = np.zeros(depth + 1, dtype=np.int64)
-    for level, block in lattice_levels(lat, root, depth):
+    settled = np.zeros((depth + 1, lat.size), dtype=np.int64)
+    width = max(1, BLOCK_FLOATS // lat.size)
+    pending = [(0, np.asarray(root, dtype=np.float64).reshape(-1, 1))]
+    while pending:
+        level, block = pending.pop()
         sums[level] += block.sum(axis=1)
-        extremal[level] += np.count_nonzero(block.max(axis=0) >= 1.0 - EXTREMAL_TOL)
+        near = block >= 1.0 - EXTREMAL_TOL      # at most one weight per state
+        extremal[level] += np.count_nonzero(near.any(axis=0))
+        if level == depth:
+            continue
+        # The weight off k is summed, not taken as 1 - max, which rounds
+        # to 0.  A state with no near-extremal weight sums to 1 here.
+        off = block.sum(axis=0, where=~near)
+        done = off * 2.0 ** (depth - level) <= SETTLE_TOL
+        if done.any():
+            settled[level] += np.count_nonzero(near[:, done], axis=1)
+            block = block[:, ~done]
+        n = block.shape[1]
+        if n:
+            children = lattice_children(lat, block)
+            halves = [children] if 2 * n <= width else [children[:, n:], children[:, :n]]
+            pending += [(level + 1, h) for h in halves]
+    below = np.zeros(lat.size, dtype=np.int64)
+    for d in range(1, depth + 1):
+        below = 2 * (below + settled[d - 1])
+        sums[d] += below
+        extremal[d] += below.sum()
     return sums, extremal
 
 

@@ -352,7 +352,8 @@ DIAGONAL = binary2_order()[3]     # lattice position of span{(1,1)}
 
 def enumeration_roots():
     """(label, q, m, root, depth): seeded and uniform states of three
-    lattices, and every state of the `step:3` total-loss grid."""
+    lattices, and every state of the `step:3` and `step:2` total-loss
+    grids."""
     cases = []
     for q, m, depth in ((2, 2, 16), (3, 2, 12), (2, 3, 10)):
         size = subspace_lattice(q, m).size
@@ -363,10 +364,12 @@ def enumeration_roots():
     five = np.random.default_rng(11).dirichlet(np.ones(5))
     cases += [("seeded-l1", 2, 2, five, 1), ("seeded-l8", 2, 2, five, 8),
               ("seeded-l20", 2, 2, five, 20)]
-    for j, state in enumerate(_parse_grid("step:3")):
-        root = np.zeros(5)
-        root[binary2_order()] = state
-        cases.append((f"grid{j}", 2, 2, root, 16))
+    # step:2 adds states with two weights of exactly 1/2.
+    for k, depth in ((3, 16), (2, 12)):
+        for j, state in enumerate(_parse_grid(f"step:{k}")):
+            root = np.zeros(5)
+            root[binary2_order()] = state
+            cases.append((f"step{k}-{j}", 2, 2, root, depth))
     return cases
 
 
@@ -387,6 +390,26 @@ def test_level_sums_match_the_full_walk(label, q, m, root, depth):
     scale = 2.0 ** np.arange(depth + 1)[:, None]
     worst = np.abs(sums / scale - want_sums / scale).sum(axis=1).max()
     assert worst <= AVERAGE_L1_TOL, worst
+
+
+@pytest.mark.parametrize("q, m, basis", [(2, 2, [[1, 1]]),
+                                         (2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+def test_a_unit_root_is_counted_not_expanded(monkeypatch, q, m, basis):
+    # A root with one nonzero weight has no off-k mass: every branch below
+    # it is that subspace, counted without a single transform.
+    def forbidden(*args):
+        raise AssertionError("lattice_children called")
+
+    monkeypatch.setattr(linear_mac, "lattice_children", forbidden)
+    lat = subspace_lattice(q, m)
+    k = lat.index[Subspace.from_vectors(basis, m, q)]
+    root = np.zeros(lat.size)
+    root[k] = 1.0
+    depth = linear_mac.ENUMERATE_DEPTH_CAP
+    sums, extremal = level_sums(lat, root, depth)
+    for d in range(depth + 1):
+        assert np.array_equal(sums[d], 2.0 ** d * np.eye(lat.size)[k]), d
+        assert extremal[d] == 2 ** d, d
 
 
 def test_evolve_level_zero(rng):
