@@ -82,7 +82,7 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
             if any(len(r) != n_out for r in rows):
                 raise ValueError(f"all rows must have {n_out} entries")
             mac = DiscreteMac(q, m, rows)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         validate(mac)
         return mac
@@ -96,7 +96,7 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
             try:
                 basis = [_json_ints(v) for v in term["basis"]]
                 terms.append((_json_float(term["p"]), Subspace.from_vectors(basis, m, q)))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"{where}: term {i}: {exc}") from exc
         try:
             return LinearComboMac(q, m, terms)

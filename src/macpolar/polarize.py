@@ -275,6 +275,8 @@ def _info_map_error(a_columns: tuple, s_users: tuple, q: int, m: int) -> str:
     handful of distinct maps."""
     if any(len(c) != m for c in a_columns):
         return f"a_columns {a_columns} are not vectors of length {m}"
+    if any(not 0 <= x < q for c in a_columns for x in c):
+        return f"a_columns {a_columns} have entries outside 0..{q - 1}"
     rows = np.array(a_columns, dtype=np.int64).reshape(-1, m)
     red, pivots = rref(FieldMatrix(rows, q))
     if len(pivots) != len(rows) or tuple(map(tuple, red.data.tolist())) != a_columns:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macpolar import LinearComboMac, NonFiniteError, ParseError
+from macpolar import LinearComboMac, NonFiniteError, ParseError, SpecMismatchError
 from macpolar import polarize
 from macpolar.cli import _parse_mode, build_parser, main
 from macpolar.jsonio import (
@@ -350,6 +350,38 @@ def test_negative_depth_in_a_spec_file_is_refused(five_term_file, tmp_path, caps
     assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
                  "--trials", "2", "--seed", "1"]) == 2
     assert "l=-1 is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [10 ** 30, -10 ** 30])
+def test_spec_entries_past_int64_are_refused(explicit_file, tmp_path, capsys, entry):
+    # The reader takes any integer; `check` must refuse one outside 0..q-1
+    # before it builds an int64 array, not die with an OverflowError.
+    spec = tmp_path / "code.json"
+    assert main(["construct", "--channel", explicit_file, "--l", "1", "--eps", "0.2",
+                 "--z-budget", "1e-3", "--out", str(spec), "--no-timestamp"]) == 0
+    data = json.loads(spec.read_text())
+    good = [s for s in data["shapes"] if s["in_good_set"]]
+    assert good
+    good[0]["a_columns"][0][-1] = entry
+    bad = write_json(tmp_path / "bad.json", data)
+    with pytest.raises(SpecMismatchError, match="have entries outside 0..1"):
+        load_codespec(bad)
+    assert main(["simulate", "--codespec", bad, "--channel", explicit_file,
+                 "--trials", "2", "--seed", "1"]) == 2
+    assert "have entries outside 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    {"q": 2, "m": 2, "terms": [{"p": 1, "basis": [[10 ** 30, 1]]}]},
+    {"q": 2, "m": 2, "terms": [{"p": 1, "basis": [[1, -10 ** 30]]}]},
+    {"q": 2, "m": 1, "terms": [{"p": 10 ** 400, "basis": [[1]]}]},
+    {"q": 2, "m": 1, "rows": [[10 ** 400, 0], [0.5, 0.5]]},
+])
+def test_channel_integers_past_the_machine_range_are_parse_errors(tmp_path, capsys, data):
+    with pytest.raises(ParseError, match="too large"):
+        channel_from_dict(data)
+    assert main(["analyze", "--channel", write_json(tmp_path / "c.json", data)]) == 2
+    assert "too large" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -557,6 +557,9 @@ def corrupted_specs():
         "descending users": with_first(s_users=(2, 1)),
         "dependent columns": with_first(a_columns=((1, 0), (1, 0))),
         "not RREF": with_first(a_columns=((1, 1), (0, 1))),
+        # Past int64: refused before any array is built from them.
+        "huge entry": with_first(a_columns=((1, 10 ** 30), (0, 1))),
+        "huge negative entry": with_first(a_columns=((1, 0), (-10 ** 30, 1))),
         "users are not the pivots": one_user,
         "user out of range": with_first(s_users=(1, 3)),
         "r mismatch": with_first(r=1),
@@ -588,6 +591,10 @@ CORRUPTION_MESSAGES = {
     "negative shape index": "branch columns are not 4 entries each, or a shape index is "
                             "not one of the 1 shapes",
     "not RREF": "branch --: a_columns ((1, 1), (0, 1)) are not an RREF basis",
+    "huge entry": "branch --: a_columns ((1, 1000000000000000000000000000000), (0, 1)) "
+                  "have entries outside 0..1",
+    "huge negative entry": "branch --: a_columns ((1, 0), (-1000000000000000000000000000000, "
+                           "1)) have entries outside 0..1",
     "r mismatch": "branch --: r=1 does not match its 2 users and 2 columns, or it has 2 "
                   "frozen flags for m=2",
     "rate": "R_2 = 0.75, but the frozen map gives 1.0",
