@@ -41,7 +41,7 @@ from .subspace import Subspace, count_subspaces, enumerate_subspaces, user_indic
 WEIGHT_TOL = 1e-12
 ENUMERATE_DEPTH_CAP = 20
 EXTREMAL_TOL = 1e-3
-SETTLE_TOL = 2.0 ** -53     # off-k weight, times 2^(levels left), of a state left unexpanded
+SETTLE_TOL = 2.0 ** -53     # off-k weight * 2^(levels left) of a settled state
 LATTICE_CAP = 1024          # subspaces: GF(2)^5 has 374, GF(2)^6 has 2825
 BLOCK_FLOATS = 1 << 16      # weights in one block of a wide tree level
 MAX_EXPLICIT_CELLS = 10 ** 6   # table cells `to_explicit` may build
