@@ -484,6 +484,9 @@ GENERIC_COMBOS = {
         {"p": 0.2, "basis": [[1, 0]]},
         {"p": 0.25, "basis": [[1, 0], [0, 1]]},
         {"p": 0.15, "basis": []}]},
+    "gf2_5.json": {"q": 2, "m": 5, "terms": [
+        {"p": 0.6, "basis": [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1]]},
+        {"p": 0.4, "basis": [[1, 1, 1, 0, 1]]}]},
 }
 
 
@@ -494,6 +497,8 @@ GENERIC_COMBOS = {
      "f7a4ef337091dac7a104a54f32711fb1cafd14df30dd241a907ad4746e0a0d8b"),
     (["evolve", "--channel", "gf3_2.json", "--l", "3"],
      "1e3c835a48b19e8c000dd30e33b0c362e825d1db6429d283fe670196c3c6dde7"),
+    (["evolve", "--channel", "gf2_5.json", "--l", "3"],
+     "6d0451c876187826000ea807b6d08506fbb001e00bf45446181bab13c28c5134"),
     (["analyze", "--channel", "five_component.json"],
      "a52fb33de2b54680712a6c62e6b7bc6f36213f39918ea8208a6c392029cdfd0b"),
     (["analyze", "--channel", "random_ternary.json"],
@@ -522,7 +527,9 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # lattice engine took over, after test_generic_evolve_matches_dict_oracle
     # bounded the change at depths 0..6.  The two five-component `evolve`
     # digests were written while (2,2) kept its own evolution loop and
-    # hand-written information formulas.  The four `construct` digests are
+    # hand-written information formulas.  The GF(2)^5 `evolve` digest, over
+    # all 31 user sets, was written while projection tables were built by
+    # row reduction.  The four `construct` digests are
     # of code specs (written to out.csv), on the lattice path and, for
     # random_ternary, the explicit path.  They were pinned on the per-branch
     # file, `json.dumps(..., indent=1)` of one object per branch; the file
@@ -619,12 +626,16 @@ def test_simulate_on_the_float_decoder_is_pinned(tmp_path, monkeypatch, capsys):
     (["--q", "2", "--m", "3", "--users", "1,2", "--max-family", "2"], (136, 115, 0),
      "c2638ef9f62c72539b8af1a21c7e9cb3b2c32f0bddcbf9a030f56b1fb9d5ad67",
      "a0b41d37d989d5aec5b7c438d9b58b45ae8cf3a7a1685a24b16ed64a66da4079"),
+    (["--q", "2", "--m", "4", "--users", "1,2", "--max-family", "2"], (2278, 1537, 0),
+     "803931a5a272945eab29ccaeac0e259f5e5b88ace899955dc29094f61577f3e9",
+     "10e0e2ecfff117c887acb198f61ec40843c5d941f2684cf4567541ed6a5782b7"),
 ])
 def test_probe_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv, counts,
                                   csv_digest, stdout_digest):
     # Written by the witness probe on the null-space subspace calculus:
     # families scanned, consistent families with a witness, and without.
-    # Paths are relative.
+    # The GF(2)^4 row was written by the per-family probe on the lattice
+    # tables, before families were checked in batches.  Paths are relative.
     monkeypatch.chdir(tmp_path)
     assert main(["probe-conjectures", *argv, "--out", "out.csv", "--no-timestamp"]) == 0
     printed = capsys.readouterr().out
