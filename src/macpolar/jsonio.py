@@ -73,8 +73,15 @@ def channel_from_dict(data: dict, where: str = "<channel>"):
         raise ParseError(f"{where}: m must be at least 1, got {m}")
     if "rows" in data:
         rows = data["rows"]
-        if (not isinstance(rows, list) or len(rows) != q ** m
-                or any(not isinstance(r, list) for r in rows)):
+        if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+            raise ParseError(f"{where}: 'rows' must be a list of rows")
+        count = len(rows)
+        if abs(q) > 1 and (abs(q) > count or m > count.bit_length()):
+            # Then |q|^m > count.  Refused before q^m is formed: m or q
+            # may have any number of digits.
+            raise ParseError(f"{where}: m = {m} asks for q^m rows with q = {q}, "
+                             f"more than the {count} given")
+        if count != q ** m:
             raise ParseError(f"{where}: 'rows' must list q^m = {q ** m} rows")
         try:
             n_out = _json_int(data.get("outputs", len(rows[0]) if rows else 0))

@@ -384,6 +384,23 @@ def test_channel_integers_past_the_machine_range_are_parse_errors(tmp_path, caps
     assert "too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    {"q": 2, "m": 100000000, "rows": [[1.0]]},
+    {"q": 2, "m": 10 ** 30, "rows": [[1.0]]},
+    {"q": 10 ** 600, "m": 20, "rows": [[1.0], [1.0]]},
+])
+def test_rows_files_asking_for_huge_tables_are_refused_at_once(tmp_path, capsys, data):
+    # q^m would have millions of digits, or more than fit in memory: the
+    # count is refused before q^m is formed.
+    path = write_json(tmp_path / "c.json", data)
+    start = time.perf_counter()
+    assert main(["analyze", "--channel", path]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert f"m = {data['m']} asks for q^m rows" in err
+    assert f"more than the {len(data['rows'])} given" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["polarize", "--channel", "c.json"],
     ["construct", "--channel", "c.json", "--eps", "0.2", "--z-budget", "1e-3"],
