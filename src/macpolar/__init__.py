@@ -62,6 +62,7 @@ from .linear_mac import (
     consistency_check,
     evolve,
     orthogonal_passage_check,
+    preservation,
     rate_region,
     total_loss_predict,
 )

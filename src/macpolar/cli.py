@@ -31,9 +31,8 @@ from .linear_mac import (
     binary2_evolve,
     binary2_order,
     binary2_state,
-    consistency_check,
     evolve,
-    orthogonal_passage_check,
+    preservation,
     rate_region,
     subspace_lattice,
     total_loss_predict,
@@ -272,23 +271,22 @@ def cmd_probe_conjectures(args) -> int:
     if args.q and args.m and args.users:
         ran_any = True
         users = tuple(int(u) for u in args.users.split(","))
-        subspaces = subspace_lattice(args.q, args.m).subspaces
+        lat = subspace_lattice(args.q, args.m)
         counterexamples = 0
         consistent_with_witness = 0
         scanned = 0
         for size in range(1, args.max_family + 1):
-            for family in itertools.combinations(subspaces, size):
-                scanned += 1
-                if not consistency_check(family, users):
-                    continue
-                witness = orthogonal_passage_check(family, users)
-                if witness is None:
-                    counterexamples += 1
-                    rows.append(("witness_gap",
-                                 json.dumps([s.basis.data.tolist() for s in family]),
-                                 "", ""))
-                else:
-                    consistent_with_witness += 1
+            flat = itertools.chain.from_iterable(
+                itertools.combinations(range(lat.size), size))
+            families = np.fromiter(flat, dtype=np.int64).reshape(-1, size)
+            result = preservation(lat, families, users)
+            scanned += len(families)
+            gaps = families[result.consistent & (result.witness < 0)]
+            counterexamples += len(gaps)
+            consistent_with_witness += np.count_nonzero(result.consistent) - len(gaps)
+            rows += [("witness_gap",
+                      json.dumps([lat.subspaces[i].basis.data.tolist() for i in family]),
+                      "", "") for family in gaps.tolist()]
         print(f"witness probe: scanned {scanned} families over GF({args.q})^{args.m} "
               f"w.r.t. users {users}: {consistent_with_witness} consistent families "
               f"have a witness, {counterexamples} lack one")

@@ -175,13 +175,15 @@ class SubspaceLattice:
     """Every subspace of GF(q)^m in `Subspace.sort_key` order, with the
     positions of the intersection (`meet`) and the sum (`join`) of every
     pair, and membership masks: bit x of `masks[i]` is set when input
-    vector x (little-endian radix q) lies in subspace i.  Read-only."""
+    vector x (little-endian radix q) lies in subspace i; `members` holds
+    the same bits as an (L, q^m) array.  Read-only."""
 
     q: int
     m: int
     subspaces: tuple
     index: dict                 # Subspace -> position
     masks: tuple
+    members: np.ndarray         # (L, q^m) bool
     dims: np.ndarray            # (L,)
     meet: np.ndarray            # (L, L)
     join: np.ndarray            # (L, L)
@@ -193,7 +195,7 @@ class SubspaceLattice:
     def contains(self, vectors) -> np.ndarray:
         """(len(vectors), L) 0/1 floats, 1 where the vector lies in the subspace."""
         idx = (np.asarray(vectors, dtype=np.int64) % self.q) @ self.q ** np.arange(self.m)
-        return np.array([[mask >> int(x) & 1 for mask in self.masks] for x in idx], float)
+        return self.members[:, idx].T.astype(float)
 
     def projection(self, users):
         """(small, table): `small` is `subspace_lattice(q, |users|)`, and
@@ -235,46 +237,122 @@ def subspace_lattice(q: int, m: int) -> SubspaceLattice:
     meet = np.array([[where[a & b] for b in masks] for a in masks])
     join = np.array(perp)[meet[np.ix_(perp, perp)]]
     dims = np.array([s.dim for s in subs])
-    for arr in (meet, join, dims):
+    # Masks are Python ints (GF(3)^4 has 81 inputs): unpack their bytes.
+    width = (q ** m + 7) // 8
+    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks),
+                        dtype=np.uint8).reshape(size, width)
+    members = np.unpackbits(raw, axis=1, count=q ** m, bitorder="little").view(bool)
+    for arr in (members, meet, join, dims):
         arr.setflags(write=False)
     return SubspaceLattice(q, m, subs, {s: k for k, s in enumerate(subs)},
-                           tuple(masks), dims, meet, join)
+                           tuple(masks), members, dims, meet, join)
 
 
 @lru_cache(maxsize=None)
 def _projection(lat: SubspaceLattice, users: tuple):
+    """Input x lies in the image of subspace i when some member of i agrees
+    with x on `users`.  Viewed as an (L, q, ..., q) array, with coordinate
+    c on axis m - c, the membership rows are reduced over the other
+    coordinates' axes; each image row is then looked up among the small
+    lattice's rows."""
     small = subspace_lattice(lat.q, len(users))
-    table = np.array([small.index[s.project(users)] for s in lat.subspaces])
+    other = tuple(lat.m - c for c in range(lat.m) if c + 1 not in users)
+    image = lat.members.reshape((lat.size,) + (lat.q,) * lat.m).any(axis=other)
+    where = {row.tobytes(): k for k, row in enumerate(small.members)}
+    table = np.array([where[row.tobytes()] for row in image.reshape(lat.size, -1)])
     table.setflags(write=False)
     return small, table
 
 
 # -- the preservation condition ---------------------------------------------------
 
+@dataclass(frozen=True)
+class Preservation:
+    """The preservation condition on F families, one row each."""
+
+    closed: np.ndarray              # (F, L) bool: closure under meet and join
+    consistent: np.ndarray | None   # (F,) bool: projection commutes with meet on it
+    witness: np.ndarray | None      # (F,) first witness position, -1 if none
+
+
+@lru_cache(maxsize=None)
+def _passage_tables(lat: SubspaceLattice, users: tuple):
+    """commutes[i, j]: proj(i & j) = proj(i) & proj(j).  The witness
+    candidates, subspaces of dimension |users| that project onto the full
+    space (the last subspace of the small lattice), and keeps[c, v]:
+    proj(candidates[c] & v) = proj(v)."""
+    small, proj = _projection(lat, users)
+    commutes = proj[lat.meet] == small.meet[proj[:, None], proj[None, :]]
+    candidates = np.flatnonzero((lat.dims == small.m) & (proj == small.size - 1))
+    keeps = proj[lat.meet[candidates]] == proj
+    return commutes, candidates, keeps
+
+
+def _member_rows(closed: np.ndarray) -> np.ndarray:
+    """Each row's positions in ascending order, padded to the longest row
+    by repeating the row's first position (meet and join of a subspace
+    with itself are the subspace)."""
+    counts = closed.sum(axis=1)
+    width = int(counts.max())
+    order = np.argsort(~closed, axis=1, kind="stable")[:, :width]
+    return np.where(np.arange(width) >= counts[:, None], order[:, :1], order)
+
+
+def preservation(lat: SubspaceLattice, families, users=None) -> Preservation:
+    """The preservation condition on an (F, k) array of families, each row
+    k lattice positions (repeats allowed).  Row f of the result holds
+    family f's closure under meet and join; whether projection onto the
+    1-based `users` commutes with meet on every pair of that closure; and
+    the first subspace W in lattice order of dimension |users| that
+    projects onto the full space of those coordinates with
+    proj(W & V) = proj(V) for every V of the family, or -1.  Without
+    `users` only the closures are computed.
+
+    The closure grows by scattering the meet and join of every pair of
+    members until no row changes.  Families are taken in slices of
+    BLOCK_FLOATS // L^2, so an (n, K, K) pair array of one slice holds at
+    most BLOCK_FLOATS entries."""
+    families = np.asarray(families, dtype=np.int64)
+    count, size = len(families), lat.size
+    if users is not None:
+        commutes, candidates, keeps = _passage_tables(lat, tuple(user_indices(users, lat.m)))
+    closed = np.zeros((count, size), dtype=bool)
+    consistent = np.zeros(count, dtype=bool)
+    witness = np.full(count, -1)
+    step = max(1, BLOCK_FLOATS // size ** 2)
+    for lo in range(0, count, step):
+        family = families[lo:lo + step]
+        rows = np.arange(len(family))[:, None]
+        block = closed[lo:lo + step]
+        block[rows, family] = True
+        members = family
+        while True:
+            a, b = members[:, :, None], members[:, None, :]
+            grown = block.copy()
+            grown[rows[:, :, None], lat.meet[a, b]] = True
+            grown[rows[:, :, None], lat.join[a, b]] = True
+            if (grown == block).all():
+                break
+            block[:] = grown
+            members = _member_rows(block)
+        if users is None:
+            continue
+        consistent[lo:lo + step] = commutes[a, b].all(axis=(1, 2))
+        hold = keeps[:, family].all(axis=2)                   # (C, n)
+        witness[lo:lo + step] = np.where(hold.any(axis=0), candidates[hold.argmax(axis=0)], -1)
+    if users is None:
+        return Preservation(closed, None, None)
+    return Preservation(closed, consistent, witness)
+
+
 def _family(items):
     """The lattice of a non-empty family's ambient space, and the family's
-    positions in it."""
+    positions in it as a batch of one."""
     m, q = items[0].m, items[0].q
     if any(s.m != m or s.q != q for s in items):
         raise AmbientMismatchError("subspaces have mixed ambient spaces")
     lat = subspace_lattice(q, m)
-    return lat, np.array([lat.index[s] for s in items])
-
-
-def _closure(lat: SubspaceLattice, family: np.ndarray) -> np.ndarray:
-    """Ascending positions of the smallest set that holds `family` and is
-    closed under meet and join."""
-    closed = np.zeros(lat.size, dtype=bool)
-    closed[family] = True
-    while True:
-        idx = np.flatnonzero(closed)
-        pairs = np.ix_(idx, idx)
-        grown = closed.copy()
-        grown[lat.meet[pairs]] = True
-        grown[lat.join[pairs]] = True
-        if (grown == closed).all():
-            return idx
-        closed = grown
+    return lat, np.array([[lat.index[s] for s in items]])
 
 
 def closure(subspaces) -> frozenset:
@@ -284,7 +362,8 @@ def closure(subspaces) -> frozenset:
     if not items:
         return frozenset()
     lat, family = _family(items)
-    return frozenset(lat.subspaces[i] for i in _closure(lat, family).tolist())
+    closed = preservation(lat, family).closed[0]
+    return frozenset(lat.subspaces[i] for i in np.flatnonzero(closed).tolist())
 
 
 def consistency_check(subspaces, users) -> bool:
@@ -294,11 +373,7 @@ def consistency_check(subspaces, users) -> bool:
     if not items:
         return True
     lat, family = _family(items)
-    small, proj = lat.projection(users)
-    closed = _closure(lat, family)
-    image = proj[closed]
-    return bool((proj[lat.meet[np.ix_(closed, closed)]]
-                 == small.meet[np.ix_(image, image)]).all())
+    return bool(preservation(lat, family, users).consistent[0])
 
 
 def orthogonal_passage_check(subspaces, users):
@@ -311,12 +386,8 @@ def orthogonal_passage_check(subspaces, users):
     if not items:
         raise ValueError("empty family")
     lat, family = _family(items)
-    small, proj = lat.projection(users)
-    # The full space is the last subspace of the small lattice.
-    candidates = np.flatnonzero((lat.dims == small.m) & (proj == small.size - 1))
-    kept = proj[lat.meet[np.ix_(candidates, family)]] == proj[family]
-    hits = candidates[kept.all(axis=1)]
-    return lat.subspaces[hits[0]] if hits.size else None
+    hit = int(preservation(lat, family, users).witness[0])
+    return lat.subspaces[hit] if hit >= 0 else None
 
 
 def lattice_children(lat: SubspaceLattice, states: np.ndarray) -> np.ndarray:

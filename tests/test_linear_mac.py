@@ -38,6 +38,7 @@ from macpolar.linear_mac import (
     subspace_lattice,
 )
 from macpolar.cli import _parse_grid
+from macpolar.mac import all_vectors
 from macpolar.subspace import count_subspaces
 from conftest import binary2_levels, random_combo, subsets_of
 from oracles import (
@@ -106,7 +107,8 @@ def test_bad_states_rejected():
         binary2_evolve([0.25] * 4, 1)
 
 
-LATTICES = [(2, 2, 5), (3, 2, 6), (5, 2, 8), (2, 3, 16), (3, 3, 28)]
+LATTICES = [(2, 2, 5), (3, 2, 6), (5, 2, 8), (2, 3, 16), (3, 3, 28), (2, 4, 67),
+            (5, 3, 64)]
 
 
 @pytest.mark.parametrize("q, m, size", LATTICES)
@@ -118,6 +120,8 @@ def test_lattice_tables_match_subspace_operations(q, m, size):
     assert all(lat.index[s] == k for k, s in enumerate(subs))
     assert lat.dims.tolist() == [s.dim for s in subs]
     sets = [members(s) for s in subs]
+    vecs = all_vectors(q, m)
+    assert [frozenset(map(tuple, vecs[row].tolist())) for row in lat.members] == sets
     for i, a in enumerate(sets):
         for j, b in enumerate(sets):
             assert sets[lat.meet[i, j]] == a & b

@@ -17,7 +17,8 @@ from macpolar import (
     enumerate_subspaces,
     orthogonal_passage_check,
 )
-from macpolar.linear_mac import binary2_subspaces, subspace_lattice
+from macpolar import linear_mac
+from macpolar.linear_mac import binary2_subspaces, preservation, subspace_lattice
 from conftest import subsets_of
 from oracles import members, set_closure, set_consistent, set_first_witness
 
@@ -264,3 +265,69 @@ def test_preservation_matches_set_oracle_on_gf3_3():
         family = [subs[k] for k in rng.choice(len(subs), size=size, replace=False)]
         users = subsets_of(3)[int(rng.integers(0, 7))]
         assert_matches_set_oracle(family, users, 3, candidates)
+
+
+def assert_batch_matches(q, m, families, users):
+    """`preservation` on a batch of position rows against the one-family
+    calls and the set oracles, row by row."""
+    lat = subspace_lattice(q, m)
+    subs, candidates = lattice_order(q, m)
+    batch = preservation(lat, families, users)
+    closures = preservation(lat, families).closed
+    assert np.array_equal(batch.closed, closures)
+    for row, closed, ok, hit in zip(families.tolist(), batch.closed, batch.consistent,
+                                    batch.witness.tolist()):
+        family = [subs[i] for i in row]
+        sets = [members(s) for s in family]
+        got = {members(subs[i]) for i in np.flatnonzero(closed)}
+        assert got == set_closure(sets, q) == {members(s) for s in closure(family)}
+        assert ok == set_consistent(sets, users, q) == consistency_check(family, users)
+        witness = orthogonal_passage_check(family, users)
+        assert (hit < 0) == (witness is None), (row, users)
+        expect = set_first_witness(sets, users, q, candidates)
+        assert (None if hit < 0 else candidates[hit]) == expect, (row, users)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_batch_matches_one_family_calls_on_gf2_3(size):
+    # Every family of `size` distinct subspaces of GF(2)^3, every user set.
+    families = np.array(list(itertools.combinations(range(16), size)))
+    for users in subsets_of(3):
+        assert_batch_matches(2, 3, families, users)
+
+
+@pytest.mark.parametrize("q, m, seed", [(3, 3, 11), (2, 4, 12)])
+def test_batch_matches_one_family_calls_on_samples(q, m, seed):
+    # Seeded families of 1..4 positions (repeats allowed), every user set.
+    rng = np.random.default_rng(seed)
+    size = subspace_lattice(q, m).size
+    for k in range(1, 5):
+        families = rng.integers(0, size, size=(40, k))
+        for users in subsets_of(m):
+            assert_batch_matches(q, m, families, users)
+
+
+def test_split_batches_give_the_same_results(monkeypatch):
+    # One family per slice, three, and all 200 in one slice: families of
+    # GF(2)^4 of size 2 and 3 come out the same.
+    lat = subspace_lattice(2, 4)
+    rng = np.random.default_rng(13)
+    for k in (2, 3):
+        families = rng.integers(0, lat.size, size=(200, k))
+        whole = preservation(lat, families, [1, 3])
+        for budget in (1, 3 * lat.size ** 2, 200 * lat.size ** 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(linear_mac, "BLOCK_FLOATS", budget)
+                split = preservation(lat, families, [1, 3])
+            assert np.array_equal(split.closed, whole.closed)
+            assert np.array_equal(split.consistent, whole.consistent)
+            assert np.array_equal(split.witness, whole.witness)
+
+
+def test_preservation_of_no_families():
+    lat = subspace_lattice(2, 3)
+    empty = preservation(lat, np.zeros((0, 2), dtype=np.int64), [1])
+    assert empty.closed.shape == (0, 16)
+    assert empty.consistent.shape == empty.witness.shape == (0,)
+    with pytest.raises(BadIndexSetError):
+        preservation(lat, np.zeros((0, 2), dtype=np.int64), [4])
