@@ -15,6 +15,11 @@ level's I[S] off its averaged weight vector; the two-user binary 5-vector
 of `binary2_evolve` is a reordering of the GF(2)^2 vector.  The
 preservation condition (closure, the consistency check and the witness
 search) reads the same tables, plus one projection table per user set.
+That table comes from the membership rows, not from row reductions: a
+subspace's image is its row reduced over the other users' coordinates,
+matched to a row of the smaller lattice.  One kernel, `preservation`,
+checks a batch of families with array operations; the witness probe
+checks all families of one size in one call.
 """
 
 from __future__ import annotations
@@ -314,11 +319,12 @@ def preservation(lat: SubspaceLattice, families, users=None) -> Preservation:
     most BLOCK_FLOATS entries."""
     families = np.asarray(families, dtype=np.int64)
     count, size = len(families), lat.size
+    closed = np.zeros((count, size), dtype=bool)
+    consistent = witness = None
     if users is not None:
         commutes, candidates, keeps = _passage_tables(lat, tuple(user_indices(users, lat.m)))
-    closed = np.zeros((count, size), dtype=bool)
-    consistent = np.zeros(count, dtype=bool)
-    witness = np.full(count, -1)
+        consistent = np.zeros(count, dtype=bool)
+        witness = np.full(count, -1)
     step = max(1, BLOCK_FLOATS // size ** 2)
     for lo in range(0, count, step):
         family = families[lo:lo + step]
@@ -340,8 +346,6 @@ def preservation(lat: SubspaceLattice, families, users=None) -> Preservation:
         consistent[lo:lo + step] = commutes[a, b].all(axis=(1, 2))
         hold = keeps[:, family].all(axis=2)                   # (C, n)
         witness[lo:lo + step] = np.where(hold.any(axis=0), candidates[hold.argmax(axis=0)], -1)
-    if users is None:
-        return Preservation(closed, None, None)
     return Preservation(closed, consistent, witness)
 
 
