@@ -297,10 +297,22 @@ def _member_rows(closed: np.ndarray) -> np.ndarray:
     """Each row's positions in ascending order, padded to the longest row
     by repeating the row's first position (meet and join of a subspace
     with itself are the subspace)."""
-    counts = closed.sum(axis=1)
-    width = int(counts.max())
-    order = np.argsort(~closed, axis=1, kind="stable")[:, :width]
-    return np.where(np.arange(width) >= counts[:, None], order[:, :1], order)
+    counts = np.count_nonzero(closed, axis=1)
+    rows, cols = np.nonzero(closed)
+    rank = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.repeat(closed.argmax(axis=1)[:, None], counts.max(initial=0), axis=1)
+    out[rows, rank] = cols
+    return out
+
+
+def _pair_slices(members: np.ndarray):
+    """(rows, a, b) over slices of the (n, K) member rows, a and b
+    broadcasting to the (n, K, K) pairs of a slice, which hold at most
+    BLOCK_FLOATS entries."""
+    step = max(1, BLOCK_FLOATS // max(1, members.shape[1]) ** 2)
+    for lo in range(0, len(members), step):
+        part = members[lo:lo + step]
+        yield slice(lo, lo + step), part[:, :, None], part[:, None, :]
 
 
 def preservation(lat: SubspaceLattice, families, users=None) -> Preservation:
@@ -313,39 +325,33 @@ def preservation(lat: SubspaceLattice, families, users=None) -> Preservation:
     proj(W & V) = proj(V) for every V of the family, or -1.  Without
     `users` only the closures are computed.
 
-    The closure grows by scattering the meet and join of every pair of
-    members until no row changes.  Families are taken in slices of
-    BLOCK_FLOATS // L^2, so an (n, K, K) pair array of one slice holds at
-    most BLOCK_FLOATS entries."""
+    Each round scatters the meet and join of every pair of members of the
+    families still growing, until none grows.  The families are taken in
+    slices whose pair arrays hold at most BLOCK_FLOATS entries: n
+    families with closures of up to K members per slice, n * K^2 <=
+    BLOCK_FLOATS."""
     families = np.asarray(families, dtype=np.int64)
-    count, size = len(families), lat.size
-    closed = np.zeros((count, size), dtype=bool)
-    consistent = witness = None
-    if users is not None:
-        commutes, candidates, keeps = _passage_tables(lat, tuple(user_indices(users, lat.m)))
-        consistent = np.zeros(count, dtype=bool)
-        witness = np.full(count, -1)
-    step = max(1, BLOCK_FLOATS // size ** 2)
-    for lo in range(0, count, step):
-        family = families[lo:lo + step]
-        rows = np.arange(len(family))[:, None]
-        block = closed[lo:lo + step]
-        block[rows, family] = True
-        members = family
-        while True:
-            a, b = members[:, :, None], members[:, None, :]
-            grown = block.copy()
-            grown[rows[:, :, None], lat.meet[a, b]] = True
-            grown[rows[:, :, None], lat.join[a, b]] = True
-            if (grown == block).all():
-                break
-            block[:] = grown
-            members = _member_rows(block)
-        if users is None:
-            continue
-        consistent[lo:lo + step] = commutes[a, b].all(axis=(1, 2))
-        hold = keeps[:, family].all(axis=2)                   # (C, n)
-        witness[lo:lo + step] = np.where(hold.any(axis=0), candidates[hold.argmax(axis=0)], -1)
+    closed = np.zeros((len(families), lat.size), dtype=bool)
+    closed[np.arange(len(families))[:, None], families] = True
+    growing, members = np.arange(len(families)), families
+    while growing.size:
+        before = np.count_nonzero(closed[growing], axis=1)
+        for part, a, b in _pair_slices(members):
+            rows = growing[part, None, None]
+            closed[rows, lat.meet[a, b]] = True
+            closed[rows, lat.join[a, b]] = True
+        growing = growing[np.count_nonzero(closed[growing], axis=1) > before]
+        members = _member_rows(closed[growing])
+    if users is None:
+        return Preservation(closed, None, None)
+    commutes, candidates, keeps = _passage_tables(lat, tuple(user_indices(users, lat.m)))
+    consistent = np.empty(len(families), dtype=bool)
+    for part, a, b in _pair_slices(_member_rows(closed)):
+        consistent[part] = commutes[a, b].all(axis=(1, 2))
+    hold = np.ones((len(candidates), len(families)), dtype=bool)
+    for column in families.T:
+        hold &= keeps[:, column]
+    witness = np.where(hold.any(axis=0), candidates[hold.argmax(axis=0)], -1)
     return Preservation(closed, consistent, witness)
 
 

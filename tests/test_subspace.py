@@ -308,14 +308,14 @@ def test_batch_matches_one_family_calls_on_samples(q, m, seed):
 
 
 def test_split_batches_give_the_same_results(monkeypatch):
-    # One family per slice, three, and all 200 in one slice: families of
-    # GF(2)^4 of size 2 and 3 come out the same.
+    # One family per slice, a few, and all 200 in one slice: families of
+    # GF(2)^4 come out the same.
     lat = subspace_lattice(2, 4)
     rng = np.random.default_rng(13)
     for k in (2, 3):
         families = rng.integers(0, lat.size, size=(200, k))
         whole = preservation(lat, families, [1, 3])
-        for budget in (1, 3 * lat.size ** 2, 200 * lat.size ** 2):
+        for budget in (1, 50, 10 ** 9):
             with monkeypatch.context() as patch:
                 patch.setattr(linear_mac, "BLOCK_FLOATS", budget)
                 split = preservation(lat, families, [1, 3])
