@@ -27,6 +27,7 @@ from .errors import (
     TooLargeError,
 )
 from .linear_mac import (
+    BLOCK_FLOATS,
     LinearComboMac,
     binary2_evolve,
     binary2_order,
@@ -243,6 +244,19 @@ def _parse_grid(spec: str):
         raise bad from exc
 
 
+def _family_batches(n: int, size: int):
+    """The `size`-subsets of range(n) in lexicographic order, as (b, size)
+    arrays of at most BLOCK_FLOATS rows, so that a probe's memory does not
+    grow with the number of families."""
+    combos = itertools.combinations(range(n), size)
+    while True:
+        batch = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(combos, BLOCK_FLOATS)), dtype=np.int64)
+        if not batch.size:
+            return
+        yield batch.reshape(-1, size)
+
+
 def cmd_probe_conjectures(args) -> int:
     ran_any = False
     rows = []
@@ -276,17 +290,15 @@ def cmd_probe_conjectures(args) -> int:
         consistent_with_witness = 0
         scanned = 0
         for size in range(1, args.max_family + 1):
-            flat = itertools.chain.from_iterable(
-                itertools.combinations(range(lat.size), size))
-            families = np.fromiter(flat, dtype=np.int64).reshape(-1, size)
-            result = preservation(lat, families, users)
-            scanned += len(families)
-            gaps = families[result.consistent & (result.witness < 0)]
-            counterexamples += len(gaps)
-            consistent_with_witness += np.count_nonzero(result.consistent) - len(gaps)
-            rows += [("witness_gap",
-                      json.dumps([lat.subspaces[i].basis.data.tolist() for i in family]),
-                      "", "") for family in gaps.tolist()]
+            for families in _family_batches(lat.size, size):
+                result = preservation(lat, families, users)
+                scanned += len(families)
+                gaps = families[result.consistent & (result.witness < 0)]
+                counterexamples += len(gaps)
+                consistent_with_witness += np.count_nonzero(result.consistent) - len(gaps)
+                rows += [("witness_gap",
+                          json.dumps([lat.subspaces[i].basis.data.tolist() for i in family]),
+                          "", "") for family in gaps.tolist()]
         print(f"witness probe: scanned {scanned} families over GF({args.q})^{args.m} "
               f"w.r.t. users {users}: {consistent_with_witness} consistent families "
               f"have a witness, {counterexamples} lack one")

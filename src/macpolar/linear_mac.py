@@ -293,26 +293,21 @@ def _passage_tables(lat: SubspaceLattice, users: tuple):
     return commutes, candidates, keeps
 
 
-def _member_rows(closed: np.ndarray) -> np.ndarray:
-    """Each row's positions in ascending order, padded to the longest row
-    by repeating the row's first position (meet and join of a subspace
-    with itself are the subspace)."""
-    counts = np.count_nonzero(closed, axis=1)
-    rows, cols = np.nonzero(closed)
-    rank = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
-    out = np.repeat(closed.argmax(axis=1)[:, None], counts.max(initial=0), axis=1)
-    out[rows, rank] = cols
-    return out
-
-
-def _pair_slices(members: np.ndarray):
-    """(rows, a, b) over slices of the (n, K) member rows, a and b
-    broadcasting to the (n, K, K) pairs of a slice, which hold at most
-    BLOCK_FLOATS entries."""
-    step = max(1, BLOCK_FLOATS // max(1, members.shape[1]) ** 2)
-    for lo in range(0, len(members), step):
-        part = members[lo:lo + step]
-        yield slice(lo, lo + step), part[:, :, None], part[:, None, :]
+def _pair_slices(closed: np.ndarray, rows: np.ndarray, counts: np.ndarray):
+    """(rows, a, b) over slices of the given rows of `closed`, whose member
+    counts are `counts`.  Rows of equal count K go together, so none is
+    padded, and a[r, p], b[r, p] run over the K(K - 1)/2 pairs of distinct
+    members of row r (a pair of equal members adds nothing: the meet and
+    join of a subspace with itself are the subspace).  The pair arrays of
+    a slice hold at most BLOCK_FLOATS entries."""
+    for width in np.unique(counts[counts > 1]).tolist():
+        group = rows[counts == width]
+        members = (np.flatnonzero(closed[group]) % closed.shape[1]).reshape(-1, width)
+        first, second = np.triu_indices(width, 1)
+        step = max(1, BLOCK_FLOATS // len(first))
+        for lo in range(0, len(group), step):
+            part = members[lo:lo + step]
+            yield group[lo:lo + step, None], part[:, first], part[:, second]
 
 
 def preservation(lat: SubspaceLattice, families, users=None) -> Preservation:
@@ -326,28 +321,29 @@ def preservation(lat: SubspaceLattice, families, users=None) -> Preservation:
     `users` only the closures are computed.
 
     Each round scatters the meet and join of every pair of members of the
-    families still growing, until none grows.  The families are taken in
-    slices whose pair arrays hold at most BLOCK_FLOATS entries: n
-    families with closures of up to K members per slice, n * K^2 <=
-    BLOCK_FLOATS."""
+    families still growing, until none grows.  Families are taken in
+    slices of equal member count whose pair arrays hold at most
+    BLOCK_FLOATS entries."""
     families = np.asarray(families, dtype=np.int64)
+    if users is not None:
+        users = tuple(user_indices(users, lat.m))
+    everyone = np.arange(len(families))
     closed = np.zeros((len(families), lat.size), dtype=bool)
-    closed[np.arange(len(families))[:, None], families] = True
-    growing, members = np.arange(len(families)), families
+    closed[everyone[:, None], families] = True
+    growing, counts = everyone, np.count_nonzero(closed, axis=1)
     while growing.size:
-        before = np.count_nonzero(closed[growing], axis=1)
-        for part, a, b in _pair_slices(members):
-            rows = growing[part, None, None]
+        for rows, a, b in _pair_slices(closed, growing, counts):
             closed[rows, lat.meet[a, b]] = True
             closed[rows, lat.join[a, b]] = True
-        growing = growing[np.count_nonzero(closed[growing], axis=1) > before]
-        members = _member_rows(closed[growing])
+        after = np.count_nonzero(closed[growing], axis=1)
+        grew = after > counts
+        growing, counts = growing[grew], after[grew]
     if users is None:
         return Preservation(closed, None, None)
-    commutes, candidates, keeps = _passage_tables(lat, tuple(user_indices(users, lat.m)))
-    consistent = np.empty(len(families), dtype=bool)
-    for part, a, b in _pair_slices(_member_rows(closed)):
-        consistent[part] = commutes[a, b].all(axis=(1, 2))
+    commutes, candidates, keeps = _passage_tables(lat, users)
+    consistent = np.ones(len(families), dtype=bool)
+    for rows, a, b in _pair_slices(closed, everyone, np.count_nonzero(closed, axis=1)):
+        consistent[rows[:, 0]] = commutes[a, b].all(axis=1)
     hold = np.ones((len(candidates), len(families)), dtype=bool)
     for column in families.T:
         hold &= keeps[:, column]
