@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from macpolar import LinearComboMac, NonFiniteError, ParseError, SpecMismatchError
-from macpolar import polarize
+from macpolar import cli, linear_mac, polarize
 from macpolar.cli import _parse_mode, build_parser, main
 from macpolar.jsonio import (
     channel_from_dict,
@@ -514,8 +514,6 @@ GENERIC_COMBOS = {
      "f7a4ef337091dac7a104a54f32711fb1cafd14df30dd241a907ad4746e0a0d8b"),
     (["evolve", "--channel", "gf3_2.json", "--l", "3"],
      "1e3c835a48b19e8c000dd30e33b0c362e825d1db6429d283fe670196c3c6dde7"),
-    (["evolve", "--channel", "gf2_5.json", "--l", "3"],
-     "6d0451c876187826000ea807b6d08506fbb001e00bf45446181bab13c28c5134"),
     (["analyze", "--channel", "five_component.json"],
      "a52fb33de2b54680712a6c62e6b7bc6f36213f39918ea8208a6c392029cdfd0b"),
     (["analyze", "--channel", "random_ternary.json"],
@@ -537,6 +535,8 @@ GENERIC_COMBOS = {
     (["construct", "--channel", "random_ternary.json", "--l", "1",
       "--eps", "0.2", "--z-budget", "0.1"],
      "54f91a37bc5cf8d62d0c29e0a5a8afc2b199f1982f28747dfe14543c29ad1ec8"),
+    (["evolve", "--channel", "gf2_5.json", "--l", "3"],
+     "6d0451c876187826000ea807b6d08506fbb001e00bf45446181bab13c28c5134"),
 ])
 def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # sha256 values written by the separate tree walks the one walker
@@ -662,6 +662,21 @@ def test_probe_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv, counts,
     got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
            hashlib.sha256(printed.encode()).hexdigest())
     assert got == (csv_digest, stdout_digest), f"{' '.join(argv)}: {got}"
+
+
+def test_probe_in_small_batches_writes_the_pinned_files(tmp_path, monkeypatch, capsys):
+    # Seven families per kernel call and per slice: the GF(2)^3
+    # max-family-3 probe of test_probe_outputs_are_pinned comes out the same.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "BLOCK_FLOATS", 7)
+    monkeypatch.setattr(linear_mac, "BLOCK_FLOATS", 7)
+    assert main(["probe-conjectures", "--q", "2", "--m", "3", "--users", "1,2",
+                 "--max-family", "3", "--out", "out.csv", "--no-timestamp"]) == 0
+    printed = capsys.readouterr().out
+    got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
+           hashlib.sha256(printed.encode()).hexdigest())
+    assert got == ("6388521fe9ed7f815052db8446e12a857a4c33f6755b3bf2f90afbbe3caed669",
+                   "6c69cacaafe77ae899a8df6d75e42c0821c600a44ac1eeb04a47381182a551c1")
 
 
 def test_grid_probe_is_pinned(tmp_path, monkeypatch, capsys):
