@@ -19,7 +19,7 @@ That table comes from the membership rows, not from row reductions: a
 subspace's image is its row reduced over the other users' coordinates,
 matched to a row of the smaller lattice.  One kernel, `preservation`,
 checks a batch of families with array operations; the witness probe
-checks all families of one size in one call.
+checks the families of one size in one call per BLOCK_FLOATS families.
 """
 
 from __future__ import annotations
