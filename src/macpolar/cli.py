@@ -314,16 +314,18 @@ def cmd_probe_conjectures(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------------
 
-def _depth(text: str) -> int:
-    """The type of every --l option: a polarization depth, a non-negative
-    integer."""
-    try:
-        depth = int(text)
-    except ValueError:
-        depth = -1
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return depth
+def _integer(low: int, words: str):
+    """An option type: an integer of at least `low`, else a usage error
+    (exit 2) saying the text is not a `words` integer."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {words} integer")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polarize", help="per-level averages and branch stats")
     p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=_depth, required=True)
+    p.add_argument("--l", type=_integer(0, "non-negative"), required=True)
     p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
     p.add_argument("--max-outputs", type=int, default=MAX_BRANCH_OUTPUTS)
     common(p)
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a code spec")
     p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=_depth, required=True)
+    p.add_argument("--l", type=_integer(0, "non-negative"), required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--z-budget", type=float, required=True)
     p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
@@ -373,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="subspace-weight evolution of a "
                                       "linear-combination channel")
     p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=_depth, required=True)
+    p.add_argument("--l", type=_integer(0, "non-negative"), required=True)
     p.add_argument("--mode", default="enumerate",
                    help="enumerate or sample:N")
     p.add_argument("--seed", type=int, default=0)
@@ -384,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numeric probes of the open questions")
     p.add_argument("--grid", default=None,
                    help="total-loss probe grid: step:K or a JSON file")
-    p.add_argument("--l", type=_depth, default=14)
+    p.add_argument("--l", type=_integer(0, "non-negative"), default=14)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=_integer(1, "positive"), default=None)
     p.add_argument("--users", default=None,
                    help="comma-separated user subset for the witness probe")
-    p.add_argument("--max-family", type=int, default=2)
+    p.add_argument("--max-family", type=_integer(1, "positive"), default=2)
     common(p)
     p.set_defaults(func=cmd_probe_conjectures)
 

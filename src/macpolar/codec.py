@@ -451,9 +451,8 @@ def _coset_tables(q: int, m: int) -> CosetTables:
     vecs = all_vectors(q, m)
     diff = add_table(q, m)[:, ((-vecs) % q) @ q ** np.arange(m)]    # u - v
     inputs = np.arange(big_q)
-    member = (np.array(lat.masks, dtype=np.int64)[:, None] >> inputs) & 1
     # K + v holds u when u - v lies in K.
-    masks = member[:, diff.T] @ (1 << inputs)                        # (L, q^m)
+    masks = lat.members[:, diff.T] @ (1 << inputs)                   # (L, q^m)
     keys, first, coset = np.unique(masks, return_index=True, return_inverse=True)
     coset = coset.reshape(masks.shape)
     sub, rep = np.divmod(first, big_q)

@@ -15,9 +15,10 @@ level's I[S] off its averaged weight vector; the two-user binary 5-vector
 of `binary2_evolve` is a reordering of the GF(2)^2 vector.  The
 preservation condition (closure, the consistency check and the witness
 search) reads the same tables, plus one projection table per user set.
-That table comes from the membership rows, not from row reductions: a
-subspace's image is its row reduced over the other users' coordinates,
-matched to a row of the smaller lattice.  One kernel, `preservation`,
+Every table comes from the boolean membership rows, not from row
+reductions: a meet's row is the AND of two rows, a subspace's image is
+its row reduced over the other users' coordinates, and each such row is
+found by one exact lookup.  One kernel, `preservation`,
 checks a batch of families with array operations; the witness probe
 checks the families of one size in one call per BLOCK_FLOATS families.
 """
@@ -179,15 +180,13 @@ class RateRegion:
 class SubspaceLattice:
     """Every subspace of GF(q)^m in `Subspace.sort_key` order, with the
     positions of the intersection (`meet`) and the sum (`join`) of every
-    pair, and membership masks: bit x of `masks[i]` is set when input
-    vector x (little-endian radix q) lies in subspace i; `members` holds
-    the same bits as an (L, q^m) array.  Read-only."""
+    pair, and the membership rows: members[i, x] is set when input vector
+    x (little-endian radix q) lies in subspace i.  Read-only."""
 
     q: int
     m: int
     subspaces: tuple
     index: dict                 # Subspace -> position
-    masks: tuple
     members: np.ndarray         # (L, q^m) bool
     dims: np.ndarray            # (L,)
     meet: np.ndarray            # (L, L)
@@ -213,44 +212,50 @@ class SubspaceLattice:
         return small.dims[proj]
 
 
-def _bits(indices) -> int:
-    return sum(1 << x for x in set(indices))
+def _row_finder(packed: np.ndarray):
+    """The exact lookup of the (L, W) packed membership rows `packed`: a
+    function from a (..., W) array of those rows (no others) to positions."""
+    key = np.dtype((np.void, packed.shape[1]))
+    keys = packed.view(key)[:, 0]
+    order = np.argsort(keys)
+    return lambda rows: order[np.searchsorted(
+        keys, rows.view(key)[..., 0], sorter=order)]
 
 
 @lru_cache(maxsize=None)
 def subspace_lattice(q: int, m: int) -> SubspaceLattice:
-    """The lattice of GF(q)^m.  A meet is the intersection of two masks; a
-    join is (A^perp & B^perp)^perp, where a complement is the intersection
-    of its basis vectors' complements, so no table entry needs a row
-    reduction."""
+    """The lattice of GF(q)^m, built from its membership rows.  A meet's
+    row is the AND of two rows; a complement V^perp holds the x with
+    basis(V) @ x = 0 (mod q); a join is (A^perp & B^perp)^perp.  Each row
+    is found by one exact lookup, so no table entry needs a row reduction.
+    The pairwise AND is taken in row slices of at most BLOCK_FLOATS bytes,
+    or of one row where a row's pairs take more.  m must be at least 1."""
     check_prime(q)
+    if m < 1:
+        raise ValueError(f"a lattice needs m >= 1 coordinates, got m = {m}")
     size = sum(count_subspaces(m, d, q) for d in range(m + 1))
     if size > LATTICE_CAP:
         raise TooLargeError(f"GF({q})^{m} has {size} subspaces (lattice cap {LATTICE_CAP})")
     subs = tuple(s for d in range(m + 1) for s in enumerate_subspaces(m, d, q))
-    vecs = all_vectors(q, m)
-    powers = q ** np.arange(m)
-    orth = [_bits(np.flatnonzero(row).tolist()) for row in (vecs @ vecs.T) % q == 0]
-    masks = [_bits((s.vectors() @ powers).tolist()) for s in subs]
-    where = {mask: k for k, mask in enumerate(masks)}
-    perp = []
-    for s in subs:
-        mask = (1 << q ** m) - 1
-        for x in (s.basis.data @ powers).tolist():
-            mask &= orth[x]
-        perp.append(where[mask])
-    meet = np.array([[where[a & b] for b in masks] for a in masks])
-    join = np.array(perp)[meet[np.ix_(perp, perp)]]
     dims = np.array([s.dim for s in subs])
-    # Masks are Python ints (GF(3)^4 has 81 inputs): unpack their bytes.
-    width = (q ** m + 7) // 8
-    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks),
-                        dtype=np.uint8).reshape(size, width)
-    members = np.unpackbits(raw, axis=1, count=q ** m, bitorder="little").view(bool)
+    members = np.zeros((size, q ** m), dtype=bool)
+    for d in range(m + 1):      # members: combinations of the basis rows
+        rows = np.flatnonzero(dims == d)
+        bases = np.array([subs[k].basis.data for k in rows]).reshape(len(rows), d, m)
+        members[rows[:, None], all_vectors(q, d) @ bases % q @ q ** np.arange(m)] = True
+    vecs = all_vectors(q, m)
+    packed = np.packbits(members, axis=1)
+    find = _row_finder(packed)
+    perp = find(np.array([np.packbits(((vecs @ s.basis.data.T) % q == 0).all(axis=1))
+                          for s in subs]))
+    step = max(1, BLOCK_FLOATS // packed.size)
+    meet = np.concatenate([find(packed[lo:lo + step, None] & packed)
+                           for lo in range(0, size, step)])
+    join = perp[meet[np.ix_(perp, perp)]]
     for arr in (members, meet, join, dims):
         arr.setflags(write=False)
     return SubspaceLattice(q, m, subs, {s: k for k, s in enumerate(subs)},
-                           tuple(masks), members, dims, meet, join)
+                           members, dims, meet, join)
 
 
 @lru_cache(maxsize=None)
@@ -263,8 +268,8 @@ def _projection(lat: SubspaceLattice, users: tuple):
     small = subspace_lattice(lat.q, len(users))
     other = tuple(lat.m - c for c in range(lat.m) if c + 1 not in users)
     image = lat.members.reshape((lat.size,) + (lat.q,) * lat.m).any(axis=other)
-    where = {row.tobytes(): k for k, row in enumerate(small.members)}
-    table = np.array([where[row.tobytes()] for row in image.reshape(lat.size, -1)])
+    table = _row_finder(np.packbits(small.members, axis=1))(
+        np.packbits(image.reshape(lat.size, -1), axis=1))
     table.setflags(write=False)
     return small, table
 

@@ -99,17 +99,11 @@ def branch_step(channel: DiscreteMac, symbol: str,
 
 # -- per-direction statistics and linear-channel detection ----------------------
 
-def projective_directions(q: int, m: int):
+def projective_directions(q: int, m: int) -> np.ndarray:
     """One representative per 1-dim subspace of GF(q)^m: all nonzero vectors
-    whose first nonzero coordinate is 1, in input-index order."""
-    vecs = all_vectors(q, m)
-    dirs = []
-    for i in range(1, q ** m):
-        vec = vecs[i]
-        nz = np.nonzero(vec)[0]
-        if vec[nz[0]] == 1:
-            dirs.append(vec.copy())
-    return dirs
+    whose first nonzero coordinate is 1, in input-index order, as rows."""
+    vecs = all_vectors(q, m)[1:]
+    return vecs[vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] == 1]
 
 
 @dataclass(frozen=True)
@@ -306,7 +300,7 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if z_budget <= 0:
+    if not z_budget > 0:        # NaN too
         raise ValueError("z_budget must be positive")
     check_merge_tol(merge_tol)
     q, m = channel.q, channel.m

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macpolar import LinearComboMac, NonFiniteError, ParseError, SpecMismatchError
+from macpolar import (
+    LinearComboMac,
+    NonFiniteError,
+    ParseError,
+    SpecMismatchError,
+    Subspace,
+)
 from macpolar import cli, linear_mac, polarize
 from macpolar.cli import _parse_mode, build_parser, main
 from macpolar.jsonio import (
@@ -442,6 +448,34 @@ def test_probe_beyond_the_lattice_cap_exits_3(capsys):
                  "--max-family", "1"]) == 3
     assert time.perf_counter() - start < 1.0
     assert "lattice cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--m", "-1"), ("--m", "0"), ("--max-family", "0"), ("--max-family", "-1"),
+])
+def test_probe_sizes_below_one_are_usage_errors(capsys, option, value):
+    argv = {"--q": "2", "--m": "2", "--users": "1", "--max-family": "2"}
+    argv[option] = value
+    with pytest.raises(SystemExit) as exc:
+        main(["probe-conjectures", *(x for kv in argv.items() for x in kv)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: '{value}' is not a positive integer" in err
+    assert "Traceback" not in err
+
+
+def test_evolve_over_gf101(tmp_path, capsys):
+    # 104 subspaces over 10201 inputs: the lattice is built from its
+    # membership rows, without a table over pairs of inputs.
+    subs = [Subspace.zero(2, 101), Subspace.from_vectors([[1, 0]], 2, 101),
+            Subspace.from_vectors([[1, 5]], 2, 101), Subspace.full(2, 101)]
+    path = write_json(tmp_path / "gf101.json",
+                      channel_dict(LinearComboMac(101, 2, [(0.25, s) for s in subs])))
+    out = tmp_path / "out.csv"
+    assert main(["evolve", "--channel", path, "--l", "6", "--out", str(out),
+                 "--no-timestamp"]) == 0
+    assert "evolved to depth 6" in capsys.readouterr().out
+    assert out.exists()
 
 
 def test_analyze_past_the_user_cap_exits_3(tmp_path, capsys):

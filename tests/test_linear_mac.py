@@ -107,8 +107,8 @@ def test_bad_states_rejected():
         binary2_evolve([0.25] * 4, 1)
 
 
-LATTICES = [(2, 2, 5), (3, 2, 6), (5, 2, 8), (2, 3, 16), (3, 3, 28), (2, 4, 67),
-            (5, 3, 64)]
+LATTICES = [(2, 2, 5), (3, 2, 6), (5, 2, 8), (7, 2, 10), (11, 2, 14), (2, 3, 16),
+            (3, 3, 28), (2, 4, 67), (5, 3, 64)]
 
 
 @pytest.mark.parametrize("q, m, size", LATTICES)
@@ -130,6 +130,44 @@ def test_lattice_tables_match_subspace_operations(q, m, size):
         small, table = lat.projection(users)
         assert [members(small.subspaces[k]) for k in table] == \
             [project_set(a, users) for a in sets]
+
+
+def test_plane_lattice_over_gf101_has_its_closed_form():
+    # The zero space, q + 1 lines and the plane; two distinct lines meet in
+    # zero and join to the plane.
+    q = 101
+    lat = subspace_lattice(q, 2)
+    assert lat.size == q + 3
+    assert lat.dims.tolist() == [0] + [1] * (q + 1) + [2]
+    assert lat.members.sum(axis=1).tolist() == (q ** lat.dims).tolist()
+    lines = np.arange(1, q + 2)
+    pairs = lines[:, None] != lines[None, :]
+    assert (lat.meet[np.ix_(lines, lines)][pairs] == 0).all()
+    assert (lat.join[np.ix_(lines, lines)][pairs] == q + 2).all()
+    assert (np.diag(lat.meet) == np.arange(lat.size)).all()
+    assert (np.diag(lat.join) == np.arange(lat.size)).all()
+    assert (lat.meet[0] == 0).all() and (lat.join[-1] == q + 2).all()
+    assert (lat.meet[-1] == np.arange(lat.size)).all()
+    assert (lat.join[0] == np.arange(lat.size)).all()
+
+
+@pytest.mark.parametrize("budget", [1, 10 ** 9])
+def test_lattice_tables_do_not_depend_on_the_slice_budget(monkeypatch, budget):
+    # The pairwise AND is built in slices of BLOCK_FLOATS bytes: one row per
+    # slice at a budget of 1, every row in one slice at 10^9.
+    for q, m in [(2, 4), (3, 3)]:
+        cached = subspace_lattice(q, m)
+        monkeypatch.setattr(linear_mac, "BLOCK_FLOATS", budget)
+        fresh = subspace_lattice.__wrapped__(q, m)
+        monkeypatch.undo()
+        for name in ("members", "dims", "meet", "join"):
+            assert np.array_equal(getattr(fresh, name), getattr(cached, name))
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_lattice_needs_a_coordinate(m):
+    with pytest.raises(ValueError, match="m >= 1"):
+        subspace_lattice(2, m)
 
 
 def test_lattice_cap():

@@ -37,6 +37,7 @@ from macpolar import jsonio
 from macpolar.cli import main
 from macpolar.linear_mac import binary2_subspaces
 from macpolar.linear_mac import closure
+from macpolar.mac import all_vectors
 from macpolar.jsonio import load_channel as load_channel_file
 from macpolar.jsonio import (
     codespec_from_dict,
@@ -104,6 +105,12 @@ def test_projective_directions():
     assert [tuple(d) for d in dirs] == [(1, 0), (0, 1), (1, 1)]
     assert len(projective_directions(3, 2)) == 4      # (9-1)/(3-1)
     assert len(projective_directions(3, 3)) == 13
+    # Against a loop over the inputs in index order.
+    for q, m in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (11, 2)]:
+        vecs = all_vectors(q, m)
+        loop = [v.tolist() for v in vecs[1:] if v[np.flatnonzero(v)[0]] == 1]
+        assert projective_directions(q, m).tolist() == loop
+        assert len(loop) == (q ** m - 1) // (q - 1)
 
 
 def test_polarize_branch_empty_sig(rng):
@@ -756,6 +763,33 @@ def test_lattice_code_matches_explicit_on_five_component():
     reports = {kind: run_trials(spec, channel, 200, seed=902)
                for kind, spec in small.items()}
     assert reports["lattice"].errors == reports["explicit"].errors
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_build_code_refuses_a_nan_z_budget_before_any_transform(monkeypatch,
+                                                                explicit):
+    def forbidden(*_):
+        raise AssertionError("a transform ran")
+
+    channel = load_channel_file(FIVE)
+    if explicit:
+        channel = channel.to_explicit()
+    for name in ("transform_minus", "transform_plus", "lattice_levels"):
+        monkeypatch.setattr(f"macpolar.polarize.{name}", forbidden)
+    with pytest.raises(ValueError, match="z_budget must be positive"):
+        build_code(channel, 2, eps=0.2, z_budget=math.nan)
+
+
+def test_construct_refuses_a_nan_z_budget(tmp_path, capsys):
+    out = tmp_path / "code.json"
+    argv = ["construct", "--channel", FIVE, "--l", "3", "--eps", "0.2",
+            "--out", str(out), "--no-timestamp"]
+    assert main(argv + ["--z-budget", "nan"]) == 2
+    assert "z_budget must be positive" in capsys.readouterr().err
+    assert not out.exists()
+    # An infinite budget stays legal: every detected branch is good.
+    assert main(argv + ["--z-budget", "inf"]) == 0
+    assert json.loads(out.read_text())["z_budget"] == math.inf
 
 
 def test_lattice_code_records_merge_tol_and_checks_it():
