@@ -9,12 +9,17 @@ them, and all mutual informations reduce to weighted projected dimensions.
 One engine runs that process for every (q, m).  A branch is a weight
 vector over all L subspaces of GF(q)^m in `Subspace.sort_key` order, a
 level of the tree is an (L, n) array of such vectors, and a transform
-scatters pair products through the lattice's meet and join tables.
-`evolve` follows the tree of any combination channel and reads each
-level's I[S] off its averaged weight vector; the two-user binary 5-vector
-of `binary2_evolve` is a reordering of the GF(2)^2 vector.  The
-preservation condition (closure, the consistency check and the witness
-search) reads the same tables, plus one projection table per user set.
+scatters pair products through the lattice's meet and join tables.  A
+block of at most NARROW_WIDTH states forms all its live-pair products in
+one array and scatters them with one `np.bincount` per child, in column
+slices of at most BLOCK_FLOATS products; a wider block adds them pair by
+pair.  Both sum each child cell in the same pair order, so both give the
+same bits.  `evolve` follows the tree of any combination channel and
+reads each level's I[S] off its averaged weight vector; the two-user
+binary 5-vector of `binary2_evolve` is a reordering of the GF(2)^2
+vector.  The preservation condition (closure, the consistency check and
+the witness search) reads the same tables, plus one projection table per
+user set.
 Every table comes from the boolean membership rows, not from row
 reductions: a meet's row is the AND of two rows, a subspace's image is
 its row reduced over the other users' coordinates, and each such row is
@@ -50,6 +55,7 @@ EXTREMAL_TOL = 1e-3
 SETTLE_TOL = 2.0 ** -53     # off-k weight * 2^(levels left) of a settled state
 LATTICE_CAP = 1024          # subspaces: GF(2)^5 has 374, GF(2)^6 has 2825
 BLOCK_FLOATS = 1 << 16      # weights in one block of a wide tree level
+NARROW_WIDTH = 128          # widest block whose pair products are scattered at once
 MAX_EXPLICIT_CELLS = 10 ** 6   # table cells `to_explicit` may build
 
 
@@ -264,7 +270,11 @@ def _projection(lat: SubspaceLattice, users: tuple):
     with x on `users`.  Viewed as an (L, q, ..., q) array, with coordinate
     c on axis m - c, the membership rows are reduced over the other
     coordinates' axes; each image row is then looked up among the small
-    lattice's rows."""
+    lattice's rows.  Onto every user the image is the lattice itself."""
+    if len(users) == lat.m:
+        table = np.arange(lat.size)
+        table.setflags(write=False)
+        return lat, table
     small = subspace_lattice(lat.q, len(users))
     other = tuple(lat.m - c for c in range(lat.m) if c + 1 not in users)
     image = lat.members.reshape((lat.size,) + (lat.q,) * lat.m).any(axis=other)
@@ -401,19 +411,52 @@ def orthogonal_passage_check(subspaces, users):
     return lat.subspaces[hit] if hit >= 0 else None
 
 
-def lattice_children(lat: SubspaceLattice, states: np.ndarray) -> np.ndarray:
-    """Both children of every state of an (L, n) level, as an (L, 2n)
-    array in decoding order: column 2j is the '-' child of state j (pair
-    products scattered by meet), column 2j + 1 its '+' child (by join).
+@lru_cache(maxsize=None)
+def _pair_table(lat: SubspaceLattice) -> np.ndarray:
+    """Every pair i <= j of lattice positions in lexicographic order, as
+    the columns of a (5, L(L+1)/2) array with rows i, j, the row of the
+    pair's left factor in [states; 2 * states] (i on the diagonal, L + i
+    off it), and the pair's meet and join."""
+    i, j = np.triu_indices(lat.size)
+    table = np.stack([i, j, i + lat.size * (i != j), lat.meet[i, j], lat.join[i, j]])
+    table.setflags(write=False)
+    return table
 
-    Each child is renormalized to sum 1, so float drift does not compound
-    with depth.  Zero weights are legal: a product that underflows adds
-    0.0.  Rows that are zero in every state are skipped.
-    """
+
+def _scatter_children(lat: SubspaceLattice, states: np.ndarray, live: np.ndarray):
+    """The unnormalized children of a narrow block: all live-pair products
+    in one pair-major array, each child cell summed by `np.bincount`, which
+    adds from 0.0 in input order, so in pair order.  Columns go in slices
+    of at most BLOCK_FLOATS products, or of one column where the live
+    pairs are more."""
+    size, n = states.shape
+    table = _pair_table(lat)
+    if not live.all():
+        table = table[:, live[table[0]] & live[table[1]]]
+    right, left = table[1], table[2]
+    step = max(1, BLOCK_FLOATS // max(1, len(right)))
+    parts = []
+    for lo in range(0, max(n, 1), step):     # one empty slice if n == 0
+        block = states[:, lo:lo + step]
+        w = block.shape[1]
+        prod = np.concatenate([block, 2 * block]).take(left, axis=0)
+        prod *= block.take(right, axis=0)
+        col = np.arange(w)
+        parts.append([np.bincount((target[:, None] * w + col).ravel(), prod.ravel(),
+                                  minlength=size * w).reshape(size, w)
+                      for target in (table[3], table[4])])
+    if len(parts) == 1:
+        return parts[0]
+    return [np.concatenate(children, axis=1) for children in zip(*parts)]
+
+
+def _loop_children(lat: SubspaceLattice, states: np.ndarray, live: np.ndarray):
+    """The unnormalized children of a wide block: one row operation per
+    live pair, in pair order."""
     size, n = states.shape
     minus, plus = np.zeros((size, n)), np.zeros((size, n))
     prod = np.empty(n)
-    live = np.flatnonzero(states.any(axis=1)).tolist()
+    live = np.flatnonzero(live).tolist()
     meet, join = lat.meet.tolist(), lat.join.tolist()
     for a, i in enumerate(live):
         np.multiply(states[i], states[i], out=prod)
@@ -424,6 +467,29 @@ def lattice_children(lat: SubspaceLattice, states: np.ndarray) -> np.ndarray:
             np.multiply(twice, states[j], out=prod)
             minus[meet[i][j]] += prod
             plus[join[i][j]] += prod
+    return minus, plus
+
+
+def lattice_children(lat: SubspaceLattice, states: np.ndarray) -> np.ndarray:
+    """Both children of every state of an (L, n) level, as an (L, 2n)
+    array in decoding order: column 2j is the '-' child of state j (pair
+    products scattered by meet), column 2j + 1 its '+' child (by join).
+
+    The product of live rows i <= j is s_i * s_i on the diagonal and
+    (2 * s_i) * s_j off it, and each child cell sums its products from
+    0.0 in lexicographic pair order.  A block of at most NARROW_WIDTH
+    states forms its products in one array and scatters them with
+    `np.bincount`, in column slices of at most BLOCK_FLOATS products; a
+    wider block adds the products pair by pair, which is faster there.
+    Both give the same bits.
+
+    Each child is renormalized to sum 1, so float drift does not compound
+    with depth.  Zero weights are legal: a product that underflows adds
+    0.0.  Rows that are zero in every state are skipped.
+    """
+    size, n = states.shape
+    children = _scatter_children if n <= NARROW_WIDTH else _loop_children
+    minus, plus = children(lat, states, states.any(axis=1))
     out = np.empty((size, 2 * n))
     np.divide(minus, minus.sum(axis=0), out=out[:, 0::2])
     np.divide(plus, plus.sum(axis=0), out=out[:, 1::2])

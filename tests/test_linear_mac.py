@@ -213,6 +213,73 @@ def test_lattice_children_take_zero_weights():
     assert children[3, 4] == 1.0 and children[3, 5] == 1.0
 
 
+def awkward_block(lat, n, seed):
+    """An (L, n) block with every third row zero in every state, single
+    zero weights off row 0 and state 0 (so no state is all zero, and the
+    live rows do not depend on n), and every third state scaled by 1e-156,
+    so that its pair products are subnormal but not all zero: there (2a)b
+    and 2(ab) differ in about half the cells."""
+    rng = np.random.default_rng(seed)
+    block = rng.dirichlet(np.ones(lat.size), size=n).T.copy()
+    block[1::3] = 0.0
+    block[1:, 1:][rng.random((lat.size - 1, n - 1)) < 0.1] = 0.0
+    block[:, ::3] *= 1e-156
+    return block
+
+
+def slice_width(lat, block):
+    """The scatter's column slice: BLOCK_FLOATS products of the live pairs."""
+    live = np.count_nonzero(block.any(axis=1))
+    return max(1, linear_mac.BLOCK_FLOATS // (live * (live + 1) // 2))
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                  (3, 2), (3, 3), (5, 2)])
+def test_scatter_and_loop_give_the_same_bits(monkeypatch, q, m):
+    # Each path is forced through the width constant, at the widths around
+    # the constant, at one and two column slices, and at the widest block
+    # of a level walk.  Any other summation order or product form moves
+    # the subnormal cells, and with them the renormalized children.
+    lat = subspace_lattice(q, m)
+    edge = linear_mac.NARROW_WIDTH
+    step = slice_width(lat, awkward_block(lat, 1, 0))
+    widths = {1, 2, 3, edge - 1, edge, edge + 1, step, step + 1,
+              linear_mac.BLOCK_FLOATS // lat.size}
+    for n in sorted(widths):
+        block = awkward_block(lat, n, n)
+        assert slice_width(lat, block) == step
+        monkeypatch.setattr(linear_mac, "NARROW_WIDTH", 0)
+        loop = lattice_children(lat, block)
+        monkeypatch.setattr(linear_mac, "NARROW_WIDTH", n)
+        scatter = lattice_children(lat, block)
+        assert np.array_equal(scatter, loop), (q, m, n)
+
+
+def test_the_path_follows_the_block_width(monkeypatch):
+    lat = subspace_lattice(2, 3)
+    seen = []
+    for name in ("_scatter_children", "_loop_children"):
+        def spy(lat, states, live, name=name, path=getattr(linear_mac, name)):
+            seen.append((name, states.shape[1]))
+            return path(lat, states, live)
+        monkeypatch.setattr(linear_mac, name, spy)
+    edge = linear_mac.NARROW_WIDTH
+    for n in (1, edge, edge + 1):
+        lattice_children(lat, awkward_block(lat, n, 0))
+    assert seen == [("_scatter_children", 1), ("_scatter_children", edge),
+                    ("_loop_children", edge + 1)]
+
+
+@pytest.mark.parametrize("q, m", [(2, 3), (3, 2)])
+def test_projection_onto_every_user_is_the_lattice(q, m):
+    lat = subspace_lattice(q, m)
+    small, table = lat.projection(range(1, m + 1))
+    assert small is lat
+    assert np.array_equal(table, np.arange(lat.size))
+    assert not table.flags.writeable
+    assert np.array_equal(lat.projected_dims(range(1, m + 1)), lat.dims)
+
+
 def test_to_explicit_examples(f22):
     full = LinearComboMac(2, 2, [(1.0, f22[4])]).to_explicit()
     assert sum_capacity(full) == pytest.approx(2.0, abs=1e-12)
