@@ -24,7 +24,6 @@ from .errors import (
     SpecMismatchError,
     TooDeepError,
     TooLargeError,
-    TooManyUsersError,
     ZeroInverseError,
 )
 from .gfq import (

@@ -60,26 +60,25 @@ def _as_explicit(channel) -> DiscreteMac:
     return channel
 
 
-def _config_echo(args, fields) -> dict:
-    return {f: getattr(args, f) for f in fields}
+def _config_echo(args) -> dict:
+    """The command's own options, for the output file's config line."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "no_timestamp")}
 
 
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
     channel = jsonio.load_channel(args.channel)
-    m = channel.m
-    subsets = user_subsets(m)
-    info = {s: channel.mutual_info(s) for s in subsets}
-    full = subsets[-1]
-    rows = [("mutual_info", _users_str(s), info[s], "", "") for s in subsets]
-    rows.append(("sum_capacity", _users_str(full), info[full], "", ""))
-    print(f"channel: q={channel.q} m={m} ({type(channel).__name__})")
-    for s in subsets:
-        print(f"  I[{{{','.join(map(str, s))}}}] = {info[s]:.9f}")
-    print(f"  sum capacity = {info[full]:.9f}")
-    if m == 2:
-        region = rate_region(channel)
+    region = rate_region(channel)
+    full, total = region.constraints[-1]
+    rows = [("mutual_info", _users_str(s), i, "", "") for s, i in region.constraints]
+    rows.append(("sum_capacity", _users_str(full), total, "", ""))
+    print(f"channel: q={channel.q} m={channel.m} ({type(channel).__name__})")
+    for s, i in region.constraints:
+        print(f"  I[{{{','.join(map(str, s))}}}] = {i:.9f}")
+    print(f"  sum capacity = {total:.9f}")
+    if region.vertices is not None:
         for x, y in region.vertices:
             rows.append(("vertex", "", "", x, y))
         for x, y in region.dominant_face:
@@ -88,7 +87,7 @@ def cmd_analyze(args) -> int:
         print(f"  dominant face: {region.dominant_face}")
     if args.out:
         jsonio.write_csv(args.out, ("record", "users", "value", "r1", "r2"), rows,
-                         config=_config_echo(args, ("channel", "out")),
+                         config=_config_echo(args),
                          timestamp=not args.no_timestamp)
     return 0
 
@@ -101,11 +100,12 @@ def cmd_polarize(args) -> int:
     step = partial(branch_step, merge_tol=args.merge_tol,
                    max_outputs=args.max_outputs)
     for sig, ch in polarization_tree(channel, args.l, step):
-        levels[len(sig)].append([ch.mutual_info(s) for s in subsets])
+        info = [ch.mutual_info(s) for s in subsets]
+        levels[len(sig)].append(info)
         if len(sig) < args.l:
             continue
-        branch_rows.append(("branch_capacity", args.l, sig, "", "",
-                            ch.sum_capacity(), ""))
+        # user_subsets lists the full set last.
+        branch_rows.append(("branch_capacity", args.l, sig, "", "", info[-1], ""))
         for st in direction_stats(ch):
             branch_rows.append(("branch_direction", args.l, sig, "",
                                 _users_str(st.alpha), st.i, st.z))
@@ -123,8 +123,7 @@ def cmd_polarize(args) -> int:
         jsonio.write_csv(
             args.out,
             ("record", "level", "sig", "users", "direction", "i", "z"), rows,
-            config=_config_echo(args, ("channel", "l", "merge_tol",
-                                       "max_outputs", "out")),
+            config=_config_echo(args),
             timestamp=not args.no_timestamp)
     return 0
 
@@ -151,8 +150,7 @@ def cmd_simulate(args) -> int:
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.out:
         jsonio.write_csv(args.out, report.CSV_COLUMNS, [report.csv_row()],
-                         config=_config_echo(args, ("codespec", "channel",
-                                                    "trials", "seed", "out")),
+                         config=_config_echo(args),
                          timestamp=not args.no_timestamp)
     return 0
 
@@ -204,8 +202,7 @@ def cmd_evolve(args) -> int:
         print(f"evolved to depth {args.l}: {2 ** args.l} branch channels")
     if args.out:
         jsonio.write_csv(args.out, cols, rows,
-                         config=_config_echo(args, ("channel", "l", "mode",
-                                                    "seed", "out")),
+                         config=_config_echo(args),
                          timestamp=not args.no_timestamp)
     return 0
 
@@ -306,8 +303,7 @@ def cmd_probe_conjectures(args) -> int:
         raise BadGridError("nothing to probe: pass --grid and/or --q/--m/--users")
     if args.out:
         jsonio.write_csv(args.out, ("probe", "instance", "depth", "value"), rows,
-                         config=_config_echo(args, ("grid", "l", "q", "m",
-                                                    "users", "max_family", "out")),
+                         config=_config_echo(args),
                          timestamp=not args.no_timestamp)
     return 0
 

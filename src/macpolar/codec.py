@@ -166,13 +166,16 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
     predecessor branches while still recording the per-branch decisions.
     Returns the decided (N, m) array u_hat, or a DecodeResult when
     with_details is set.  A spec that `CodeSpec.check` refuses raises its
-    SpecMismatchError.
+    SpecMismatchError, and so does a received symbol outside the channel's
+    outputs.
     """
     decode, _ = _decoder(spec, channel)
     n = spec.block_length
     received = np.asarray(received, dtype=np.int64)
     if received.shape != (n,):
         raise SpecMismatchError(f"expected {n} received symbols, got {received.shape}")
+    if ((received < 0) | (received >= channel.output_size)).any():
+        raise SpecMismatchError(f"received symbols must lie in 0..{channel.output_size - 1}")
     frozen = np.asarray(frozen, dtype=np.int64)
     if frozen.shape != (n, spec.m):
         raise SpecMismatchError(f"expected ({n}, {spec.m}) frozen symbols, "

@@ -25,10 +25,6 @@ class BadIndexSetError(MacPolarError, ValueError):
     """User index set is empty or out of range."""
 
 
-class TooManyUsersError(MacPolarError, ValueError):
-    """Operation restricted to a small user count."""
-
-
 class BadRowSumError(MacPolarError, ValueError):
     """A conditional probability row, or a vector of channel weights, does
     not sum to one."""

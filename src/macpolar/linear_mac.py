@@ -43,7 +43,6 @@ from .errors import (
     NonFiniteError,
     TooDeepError,
     TooLargeError,
-    TooManyUsersError,
 )
 from .gfq import check_prime
 from .mac import DiscreteMac, all_vectors, user_subsets
@@ -150,11 +149,10 @@ class LinearComboMac:
 
 
 def rate_region(channel: "LinearComboMac | DiscreteMac") -> "RateRegion":
-    """Polymatroid constraint list, with explicit vertices for two users.
+    """Polymatroid constraint list, one bound per `user_subsets(m)` set
+    (so up to MAX_USERS users), with explicit vertices for two users.
 
     Needs only `.m` and `.mutual_info`, so explicit channels work too."""
-    if channel.m > 4:
-        raise TooManyUsersError(f"region enumeration limited to m <= 4, got {channel.m}")
     constraints = tuple((s, channel.mutual_info(s)) for s in user_subsets(channel.m))
     vertices = dominant = None
     if channel.m == 2:
@@ -456,17 +454,18 @@ def _loop_children(lat: SubspaceLattice, states: np.ndarray, live: np.ndarray):
     size, n = states.shape
     minus, plus = np.zeros((size, n)), np.zeros((size, n))
     prod = np.empty(n)
-    live = np.flatnonzero(live).tolist()
-    meet, join = lat.meet.tolist(), lat.join.tolist()
+    live = np.flatnonzero(live)
+    meet, join = (t[np.ix_(live, live)].tolist() for t in (lat.meet, lat.join))
+    live = live.tolist()
     for a, i in enumerate(live):
         np.multiply(states[i], states[i], out=prod)
         minus[i] += prod
         plus[i] += prod
         twice = 2 * states[i]
-        for j in live[a + 1:]:
+        for j, down, up in zip(live[a + 1:], meet[a][a + 1:], join[a][a + 1:]):
             np.multiply(twice, states[j], out=prod)
-            minus[meet[i][j]] += prod
-            plus[join[i][j]] += prod
+            minus[down] += prod
+            plus[up] += prod
     return minus, plus
 
 
@@ -596,6 +595,8 @@ def evolve(combo: LinearComboMac, depth: int, mode: str = "enumerate",
     branches exactly (depth <= 20); mode="sample" follows `n_paths` seeded
     random branch paths and also reports standard errors of the averages.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     lat = subspace_lattice(combo.q, combo.m)
     pdims = np.array([lat.projected_dims(s) for s in user_subsets(combo.m)],
                      dtype=np.float64)

@@ -298,6 +298,8 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
     statistics and no output merging: `merge_tol` is validated and recorded
     but unused there, and so is `max_outputs`.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     if not z_budget > 0:        # NaN too

@@ -80,14 +80,6 @@ class Subspace:
         """Dimension, then lexicographic on the flattened RREF basis."""
         return (self.dim, tuple(self.basis.data.ravel().tolist()))
 
-    def vectors(self) -> np.ndarray:
-        """All q^dim member vectors, as an array of shape (q^dim, m)."""
-        if self.dim == 0:
-            return np.zeros((1, self.m), dtype=np.int64)
-        coeffs = np.array(list(itertools.product(range(self.q), repeat=self.dim)),
-                          dtype=np.int64)
-        return (coeffs @ self.basis.data) % self.q
-
     def project(self, users) -> "Subspace":
         """Image under selection of the coordinates in `users` (1-based)."""
         cols = [u - 1 for u in user_indices(users, self.m)]

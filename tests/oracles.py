@@ -78,8 +78,11 @@ def binary2_step(p):
 
 
 def members(sub) -> frozenset:
-    """A Subspace as the frozenset of its member vectors (tuples)."""
-    return frozenset(tuple(v) for v in sub.vectors().tolist())
+    """A Subspace as the frozenset of its member vectors (tuples): every
+    combination of its basis rows."""
+    coeffs = np.array(list(itertools.product(range(sub.q), repeat=sub.dim)),
+                      dtype=np.int64).reshape(sub.q ** sub.dim, sub.dim)
+    return frozenset(map(tuple, (coeffs @ sub.basis.data % sub.q).tolist()))
 
 
 _PAIRS = {}

@@ -24,6 +24,7 @@ from macpolar.jsonio import (
     load_channel,
     load_codespec,
 )
+from macpolar.mac import mutual_info
 from macpolar.linear_mac import (
     EXTREMAL_TOL,
     binary2_evolve,
@@ -127,6 +128,38 @@ def test_analyze_command(five_term_file, tmp_path, capsys):
     body = out.read_text()
     assert "mutual_info,1,0.6" in body
     assert "dominant_face" in body
+
+
+def test_analyze_three_users_writes_no_vertices(tmp_path):
+    path = write_json(tmp_path / "gf2_3.json", GENERIC_COMBOS["gf2_3.json"])
+    out = tmp_path / "analyze.csv"
+    assert main(["analyze", "--channel", path, "--out", str(out),
+                 "--no-timestamp"]) == 0
+    records = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
+    assert records == ["mutual_info"] * 7 + ["sum_capacity"]
+
+
+def test_analyze_and_polarize_compute_each_information_once(five_term_file,
+                                                            monkeypatch):
+    calls = []
+
+    def combo_info(self, users, original=LinearComboMac.mutual_info):
+        calls.append(users)
+        return original(self, users)
+
+    def table_info(channel, users, original=mutual_info):
+        # Direction statistics read single-user channels; count the rest.
+        if channel.m > 1:
+            calls.append(users)
+        return original(channel, users)
+
+    monkeypatch.setattr(LinearComboMac, "mutual_info", combo_info)
+    assert main(["analyze", "--channel", five_term_file]) == 0
+    assert calls == [(1,), (2,), (1, 2)]
+    calls.clear()
+    monkeypatch.setattr("macpolar.mac.mutual_info", table_info)
+    assert main(["polarize", "--channel", five_term_file, "--l", "3"]) == 0
+    assert len(calls) == 3 * (2 ** 4 - 1)       # three user sets per node
 
 
 def test_polarize_command(five_term_file, tmp_path):

@@ -590,6 +590,18 @@ def test_posteriors_do_not_depend_on_the_batch(q, m):
         assert all(np.array_equal(p[t], a[0]) for p, a in zip(posts, alone))
 
 
+@pytest.mark.parametrize("bad", ["-1", "output_size"])
+def test_sc_decode_refuses_received_symbols_out_of_range(bad):
+    # -1 once read as the channel's last output, output_size raised a
+    # bare IndexError.
+    chan = load_channel(str(DEMO_CHANNELS / "five_component.json")).to_explicit()
+    spec = build_code(chan, 3, eps=0.2, z_budget=1e-2)
+    received = np.zeros(spec.block_length, dtype=np.int64)
+    received[2] = -1 if bad == "-1" else chan.output_size
+    with pytest.raises(SpecMismatchError, match="received symbols must lie in"):
+        sc_decode(spec, chan, received, frozen_from_seed(spec, 0))
+
+
 def test_batch_decoder_matches_reference_on_demo_codes():
     # The parity code's posteriors are exact ties between candidates;
     # the five-component code is the one criterion 9 simulates.

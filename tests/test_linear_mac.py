@@ -14,7 +14,6 @@ from macpolar import (
     Subspace,
     TooDeepError,
     TooLargeError,
-    TooManyUsersError,
     binary2_evolve,
     binary2_state,
     consistency_check,
@@ -38,7 +37,7 @@ from macpolar.linear_mac import (
     subspace_lattice,
 )
 from macpolar.cli import _parse_grid
-from macpolar.mac import all_vectors
+from macpolar.mac import all_vectors, user_subsets
 from macpolar.subspace import count_subspaces
 from conftest import binary2_levels, random_combo, subsets_of
 from oracles import (
@@ -578,6 +577,17 @@ def test_evolve_modes_and_caps():
         assert abs(a.levels[-1].weights[j] - exact.levels[-1].weights[j]) < 5 * se
 
 
+@pytest.mark.parametrize("mode, n_paths", [("enumerate", 1000), ("sample", 4)])
+def test_evolve_refuses_a_negative_depth(mode, n_paths):
+    with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+        evolve(uniform_five(), -1, mode, n_paths)
+
+
+def test_binary2_evolve_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="depth must be non-negative, got -2"):
+        binary2_evolve([0.2] * 5, -2)
+
+
 def test_order_preservation(rng):
     # The relative order of the two axis weights and the diagonal weight
     # survives every branch; in floats, components may underflow to an
@@ -660,10 +670,26 @@ def test_rate_region_examples(f22):
             assert p == pytest.approx(r, abs=1e-12)
 
 
-def test_rate_region_user_cap():
-    sub = Subspace.full(5, 2)
-    with pytest.raises(TooManyUsersError):
-        rate_region(LinearComboMac(2, 5, [(1.0, sub)]))
+@pytest.mark.parametrize("q, m", [(3, 3), (2, 5)])
+def test_rate_region_bounds_every_user_set(rng, q, m):
+    combo = random_combo(rng, q, m)
+    region = rate_region(combo)
+    assert len(region.constraints) == 2 ** m - 1
+    assert [s for s, _ in region.constraints] == user_subsets(m)
+    for s, bound in region.constraints:
+        assert bound == combo.mutual_info(s)
+    assert region.vertices is None and region.dominant_face is None
+
+
+def test_rate_region_past_the_user_cap_computes_nothing():
+    class Seventeen:
+        m = 17
+
+        def mutual_info(self, users):
+            raise AssertionError("mutual_info ran")
+
+    with pytest.raises(TooLargeError, match="cap of m=16"):
+        rate_region(Seventeen())
 
 
 def test_equivalent_bases_give_equal_info(rng):

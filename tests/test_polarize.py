@@ -780,6 +780,21 @@ def test_build_code_refuses_a_nan_z_budget_before_any_transform(monkeypatch,
         build_code(channel, 2, eps=0.2, z_budget=math.nan)
 
 
+@pytest.mark.parametrize("explicit", [False, True])
+def test_build_code_refuses_a_negative_depth_before_any_transform(monkeypatch,
+                                                                  explicit):
+    def forbidden(*_):
+        raise AssertionError("a transform ran")
+
+    channel = load_channel_file(FIVE)
+    if explicit:
+        channel = channel.to_explicit()
+    for name in ("transform_minus", "transform_plus", "lattice_levels"):
+        monkeypatch.setattr(f"macpolar.polarize.{name}", forbidden)
+    with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+        build_code(channel, -1, eps=0.2, z_budget=1e-3)
+
+
 def test_construct_refuses_a_nan_z_budget(tmp_path, capsys):
     out = tmp_path / "code.json"
     argv = ["construct", "--channel", FIVE, "--l", "3", "--eps", "0.2",
