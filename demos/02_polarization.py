@@ -24,7 +24,7 @@ final = report.levels[-1]
 lattice = subspace_lattice(2, 2)
 print("\naveraged subspace weights at depth 16:")
 for sub, w in zip(lattice.subspaces, final.weights):
-    print(f"  span{sub.basis.data.tolist()}: {w:.4f}")
+    print(f"  span{sub.basis.tolist()}: {w:.4f}")
 diagonal = lattice.index[binary2_subspaces()[3]]
 print("the diagonal component is dying:", final.weights[diagonal] < 1e-2)
 print("single-user averages fell from 0.6 to "

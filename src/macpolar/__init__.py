@@ -1,12 +1,13 @@
 """Polar codes for multi-user multiple access channels over prime fields.
 
-The library has three layers: exact GF(q) linear algebra and subspace
-lattices (`gfq`, `subspace`), explicit channel tables with the two
-polarization transforms and their information functionals (`mac`,
-`linear_mac`), and the coding stack built on top of them (`polarize`
-for branch analysis and code construction, `codec` for encoding,
-successive-cancellation decoding and Monte Carlo evaluation).  `cli`
-exposes the same functionality as batch subcommands.
+The library has three layers: exact GF(q) linear algebra on plain
+integer arrays and subspace lattices (`gfq`, `subspace`), explicit
+channel tables with the two polarization transforms and their
+information functionals (`mac`, `linear_mac`), and the coding stack
+built on top of them (`polarize` for branch analysis and code
+construction, `codec` for encoding, successive-cancellation decoding and
+Monte Carlo evaluation).  `cli` exposes the same functionality as batch
+subcommands.
 """
 
 from .errors import (
@@ -24,11 +25,8 @@ from .errors import (
     SpecMismatchError,
     TooDeepError,
     TooLargeError,
-    ZeroInverseError,
 )
 from .gfq import (
-    FieldMatrix,
-    field_inv,
     is_prime,
     mat_rank,
     rref,

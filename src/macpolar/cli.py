@@ -255,6 +255,9 @@ def _family_batches(n: int, size: int):
 
 
 def cmd_probe_conjectures(args) -> int:
+    missing = [f"--{k}" for k in ("q", "m", "users") if getattr(args, k) is None]
+    if 0 < len(missing) < 3:
+        raise ParseError(f"the witness probe also needs {' and '.join(missing)}")
     ran_any = False
     rows = []
     print("probe results are numerical evidence, not proof")
@@ -279,7 +282,7 @@ def cmd_probe_conjectures(args) -> int:
             print(f"total-loss probe: {len(hits)} states with dominant diagonal "
                   f"component; min averaged p3 at depth {args.l}: {worst[1]:.6e} "
                   f"(state {worst[0]})")
-    if args.q and args.m and args.users:
+    if not missing:
         ran_any = True
         users = tuple(int(u) for u in args.users.split(","))
         lat = subspace_lattice(args.q, args.m)
@@ -294,7 +297,7 @@ def cmd_probe_conjectures(args) -> int:
                 counterexamples += len(gaps)
                 consistent_with_witness += np.count_nonzero(result.consistent) - len(gaps)
                 rows += [("witness_gap",
-                          json.dumps([lat.subspaces[i].basis.data.tolist() for i in family]),
+                          json.dumps([lat.subspaces[i].basis.tolist() for i in family]),
                           "", "") for family in gaps.tolist()]
         print(f"witness probe: scanned {scanned} families over GF({args.q})^{args.m} "
               f"w.r.t. users {users}: {consistent_with_witness} consistent families "
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True)
     p.add_argument("--l", type=_integer(0, "non-negative"), required=True)
     p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
-    p.add_argument("--max-outputs", type=int, default=MAX_BRANCH_OUTPUTS)
+    p.add_argument("--max-outputs", type=_integer(1, "positive"), default=MAX_BRANCH_OUTPUTS)
     common(p)
     p.set_defaults(func=cmd_polarize)
 
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--z-budget", type=float, required=True)
     p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
-    p.add_argument("--max-outputs", type=int, default=MAX_BRANCH_OUTPUTS)
+    p.add_argument("--max-outputs", type=_integer(1, "positive"), default=MAX_BRANCH_OUTPUTS)
     common(p)
     p.set_defaults(func=cmd_construct)
 

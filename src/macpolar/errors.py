@@ -9,10 +9,6 @@ class MacPolarError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroInverseError(MacPolarError, ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
 class NotFullRankError(MacPolarError, ValueError):
     """Matrix does not have the full rank required by the operation."""
 

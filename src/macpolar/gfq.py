@@ -1,15 +1,14 @@
 """Exact arithmetic and dense linear algebra over prime fields GF(q).
 
-All matrices are small and dense; entries are integers in [0, q) held in
-numpy int64 arrays.  Everything here is exact integer arithmetic mod q --
-no floating point.  Only prime q is supported; prime powers are rejected.
+Matrices are small, dense integer arrays, read mod q; results are new
+int64 arrays with entries in [0, q).  Everything here is exact integer
+arithmetic mod q -- no floating point.  Only prime q is supported; prime
+powers are rejected.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ZeroInverseError
 
 
 def is_prime(n: int) -> bool:
@@ -31,124 +30,41 @@ def check_prime(q: int) -> int:
     return q
 
 
-def field_inv(a: int, q: int) -> int:
-    """Multiplicative inverse of a mod prime q."""
-    check_prime(q)
-    a = a % q
-    if a == 0:
-        raise ZeroInverseError("0 has no multiplicative inverse")
-    # Fermat: a^(q-2) = a^-1 for prime q.
-    return pow(a, q - 2, q)
-
-
-class FieldMatrix:
-    """Immutable dense matrix over GF(q).
-
-    Parameters
-    ----------
-    entries : array-like of shape (rows, cols)
-        Integer entries; reduced mod q on construction.
-    q : int
-        Prime modulus.
-    """
-
-    __slots__ = ("q", "data")
-
-    def __init__(self, entries, q: int):
-        check_prime(q)
-        data = np.asarray(entries, dtype=np.int64) % q
-        if data.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got ndim={data.ndim}")
-        data.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldMatrix is immutable")
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @classmethod
-    def identity(cls, n: int, q: int) -> "FieldMatrix":
-        return cls(np.eye(n, dtype=np.int64), q)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldMatrix)
-                and self.q == other.q
-                and self.shape == other.shape
-                and bool(np.array_equal(self.data, other.data)))
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.shape, self.data.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"FieldMatrix({self.data.tolist()}, q={self.q})"
-
-    def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.q != other.q:
-            raise ValueError("moduli differ")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return FieldMatrix(self.data @ other.data, self.q)
-
-    def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.q != other.q:
-            raise ValueError("moduli differ")
-        if self.cols == 0:
-            return other
-        if other.cols == 0:
-            return self
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        return FieldMatrix(np.hstack([self.data, other.data]), self.q)
-
-
-def rref(m: FieldMatrix):
-    """Reduced row-echelon form over GF(q).
+def rref(a, q: int):
+    """Reduced row-echelon form over GF(q) of the integer matrix `a`,
+    read mod q.
 
     Returns
     -------
-    (FieldMatrix, list[int])
-        The RREF matrix (same shape) and the strictly increasing pivot
-        column indices.  Row space is preserved.
+    (np.ndarray, list[int])
+        A new int64 matrix of a's shape with the same row space, in RREF,
+        and the strictly increasing pivot column indices.
     """
-    q = m.q
-    a = m.data.copy()
-    rows, cols = a.shape
+    check_prime(q)
+    r = np.asarray(a, dtype=np.int64) % q
+    if r.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got ndim={r.ndim}")
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(r.shape[1]):
+        k = len(pivots)
+        if k == len(r):
             break
-        # Find a pivot at or below row r.
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(r[k:, c])
         if nz.size == 0:
             continue
-        p = r + nz[0]
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        inv = field_inv(int(a[r, c]), q)
-        a[r] = (a[r] * inv) % q
-        # Eliminate everywhere else in this column.
-        others = np.nonzero(a[:, c])[0]
-        for i in others:
-            if i != r:
-                a[i] = (a[i] - a[i, c] * a[r]) % q
+        p = k + nz[0]
+        if p != k:
+            r[[k, p]] = r[[p, k]]
+        # Fermat: x^(q-2) = x^-1 for prime q.
+        r[k] = r[k] * pow(int(r[k, c]), q - 2, q) % q
+        # Clear column c everywhere else in one exact update.
+        factors = r[:, c].copy()
+        factors[k] = 0
+        r = (r - np.outer(factors, r[k])) % q
         pivots.append(c)
-        r += 1
-    return FieldMatrix(a, q), pivots
+    return r, pivots
 
 
-def mat_rank(m: FieldMatrix) -> int:
-    """Rank over GF(q) by exact Gaussian elimination."""
-    return len(rref(m)[1])
+def mat_rank(a, q: int) -> int:
+    """Rank over GF(q) of the integer matrix `a` by exact Gaussian elimination."""
+    return len(rref(a, q)[1])

@@ -141,8 +141,7 @@ class LinearComboMac:
         offset = 0
         for w, sub in self.terms:
             d = sub.dim
-            y = (vecs @ sub.basis.data.T) % q @ (q ** np.arange(d)) if d else \
-                np.zeros(q ** m, dtype=np.int64)
+            y = vecs @ sub.basis.T % q @ q ** np.arange(d)
             table[np.arange(q ** m), offset + y] = w
             offset += q ** d
         return DiscreteMac(q, m, table)
@@ -245,12 +244,12 @@ def subspace_lattice(q: int, m: int) -> SubspaceLattice:
     members = np.zeros((size, q ** m), dtype=bool)
     for d in range(m + 1):      # members: combinations of the basis rows
         rows = np.flatnonzero(dims == d)
-        bases = np.array([subs[k].basis.data for k in rows]).reshape(len(rows), d, m)
+        bases = np.array([subs[k].basis for k in rows]).reshape(len(rows), d, m)
         members[rows[:, None], all_vectors(q, d) @ bases % q @ q ** np.arange(m)] = True
     vecs = all_vectors(q, m)
     packed = np.packbits(members, axis=1)
     find = _row_finder(packed)
-    perp = find(np.array([np.packbits(((vecs @ s.basis.data.T) % q == 0).all(axis=1))
+    perp = find(np.array([np.packbits(((vecs @ s.basis.T) % q == 0).all(axis=1))
                           for s in subs]))
     step = max(1, BLOCK_FLOATS // packed.size)
     meet = np.concatenate([find(packed[lo:lo + step, None] & packed)

@@ -23,7 +23,7 @@ from .errors import (
     NotSingleUserError,
     TooLargeError,
 )
-from .gfq import FieldMatrix, check_prime, mat_rank
+from .gfq import check_prime, mat_rank
 from .subspace import user_indices
 
 ROW_SUM_TOL = 1e-12
@@ -187,26 +187,25 @@ def transform_plus(mac: DiscreteMac) -> DiscreteMac:
     return DiscreteMac(q, m, out.reshape(q ** m, -1))
 
 
-def restrict(mac: DiscreteMac, a: FieldMatrix, b: FieldMatrix | None = None) -> DiscreteMac:
+def restrict(mac: DiscreteMac, a, b=None) -> DiscreteMac:
     """Synthesized channel that asks for a^T x when the receiver is also
     handed b^T x alongside y.
 
-    a is m x n1 and b is m x n2 (None or zero columns for no side info);
-    [a b] must have full column rank.  The result is an n1-user MAC with
-    output index y * q^n2 + (index of b^T x).
+    a is m x n1 and b is m x n2 (None for no side info), integer matrices
+    read mod q; [a b] must have full column rank.  The result is an
+    n1-user MAC with output index y * q^n2 + (index of b^T x).
     """
     q, m = mac.q, mac.m
-    if b is None or b.cols == 0:
-        b = FieldMatrix(np.zeros((m, 0), dtype=np.int64), q)
-    if a.q != q or b.q != q or a.rows != m or b.rows != m:
+    a = np.asarray(a, dtype=np.int64) % q
+    b = np.zeros((m, 0), dtype=np.int64) if b is None else np.asarray(b, dtype=np.int64) % q
+    if a.ndim != 2 or b.ndim != 2 or len(a) != m or len(b) != m:
         raise ValueError("restriction matrices do not match the channel")
-    n1, n2 = a.cols, b.cols
-    combined = a.hstack(b) if n1 else b
-    if mat_rank(combined) != n1 + n2:
+    n1, n2 = a.shape[1], b.shape[1]
+    if mat_rank(np.hstack([a, b]), q) != n1 + n2:
         raise NotFullRankError("[a b] must have full column rank")
     vecs = all_vectors(q, m)
-    u_idx = (vecs @ a.data) % q @ (q ** np.arange(n1)) if n1 else np.zeros(q ** m, dtype=np.int64)
-    v_idx = (vecs @ b.data) % q @ (q ** np.arange(n2)) if n2 else np.zeros(q ** m, dtype=np.int64)
+    u_idx = vecs @ a % q @ q ** np.arange(n1)
+    v_idx = vecs @ b % q @ q ** np.arange(n2)
     n_y = mac.output_size
     out = np.zeros((q ** n1, n_y * q ** n2))
     scale = 1.0 / q ** (m - n1)

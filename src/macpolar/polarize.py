@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import SpecMismatchError, TooLargeError
-from .gfq import FieldMatrix, rref
+from .gfq import rref
 from .linear_mac import LinearComboMac, lattice_levels, subspace_lattice
 from .mac import (
     DEFAULT_MERGE_TOL,
@@ -117,8 +117,7 @@ def direction_stats(channel: DiscreteMac):
     """I and Z of the single-user channel of every projective direction."""
     stats = []
     for alpha in projective_directions(channel.q, channel.m):
-        a = FieldMatrix(alpha.reshape(-1, 1), channel.q)
-        single = restrict(channel, a)
+        single = restrict(channel, alpha.reshape(-1, 1))
         stats.append(DirectionStat(alpha=tuple(alpha.tolist()),
                                    i=sum_capacity(single),
                                    z=bhattacharyya(single)))
@@ -131,10 +130,10 @@ def detect_linear(channel: DiscreteMac, eps: float, stats=None):
 
     Collects the directions with I > 1 - eps and spans them.  The good
     directions lie in their span, so they are all of it exactly when there
-    are (q^d - 1)/(q - 1) of them, d the span's dimension.  Returns (columns
-    matrix, rank) on success -- rank 0 with an empty matrix when no
-    direction is good -- and None when the good set fails to be a subspace.
-    The columns are the span's RREF basis rows.
+    are (q^d - 1)/(q - 1) of them, d the span's dimension.  Returns an
+    (m, rank) int array and the rank on success -- rank 0 with an (m, 0)
+    array when no direction is good -- and None when the good set fails to
+    be a subspace.  The columns are the span's RREF basis rows (read-only).
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -145,7 +144,7 @@ def detect_linear(channel: DiscreteMac, eps: float, stats=None):
     span = Subspace.from_vectors(good, m, q)
     if len(good) != (q ** span.dim - 1) // (q - 1):
         return None
-    return FieldMatrix(span.basis.data.T, q), span.dim
+    return span.basis.T, span.dim
 
 
 # -- code specification ----------------------------------------------------------
@@ -272,8 +271,8 @@ def _info_map_error(a_columns: tuple, s_users: tuple, q: int, m: int) -> str:
     if any(not 0 <= x < q for c in a_columns for x in c):
         return f"a_columns {a_columns} have entries outside 0..{q - 1}"
     rows = np.array(a_columns, dtype=np.int64).reshape(-1, m)
-    red, pivots = rref(FieldMatrix(rows, q))
-    if len(pivots) != len(rows) or tuple(map(tuple, red.data.tolist())) != a_columns:
+    red, pivots = rref(rows, q)
+    if len(pivots) != len(rows) or tuple(map(tuple, red.tolist())) != a_columns:
         return f"a_columns {a_columns} are not an RREF basis"
     if s_users != tuple(p + 1 for p in pivots):
         return (f"information users {s_users} are not the pivot columns of "
@@ -347,7 +346,7 @@ def _explicit_leaves(channel: DiscreteMac, depth: int, eps: float, step):
         stats = direction_stats(ch)
         det = detect_linear(ch, eps, stats)
         a, r = det or (None, 0)
-        a_cols = None if det is None else tuple(map(tuple, a.data.T.tolist()))
+        a_cols = None if det is None else tuple(map(tuple, a.T.tolist()))
         z_of = {st.alpha: st.z for st in stats}
         z_sum = float(sum(z_of[c] for c in a_cols or ()))
         i_det = sum_capacity(restrict(ch, a)) if r else 0.0
@@ -373,7 +372,7 @@ def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
     # Entry s: the RREF basis rows (canonical directions) of subspace s as
     # columns, which of the directions they are, and dim(V & S) for every V.
     # The extra last entry stands for a failed detection.
-    maps = [tuple(map(tuple, sub.basis.data.tolist())) for sub in lat.subspaces] + [None]
+    maps = [tuple(map(tuple, sub.basis.tolist())) for sub in lat.subspaces] + [None]
     basis_pick = np.zeros((lat.size + 1, len(dirs)))
     for s, cols in enumerate(maps[:-1]):
         basis_pick[s, [position[c] for c in cols]] = 1.0

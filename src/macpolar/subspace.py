@@ -13,24 +13,26 @@ import itertools
 import numpy as np
 
 from .errors import BadIndexSetError, TooLargeError
-from .gfq import FieldMatrix, check_prime, rref
+from .gfq import check_prime, rref
 
 LAYER_CAP = 10 ** 6     # subspaces of one dimension `enumerate_subspaces` may list
 
 
 class Subspace:
-    """A subspace of GF(q)^m, canonicalized to its RREF basis rows."""
+    """A subspace of GF(q)^m, canonicalized to its RREF basis rows: a
+    read-only (dim, m) int64 array."""
 
     __slots__ = ("m", "q", "basis")
 
-    def __init__(self, basis: FieldMatrix, m: int, *, _canonical: bool = False):
-        if basis.cols != m:
-            raise ValueError(f"basis vectors have length {basis.cols}, ambient is {m}")
+    def __init__(self, basis, m: int, q: int, *, _canonical: bool = False):
         if not _canonical:
-            red, pivots = rref(basis)
-            basis = FieldMatrix(red.data[: len(pivots)], basis.q)
+            basis, pivots = rref(basis, q)
+            basis = basis[: len(pivots)]
+        if basis.shape[1] != m:
+            raise ValueError(f"basis vectors have length {basis.shape[1]}, ambient is {m}")
+        basis.setflags(write=False)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", basis.q)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
@@ -49,7 +51,7 @@ class Subspace:
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"expected vectors of length {m}, got an array "
                              f"of shape {arr.shape}")
-        return cls(FieldMatrix(arr, q), m)
+        return cls(arr, m, q)
 
     @classmethod
     def zero(cls, m: int, q: int) -> "Subspace":
@@ -57,33 +59,33 @@ class Subspace:
 
     @classmethod
     def full(cls, m: int, q: int) -> "Subspace":
-        return cls(FieldMatrix.identity(m, q), m, _canonical=True)
+        return cls(np.eye(m, dtype=np.int64), m, q)
 
     # -- basic protocol ----------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.basis)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
-                and self.m == other.m
-                and self.basis == other.basis)
+                and (self.m, self.q, self.basis.tobytes())
+                == (other.m, other.q, other.basis.tobytes()))
 
     def __hash__(self) -> int:
-        return hash((self.m, self.basis))
+        return hash((self.m, self.q, self.basis.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Subspace({self.basis.data.tolist()}, m={self.m}, q={self.q})"
+        return f"Subspace({self.basis.tolist()}, m={self.m}, q={self.q})"
 
     def sort_key(self):
         """Dimension, then lexicographic on the flattened RREF basis."""
-        return (self.dim, tuple(self.basis.data.ravel().tolist()))
+        return (self.dim, tuple(self.basis.ravel().tolist()))
 
     def project(self, users) -> "Subspace":
         """Image under selection of the coordinates in `users` (1-based)."""
         cols = [u - 1 for u in user_indices(users, self.m)]
-        return Subspace(FieldMatrix(self.basis.data[:, cols], self.q), len(cols))
+        return Subspace(self.basis[:, cols], len(cols), self.q)
 
 
 def user_indices(users, m: int) -> list:
@@ -131,6 +133,6 @@ def enumerate_subspaces(m: int, d: int, q: int):
             mat = base.copy()
             for (r, c), v in zip(free_pos, values):
                 mat[r, c] = v
-            out.append(Subspace(FieldMatrix(mat, q), m, _canonical=True))
+            out.append(Subspace(mat, m, q, _canonical=True))
     out.sort(key=Subspace.sort_key)
     return out

@@ -7,7 +7,7 @@ reproduce.
 import numpy as np
 import pytest
 
-from macpolar import DiscreteMac, FieldMatrix, LinearComboMac, mat_rank
+from macpolar import DiscreteMac, LinearComboMac, mat_rank
 from macpolar.linear_mac import binary2_subspaces, lattice_levels, subspace_lattice
 from macpolar.subspace import enumerate_subspaces
 
@@ -32,14 +32,14 @@ def channel_dict(channel):
     """The JSON form of a channel that `jsonio.channel_from_dict` reads."""
     if isinstance(channel, LinearComboMac):
         return {"q": channel.q, "m": channel.m,
-                "terms": [{"p": w, "basis": s.basis.data.tolist()}
+                "terms": [{"p": w, "basis": s.basis.tolist()}
                           for w, s in channel.terms]}
     return {"q": channel.q, "m": channel.m, "outputs": channel.output_size,
             "rows": channel.table.tolist()}
 
 
 def random_matrix(rng, rows, cols, q):
-    return FieldMatrix(rng.integers(0, q, size=(rows, cols)), q)
+    return rng.integers(0, q, size=(rows, cols))
 
 
 def random_full_column_rank(rng, rows, cols, q):
@@ -47,7 +47,7 @@ def random_full_column_rank(rng, rows, cols, q):
     assert cols <= rows
     while True:
         mat = random_matrix(rng, rows, cols, q)
-        if mat_rank(mat) == cols:
+        if mat_rank(mat, q) == cols:
             return mat
 
 

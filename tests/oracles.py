@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from macpolar import FieldMatrix, LinearComboMac, mat_rank
+from macpolar import LinearComboMac, mat_rank
 from macpolar.errors import TooDeepError
 from macpolar.linear_mac import (
     ENUMERATE_DEPTH_CAP,
@@ -82,7 +82,7 @@ def members(sub) -> frozenset:
     combination of its basis rows."""
     coeffs = np.array(list(itertools.product(range(sub.q), repeat=sub.dim)),
                       dtype=np.int64).reshape(sub.q ** sub.dim, sub.dim)
-    return frozenset(map(tuple, (coeffs @ sub.basis.data % sub.q).tolist()))
+    return frozenset(map(tuple, (coeffs @ sub.basis % sub.q).tolist()))
 
 
 _PAIRS = {}
@@ -245,7 +245,7 @@ def smallest_independent_rows(a_columns: tuple, q: int) -> tuple:
     chosen: list[int] = []
     for row in range(a.shape[0]):
         rows = [k - 1 for k in chosen] + [row]
-        if mat_rank(FieldMatrix(a[rows], q)) == len(rows):
+        if mat_rank(a[rows], q) == len(rows):
             chosen.append(row + 1)
         if len(chosen) == a.shape[1]:
             break

@@ -497,6 +497,28 @@ def test_probe_sizes_below_one_are_usage_errors(capsys, option, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["--q", "2", "--m", "3"], "needs --users"),
+    (["--users", "1"], "needs --q and --m"),
+    (["--q", "0", "--m", "2", "--users", "1"], "q must be a prime number, got 0"),
+])
+def test_partial_or_bad_witness_probes_are_refused(capsys, argv, why):
+    # A grid probe beside it does not hide the witness probe's options.
+    assert main(["probe-conjectures", "--grid", "step:2", "--l", "2", *argv]) == 2
+    assert why in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", [["polarize"], ["construct", "--eps", "0.2",
+                                                    "--z-budget", "1e-3"]])
+def test_max_outputs_below_one_is_a_usage_error(five_term_file, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--channel", five_term_file, "--l", "2", "--max-outputs", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --max-outputs: '{value}' is not a positive integer" in err
+
+
 def test_evolve_over_gf101(tmp_path, capsys):
     # 104 subspaces over 10201 inputs: the lattice is built from its
     # membership rows, without a table over pairs of inputs.

@@ -42,7 +42,7 @@ from macpolar.codec import (
 )
 from macpolar.jsonio import load_channel
 from macpolar.mac import add_table, all_vectors
-from macpolar.gfq import FieldMatrix, rref
+from macpolar.gfq import rref
 from macpolar.polarize import BranchCode, all_sigs
 from macpolar.linear_mac import binary2_subspaces, subspace_lattice
 from conftest import identity_mac, random_combo, random_full_column_rank, random_mac
@@ -453,8 +453,8 @@ def decide_branch_reference(branch, post, frozen, q, m, powers):
 def random_canonical_map(rng, q, m, r):
     """(a_columns, s_users) of a random canonical information map: the RREF
     of a random full-rank r x m matrix, with its pivot columns as users."""
-    red, pivots = rref(FieldMatrix(random_full_column_rank(rng, m, r, q).data.T, q))
-    return tuple(map(tuple, red.data.tolist())), tuple(p + 1 for p in pivots)
+    red, pivots = rref(random_full_column_rank(rng, m, r, q).T, q)
+    return tuple(map(tuple, red.tolist())), tuple(p + 1 for p in pivots)
 
 
 def good_branch(a_columns, s_users, m, sig=""):

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from macpolar import (
-    FieldMatrix,
-    ZeroInverseError,
-    field_inv,
     is_prime,
     mat_rank,
     rref,
@@ -14,13 +11,14 @@ from macpolar import (
 from conftest import random_matrix
 
 
-def brute_rank(mat: FieldMatrix) -> int:
+def brute_rank(mat, q: int) -> int:
     """Oracle: size of the row space by enumerating all row combinations."""
     import itertools
-    q, rows = mat.q, mat.rows
+    mat = np.asarray(mat)
+    rows, cols = mat.shape
     space = set()
     for coeffs in itertools.product(range(q), repeat=rows):
-        vec = (np.array(coeffs) @ mat.data) % q if rows else np.zeros(mat.cols, int)
+        vec = (np.array(coeffs) @ mat) % q if rows else np.zeros(cols, int)
         space.add(tuple(vec.tolist()))
     count = len(space)
     dim = 0
@@ -37,58 +35,50 @@ def test_is_prime():
 
 def test_prime_power_fields_rejected():
     with pytest.raises(ValueError, match="prime"):
-        FieldMatrix([[1]], 4)
+        rref([[1]], 4)
     with pytest.raises(ValueError, match="prime"):
-        field_inv(1, 9)
-
-
-def test_field_inv_examples():
-    assert field_inv(1, 2) == 1
-    assert field_inv(2, 3) == 2
-    assert field_inv(3, 5) == 2
-
-
-def test_field_inv_zero():
-    with pytest.raises(ZeroInverseError):
-        field_inv(0, 5)
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_field_inv_property(q):
-    for a in range(1, q):
-        assert a * field_inv(a, q) % q == 1
+        mat_rank([[1]], 9)
 
 
 def test_rank_examples():
-    assert mat_rank(FieldMatrix.identity(3, 2)) == 3
-    assert mat_rank(FieldMatrix([[1, 0], [1, 0]], 2)) == 1
-    m = FieldMatrix([[1, 2], [2, 1]], 3)
-    assert brute_rank(m) == 1          # det = 1 - 4 = 0 mod 3
-    assert mat_rank(m) == 1
+    assert mat_rank(np.eye(3, dtype=np.int64), 2) == 3
+    assert mat_rank([[1, 0], [1, 0]], 2) == 1
+    m = [[1, 2], [2, 1]]
+    assert brute_rank(m, 3) == 1          # det = 1 - 4 = 0 mod 3
+    assert mat_rank(m, 3) == 1
 
 
 def test_rref_examples():
-    r, piv = rref(FieldMatrix.identity(3, 5))
-    assert r == FieldMatrix.identity(3, 5) and piv == [0, 1, 2]
-    zero = FieldMatrix(np.zeros((2, 3), dtype=np.int64), 2)
-    r, piv = rref(zero)
-    assert r == zero and piv == []
-    r, piv = rref(FieldMatrix([[1, 1], [1, 0]], 2))
-    assert r.data.tolist() == [[1, 0], [0, 1]]
+    r, piv = rref(np.eye(3, dtype=np.int64), 5)
+    assert np.array_equal(r, np.eye(3)) and piv == [0, 1, 2]
+    zero = np.zeros((2, 3), dtype=np.int64)
+    r, piv = rref(zero, 2)
+    assert np.array_equal(r, zero) and piv == []
+    r, piv = rref([[1, 1], [1, 0]], 2)
+    assert r.tolist() == [[1, 0], [0, 1]]
+    # A pivot row is scaled by the pivot's inverse mod q.
+    for q in (2, 3, 5, 7):
+        for a in range(1, q):
+            (pivot, inverse), = rref([[a, 1]], q)[0].tolist()
+            assert pivot == 1 and a * inverse % q == 1
+
+
+def test_rref_and_rank_take_nested_lists_unchanged():
+    rows = [[4, -1, 2], [1, 2, 0]]
+    r, piv = rref(rows, 3)
+    assert r.dtype == np.int64 and r.tolist() == [[1, 2, 0], [0, 0, 1]]
+    assert piv == [0, 2] and mat_rank(rows, 3) == 2
+    assert rows == [[4, -1, 2], [1, 2, 0]]
+    arr = np.array(rows)
+    rref(arr, 3)
+    mat_rank(arr, 3)
+    assert arr.tolist() == rows
 
 
 def test_rref_idempotent(rng):
     for _ in range(50):
         q = int(rng.choice([2, 3, 5]))
         m = random_matrix(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), q)
-        once, _ = rref(m)
-        twice, _ = rref(once)
-        assert once == twice
-
-
-def test_matrix_immutable():
-    m = FieldMatrix([[1]], 2)
-    with pytest.raises(AttributeError):
-        m.q = 3
-    with pytest.raises(ValueError):
-        m.data[0, 0] = 0
+        once, _ = rref(m, q)
+        twice, _ = rref(once, q)
+        assert np.array_equal(once, twice)

@@ -8,7 +8,6 @@ from macpolar import (
     BadIndexSetError,
     BadRowSumError,
     DiscreteMac,
-    FieldMatrix,
     NegativeProbabilityError,
     NonFiniteError,
     NotFullRankError,
@@ -119,27 +118,41 @@ def test_minus_of_v3_keeps_direction_info():
 
 def test_restrict_identity_relabels(rng):
     mac = random_mac(rng, 2, 2, 5)
-    same = restrict(mac, FieldMatrix.identity(2, 2))
+    same = restrict(mac, np.eye(2, dtype=np.int64))
     for s in subsets_of(2):
         assert mutual_info(same, s) == pytest.approx(mutual_info(mac, s), abs=1e-12)
 
 
 def test_restrict_perfect_observation():
     ident = identity_mac(2, 2)
-    single = restrict(ident, FieldMatrix([[1], [0]], 2), FieldMatrix([[0], [1]], 2))
+    single = restrict(ident, [[1], [0]], [[0], [1]])
     assert single.m == 1
     assert sum_capacity(single) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_restrict_reads_its_maps_mod_q(rng):
+    mac = random_mac(rng, 2, 2, 5)
+    assert np.array_equal(restrict(mac, [[3], [-1]]).table, restrict(mac, [[1], [1]]).table)
+    assert np.array_equal(restrict(mac, [[1], [0]], [[3], [-1]]).table,
+                          restrict(mac, [[1], [0]], [[1], [1]]).table)
+
+
+@pytest.mark.parametrize("a, b", [([[1], [0], [0]], None), ([[1], [0]], [[1]]),
+                                  ([1, 0], None), ([[1], [0]], [0, 1])])
+def test_restrict_refuses_maps_of_the_wrong_shape(a, b):
+    with pytest.raises(ValueError, match="do not match the channel"):
+        restrict(identity_mac(2, 2), a, b)
 
 
 def restrict_reference(mac, a, b=None):
     """The per-input loop that `restrict` replaced, kept as the oracle."""
     q, m = mac.q, mac.m
     if b is None:
-        b = FieldMatrix(np.zeros((m, 0), dtype=np.int64), q)
-    n1, n2 = a.cols, b.cols
+        b = np.zeros((m, 0), dtype=np.int64)
+    n1, n2 = a.shape[1], b.shape[1]
     vecs = all_vectors(q, m)
-    u_idx = (vecs @ a.data) % q @ (q ** np.arange(n1))
-    v_idx = (vecs @ b.data) % q @ (q ** np.arange(n2))
+    u_idx = (vecs @ a) % q @ (q ** np.arange(n1))
+    v_idx = (vecs @ b) % q @ (q ** np.arange(n2))
     n_y = mac.output_size
     out = np.zeros((q ** n1, n_y * q ** n2))
     scale = 1.0 / q ** (m - n1)
@@ -158,16 +171,15 @@ def test_restrict_matches_reference_loop():
         n2 = int(rng.integers(0, m - n1 + 1))
         mac = random_mac(rng, q, m, int(rng.integers(1, 6)))
         ab = random_full_column_rank(rng, m, n1 + n2, q)
-        a = FieldMatrix(ab.data[:, :n1], q)
-        b = FieldMatrix(ab.data[:, n1:], q) if n2 else None
+        a = ab[:, :n1]
+        b = ab[:, n1:] if n2 else None
         assert np.array_equal(restrict(mac, a, b).table,
                               restrict_reference(mac, a, b))
 
 
 def test_restrict_rank_check():
     with pytest.raises(NotFullRankError):
-        restrict(identity_mac(2, 2),
-                 FieldMatrix([[1], [1]], 2), FieldMatrix([[1], [1]], 2))
+        restrict(identity_mac(2, 2), [[1], [1]], [[1], [1]])
 
 
 def test_chain_rule(rng):
@@ -175,8 +187,7 @@ def test_chain_rule(rng):
         q = int(rng.choice([2, 3]))
         mac = random_mac(rng, q, 2, int(rng.integers(2, 7)))
         a_full = random_full_column_rank(rng, 2, 2, q)
-        a1 = FieldMatrix(a_full.data[:, :1], q)
-        a2 = FieldMatrix(a_full.data[:, 1:], q)
+        a1, a2 = a_full[:, :1], a_full[:, 1:]
         lhs = sum_capacity(restrict(mac, a_full))
         rhs = sum_capacity(restrict(mac, a1)) + sum_capacity(restrict(mac, a2, a1))
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -190,14 +201,12 @@ def test_composition_collapses(rng):
         m = 3
         mac = random_mac(rng, q, m, int(rng.integers(2, 5)))
         ab = random_full_column_rank(rng, m, 3, q)
-        a = FieldMatrix(ab.data[:, :2], q)
-        b = FieldMatrix(ab.data[:, 2:], q)
+        a, b = ab[:, :2], ab[:, 2:]
         inner = restrict(mac, a, b)
         apbp = random_full_column_rank(rng, 2, 2, q)
-        ap = FieldMatrix(apbp.data[:, :1], q)
-        bp = FieldMatrix(apbp.data[:, 1:], q)
+        ap, bp = apbp[:, :1], apbp[:, 1:]
         twice = restrict(inner, ap, bp)
-        once = restrict(mac, a @ ap, b.hstack(a @ bp))
+        once = restrict(mac, a @ ap, np.hstack([b, a @ bp]))
         assert twice.output_size == once.output_size
         assert np.allclose(sorted_columns(twice.table), sorted_columns(once.table),
                            atol=1e-12)

@@ -220,7 +220,7 @@ def test_detect_linear_examples():
     subs = binary2_subspaces()
     c3 = LinearComboMac(2, 2, [(1.0, subs[3])]).to_explicit()
     cols, r = detect_linear(c3, 0.1)
-    assert r == 1 and cols.data.T.tolist() == [[1, 1]]
+    assert r == 1 and cols.T.tolist() == [[1, 1]]
     _, r = detect_linear(identity_mac(2, 2), 0.1)
     assert r == 2
     cols, r = detect_linear(useless_mac(2, 2), 0.1)
@@ -274,7 +274,7 @@ def test_pivot_columns_are_the_smallest_independent_rows():
     for q, m in PIVOT_LATTICES:
         for d in range(1, m + 1):
             for sub in enumerate_subspaces(m, d, q):
-                cols = tuple(map(tuple, sub.basis.data.tolist()))
+                cols = tuple(map(tuple, sub.basis.tolist()))
                 assert pivot_users(cols) == smallest_independent_rows(cols, q), cols
                 seen += 1
     assert seen == 506
@@ -307,11 +307,11 @@ def test_detection_matches_span_scan_and_row_search(q, m):
                 rejected += 1
                 continue
             cols, r = det
-            assert members(Subspace.from_vectors(cols.data.T, m, q)) == span
+            assert members(Subspace.from_vectors(cols.T, m, q)) == span
             ranks.add(r)
             branch = build_code(chan, 0, eps, z_budget=10.0).branches[0]
             if branch.in_good_set:
-                assert branch.a_columns == tuple(map(tuple, cols.data.T.tolist()))
+                assert branch.a_columns == tuple(map(tuple, cols.T.tolist()))
                 assert branch.s_users == smallest_independent_rows(branch.a_columns, q)
     assert rejected > 0 and ranks == set(range(m + 1))
 

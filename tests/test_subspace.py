@@ -230,6 +230,22 @@ def test_subspace_equality_is_canonical():
     assert a == b and hash(a) == hash(b)
 
 
+def test_subspace_reads_its_basis_mod_q():
+    ref = Subspace.from_vectors([[1, 1]], 2, 2)
+    for sub in (Subspace.from_vectors([[3, -1]], 2, 2), Subspace([[3, -1]], 2, 2)):
+        assert sub == ref and hash(sub) == hash(ref)
+
+
+def test_subspace_basis_is_read_only():
+    for sub in (Subspace.from_vectors([[1, 1]], 2, 2), Subspace.full(2, 2),
+                enumerate_subspaces(2, 1, 3)[0]):
+        assert sub.basis.dtype == np.int64 and sub.basis.shape == (sub.dim, sub.m)
+        with pytest.raises(ValueError):
+            sub.basis[0, 0] = 0
+        with pytest.raises(AttributeError):
+            sub.q = 3
+
+
 def lattice_order(q, m):
     """Every subspace of GF(q)^m in lattice order, and their member sets."""
     subs = [s for d in range(m + 1) for s in enumerate_subspaces(m, d, q)]
