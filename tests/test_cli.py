@@ -626,6 +626,11 @@ GENERIC_COMBOS = {
      "54f91a37bc5cf8d62d0c29e0a5a8afc2b199f1982f28747dfe14543c29ad1ec8"),
     (["evolve", "--channel", "gf2_5.json", "--l", "3"],
      "6d0451c876187826000ea807b6d08506fbb001e00bf45446181bab13c28c5134"),
+    (["evolve", "--channel", "five_component.json", "--l", "20"],
+     "87f6653ff22726a73d64fc7898105fd35107add78af55367c7bb2e64dd1297a2"),
+    (["construct", "--channel", "five_component.json", "--l", "14",
+      "--eps", "0.2", "--z-budget", "1e-3"],
+     "1ca705f5789ecb6b9b0cce59462da1db28e4cd282c545b79aea2284659a65c22"),
 ])
 def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # sha256 values written by the separate tree walks the one walker
@@ -635,7 +640,10 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, argv, digest):
     # digests were written while (2,2) kept its own evolution loop and
     # hand-written information formulas.  The GF(2)^5 `evolve` digest, over
     # all 31 user sets, was written while projection tables were built by
-    # row reduction.  The four `construct` digests are
+    # row reduction.  The five-component `evolve --l 20` and `construct
+    # --l 14` digests reach blocks wider than NARROW_WIDTH, split levels and
+    # settled states; they were written while the wide-block pair loop added
+    # every product to a zero-filled row.  The other four `construct` digests are
     # of code specs (written to out.csv), on the lattice path and, for
     # random_ternary, the explicit path.  They were pinned on the per-branch
     # file, `json.dumps(..., indent=1)` of one object per branch; the file
