@@ -48,6 +48,7 @@ from .polarize import (
     summarize_levels,
 )
 from .codec import run_trials
+from .subspace import user_indices
 
 
 def _users_str(users) -> str:
@@ -258,6 +259,11 @@ def cmd_probe_conjectures(args) -> int:
     missing = [f"--{k}" for k in ("q", "m", "users") if getattr(args, k) is None]
     if 0 < len(missing) < 3:
         raise ParseError(f"the witness probe also needs {' and '.join(missing)}")
+    if not missing:
+        # Refuse a bad witness probe before the grid probe prints anything.
+        lat = subspace_lattice(args.q, args.m)
+        users = tuple(int(u) for u in args.users.split(","))
+        user_indices(users, args.m)
     ran_any = False
     rows = []
     print("probe results are numerical evidence, not proof")
@@ -284,8 +290,6 @@ def cmd_probe_conjectures(args) -> int:
                   f"(state {worst[0]})")
     if not missing:
         ran_any = True
-        users = tuple(int(u) for u in args.users.split(","))
-        lat = subspace_lattice(args.q, args.m)
         counterexamples = 0
         consistent_with_witness = 0
         scanned = 0
@@ -325,6 +329,18 @@ def _integer(low: int, words: str):
             raise argparse.ArgumentTypeError(f"{text!r} is not a {words} integer")
         return value
     return parse
+
+
+def _user_list(text: str) -> str:
+    """An option type: comma-separated integers, kept as written for the
+    config echo; an empty or non-integer entry is a usage error (exit 2)."""
+    try:
+        for u in text.split(","):
+            int(u)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=_integer(0, "non-negative"), default=14)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--m", type=_integer(1, "positive"), default=None)
-    p.add_argument("--users", default=None,
+    p.add_argument("--users", type=_user_list, default=None,
                    help="comma-separated user subset for the witness probe")
     p.add_argument("--max-family", type=_integer(1, "positive"), default=2)
     common(p)

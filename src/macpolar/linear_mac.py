@@ -12,14 +12,14 @@ level of the tree is an (L, n) array of such vectors, and a transform
 scatters pair products through the lattice's meet and join tables.  A
 block of at most NARROW_WIDTH states forms all its live-pair products in
 one array and scatters them with one `np.bincount` per child, in column
-slices of at most BLOCK_FLOATS products; a wider block adds them pair by
-pair.  Both sum each child cell in the same pair order, so both give the
-same bits.  `evolve` follows the tree of any combination channel and
-reads each level's I[S] off its averaged weight vector; the two-user
-binary 5-vector of `binary2_evolve` is a reordering of the GF(2)^2
-vector.  The preservation condition (closure, the consistency check and
-the witness search) reads the same tables, plus one projection table per
-user set.
+slices of at most BLOCK_FLOATS products; a wider block writes each child
+row's first product and adds the rest pair by pair.  Both sum each child
+cell in the same pair order, so both give the same bits.  `evolve`
+follows the tree of any combination channel and reads each level's I[S]
+off its averaged weight vector; the two-user binary 5-vector of
+`binary2_evolve` is a reordering of the GF(2)^2 vector.  The
+preservation condition (closure, the consistency check and the witness
+search) reads the same tables, plus one projection table per user set.
 Every table comes from the boolean membership rows, not from row
 reductions: a meet's row is the AND of two rows, a subspace's image is
 its row reduced over the other users' coordinates, and each such row is
@@ -448,23 +448,43 @@ def _scatter_children(lat: SubspaceLattice, states: np.ndarray, live: np.ndarray
 
 
 def _loop_children(lat: SubspaceLattice, states: np.ndarray, live: np.ndarray):
-    """The unnormalized children of a wide block: one row operation per
-    live pair, in pair order."""
+    """The unnormalized children of a wide block, one row operation per
+    live pair in pair order.  A child row's first product is written, not
+    added to 0.0: for a product p >= 0, 0.0 + p is p, so each row sums to
+    the bits of a zero-filled row.  Rows that no live pair reaches are
+    zeroed at the end."""
     size, n = states.shape
-    minus, plus = np.zeros((size, n)), np.zeros((size, n))
+    minus, plus = np.empty((size, n)), np.empty((size, n))
     prod = np.empty(n)
+    down_rows, up_rows = list(minus), list(plus)
+    fresh_down, fresh_up = [True] * size, [True] * size
     live = np.flatnonzero(live)
     meet, join = (t[np.ix_(live, live)].tolist() for t in (lat.meet, lat.join))
-    live = live.tolist()
-    for a, i in enumerate(live):
-        np.multiply(states[i], states[i], out=prod)
-        minus[i] += prod
-        plus[i] += prod
-        twice = 2 * states[i]
-        for j, down, up in zip(live[a + 1:], meet[a][a + 1:], join[a][a + 1:]):
-            np.multiply(twice, states[j], out=prod)
-            minus[down] += prod
-            plus[up] += prod
+    rows = [states[i] for i in live.tolist()]
+    for a, row in enumerate(rows):
+        twice = 2 * row
+        for b in range(a, len(rows)):
+            left = row if b == a else twice
+            down, up = meet[a][b], join[a][b]
+            d, u = down_rows[down], up_rows[up]
+            if fresh_down[down]:
+                fresh_down[down] = False
+                np.multiply(left, rows[b], out=d)
+                if fresh_up[up]:
+                    fresh_up[up] = False
+                    np.copyto(u, d)
+                else:
+                    np.add(u, d, out=u)
+            elif fresh_up[up]:
+                fresh_up[up] = False
+                np.multiply(left, rows[b], out=u)
+                np.add(d, u, out=d)
+            else:
+                np.multiply(left, rows[b], out=prod)
+                np.add(d, prod, out=d)
+                np.add(u, prod, out=u)
+    minus[np.array(fresh_down)] = 0.0
+    plus[np.array(fresh_up)] = 0.0
     return minus, plus
 
 
@@ -474,20 +494,22 @@ def lattice_children(lat: SubspaceLattice, states: np.ndarray) -> np.ndarray:
     products scattered by meet), column 2j + 1 its '+' child (by join).
 
     The product of live rows i <= j is s_i * s_i on the diagonal and
-    (2 * s_i) * s_j off it, and each child cell sums its products from
-    0.0 in lexicographic pair order.  A block of at most NARROW_WIDTH
-    states forms its products in one array and scatters them with
-    `np.bincount`, in column slices of at most BLOCK_FLOATS products; a
-    wider block adds the products pair by pair, which is faster there.
-    Both give the same bits.
+    (2 * s_i) * s_j off it, and each child cell sums its products in
+    lexicographic pair order.  A block of at most NARROW_WIDTH states
+    forms its products in one array and scatters them with `np.bincount`,
+    which adds from 0.0, in column slices of at most BLOCK_FLOATS
+    products; a wider block writes each child row's first product and
+    adds the rest pair by pair, which is faster there.  Products are
+    never negative, so 0.0 + p is p and both give the same bits.
 
     Each child is renormalized to sum 1, so float drift does not compound
     with depth.  Zero weights are legal: a product that underflows adds
-    0.0.  Rows that are zero in every state are skipped.
+    0.0.  Rows that are zero in every state are not live: their largest
+    weight is 0.0, as weights are finite and non-negative.
     """
     size, n = states.shape
     children = _scatter_children if n <= NARROW_WIDTH else _loop_children
-    minus, plus = children(lat, states, states.any(axis=1))
+    minus, plus = children(lat, states, states.max(axis=1, initial=0.0) > 0)
     out = np.empty((size, 2 * n))
     np.divide(minus, minus.sum(axis=0), out=out[:, 0::2])
     np.divide(plus, plus.sum(axis=0), out=out[:, 1::2])
@@ -525,7 +547,9 @@ def level_sums(lat: SubspaceLattice, root: np.ndarray, depth: int):
     = k, a child keeps at least the square of its parent's weight on k, so
     the off-k weight at most doubles per level.  Each level average then
     moves by at most 2 * SETTLE_TOL in L1, I[S] by at most 2m * SETTLE_TOL,
-    and the extremal counts are exact."""
+    and the extremal counts are exact.  Settled states leave the block
+    through `np.compress`, an in-order column copy that costs a fraction
+    of a boolean column mask."""
     if depth > ENUMERATE_DEPTH_CAP:
         raise TooDeepError(
             f"enumeration of 2^{depth} branches exceeds cap 2^{ENUMERATE_DEPTH_CAP}")
@@ -546,8 +570,8 @@ def level_sums(lat: SubspaceLattice, root: np.ndarray, depth: int):
         off = block.sum(axis=0, where=~near)
         done = off * 2.0 ** (depth - level) <= SETTLE_TOL
         if done.any():
-            settled[level] += np.count_nonzero(near[:, done], axis=1)
-            block = block[:, ~done]
+            settled[level] += np.count_nonzero(near & done, axis=1)
+            block = np.compress(~done, block, axis=1)
         n = block.shape[1]
         if n:
             children = lattice_children(lat, block)

@@ -501,11 +501,24 @@ def test_probe_sizes_below_one_are_usage_errors(capsys, option, value):
     (["--q", "2", "--m", "3"], "needs --users"),
     (["--users", "1"], "needs --q and --m"),
     (["--q", "0", "--m", "2", "--users", "1"], "q must be a prime number, got 0"),
+    (["--q", "2", "--m", "2", "--users", "5"], "indices [5] out of range 1..2"),
 ])
 def test_partial_or_bad_witness_probes_are_refused(capsys, argv, why):
-    # A grid probe beside it does not hide the witness probe's options.
+    # A grid probe beside it does not hide the witness probe's options,
+    # and is refused with it before it prints anything.
     assert main(["probe-conjectures", "--grid", "step:2", "--l", "2", *argv]) == 2
-    assert why in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert why in printed.err
+    assert printed.out == ""
+
+
+@pytest.mark.parametrize("value", ["", "1,,2", "a", "1,"])
+def test_bad_users_lists_are_usage_errors(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe-conjectures", "--q", "2", "--m", "2", "--users", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --users: {value!r} is not a comma-separated list of integers" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

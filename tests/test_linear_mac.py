@@ -269,6 +269,39 @@ def test_the_path_follows_the_block_width(monkeypatch):
                     ("_loop_children", edge + 1)]
 
 
+def test_the_wide_kernel_writes_every_cell(monkeypatch):
+    # Fresh arrays come filled with NaN, so a child cell that the pair loop
+    # neither writes nor zeroes cannot pass as 0.0.  In both awkward blocks
+    # some child rows are reached by no live pair.
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    wide = linear_mac.NARROW_WIDTH + 1
+    lat = subspace_lattice(2, 3)
+    row = lat.size // 2
+    block = np.zeros((lat.size, wide))
+    block[row] = np.linspace(0.5, 1.0, wide)
+    unit = np.zeros((lat.size, 2 * wide))
+    unit[row] = 1.0
+    assert np.array_equal(lattice_children(lat, block), unit)
+    for q, m in [(2, 3), (3, 2)]:
+        lat = subspace_lattice(q, m)
+        block = awkward_block(lat, wide, 0)
+        monkeypatch.setattr(linear_mac, "NARROW_WIDTH", wide - 1)
+        loop = lattice_children(lat, block)
+        monkeypatch.setattr(linear_mac, "NARROW_WIDTH", wide)
+        assert np.array_equal(loop, lattice_children(lat, block)), (q, m)
+    # An empty block on either path (a width constant of -1 forces the loop).
+    for narrow in (0, -1):
+        monkeypatch.setattr(linear_mac, "NARROW_WIDTH", narrow)
+        assert lattice_children(lat, np.zeros((lat.size, 0))).shape == (lat.size, 0)
+
+
 @pytest.mark.parametrize("q, m", [(2, 3), (3, 2)])
 def test_projection_onto_every_user_is_the_lattice(q, m):
     lat = subspace_lattice(q, m)
