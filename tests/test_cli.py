@@ -118,6 +118,25 @@ def test_non_finite_channel_files_rejected(tmp_path, capsys, value):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, why", [
+    ({"q": 2, "m": 1, "rows": [[1.1, -0.1], [0.5, 0.5]]},
+     "entry (0, 1) is negative: -0.1"),
+    ({"q": 2, "m": 1, "rows": [[0.5, 0.4], [0.5, 0.5]]}, "row 0 sums to 0.9, expected 1"),
+    ({"q": 2, "m": 2, "terms": [{"p": 0.0, "basis": [[1, 0]]},
+                                {"p": 1.0, "basis": [[0, 1]]}]},
+     "{path}: weights must be positive, got 0.0"),
+    ({"q": 2, "m": 2, "terms": [{"p": 0.5, "basis": [[1, 0]]},
+                                {"p": 0.4, "basis": [[0, 1]]}]},
+     "{path}: weights sum to 0.9, expected 1"),
+])
+def test_bad_probabilities_are_refused_word_for_word(tmp_path, capsys, data, why):
+    path = write_json(tmp_path / "c.json", data)
+    assert main(["analyze", "--channel", path]) == 2
+    printed = capsys.readouterr()
+    assert printed.err == "error: " + why.format(path=path) + "\n"
+    assert printed.out == ""
+
+
 def test_analyze_command(five_term_file, tmp_path, capsys):
     out = tmp_path / "analyze.csv"
     code = main(["analyze", "--channel", five_term_file,
@@ -315,6 +334,25 @@ def test_fractional_codespec_fields_are_refused(five_term_file, tmp_path, capsys
     assert main(["simulate", "--codespec", bad, "--channel", five_term_file,
                  "--trials", "2", "--seed", "1"]) == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch, why", [
+    (lambda d: d["shapes"][-1].update(a_columns=5), "'int' object is not iterable"),
+    (lambda d: d["shapes"][-1].update(a_columns=["ab"]), "'ab' is not an integer list"),
+    (lambda d: d.update(shape_index="0"), "'0' is not an integer list"),
+    (set_last("shape_index", 10 ** 30), "Python int too large to convert to C long"),
+])
+def test_malformed_integer_columns_are_refused_word_for_word(five_term_file, tmp_path,
+                                                              patch, why):
+    spec = tmp_path / "code.json"
+    assert main(["construct", "--channel", five_term_file, "--l", "1", "--eps", "0.2",
+                 "--z-budget", "1e-3", "--out", str(spec), "--no-timestamp"]) == 0
+    data = json.loads(spec.read_text())
+    patch(data)
+    bad = write_json(tmp_path / "bad.json", data)
+    with pytest.raises(ParseError) as exc:
+        load_codespec(bad)
+    assert str(exc.value) == f"{bad}: bad code spec: {why}"
 
 
 @pytest.mark.parametrize("patch", [

@@ -87,6 +87,16 @@ def test_weight_sum_is_typed(f22):
         LinearComboMac(2, 2, [(0.5, f22[1]), (0.4, f22[2])])
 
 
+def test_weight_refusal_texts(f22):
+    # Pinned word for word, as validate's are in test_mac.py.
+    with pytest.raises(NegativeProbabilityError) as exc:
+        LinearComboMac(2, 2, [(0.0, f22[1]), (1.0, f22[2])])
+    assert str(exc.value) == "weights must be positive, got 0.0"
+    with pytest.raises(BadRowSumError) as exc:
+        LinearComboMac(2, 2, [(0.5, f22[1]), (0.4, f22[2])])
+    assert str(exc.value) == "weights sum to 0.9, expected 1"
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_weights_and_states_rejected(f22, value):
     with pytest.raises(NonFiniteError):

@@ -48,6 +48,19 @@ def test_validate_examples():
         validate(DiscreteMac(2, 1, neg))
 
 
+def test_validate_refusal_texts():
+    # Pinned word for word, so that a change to how the errors are built
+    # keeps what the user reads.
+    neg = np.array([[1.1, -0.1], [0.5, 0.5]])
+    with pytest.raises(NegativeProbabilityError) as exc:
+        validate(DiscreteMac(2, 1, neg))
+    assert str(exc.value) == "entry (0, 1) is negative: -0.1"
+    bad = np.array([[0.5, 0.4], [0.5, 0.5]])
+    with pytest.raises(BadRowSumError) as exc:
+        validate(DiscreteMac(2, 1, bad))
+    assert str(exc.value) == "row 0 sums to 0.9, expected 1"
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_validate_rejects_non_finite(value):
     table = np.array([[0.5, 0.5], [value, 1.0]])
