@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from functools import partial
 from operator import itemgetter
@@ -38,7 +39,7 @@ from .linear_mac import (
     subspace_lattice,
     total_loss_predict,
 )
-from .mac import DEFAULT_MERGE_TOL, DiscreteMac, user_subsets
+from .mac import DEFAULT_MERGE_TOL, ROW_SUM_TOL, DiscreteMac, user_subsets
 from .polarize import (
     MAX_BRANCH_OUTPUTS,
     branch_step,
@@ -112,10 +113,9 @@ def cmd_polarize(args) -> int:
                                 _users_str(st.alpha), st.i, st.z))
     report = summarize_levels(subsets, levels)
     rows = []
-    for lvl in report.levels:
-        for j, s in enumerate(report.subsets):
-            rows.append(("level_avg", lvl, "", _users_str(s), "",
-                         report.averages[lvl][j], ""))
+    for lvl, averages in enumerate(report.averages):
+        for s, average in zip(subsets, averages):
+            rows.append(("level_avg", lvl, "", _users_str(s), "", average, ""))
     rows += branch_rows
     print(f"levels 0..{args.l}: full-set average constant: "
           f"{report.full_set_constant}; strict subsets non-increasing: "
@@ -210,7 +210,8 @@ def cmd_evolve(args) -> int:
 
 def _parse_grid(spec: str):
     """Grid of 5-component states: 'step:K' for the lattice with denominator
-    K, or a path to a JSON list of states."""
+    K, or a path to a JSON list of states, each finite, non-negative and
+    summing to 1 within ROW_SUM_TOL."""
     if spec.startswith("step:"):
         try:
             k = int(spec.split(":", 1)[1])
@@ -237,9 +238,15 @@ def _parse_grid(spec: str):
     if any(not isinstance(row, list) or len(row) != 5 for row in data):
         raise bad
     try:
-        return [tuple(float(x) for x in row) for row in data]
+        states = [tuple(float(x) for x in row) for row in data]
     except (TypeError, ValueError) as exc:
         raise bad from exc
+    for i, state in enumerate(states):
+        if not (all(math.isfinite(x) and x >= 0 for x in state)
+                and abs(sum(state) - 1.0) <= ROW_SUM_TOL):
+            raise BadGridError(f"{spec}: state {i} is not a probability vector: "
+                               f"{list(state)}")
+    return states
 
 
 def _family_batches(n: int, size: int):
@@ -259,19 +266,17 @@ def cmd_probe_conjectures(args) -> int:
     missing = [f"--{k}" for k in ("q", "m", "users") if getattr(args, k) is None]
     if 0 < len(missing) < 3:
         raise ParseError(f"the witness probe also needs {' and '.join(missing)}")
+    if missing and not args.grid:
+        raise BadGridError("nothing to probe: pass --grid and/or --q/--m/--users")
+    # Refuse a bad probe of either kind before anything is printed.
     if not missing:
-        # Refuse a bad witness probe before the grid probe prints anything.
         lat = subspace_lattice(args.q, args.m)
         users = tuple(int(u) for u in args.users.split(","))
         user_indices(users, args.m)
-    ran_any = False
+    states = _parse_grid(args.grid) if args.grid else []
     rows = []
     print("probe results are numerical evidence, not proof")
-    if args.grid:
-        ran_any = True
-        states = _parse_grid(args.grid)
-        if not states:
-            raise BadGridError("grid is empty")
+    if states:
         hits = [s for s in states if s[3] > max(s[1], s[2])]
         if not hits:
             print("total-loss probe: no instances with the diagonal component "
@@ -289,7 +294,6 @@ def cmd_probe_conjectures(args) -> int:
                   f"component; min averaged p3 at depth {args.l}: {worst[1]:.6e} "
                   f"(state {worst[0]})")
     if not missing:
-        ran_any = True
         counterexamples = 0
         consistent_with_witness = 0
         scanned = 0
@@ -306,8 +310,6 @@ def cmd_probe_conjectures(args) -> int:
         print(f"witness probe: scanned {scanned} families over GF({args.q})^{args.m} "
               f"w.r.t. users {users}: {consistent_with_witness} consistent families "
               f"have a witness, {counterexamples} lack one")
-    if not ran_any:
-        raise BadGridError("nothing to probe: pass --grid and/or --q/--m/--users")
     if args.out:
         jsonio.write_csv(args.out, ("probe", "instance", "depth", "value"), rows,
                          config=_config_echo(args),
@@ -382,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo block-error run")
     p.add_argument("--codespec", required=True)
     p.add_argument("--channel", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_integer(1, "positive"), required=True)
+    p.add_argument("--seed", type=_integer(0, "non-negative"), default=0)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=_integer(0, "non-negative"), required=True)
     p.add_argument("--mode", default="enumerate",
                    help="enumerate or sample:N")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer(0, "non-negative"), default=0)
     common(p)
     p.set_defaults(func=cmd_evolve)
 

@@ -533,7 +533,6 @@ class TrialReport:
     bler: float
     ci_low: float
     ci_high: float
-    union_bound: float
     seed: int
 
     CSV_COLUMNS = ("q", "m", "l", "N", "eps", "z_budget", "sum_rate",
@@ -543,7 +542,7 @@ class TrialReport:
     def csv_row(self) -> tuple:
         s = self.spec
         return (s.q, s.m, s.l, s.block_length, s.eps, s.z_budget, s.sum_rate,
-                self.union_bound, self.trials, self.errors, self.bler,
+                s.union_bound, self.trials, self.errors, self.bler,
                 self.ci_low, self.ci_high, self.seed)
 
     def to_dict(self) -> dict:
@@ -596,5 +595,4 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     bler = errors / n_trials
     lo, hi = wilson_interval(errors, n_trials)
     return TrialReport(spec=spec, trials=n_trials, errors=errors, bler=bler,
-                       ci_low=lo, ci_high=hi, union_bound=spec.union_bound,
-                       seed=seed)
+                       ci_low=lo, ci_high=hi, seed=seed)

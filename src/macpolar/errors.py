@@ -25,21 +25,10 @@ class BadRowSumError(MacPolarError, ValueError):
     """A conditional probability row, or a vector of channel weights, does
     not sum to one."""
 
-    def __init__(self, row, total, message=None):
-        self.row = row
-        self.total = total
-        super().__init__(message or f"row {row} sums to {total!r}, expected 1")
-
 
 class NegativeProbabilityError(MacPolarError, ValueError):
     """A conditional probability entry is negative, or a channel weight is
     not positive."""
-
-    def __init__(self, row, col, value, message=None):
-        self.row = row
-        self.col = col
-        self.value = value
-        super().__init__(message or f"entry ({row}, {col}) is negative: {value!r}")
 
 
 class NonFiniteError(MacPolarError, ValueError):

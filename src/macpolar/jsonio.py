@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import datetime
 import json
-from itertools import chain
 from operator import index
 
 import numpy as np
@@ -152,7 +151,7 @@ def codespec_from_dict(data: dict) -> CodeSpec:
         if type(good) is not bool:
             raise ValueError(f"in_good_set {good!r} is not a boolean")
         shapes.append(BranchShape(good, _json_int(shape["r"]),
-                                  tuple(_json_int_rows(shape["a_columns"])),
+                                  tuple(map(_json_ints, shape["a_columns"])),
                                   _json_ints(shape["s_users"]), _json_ints(shape["frozen"])))
     z_sum, i_branch, i_detected = (np.array(_json_float_list(data[k]), dtype=float)
                                    for k in ("z_sum", "i_branch", "i_detected"))
@@ -162,8 +161,7 @@ def codespec_from_dict(data: dict) -> CodeSpec:
     return CodeSpec(q=_json_int(data["q"]), m=_json_int(data["m"]), l=l,
                     eps=_json_float(data["eps"]), z_budget=_json_float(data["z_budget"]),
                     merge_tol=_json_float(data["merge_tol"]), shapes=tuple(shapes),
-                    shape_index=np.array(_json_int_rows([data["shape_index"]])[0],
-                                         dtype=np.intp),
+                    shape_index=np.array(_json_ints(data["shape_index"]), dtype=np.intp),
                     z_sum=z_sum, i_branch=i_branch, i_detected=i_detected,
                     rate_vector=tuple(_json_float_list(data["rate_vector"])),
                     sum_rate=_json_float(data["sum_rate"]),
@@ -198,20 +196,13 @@ def _json_int(value) -> int:
 
 
 def _json_ints(values) -> tuple:
-    """A JSON list of integers as a tuple of ints, by `_json_int`."""
+    """A JSON list of integers as a tuple of ints, by `_json_int`; plain
+    ints, the usual case, are checked in one pass."""
     if not isinstance(values, list):
         raise TypeError(f"{values!r} is not an integer list")
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
     return tuple(map(_json_int, values))
-
-
-def _json_int_rows(rows: list) -> list:
-    """JSON lists of integers as tuples of ints, one per row, by
-    `_json_ints`.  Lists of plain ints, the usual case, are checked in one
-    pass over all their entries."""
-    if (set(map(type, rows)) <= {list}
-            and set(map(type, chain.from_iterable(rows))) <= {int}):
-        return list(map(tuple, rows))
-    return list(map(_json_ints, rows))
 
 
 def _json_float(value) -> float:

@@ -45,10 +45,9 @@ from .errors import (
     TooLargeError,
 )
 from .gfq import check_prime
-from .mac import DiscreteMac, all_vectors, user_subsets
+from .mac import ROW_SUM_TOL, DiscreteMac, all_vectors, user_subsets
 from .subspace import Subspace, count_subspaces, enumerate_subspaces, user_indices
 
-WEIGHT_TOL = 1e-12
 ENUMERATE_DEPTH_CAP = 20
 EXTREMAL_TOL = 1e-3
 SETTLE_TOL = 2.0 ** -53     # off-k weight * 2^(levels left) of a settled state
@@ -76,14 +75,14 @@ class LinearComboMac:
         merged: dict[Subspace, float] = {}
         for k, (w, (_, sub)) in enumerate(zip(weights.tolist(), terms)):
             if w <= 0:
-                raise NegativeProbabilityError(0, k, w, f"weights must be positive, got {w}")
+                raise NegativeProbabilityError(f"weights must be positive, got {w}")
             if sub.m != m or sub.q != q:
                 raise AmbientMismatchError(
                     f"term {k} lives in GF({sub.q})^{sub.m}, the channel in GF({q})^{m}")
             merged[sub] = merged.get(sub, 0.0) + w
         total = sum(merged.values())
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise BadRowSumError(0, total, f"weights sum to {total!r}, expected 1")
+        if abs(total - 1.0) > ROW_SUM_TOL:
+            raise BadRowSumError(f"weights sum to {total!r}, expected 1")
         ordered = sorted(merged.items(), key=lambda kv: kv[0].sort_key())
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
@@ -598,10 +597,7 @@ class EvolveLevel:
 
 @dataclass(frozen=True)
 class EvolveReport:
-    mode: str                    # "enumerate" or "sample"
     levels: tuple                # EvolveLevel per depth 0..l
-    n_paths: int | None = None
-    seed: int | None = None
 
     @property
     def final(self) -> EvolveLevel:
@@ -631,7 +627,7 @@ def evolve(combo: LinearComboMac, depth: int, mode: str = "enumerate",
 
     if mode == "enumerate":
         sums, extremal = level_sums(lat, root, depth)
-        return EvolveReport(mode="enumerate", levels=tuple(
+        return EvolveReport(tuple(
             entry(lvl, sums[lvl] / 2 ** lvl, extremal[lvl] / 2 ** lvl)
             for lvl in range(depth + 1)))
     if mode == "sample":
@@ -649,8 +645,7 @@ def evolve(combo: LinearComboMac, depth: int, mode: str = "enumerate",
             levels.append(entry(lvl, states.mean(axis=1),
                                 np.mean(states.max(axis=0) >= 1.0 - EXTREMAL_TOL),
                                 stderr=tuple(se.tolist())))
-        return EvolveReport(mode="sample", levels=tuple(levels),
-                            n_paths=n_paths, seed=seed)
+        return EvolveReport(tuple(levels))
     raise ValueError(f"unknown mode {mode!r}")
 
 

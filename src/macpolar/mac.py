@@ -112,12 +112,12 @@ def validate(mac: DiscreteMac) -> None:
     neg = np.argwhere(tbl < 0)
     if neg.size:
         r, c = map(int, neg[0])
-        raise NegativeProbabilityError(r, c, float(tbl[r, c]))
+        raise NegativeProbabilityError(f"entry ({r}, {c}) is negative: {float(tbl[r, c])!r}")
     sums = tbl.sum(axis=1)
     bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
     if bad.size:
         r = int(bad[0])
-        raise BadRowSumError(r, float(sums[r]))
+        raise BadRowSumError(f"row {r} sums to {float(sums[r])!r}, expected 1")
 
 
 # -- information functionals ---------------------------------------------------

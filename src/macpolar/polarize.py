@@ -189,13 +189,10 @@ class CodeSpec:
     @property
     def branches(self) -> tuple:
         """One `BranchCode` per branch in decoding order, built on each call."""
-        rows = zip(self.sigs(), map(self.shapes.__getitem__, self.shape_index.tolist()),
+        sigs = all_sigs(self.l) + [""] * (len(self.shape_index) - self.block_length)
+        rows = zip(sigs, map(self.shapes.__getitem__, self.shape_index.tolist()),
                    self.z_sum.tolist(), self.i_branch.tolist(), self.i_detected.tolist())
         return tuple(BranchCode(sig, *shape, *floats) for sig, shape, *floats in rows)
-
-    def sigs(self) -> list:
-        """all_sigs(l), padded with "" to one signature per stored branch."""
-        return all_sigs(self.l) + [""] * (len(self.shape_index) - self.block_length)
 
     def frozen_mask(self) -> np.ndarray:
         """(N, m) booleans in key order, True where a branch's user is
@@ -393,8 +390,6 @@ def _lattice_leaves(combo: LinearComboMac, depth: int, eps: float):
 
 @dataclass(frozen=True)
 class MartingaleReport:
-    subsets: tuple            # user subsets, each a tuple
-    levels: tuple             # level indices 0..l
     averages: tuple           # averages[level][subset position]
     full_set_constant: bool   # within 1e-6 of level 0
     strict_non_increasing: bool  # per strict subset, 1e-9 slack
@@ -415,6 +410,5 @@ def summarize_levels(subsets, levels) -> MartingaleReport:
         vals = [r[j] for r in rows]
         if any(vals[i + 1] > vals[i] + 1e-9 for i in range(len(vals) - 1)):
             strict_ok = False
-    return MartingaleReport(subsets=tuple(subsets), levels=tuple(range(len(rows))),
-                            averages=tuple(rows), full_set_constant=full_const,
+    return MartingaleReport(averages=tuple(rows), full_set_constant=full_const,
                             strict_non_increasing=strict_ok)

@@ -282,6 +282,28 @@ def test_probe_refuses_malformed_grid_rows(tmp_path, capsys, rows):
     assert "list of 5 numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("state", [[0.5, 0.5, 0.5, 0.1, -0.6], [0.1, 0.1, 0.1, 0.9, 0.1],
+                                   [float("nan"), 0.25, 0.25, 0.25, 0.25]])
+def test_probe_refuses_grid_states_that_are_not_distributions(tmp_path, capsys, state):
+    # The first is accepted by the dominance test as it stands, the second
+    # would reach the evolution; each is refused by name before any output.
+    grid = write_json(tmp_path / "grid.json", [[0.0, 0.5, 0.3, 0.1, 0.1], state])
+    assert main(["probe-conjectures", "--grid", grid, "--l", "2"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: {grid}: state 1 is not a probability vector: {state}\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["--grid", "step:0"], ["--grid", "step:x"],
+                                  ["--grid", "missing.json"]])
+def test_refused_probes_print_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["probe-conjectures", "--l", "2", *argv]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("patch", [{"q": 2.6}, {"m": 2.9},
                                    {"terms": [{"p": 1.0, "basis": [[1.5, 1]]}]},
                                    {"m": True, "terms": [{"p": 1.0, "basis": [[1]]}]},
@@ -568,6 +590,27 @@ def test_max_outputs_below_one_is_a_usage_error(five_term_file, capsys, command,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument --max-outputs: '{value}' is not a positive integer" in err
+
+
+@pytest.mark.parametrize("argv, option, value, words", [
+    (["evolve", "--channel", "c.json", "--l", "2"], "--seed", "-1", "non-negative"),
+    (["evolve", "--channel", "c.json", "--l", "2", "--mode", "sample:4"], "--seed", "-2",
+     "non-negative"),
+    (["evolve", "--channel", "c.json", "--l", "2"], "--seed", "x", "non-negative"),
+    (["simulate", "--codespec", "s.json", "--channel", "c.json", "--trials", "2"],
+     "--seed", "-3", "non-negative"),
+    (["simulate", "--codespec", "s.json", "--channel", "c.json"], "--trials", "0",
+     "positive"),
+    (["simulate", "--codespec", "s.json", "--channel", "c.json"], "--trials", "-1",
+     "positive"),
+])
+def test_bad_seeds_and_trial_counts_are_usage_errors(capsys, argv, option, value, words):
+    # Refused by name before any file is read.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: '{value}' is not a {words} integer" in err
 
 
 def test_evolve_over_gf101(tmp_path, capsys):

@@ -513,12 +513,13 @@ def test_martingale_report(rng):
     levels = [[], [], []]
     for sig, ch in polarization_tree(mac, 2, branch_step):
         levels[len(sig)].append([ch.mutual_info(s) for s in user_subsets(2)])
-    rep = summarize_levels(user_subsets(2), levels)
-    for j, s in enumerate(rep.subsets):
+    subsets = user_subsets(2)
+    rep = summarize_levels(subsets, levels)
+    for j, s in enumerate(subsets):
         assert rep.averages[0][j] == pytest.approx(mutual_info(mac, s), abs=1e-12)
     assert rep.full_set_constant
     assert rep.strict_non_increasing
-    full = [row[rep.subsets.index((1, 2))] for row in rep.averages]
+    full = [row[subsets.index((1, 2))] for row in rep.averages]
     assert max(abs(v - full[0]) for v in full) < 1e-6
 
 
