@@ -62,10 +62,13 @@ def _as_explicit(channel) -> DiscreteMac:
     return channel
 
 
-def _config_echo(args) -> dict:
-    """The command's own options, for the output file's config line."""
-    return {k: v for k, v in vars(args).items()
-            if k not in ("command", "func", "no_timestamp")}
+def _write_csv(args, columns, rows) -> None:
+    """Write the CSV to --out, if given, echoing the command's own options."""
+    if args.out:
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "no_timestamp")}
+        jsonio.write_csv(args.out, columns, rows, config=config,
+                         timestamp=not args.no_timestamp)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -87,10 +90,7 @@ def cmd_analyze(args) -> int:
             rows.append(("dominant_face", "", "", x, y))
         print(f"  region vertices: {region.vertices}")
         print(f"  dominant face: {region.dominant_face}")
-    if args.out:
-        jsonio.write_csv(args.out, ("record", "users", "value", "r1", "r2"), rows,
-                         config=_config_echo(args),
-                         timestamp=not args.no_timestamp)
+    _write_csv(args, ("record", "users", "value", "r1", "r2"), rows)
     return 0
 
 
@@ -120,12 +120,7 @@ def cmd_polarize(args) -> int:
     print(f"levels 0..{args.l}: full-set average constant: "
           f"{report.full_set_constant}; strict subsets non-increasing: "
           f"{report.strict_non_increasing}")
-    if args.out:
-        jsonio.write_csv(
-            args.out,
-            ("record", "level", "sig", "users", "direction", "i", "z"), rows,
-            config=_config_echo(args),
-            timestamp=not args.no_timestamp)
+    _write_csv(args, ("record", "level", "sig", "users", "direction", "i", "z"), rows)
     return 0
 
 
@@ -149,10 +144,7 @@ def cmd_simulate(args) -> int:
     channel = _as_explicit(jsonio.load_channel(args.channel))
     report = run_trials(spec, channel, args.trials, args.seed)
     print(json.dumps(report.to_dict(), sort_keys=True))
-    if args.out:
-        jsonio.write_csv(args.out, report.CSV_COLUMNS, [report.csv_row()],
-                         config=_config_echo(args),
-                         timestamp=not args.no_timestamp)
+    _write_csv(args, report.CSV_COLUMNS, [report.csv_row()])
     return 0
 
 
@@ -201,10 +193,7 @@ def cmd_evolve(args) -> int:
         rows = [(lv.level, _users_str(s), i, lv.extremal_fraction)
                 for lv in rep.levels for s, i in zip(user_subsets(channel.m), lv.info)]
         print(f"evolved to depth {args.l}: {2 ** args.l} branch channels")
-    if args.out:
-        jsonio.write_csv(args.out, cols, rows,
-                         config=_config_echo(args),
-                         timestamp=not args.no_timestamp)
+    _write_csv(args, cols, rows)
     return 0
 
 
@@ -225,22 +214,7 @@ def _parse_grid(spec: str):
             if rest >= 0:
                 states.append(tuple(p / k for p in (*parts, rest)))
         return states
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise BadGridError(f"cannot read grid {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadGridError(f"{spec}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, list) or not data:
-        raise BadGridError("grid file must be a non-empty JSON list of states")
-    bad = BadGridError(f"{spec}: every state must be a list of 5 numbers")
-    if any(not isinstance(row, list) or len(row) != 5 for row in data):
-        raise bad
-    try:
-        states = [tuple(float(x) for x in row) for row in data]
-    except (TypeError, ValueError) as exc:
-        raise bad from exc
+    states = jsonio.load_grid(spec)
     for i, state in enumerate(states):
         if not (all(math.isfinite(x) and x >= 0 for x in state)
                 and abs(sum(state) - 1.0) <= ROW_SUM_TOL):
@@ -310,10 +284,7 @@ def cmd_probe_conjectures(args) -> int:
         print(f"witness probe: scanned {scanned} families over GF({args.q})^{args.m} "
               f"w.r.t. users {users}: {consistent_with_witness} consistent families "
               f"have a witness, {counterexamples} lack one")
-    if args.out:
-        jsonio.write_csv(args.out, ("probe", "instance", "depth", "value"), rows,
-                         config=_config_echo(args),
-                         timestamp=not args.no_timestamp)
+    _write_csv(args, ("probe", "instance", "depth", "value"), rows)
     return 0
 
 

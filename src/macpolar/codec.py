@@ -198,9 +198,10 @@ def _decoder(spec: CodeSpec, channel: DiscreteMac):
     genie_u an optional (T, N, m) true message.  A channel whose every
     output column is constant on an affine support takes `_decode_coset`,
     any other `_decode_float`; both return the same (u_hat (T, N, m),
-    posteriors, fallbacks): posteriors a per-branch list of (T, q^m) arrays
-    (None on undecided branches) when with_details is set, fallbacks per
-    trial the node rows whose likelihood vanished and were set uniform.
+    posteriors, fallbacks).  With with_details set, posteriors is a
+    per-branch list of (T, q^m) arrays (None on undecided branches) and
+    fallbacks counts per trial the node rows whose likelihood vanished and
+    were set uniform; without it both are None.
     chunk is the number of trials to decode at once (see DECODE_CHUNK)."""
     spec.check()
     if channel.q != spec.q or channel.m != spec.m:
@@ -227,14 +228,15 @@ def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
     q, m = spec.q, spec.m
     big_q = q ** m
     add = add_table(q, m)
-    fallbacks = np.zeros(len(received), dtype=np.int64)
+    fallbacks = np.zeros(len(received), dtype=np.int64) if with_details else None
 
     def scaled(v):
         mx = v.max(axis=2, keepdims=True)
         dead = mx[:, :, 0] <= 0
         if not dead.any():
             return v / mx
-        fallbacks[:] += dead.sum(axis=0)
+        if with_details:
+            fallbacks[:] += dead.sum(axis=0)
         mx[dead] = 1.0
         v = v / mx
         v[dead] = 1.0 / big_q
@@ -274,10 +276,7 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
     """
     q, m = spec.q, spec.m
     tab = _coset_tables(q, m)
-    fallbacks = np.zeros(len(leaf), dtype=np.int64)
-    # Plus nodes one or two branches wide, the most numerous, are checked for
-    # an empty meet together at the end; they take at most N T indices.
-    narrow = [np.zeros((0, len(leaf)), dtype=np.int64)]
+    fallbacks = np.zeros(len(leaf), dtype=np.int64) if with_details else None
     known = (frozen @ q ** np.arange(m)).T
     decide = [_decision_table(q, m, s.a_columns, s.s_users) if s.in_good_set and s.r
               else None for s in spec.shapes]
@@ -285,15 +284,10 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
     def minus(l0, l1):
         return tab.minus[l0, l1]
 
-    def count_dead(v):
-        fallbacks[:] += (v == tab.dead).sum(axis=0)
-
     def plus(l0, l1, sib):
         v = tab.meet[tab.trans[l0, sib], l1]
-        if len(v) > 2:
-            count_dead(v)
-        else:
-            narrow.append(v)
+        if with_details:
+            fallbacks[:] += (v == tab.dead).sum(axis=0)
         return v
 
     def decided(b, v):
@@ -302,7 +296,6 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
 
     u_hat, posteriors = _walk(spec, lambda: leaf.T, minus, plus, decided, frozen,
                               genie_u, with_details)
-    count_dead(np.vstack(narrow))
     return u_hat, posteriors, fallbacks
 
 

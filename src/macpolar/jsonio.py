@@ -1,6 +1,7 @@
-"""File formats: channel specs in JSON, code specs in JSON, results in CSV.
+"""File formats: channel specs, code specs and grids in JSON, results in CSV.
 
-Two channel formats, told apart by their keys, and one code-spec format:
+Two channel formats, told apart by their keys, one code-spec format and
+one grid format:
 
 explicit table            {"q": 2, "m": 2, "outputs": 4,
                            "rows": [[p, ...], ...]}
@@ -23,6 +24,11 @@ code spec                 {"eps": 0.2,
     is stored: branch b's is all_sigs(l)[b].  Whether the columns are
     consistent is for `CodeSpec.check` to decide.
 
+probe grid                [[p0, p1, p2, p3, p4], ...]
+    a non-empty list of GF(2)^2 states for `probe-conjectures --grid`,
+    five weights each, in `binary2_subspaces` order.  Whether each state
+    is a distribution is for the caller to decide.
+
 In every file an integer field refuses a boolean, a string or a fraction,
 and a float field a boolean or a string.
 
@@ -39,7 +45,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError
+from .errors import BadGridError, NonFiniteError, ParseError
 from .linear_mac import LinearComboMac
 from .mac import DiscreteMac, validate
 from .polarize import BranchShape, CodeSpec
@@ -131,6 +137,20 @@ def load_codespec(path: str, check: bool = True) -> CodeSpec:
     if check:
         spec.check()
     return spec
+
+
+def load_grid(path: str) -> list:
+    """The states of a probe grid file, each a tuple of 5 floats."""
+    data = _load_json(path)
+    if not isinstance(data, list) or not data:
+        raise BadGridError("grid file must be a non-empty JSON list of states")
+    try:
+        states = [tuple(_json_float_list(row)) for row in data]
+        if any(len(state) != 5 for state in states):
+            raise ValueError("a state does not hold 5 entries")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadGridError(f"{path}: every state must be a list of 5 numbers") from exc
+    return states
 
 
 def save_codespec(path: str, spec: CodeSpec) -> None:

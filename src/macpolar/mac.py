@@ -108,7 +108,7 @@ def validate(mac: DiscreteMac) -> None:
     bad = np.argwhere(~np.isfinite(tbl))
     if bad.size:
         r, c = map(int, bad[0])
-        raise NonFiniteError(f"entry ({r}, {c}) is not finite: {tbl[r, c]!r}")
+        raise NonFiniteError(f"entry ({r}, {c}) is not finite: {float(tbl[r, c])!r}")
     neg = np.argwhere(tbl < 0)
     if neg.size:
         r, c = map(int, neg[0])

@@ -128,6 +128,11 @@ def test_non_finite_channel_files_rejected(tmp_path, capsys, value):
     ({"q": 2, "m": 2, "terms": [{"p": 0.5, "basis": [[1, 0]]},
                                 {"p": 0.4, "basis": [[0, 1]]}]},
      "{path}: weights sum to 0.9, expected 1"),
+    # Non-finite entries print as Python floats, as the two above do.
+    ({"q": 2, "m": 1, "rows": [[float("nan"), 1.0], [0.5, 0.5]]},
+     "entry (0, 0) is not finite: nan"),
+    ({"q": 2, "m": 1, "rows": [[0.5, 0.5], [float("inf"), 1.0]]},
+     "entry (1, 0) is not finite: inf"),
 ])
 def test_bad_probabilities_are_refused_word_for_word(tmp_path, capsys, data, why):
     path = write_json(tmp_path / "c.json", data)
@@ -292,6 +297,34 @@ def test_probe_refuses_grid_states_that_are_not_distributions(tmp_path, capsys, 
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err == f"error: {grid}: state 1 is not a probability vector: {state}\n"
+
+
+@pytest.mark.parametrize("entry", ["0.2", True, pytest.param(10 ** 400, id="10**400")])
+def test_grid_entries_must_be_json_numbers(tmp_path, capsys, entry):
+    # Channel and spec files refuse strings and booleans in number fields,
+    # and integers past the float range; so do grid files, where float()
+    # read the first two as 0.2 and 1.0 and the third raised OverflowError.
+    state = [0.2, 0.2, 0.2, 0.2, 0.2] if entry == "0.2" else [0.0, 0.0, 0.0, 0.0, 0.0]
+    state[3] = entry
+    grid = write_json(tmp_path / "grid.json", [state])
+    assert main(["probe-conjectures", "--grid", grid, "--l", "2"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: {grid}: every state must be a list of 5 numbers\n"
+
+
+def test_integer_grid_entries_are_numbers(tmp_path, monkeypatch, capsys):
+    # JSON integers stay legal and read as the floats they equal.
+    written = []
+    for name, state in [("ints", [0, 0, 0, 1, 0]), ("floats", [0.0, 0.0, 0.0, 1.0, 0.0])]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        write_json(tmp_path / name / "grid.json", [state])
+        assert main(["probe-conjectures", "--grid", "grid.json", "--l", "2",
+                     "--out", "out.csv", "--no-timestamp"]) == 0
+        written.append(((tmp_path / name / "out.csv").read_bytes(), capsys.readouterr()))
+    assert written[0] == written[1]
+    assert b"total_loss" in written[0][0]
 
 
 @pytest.mark.parametrize("argv", [[], ["--grid", "step:0"], ["--grid", "step:x"],

@@ -824,6 +824,26 @@ def test_fallback_posterior_is_the_float_decoders():
     assert decode_both(spec, chan, received[None], wrong[None]) == 1
 
 
+def test_fallbacks_are_counted_only_with_details():
+    # `run_trials` reads only u_hat, so neither route counts fallbacks for
+    # it; the decisions are the same either way.
+    rng = np.random.default_rng(28)
+    combo = random_combo(rng, 2, 2).to_explicit()
+    generic = random_mac(rng, 2, 2, 3)
+    assert _coset_leaves(combo) is not None and _coset_leaves(generic) is None
+    for chan in (combo, generic):
+        spec = random_spec(rng, 2, 2, 4)
+        # Random received words: the combination's plus nodes meet empty sets.
+        received = rng.integers(0, chan.output_size, size=(5, spec.block_length))
+        frozen = np.stack([frozen_from_seed(spec, [28, t]) for t in range(5)])
+        u_hat, posteriors, fallbacks = decode_batch(spec, chan, received, frozen)
+        assert posteriors is None and fallbacks is None
+        detailed = decode_batch(spec, chan, received, frozen, with_details=True)
+        assert np.array_equal(u_hat, detailed[0])
+        assert detailed[2].shape == (5,)
+        assert (detailed[2].sum() > 0) == (chan is combo)
+
+
 @pytest.mark.parametrize("q,m", COSET_SHAPES + [(2, 4), (7, 2)])
 def test_minus_node_over_a_fallback_row_is_flat(q, m):
     # Why the coset decoder is exact after a fallback: the float decoder's

@@ -38,6 +38,25 @@ def test_library_imports_no_private_names_from_sibling_modules():
     assert found == []
 
 
+def test_only_jsonio_reads_files():
+    # File formats have one owner: a module that opens a file or parses
+    # JSON itself keeps a second reader with its own number rule.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "jsonio.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute) and func.attr == "load"
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_polarize_names_the_branch_view():
     # `CodeSpec.branches` builds one object per branch; the library works
     # on the columns, so the view stays off every other module.
