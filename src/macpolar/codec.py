@@ -56,29 +56,28 @@ from .subspace import count_subspaces
 def frozen_from_seed(spec: CodeSpec, seed) -> np.ndarray:
     """(N, m) frozen symbols drawn from a seeded generator, 0 at the
     information positions; the decoder is given the same array."""
-    return _draw(spec.frozen_mask(), spec.q, seed)
+    return _draw(spec.frozen_mask(), spec.q, [seed])[0]
 
 
 def random_message(spec: CodeSpec, info_seed, frozen_seed) -> np.ndarray:
     """(N, m) message: seeded information symbols and seeded frozen ones."""
     mask = spec.frozen_mask()
-    return _draw(mask, spec.q, frozen_seed) + _draw(~mask, spec.q, info_seed)
+    return (_draw(mask, spec.q, [frozen_seed]) + _draw(~mask, spec.q, [info_seed]))[0]
 
 
-def _draw(where: np.ndarray, q: int, seed) -> np.ndarray:
-    """Uniform symbols from one seeded generator at the True positions of
-    an (N, m) mask, taken in row-major order (by branch, then user); 0
-    elsewhere."""
-    u = np.zeros(where.shape, dtype=np.int64)
-    u[where] = np.random.default_rng(_seed_key(seed)).integers(
-        0, q, size=int(where.sum()))
-    return u
+def _draw(where: np.ndarray, q: int, seeds) -> np.ndarray:
+    """(T, N, m) uniform symbols at the True positions of an (N, m) mask, 0
+    elsewhere: block t's from seeds[t]'s generator, by branch, then user."""
+    u = np.zeros((len(seeds), where.size), dtype=np.int64)
+    at = np.flatnonzero(where)
+    for row, seed in zip(u, seeds):         # row by row: a 2-D scatter is slower
+        row[at] = _generator(seed).integers(0, q, size=len(at))
+    return u.reshape(len(seeds), *where.shape)
 
 
-def _seed_key(seed):
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
+def _generator(seed) -> np.random.Generator:
+    """The generator of a seed: an integer or a sequence of integers."""
+    return np.random.default_rng([int(s) for s in np.atleast_1d(seed)])
 
 
 # -- encoding -------------------------------------------------------------------
@@ -86,17 +85,24 @@ def _seed_key(seed):
 def butterfly_transform(u: np.ndarray, q: int) -> np.ndarray:
     """Apply the l-stage recursion to key-indexed rows, the second-to-last
     axis of u; the '-' slot of each stage-j pair (keys differing in bit
-    j-1) receives the sum."""
-    x = np.asarray(u, dtype=np.int64) % q
-    *batch, n, m = x.shape
+    j-1) receives the sum.  Returns int64 values in [0, q)."""
+    x = np.asarray(u, dtype=np.int64)
+    if x.size and (x.min() < 0 or x.max() >= q):   # an int64 % costs more than the stages
+        x = x % q
+    n = x.shape[-2]
+    # Key axis outermost, so that a stage's rows are runs across the batch,
+    # in the narrowest unsigned dtype that holds a sum of two symbols, 2q - 2.
+    keyed = np.moveaxis(x, -2, 0).astype(np.min_scalar_type(2 * q - 2), order="C")
     j = 1
     while j < n:
-        # Row a*2j + b*j + c (c < j) has b as its key's bit of weight j.
-        pairs = x.reshape(*batch, n // (2 * j), 2, j, m)
-        pairs[..., 0, :, :] += pairs[..., 1, :, :]
-        pairs[..., 0, :, :] %= q
+        # Key a*2j + b*j + c (c < j) has b as its bit of weight j.
+        pairs = keyed.reshape(n // (2 * j), 2, -1)
+        top = pairs[:, 0]
+        top += pairs[:, 1]
+        # Unsigned: below q, top - q wraps past top; from q on it is top mod q.
+        np.minimum(top, top - int(q), out=top)
         j <<= 1
-    return x
+    return np.moveaxis(keyed, 0, -2).astype(np.int64, order="C")
 
 
 def encode(spec: CodeSpec, u) -> np.ndarray:
@@ -119,15 +125,21 @@ def simulate_channel(channel: DiscreteMac, x: np.ndarray, seed) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != channel.m:
         raise SpecMismatchError(f"channel has {channel.m} users, but the "
                                 f"codeword has shape {x.shape}")
-    n = x.shape[0]
-    uniforms = np.random.default_rng(_seed_key(seed)).random(n)
-    x_idx = (x % channel.q) @ (channel.q ** np.arange(channel.m))
+    return _sample(channel, x[None] % channel.q, [seed])[0]
+
+
+def _sample(channel: DiscreteMac, x: np.ndarray, seeds) -> np.ndarray:
+    """(T, N) output indices of a (T, N, m) batch of codewords in [0, q):
+    block t's N uniforms come from seeds[t]'s generator, each mapped through
+    its input's inverse CDF, in one pass per distinct input over the batch."""
+    uniforms = np.concatenate([_generator(s).random(x.shape[1]) for s in seeds])
+    x_idx = (x @ (channel.q ** np.arange(channel.m))).ravel()
     cdf = np.cumsum(channel.table, axis=1)
-    received = np.empty(n, dtype=np.int64)
-    for i in np.unique(x_idx):
-        sel = x_idx == i
-        received[sel] = _inverse_cdf(cdf[i], uniforms[sel])
-    return received
+    received = np.empty(x_idx.shape, dtype=np.int64)
+    for i in np.flatnonzero(np.bincount(x_idx, minlength=len(cdf))):
+        at = np.flatnonzero(x_idx == i)
+        received[at] = _inverse_cdf(cdf[i], uniforms[at])
+    return received.reshape(x.shape[:2])
 
 
 def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -567,8 +579,8 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     symbols (averaging over the frozen choice), transmits the block and
     counts a block error whenever any decoded information symbol differs.
     Per-trial generators derive from (seed, trial, stream), so runs are
-    reproducible and order-independent.  Blocks are encoded and decoded
-    a chunk of trials at a time (see DECODE_CHUNK).  A spec that
+    reproducible and order-independent.  Blocks are drawn, encoded, sent
+    and decoded a chunk of trials at a time (see DECODE_CHUNK).  A spec that
     `CodeSpec.check` refuses raises its SpecMismatchError.
     """
     if n_trials < 1:
@@ -579,10 +591,9 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
     errors = 0
     for start in range(0, n_trials, chunk):
         trials = range(start, min(start + chunk, n_trials))
-        frozen = np.stack([_draw(mask, spec.q, [seed, t, 1]) for t in trials])
-        u = frozen + np.stack([_draw(info, spec.q, [seed, t, 0]) for t in trials])
-        received = np.stack([simulate_channel(channel, x, seed=[seed, t, 2])
-                             for t, x in zip(trials, encode(spec, u))])
+        frozen = _draw(mask, spec.q, [(seed, t, 1) for t in trials])
+        u = frozen + _draw(info, spec.q, [(seed, t, 0) for t in trials])
+        received = _sample(channel, encode(spec, u), [(seed, t, 2) for t in trials])
         u_hat, _, _ = decode(received, frozen)
         errors += int((u_hat != u)[:, info].any(axis=1).sum())
     bler = errors / n_trials

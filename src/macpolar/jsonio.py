@@ -143,7 +143,7 @@ def load_grid(path: str) -> list:
     """The states of a probe grid file, each a tuple of 5 floats."""
     data = _load_json(path)
     if not isinstance(data, list) or not data:
-        raise BadGridError("grid file must be a non-empty JSON list of states")
+        raise BadGridError(f"{path}: grid file must be a non-empty JSON list of states")
     try:
         states = [tuple(_json_float_list(row)) for row in data]
         if any(len(state) != 5 for state in states):

@@ -18,6 +18,9 @@ detection in code construction: the first tests whether the good
 directions form a subspace by listing the members of their span, the
 second picks a good branch's information users by a greedy rank search.
 
+`butterfly_reference` is the encoder's butterfly as it was before it ran
+in a narrow dtype: one int64 `%` per stage on (..., 2, j, m) views.
+
 `level_sums_reference` is the exact enumeration of `evolve` as it was
 before settled states were counted instead of expanded: it walks every
 one of the 2^(depth+1) - 1 states of the tree.
@@ -356,3 +359,18 @@ def level_sums_reference(lat: SubspaceLattice, root: np.ndarray, depth: int):
         sums[level] += block.sum(axis=1)
         extremal[level] += np.count_nonzero(block.max(axis=0) >= 1.0 - EXTREMAL_TOL)
     return sums, extremal
+
+
+def butterfly_reference(u, q: int) -> np.ndarray:
+    """The l-stage butterfly of key-indexed rows (the second-to-last axis)
+    in int64, stage by stage: the '-' slot of each stage-j pair receives
+    the sum mod q."""
+    x = np.asarray(u, dtype=np.int64) % q
+    *batch, n, m = x.shape
+    j = 1
+    while j < n:
+        pairs = x.reshape(*batch, n // (2 * j), 2, j, m)
+        pairs[..., 0, :, :] += pairs[..., 1, :, :]
+        pairs[..., 0, :, :] %= q
+        j <<= 1
+    return x

@@ -313,6 +313,16 @@ def test_grid_entries_must_be_json_numbers(tmp_path, capsys, entry):
     assert printed.err == f"error: {grid}: every state must be a list of 5 numbers\n"
 
 
+@pytest.mark.parametrize("data", [{"a": 1}, []], ids=["object", "empty"])
+def test_grid_file_of_no_states_is_refused_by_name(tmp_path, capsys, data):
+    grid = write_json(tmp_path / "grid.json", data)
+    assert main(["probe-conjectures", "--grid", grid, "--l", "2"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == (f"error: {grid}: grid file must be a non-empty "
+                           "JSON list of states\n")
+
+
 def test_integer_grid_entries_are_numbers(tmp_path, monkeypatch, capsys):
     # JSON integers stay legal and read as the floats they equal.
     written = []

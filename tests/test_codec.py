@@ -46,7 +46,13 @@ from macpolar.gfq import rref
 from macpolar.polarize import BranchCode, all_sigs
 from macpolar.linear_mac import binary2_subspaces, subspace_lattice
 from conftest import identity_mac, random_combo, random_full_column_rank, random_mac
-from oracles import affine_sets, set_difference, set_translate, spec_from_branches
+from oracles import (
+    affine_sets,
+    butterfly_reference,
+    set_difference,
+    set_translate,
+    spec_from_branches,
+)
 
 
 def decode_batch(spec, chan, *args, **kwargs):
@@ -132,6 +138,21 @@ def test_encode_linearity(rng):
     # A batch is encoded message by message.
     assert np.array_equal(encode(spec, np.stack([a, b, a + b])),
                           np.stack([xa, xb, xab]))
+
+
+@pytest.mark.parametrize("q,m,l", [(2, 2, 6), (3, 2, 5), (131, 1, 3)])
+def test_encode_matches_the_int64_butterfly(q, m, l):
+    # The encoder may run its stages in a narrower dtype; its output is the
+    # int64 stage-by-stage butterfly's, values and dtype, for one message
+    # and for a batch.  q = 131 is past the 8-bit range of 2q - 2.
+    rng = np.random.default_rng(q * 100 + l)
+    spec = trivial_spec(q, m, l)
+    batch = rng.integers(-q, 2 * q, size=(5, 1 << l, m))
+    batch[0] = q - 1            # every first-stage sum is 2q - 2
+    for u in (batch[1], batch):
+        x = encode(spec, u)
+        assert x.dtype == np.int64
+        assert np.array_equal(x, butterfly_reference(u, q))
 
 
 def test_decoder_law_matches_transforms(rng):
@@ -694,6 +715,50 @@ def test_run_trials_blocks_do_not_depend_on_the_trial_count(monkeypatch):
         u_hat = sc_decode(spec, chan, received, frozen_from_seed(spec, [11, t, 1]))
         wrong.append(not np.array_equal(u_hat[info], u[info]))
     assert long.errors == sum(wrong) and short.errors == sum(wrong[:5])
+
+
+@pytest.mark.parametrize("route", ["float", "coset"])
+def test_run_trials_hands_the_decoder_each_trials_own_block(monkeypatch, route):
+    # On either decoder route, over a full chunk and part of another, the
+    # received and frozen arrays the decoder gets for trial t, and the
+    # error count, are those of trial t's block built and decoded alone.
+    # Twelve good branches, the most reliable ones, on a channel that
+    # loses some blocks and not others.
+    good = [15, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31]
+    spec = random_spec(np.random.default_rng(3264), 3, 2, 5, good)
+    if route == "float":        # a noisy identity
+        noise = random_mac(np.random.default_rng(3265), 3, 2, 9).table
+        chan = DiscreteMac(3, 2, 0.6 * np.eye(9) + 0.4 * noise)
+    else:
+        chan = random_combo(np.random.default_rng(2), 3, 2).to_explicit()
+    assert (_coset_leaves(chan) is None) == (route == "float")
+    seen = []
+
+    def recording(spec, channel):
+        decode, chunk = _decoder(spec, channel)
+
+        def record(received, frozen, *args):
+            seen.append((received.copy(), frozen.copy()))
+            return decode(received, frozen, *args)
+        return record, chunk
+
+    monkeypatch.setattr(codec, "_decoder", recording)
+    trials = DECODE_CHUNK + 6
+    report = run_trials(spec, chan, trials, seed=29)
+    monkeypatch.undo()
+    assert [len(r) for r, _ in seen] == [DECODE_CHUNK, 6]
+    received = np.concatenate([r for r, _ in seen])
+    frozen = np.concatenate([f for _, f in seen])
+    info = ~spec.frozen_mask()
+    errors = 0
+    for t in range(trials):
+        u = random_message(spec, [29, t, 0], [29, t, 1])
+        alone = simulate_channel(chan, encode(spec, u), seed=[29, t, 2])
+        assert np.array_equal(received[t], alone)
+        assert np.array_equal(frozen[t], frozen_from_seed(spec, [29, t, 1]))
+        u_hat = sc_decode(spec, chan, alone, frozen[t])
+        errors += not np.array_equal(u_hat[info], u[info])
+    assert report.errors == errors and 0 < errors < trials
 
 
 def test_run_trials_chunk_follows_the_decoder(monkeypatch):

@@ -73,6 +73,18 @@ def test_only_polarize_names_the_branch_view():
     assert found == []
 
 
+def test_codec_builds_generators_at_one_call_site():
+    # `simulate` output is fixed by which generator, keyed (seed, trial,
+    # stream), draws each symbol and uniform; one owner of that rule keeps
+    # a second draw path from drifting away from it.
+    path = PACKAGE / "codec.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sites = [f"codec.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "default_rng" in
+             (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    assert len(sites) == 1, sites
+
+
 def python_blocks(markdown: str):
     """Bodies of the ```python fenced blocks of a Markdown text."""
     return re.findall(r"^```python\n(.*?)^```", markdown, flags=re.M | re.S)
