@@ -4,7 +4,7 @@ Subcommands: analyze, polarize, construct, simulate, evolve,
 probe-conjectures.  Every run echoes its resolved configuration into the
 output file, and with --no-timestamp two runs of the same command are
 byte-identical.  Exit codes: 0 success, 2 configuration or input error,
-3 size/depth cap exceeded.
+3 size or enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -169,11 +169,8 @@ def cmd_evolve(args) -> int:
     if not isinstance(channel, LinearComboMac):
         raise ParseError("evolve needs a linear-combination channel")
     mode, n_paths = _parse_mode(args.mode)
-    binary2 = channel.q == 2 and channel.m == 2
-    if mode != "enumerate" and not binary2:
-        raise ParseError("sample mode is only available for q=2, m=2")
     rep = evolve(channel, args.l, mode, n_paths or 1000, args.seed)
-    if binary2:
+    if channel.q == 2 and channel.m == 2:
         # The 5-state columns are the lattice weights in component order;
         # the information columns are I[{1}], I[{2}] and I[{1,2}].
         five = itemgetter(*binary2_order())
@@ -192,7 +189,8 @@ def cmd_evolve(args) -> int:
         cols = ["level", "users", "i_avg", "extremal_fraction"]
         rows = [(lv.level, _users_str(s), i, lv.extremal_fraction)
                 for lv in rep.levels for s, i in zip(user_subsets(channel.m), lv.info)]
-        print(f"evolved to depth {args.l}: {2 ** args.l} branch channels")
+        count = f"{n_paths} sampled paths" if n_paths else f"{2 ** args.l} branch channels"
+        print(f"evolved to depth {args.l}: {count}")
     _write_csv(args, cols, rows)
     return 0
 
@@ -242,19 +240,18 @@ def cmd_probe_conjectures(args) -> int:
         raise ParseError(f"the witness probe also needs {' and '.join(missing)}")
     if missing and not args.grid:
         raise BadGridError("nothing to probe: pass --grid and/or --q/--m/--users")
-    # Refuse a bad probe of either kind before anything is printed.
+    # A probe refused at any point, even mid-walk, prints nothing.
     if not missing:
         lat = subspace_lattice(args.q, args.m)
-        users = tuple(int(u) for u in args.users.split(","))
-        user_indices(users, args.m)
+        users = tuple(user_indices(args.users.split(","), args.m))
     states = _parse_grid(args.grid) if args.grid else []
     rows = []
-    print("probe results are numerical evidence, not proof")
+    lines = ["probe results are numerical evidence, not proof"]
     if states:
         hits = [s for s in states if s[3] > max(s[1], s[2])]
         if not hits:
-            print("total-loss probe: no instances with the diagonal component "
-                  "dominant in grid")
+            lines.append("total-loss probe: no instances with the diagonal component "
+                         "dominant in grid")
         else:
             worst = None
             diagonal = binary2_order()[3]
@@ -264,9 +261,9 @@ def cmd_probe_conjectures(args) -> int:
                 rows.append(("total_loss", json.dumps(s), args.l, p3))
                 if worst is None or p3 < worst[1]:
                     worst = (s, p3)
-            print(f"total-loss probe: {len(hits)} states with dominant diagonal "
-                  f"component; min averaged p3 at depth {args.l}: {worst[1]:.6e} "
-                  f"(state {worst[0]})")
+            lines.append(f"total-loss probe: {len(hits)} states with dominant diagonal "
+                         f"component; min averaged p3 at depth {args.l}: {worst[1]:.6e} "
+                         f"(state {worst[0]})")
     if not missing:
         counterexamples = 0
         consistent_with_witness = 0
@@ -281,9 +278,10 @@ def cmd_probe_conjectures(args) -> int:
                 rows += [("witness_gap",
                           json.dumps([lat.subspaces[i].basis.tolist() for i in family]),
                           "", "") for family in gaps.tolist()]
-        print(f"witness probe: scanned {scanned} families over GF({args.q})^{args.m} "
-              f"w.r.t. users {users}: {consistent_with_witness} consistent families "
-              f"have a witness, {counterexamples} lack one")
+        lines.append(f"witness probe: scanned {scanned} families over GF({args.q})^{args.m} "
+                     f"w.r.t. users {users}: {consistent_with_witness} consistent families "
+                     f"have a witness, {counterexamples} lack one")
+    print("\n".join(lines))
     _write_csv(args, ("probe", "instance", "depth", "value"), rows)
     return 0
 

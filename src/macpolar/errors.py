@@ -48,7 +48,7 @@ class TooLargeError(MacPolarError, ValueError):
 
 
 class TooDeepError(MacPolarError, ValueError):
-    """Requested recursion depth exceeds the enumeration cap."""
+    """An exact enumeration would expand more states than its cap."""
 
 
 class SpecMismatchError(MacPolarError, ValueError):

@@ -533,11 +533,13 @@ def lattice_levels(lat: SubspaceLattice, root: np.ndarray, depth: int):
             pending += [(level + 1, h) for h in halves]
 
 
-def level_sums(lat: SubspaceLattice, root: np.ndarray, depth: int):
-    """Per level 0..depth, the weight vectors summed over its states,
-    (depth + 1, L), and the count of extremal states (a weight of at
-    least 1 - EXTREMAL_TOL), (depth + 1,).  Every evolution that
-    enumerates branches comes here, so the depth cap is checked here.
+def level_averages(lat: SubspaceLattice, root: np.ndarray, depth: int):
+    """Per level 0..depth, the weight vector averaged over its 2^level
+    states, (depth + 1, L), and the share of extremal states (a weight of
+    at least 1 - EXTREMAL_TOL), (depth + 1,).  Every enumerating evolution
+    comes here, so its bound is here: not the depth, but TooDeepError once
+    the walk would expand more than 2^ENUMERATE_DEPTH_CAP - 1 states, the
+    internal states of a full depth-20 tree.
 
     A state at level t is settled when its largest weight is on subspace
     k and its weight off k, delta, has delta * 2^(depth - t) <= SETTLE_TOL.
@@ -546,16 +548,17 @@ def level_sums(lat: SubspaceLattice, root: np.ndarray, depth: int):
     = k, a child keeps at least the square of its parent's weight on k, so
     the off-k weight at most doubles per level.  Each level average then
     moves by at most 2 * SETTLE_TOL in L1, I[S] by at most 2m * SETTLE_TOL,
-    and the extremal counts are exact.  Settled states leave the block
-    through `np.compress`, an in-order column copy that costs a fraction
-    of a boolean column mask."""
-    if depth > ENUMERATE_DEPTH_CAP:
-        raise TooDeepError(
-            f"enumeration of 2^{depth} branches exceeds cap 2^{ENUMERATE_DEPTH_CAP}")
+    and no extremal count changes.  Settled states leave the block through
+    `np.compress`, an in-order column copy that costs a fraction of a
+    boolean column mask.  A state settled at level t adds 2^-t to its unit
+    vector at every level below, and each level's walked sum is scaled by
+    2^-level, so nothing overflows at any depth.  Shares and fractions are
+    exact to level 52 (counts below 2^53), then round to 2^-53 relative."""
     sums = np.zeros((depth + 1, lat.size))
     extremal = np.zeros(depth + 1, dtype=np.int64)
-    settled = np.zeros((depth + 1, lat.size), dtype=np.int64)
+    settled = np.zeros((depth + 1, lat.size))  # row t + 1: share of level t settled
     width = max(1, BLOCK_FLOATS // lat.size)
+    expanded = 0
     pending = [(0, np.asarray(root, dtype=np.float64).reshape(-1, 1))]
     while pending:
         level, block = pending.pop()
@@ -567,21 +570,22 @@ def level_sums(lat: SubspaceLattice, root: np.ndarray, depth: int):
         # The weight off k is summed, not taken as 1 - max, which rounds
         # to 0.  A state with no near-extremal weight sums to 1 here.
         off = block.sum(axis=0, where=~near)
-        done = off * 2.0 ** (depth - level) <= SETTLE_TOL
+        done = off <= SETTLE_TOL * 2.0 ** (level - depth)
         if done.any():
-            settled[level] += np.count_nonzero(near & done, axis=1)
+            settled[level + 1] += np.count_nonzero(near & done, axis=1) * 0.5 ** level
             block = np.compress(~done, block, axis=1)
         n = block.shape[1]
+        expanded += n
+        if expanded > 2 ** ENUMERATE_DEPTH_CAP - 1:
+            raise TooDeepError(f"enumeration to depth {depth} expands more than "
+                               f"2^{ENUMERATE_DEPTH_CAP} - 1 states")
         if n:
             children = lattice_children(lat, block)
             halves = [children] if 2 * n <= width else [children[:, n:], children[:, :n]]
             pending += [(level + 1, h) for h in halves]
-    below = np.zeros(lat.size, dtype=np.int64)
-    for d in range(1, depth + 1):
-        below = 2 * (below + settled[d - 1])
-        sums[d] += below
-        extremal[d] += below.sum()
-    return sums, extremal
+    scale = 0.5 ** np.arange(depth + 1)
+    share = np.cumsum(settled, axis=0)
+    return sums * scale[:, None] + share, extremal * scale + share.sum(axis=1)
 
 
 # -- evolution -------------------------------------------------------------------
@@ -610,9 +614,10 @@ def evolve(combo: LinearComboMac, depth: int, mode: str = "enumerate",
 
     Each level reports the lattice weight vector averaged over its
     branches; I[S] of that average is its projected dimensions, the
-    average of I[S] over the branches.  mode="enumerate" sums all 2^depth
-    branches exactly (depth <= 20); mode="sample" follows `n_paths` seeded
-    random branch paths and also reports standard errors of the averages.
+    average of I[S] over the branches.  mode="enumerate" averages all
+    2^depth branches, refused past 2^ENUMERATE_DEPTH_CAP - 1 expanded
+    states; mode="sample" follows `n_paths` seeded random branch paths
+    and also reports standard errors of the averages.
     """
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
@@ -626,10 +631,8 @@ def evolve(combo: LinearComboMac, depth: int, mode: str = "enumerate",
                            float(extremal), stderr)
 
     if mode == "enumerate":
-        sums, extremal = level_sums(lat, root, depth)
-        return EvolveReport(tuple(
-            entry(lvl, sums[lvl] / 2 ** lvl, extremal[lvl] / 2 ** lvl)
-            for lvl in range(depth + 1)))
+        averages, extremal = level_averages(lat, root, depth)
+        return EvolveReport(tuple(map(entry, range(depth + 1), averages, extremal)))
     if mode == "sample":
         if n_paths < 2:
             raise ValueError(f"sample mode needs at least 2 paths, got {n_paths}")

@@ -131,9 +131,9 @@ def detect_linear(channel: DiscreteMac, eps: float, stats=None):
     Collects the directions with I > 1 - eps and spans them.  The good
     directions lie in their span, so they are all of it exactly when there
     are (q^d - 1)/(q - 1) of them, d the span's dimension.  Returns an
-    (m, rank) int array and the rank on success -- rank 0 with an (m, 0)
-    array when no direction is good -- and None when the good set fails to
-    be a subspace.  The columns are the span's RREF basis rows (read-only).
+    (m, rank) int array on success -- (m, 0) when no direction is good --
+    and None when the good set fails to be a subspace.  The columns are
+    the span's RREF basis rows (read-only).
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -144,7 +144,7 @@ def detect_linear(channel: DiscreteMac, eps: float, stats=None):
     span = Subspace.from_vectors(good, m, q)
     if len(good) != (q ** span.dim - 1) // (q - 1):
         return None
-    return span.basis.T, span.dim
+    return span.basis.T
 
 
 # -- code specification ----------------------------------------------------------
@@ -341,12 +341,11 @@ def _explicit_leaves(channel: DiscreteMac, depth: int, eps: float, step):
         if len(sig) < depth:
             continue
         stats = direction_stats(ch)
-        det = detect_linear(ch, eps, stats)
-        a, r = det or (None, 0)
-        a_cols = None if det is None else tuple(map(tuple, a.T.tolist()))
+        a = detect_linear(ch, eps, stats)
+        a_cols = None if a is None else tuple(map(tuple, a.T.tolist()))
         z_of = {st.alpha: st.z for st in stats}
         z_sum = float(sum(z_of[c] for c in a_cols or ()))
-        i_det = sum_capacity(restrict(ch, a)) if r else 0.0
+        i_det = sum_capacity(restrict(ch, a)) if a_cols else 0.0
         which.append(maps.setdefault(a_cols, len(maps)))
         floats.append((z_sum, sum_capacity(ch), i_det))
     return (list(maps), np.array(which), *np.array(floats, dtype=np.float64).T.copy())

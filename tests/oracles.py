@@ -38,9 +38,7 @@ from functools import partial
 import numpy as np
 
 from macpolar import LinearComboMac, mat_rank
-from macpolar.errors import TooDeepError
 from macpolar.linear_mac import (
-    ENUMERATE_DEPTH_CAP,
     EXTREMAL_TOL,
     SubspaceLattice,
     lattice_levels,
@@ -348,11 +346,8 @@ def spec_from_branches(branches, **header) -> CodeSpec:
 def level_sums_reference(lat: SubspaceLattice, root: np.ndarray, depth: int):
     """Per level 0..depth, the weight vectors summed over its states,
     (depth + 1, L), and the count of extremal states (a weight of at
-    least 1 - EXTREMAL_TOL), (depth + 1,).  Every evolution that
-    enumerates branches comes here, so the depth cap is checked here."""
-    if depth > ENUMERATE_DEPTH_CAP:
-        raise TooDeepError(
-            f"enumeration of 2^{depth} branches exceeds cap 2^{ENUMERATE_DEPTH_CAP}")
+    least 1 - EXTREMAL_TOL), (depth + 1,).  It has no depth cap: its
+    work is the whole tree, 2^(depth+1) - 1 states."""
     sums = np.zeros((depth + 1, lat.size))
     extremal = np.zeros(depth + 1, dtype=np.int64)
     for level, block in lattice_levels(lat, root, depth):

@@ -18,7 +18,7 @@ from macpolar import (
     Subspace,
 )
 from macpolar import cli, linear_mac, polarize
-from macpolar.cli import _parse_mode, build_parser, main
+from macpolar.cli import _parse_mode, main
 from macpolar.jsonio import (
     channel_from_dict,
     load_channel,
@@ -347,6 +347,30 @@ def test_refused_probes_print_nothing(tmp_path, monkeypatch, capsys, argv):
     assert printed.err.startswith("error: ")
 
 
+def test_a_probe_refused_mid_walk_prints_nothing(capsys):
+    # The grid probe's depth-60 walk passes the expanded-state bound after
+    # the probe has started; its stdout lines wait for both probes.
+    assert main(["probe-conjectures", "--grid", "step:2", "--l", "60"]) == 3
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert "2^20 - 1 states" in printed.err
+
+
+def test_witness_line_names_the_validated_users(tmp_path, monkeypatch, capsys):
+    # The probe computes with the users as a sorted set, and says so: a
+    # repeated or unsorted list prints and writes what the canonical one
+    # does.  The config echo keeps the text as written.
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for users in ("2,1,1", "1,2"):
+        assert main(["probe-conjectures", "--q", "2", "--m", "3", "--users", users,
+                     "--out", f"{users}.csv", "--no-timestamp"]) == 0
+        runs.append((capsys.readouterr().out, read_rows(f"{users}.csv")))
+    assert runs[0] == runs[1]
+    assert "w.r.t. users (1, 2):" in runs[0][0]
+    assert '"users": "2,1,1"' in (tmp_path / "2,1,1.csv").read_text().splitlines()[0]
+
+
 @pytest.mark.parametrize("patch", [{"q": 2.6}, {"m": 2.9},
                                    {"terms": [{"p": 1.0, "basis": [[1.5, 1]]}]},
                                    {"m": True, "terms": [{"p": 1.0, "basis": [[1]]}]},
@@ -574,6 +598,19 @@ def test_exit_codes(tmp_path, five_term_file, capsys):
     assert main(["evolve", "--channel", five_term_file, "--l", "25",
                  "--mode", "enumerate"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["five", "gf3_2.json"])
+def test_evolve_refuses_by_expanded_states(tmp_path, five_term_file, capsys, name):
+    # The bound is on the states the walk expands, 2^20 - 1, not on the
+    # depth: depth 60 is refused mid-walk, on (2,2) and on GF(3)^2 alike.
+    path = five_term_file if name == "five" else write_json(tmp_path / name,
+                                                             GENERIC_COMBOS[name])
+    assert main(["evolve", "--channel", path, "--l", "60"]) == 3
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == ("error: enumeration to depth 60 expands more than "
+                           "2^20 - 1 states\n")
 
 
 def test_probe_beyond_the_lattice_cap_exits_3(capsys):
@@ -942,13 +979,33 @@ def test_bad_mode_is_a_parse_error(five_term_file, mode, capsys):
     assert "--mode" in capsys.readouterr().err
 
 
-def test_generic_sample_mode_is_a_parse_error(tmp_path):
-    path = write_json(tmp_path / "gf3_2.json", GENERIC_COMBOS["gf3_2.json"])
-    args = build_parser().parse_args(["evolve", "--channel", path, "--l", "3",
-                                      "--mode", "sample:10"])
-    with pytest.raises(ParseError, match="sample mode"):
-        args.func(args)
-    assert main(["evolve", "--channel", path, "--l", "3", "--mode", "sample:10"]) == 2
+@pytest.mark.parametrize("name", ["gf3_2.json", "gf2_3.json"])
+def test_generic_sample_mode_writes_the_generic_columns(tmp_path, monkeypatch, capsys,
+                                                         name):
+    # Sampling runs on every shape: the columns of the enumerate run, the
+    # library's numbers, the same bytes for the same seed, and the root's
+    # level-0 rows.  Paths are relative, so two runs' config echoes agree.
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / name, GENERIC_COMBOS[name])
+    written = []
+    for mode in ("sample:40", "sample:40", "enumerate"):
+        assert main(["evolve", "--channel", name, "--l", "5", "--mode", mode,
+                     "--seed", "7", "--out", "out.csv", "--no-timestamp"]) == 0
+        written.append((tmp_path / "out.csv").read_text())
+    assert written[0] == written[1]
+    assert written[0].splitlines()[1] == "level,users,i_avg,extremal_fraction"
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["evolved to depth 5: 40 sampled paths"] * 2 + [
+        "evolved to depth 5: 32 branch channels"]
+    combo = load_channel(name)
+    want = [[str(lv.level), ";".join(map(str, s)), repr(i), repr(lv.extremal_fraction)]
+            for lv in linear_mac.evolve(combo, 5, "sample", 40, 7).levels
+            for s, i in zip(subsets_of(combo.m), lv.info)]
+    sampled, enumerated = ([line.split(",") for line in text.splitlines()[2:]]
+                           for text in written[1:])
+    assert sampled == want
+    level0 = len(subsets_of(combo.m))
+    assert sampled[:level0] == enumerated[:level0]
 
 
 def read_rows(path):

@@ -33,7 +33,7 @@ from macpolar.linear_mac import (
     binary2_subspaces,
     lattice_children,
     lattice_levels,
-    level_sums,
+    level_averages,
     subspace_lattice,
 )
 from macpolar.cli import _parse_grid
@@ -503,8 +503,8 @@ DIAGONAL = binary2_order()[3]     # lattice position of span{(1,1)}
 
 def enumeration_roots():
     """(label, q, m, root, depth): seeded and uniform states of three
-    lattices, and every state of the `step:3` and `step:2` total-loss
-    grids."""
+    lattices, every state of the `step:3` and `step:2` total-loss grids,
+    and the uniform 5-state past the old depth cap of 20."""
     cases = []
     for q, m, depth in ((2, 2, 16), (3, 2, 12), (2, 3, 10)):
         size = subspace_lattice(q, m).size
@@ -521,6 +521,7 @@ def enumeration_roots():
             root = np.zeros(5)
             root[binary2_order()] = state
             cases.append((f"step{k}-{j}", 2, 2, root, depth))
+    cases += [(f"uniform-l{depth}", 2, 2, np.full(5, 0.2), depth) for depth in (21, 22)]
     return cases
 
 
@@ -535,11 +536,11 @@ def test_level_sums_match_the_full_walk(label, q, m, root, depth):
     # Counting settled states instead of expanding them keeps every
     # extremal count and moves each level average by at most the bound.
     lat = subspace_lattice(q, m)
-    sums, extremal = level_sums(lat, root, depth)
+    averages, extremal = level_averages(lat, root, depth)
     want_sums, want_extremal = level_sums_reference(lat, root, depth)
-    assert np.array_equal(extremal, want_extremal)
-    scale = 2.0 ** np.arange(depth + 1)[:, None]
-    worst = np.abs(sums / scale - want_sums / scale).sum(axis=1).max()
+    scale = 2.0 ** np.arange(depth + 1)
+    assert np.array_equal(extremal * scale, want_extremal)
+    worst = np.abs(averages - want_sums / scale[:, None]).sum(axis=1).max()
     assert worst <= AVERAGE_L1_TOL, worst
 
 
@@ -547,7 +548,9 @@ def test_level_sums_match_the_full_walk(label, q, m, root, depth):
                                          (2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
 def test_a_unit_root_is_counted_not_expanded(monkeypatch, q, m, basis):
     # A root with one nonzero weight has no off-k mass: every branch below
-    # it is that subspace, counted without a single transform.
+    # it is that subspace, counted without a single transform.  No depth
+    # is refused, and at 2000 levels, where the branch count 2^2000 fits
+    # neither int64 nor float64, every level is still the unit vector.
     def forbidden(*args):
         raise AssertionError("lattice_children called")
 
@@ -556,11 +559,11 @@ def test_a_unit_root_is_counted_not_expanded(monkeypatch, q, m, basis):
     k = lat.index[Subspace.from_vectors(basis, m, q)]
     root = np.zeros(lat.size)
     root[k] = 1.0
-    depth = linear_mac.ENUMERATE_DEPTH_CAP
-    sums, extremal = level_sums(lat, root, depth)
+    depth = 2000
+    averages, extremal = level_averages(lat, root, depth)
     for d in range(depth + 1):
-        assert np.array_equal(sums[d], 2.0 ** d * np.eye(lat.size)[k]), d
-        assert extremal[d] == 2 ** d, d
+        assert np.array_equal(averages[d], np.eye(lat.size)[k]), d
+        assert extremal[d] == 1.0, d
 
 
 def test_evolve_level_zero(rng):
@@ -606,8 +609,8 @@ def test_evolve_uniform_depth14_decay():
 
 
 def test_evolve_modes_and_caps():
-    with pytest.raises(TooDeepError):
-        binary2_evolve([0.2] * 5, 21, mode="enumerate")
+    with pytest.raises(TooDeepError, match=r"expands more than 2\^20 - 1 states"):
+        binary2_evolve([0.2] * 5, 60, mode="enumerate")
     a = binary2_evolve([0.2] * 5, 6, mode="sample", n_paths=200, seed=9)
     b = binary2_evolve([0.2] * 5, 6, mode="sample", n_paths=200, seed=9)
     assert a.levels[-1].weights == b.levels[-1].weights

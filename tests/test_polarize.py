@@ -219,12 +219,9 @@ def test_polarize_command_builds_each_branch_once(tmp_path, monkeypatch):
 def test_detect_linear_examples():
     subs = binary2_subspaces()
     c3 = LinearComboMac(2, 2, [(1.0, subs[3])]).to_explicit()
-    cols, r = detect_linear(c3, 0.1)
-    assert r == 1 and cols.T.tolist() == [[1, 1]]
-    _, r = detect_linear(identity_mac(2, 2), 0.1)
-    assert r == 2
-    cols, r = detect_linear(useless_mac(2, 2), 0.1)
-    assert r == 0 and cols.shape == (2, 0)
+    assert detect_linear(c3, 0.1).T.tolist() == [[1, 1]]
+    assert detect_linear(identity_mac(2, 2), 0.1).shape == (2, 2)
+    assert detect_linear(useless_mac(2, 2), 0.1).shape == (2, 0)
 
 
 def test_detect_linear_rejects_non_subspace_good_set():
@@ -252,9 +249,9 @@ def test_detect_linear_never_fails_on_pointmass_channels():
     for sub in binary2_subspaces():
         chan = LinearComboMac(2, 2, [(1.0, sub)]).to_explicit()
         for branch in tree_level(chan, 3):
-            det = detect_linear(branch, 0.2)
-            assert det is not None
-            assert det[1] == sub.dim
+            cols = detect_linear(branch, 0.2)
+            assert cols is not None
+            assert cols.shape == (2, sub.dim)
 
 
 # -- the information map against its slow forms -----------------------------
@@ -301,14 +298,13 @@ def test_detection_matches_span_scan_and_row_search(q, m):
         for eps in (0.05, 0.2, 0.4, 0.6):
             good = [st.alpha for st in stats if st.i > 1 - eps]
             span = span_scan(good, m, q)
-            det = detect_linear(chan, eps, stats)
+            cols = detect_linear(chan, eps, stats)
             if span is None:
-                assert det is None
+                assert cols is None
                 rejected += 1
                 continue
-            cols, r = det
             assert members(Subspace.from_vectors(cols.T, m, q)) == span
-            ranks.add(r)
+            ranks.add(cols.shape[1])
             branch = build_code(chan, 0, eps, z_budget=10.0).branches[0]
             if branch.in_good_set:
                 assert branch.a_columns == tuple(map(tuple, cols.T.tolist()))

@@ -38,6 +38,26 @@ def test_library_imports_no_private_names_from_sibling_modules():
     assert found == []
 
 
+def test_every_private_helper_has_a_library_caller():
+    # A `_`-prefixed module-level function or class that no other part of
+    # the library names is kept alive by its tests alone.
+    defined, named = {}, set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.startswith("__")):
+                defined[top.name] = f"{path.name}:{top.lineno}"
+            # Names used inside a definition's own body do not count for it.
+            own = getattr(top, "name", None)
+            named |= {node.id if isinstance(node, ast.Name) else node.attr
+                      for node in ast.walk(top)
+                      if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    assert defined
+    assert sorted(f"{where}: {name}" for name, where in defined.items()
+                  if name not in named) == []
+
+
 def test_only_jsonio_reads_files():
     # File formats have one owner: a module that opens a file or parses
     # JSON itself keeps a second reader with its own number rule.
