@@ -314,79 +314,73 @@ def _user_list(text: str) -> str:
     return text
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Options as (flag, add_argument keywords), in listing order.
+_CHANNEL = ("--channel", {"required": True})
+_DEPTH = ("--l", {"type": _integer(0, "non-negative"), "required": True})
+_SEED = ("--seed", {"type": _integer(0, "non-negative"), "default": 0})
+_MERGE = (("--merge-tol", {"type": float, "default": DEFAULT_MERGE_TOL}),
+          ("--max-outputs", {"type": _integer(1, "positive"),
+                             "default": MAX_BRANCH_OUTPUTS}))
+_COMMON = (("--out", {"default": None, "help": "output file path"}),
+           ("--no-timestamp", {"action": "store_true",
+                               "help": "omit the timestamp header from outputs"}))
+
+# Every subcommand, in listing order: name -> (help, handler, options).
+# Each also takes the _COMMON options, last.
+COMMANDS = {
+    "analyze": ("rate bounds of a channel", cmd_analyze, (_CHANNEL,)),
+    "polarize": ("per-level averages and branch stats", cmd_polarize,
+                 (_CHANNEL, _DEPTH, *_MERGE)),
+    "construct": ("build a code spec", cmd_construct,
+                  (_CHANNEL, _DEPTH, ("--eps", {"type": float, "required": True}),
+                   ("--z-budget", {"type": float, "required": True}), *_MERGE)),
+    "simulate": ("Monte Carlo block-error run", cmd_simulate,
+                 (("--codespec", {"required": True}), _CHANNEL,
+                  ("--trials", {"type": _integer(1, "positive"), "required": True}),
+                  _SEED)),
+    "evolve": ("subspace-weight evolution of a linear-combination channel", cmd_evolve,
+               (_CHANNEL, _DEPTH,
+                ("--mode", {"default": "enumerate", "help": "enumerate or sample:N"}),
+                _SEED)),
+    "probe-conjectures": ("numeric probes of the open questions", cmd_probe_conjectures, (
+        ("--grid", {"default": None,
+                    "help": "total-loss probe grid: step:K or a JSON file"}),
+        ("--l", {"type": _integer(0, "non-negative"), "default": 14}),
+        ("--q", {"type": int, "default": None}),
+        ("--m", {"type": _integer(1, "positive"), "default": None}),
+        ("--users", {"type": _user_list, "default": None,
+                     "help": "comma-separated user subset for the witness probe"}),
+        ("--max-family", {"type": _integer(1, "positive"), "default": 2}))),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given a `command`, one that
+    parses only that command's arguments: the others are listed by name
+    and help alone, so the usage, listing and choice errors are the same."""
     parser = argparse.ArgumentParser(
         prog="macpolar",
         description="Polar coding experiments for multiple access channels "
                     "over prime fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, out=True):
-        if out:
-            p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp header from outputs")
-
-    p = sub.add_parser("analyze", help="rate bounds of a channel")
-    p.add_argument("--channel", required=True)
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("polarize", help="per-level averages and branch stats")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=_integer(0, "non-negative"), required=True)
-    p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
-    p.add_argument("--max-outputs", type=_integer(1, "positive"), default=MAX_BRANCH_OUTPUTS)
-    common(p)
-    p.set_defaults(func=cmd_polarize)
-
-    p = sub.add_parser("construct", help="build a code spec")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=_integer(0, "non-negative"), required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--z-budget", type=float, required=True)
-    p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
-    p.add_argument("--max-outputs", type=_integer(1, "positive"), default=MAX_BRANCH_OUTPUTS)
-    common(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("simulate", help="Monte Carlo block-error run")
-    p.add_argument("--codespec", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--trials", type=_integer(1, "positive"), required=True)
-    p.add_argument("--seed", type=_integer(0, "non-negative"), default=0)
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("evolve", help="subspace-weight evolution of a "
-                                      "linear-combination channel")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--l", type=_integer(0, "non-negative"), required=True)
-    p.add_argument("--mode", default="enumerate",
-                   help="enumerate or sample:N")
-    p.add_argument("--seed", type=_integer(0, "non-negative"), default=0)
-    common(p)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("probe-conjectures",
-                       help="numeric probes of the open questions")
-    p.add_argument("--grid", default=None,
-                   help="total-loss probe grid: step:K or a JSON file")
-    p.add_argument("--l", type=_integer(0, "non-negative"), default=14)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--m", type=_integer(1, "positive"), default=None)
-    p.add_argument("--users", type=_user_list, default=None,
-                   help="comma-separated user subset for the witness probe")
-    p.add_argument("--max-family", type=_integer(1, "positive"), default=2)
-    common(p)
-    p.set_defaults(func=cmd_probe_conjectures)
-
+    for name, (text, handler, options) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            for flag, keywords in options + _COMMON:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=handler)
+        else:
+            sub.add_parser(name, help=text, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the invoked command's options are built; anything else (no
+    # arguments, -h, an unknown command) gets the full parser.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (TooLargeError, TooDeepError) as exc:

@@ -44,6 +44,7 @@ from .mac import (
 from .subspace import Subspace
 
 MAX_BRANCH_OUTPUTS = 10 ** 5
+MAX_CODE_BRANCHES = 2 ** 22     # a spec holds three floats and a shape per branch
 MINUS, PLUS = "-", "+"
 
 
@@ -290,7 +291,8 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
     their pivot columns: the lexicographically smallest user set on which
     the columns' rows are independent.  Everything else is frozen.
 
-    A `LinearComboMac` is polarized on its subspace lattice, with exact
+    A code of more than MAX_CODE_BRANCHES branches is refused before any
+    walk.  A `LinearComboMac` is polarized on its subspace lattice, with exact
     statistics and no output merging: `merge_tol` is validated and recorded
     but unused there, and so is `max_outputs`.
     """
@@ -301,6 +303,9 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
     if not z_budget > 0:        # NaN too
         raise ValueError("z_budget must be positive")
     check_merge_tol(merge_tol)
+    if depth >= MAX_CODE_BRANCHES.bit_length():        # 2^depth > MAX_CODE_BRANCHES
+        raise TooLargeError(f"a depth-{depth} code has 2^{depth} branches, more than "
+                            f"MAX_CODE_BRANCHES = {MAX_CODE_BRANCHES}")
     q, m = channel.q, channel.m
     if isinstance(channel, LinearComboMac):
         maps, which, z_sum, i_branch, i_det = _lattice_leaves(channel, depth, eps)

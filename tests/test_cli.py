@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,7 @@ from macpolar import (
     ParseError,
     SpecMismatchError,
     Subspace,
+    TooLargeError,
 )
 from macpolar import cli, linear_mac, polarize
 from macpolar.cli import _parse_mode, main
@@ -1069,3 +1074,145 @@ def test_uniform_gf2_3_evolve_passes_depth_9(tmp_path, capsys):
     full = [float(r[2]) for r in rows if r[1] == "1;2;3"]
     assert max(abs(v - full[0]) for v in full) < 1e-12
     assert "4096 branch channels" in capsys.readouterr().out
+
+
+# -- one parser per invoked command --------------------------------------------------
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    printed = capsys.readouterr()
+    return code, printed.out, printed.err
+
+
+HELP_AND_ERROR_ARGV = [
+    [], ["--help"], ["bogus"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    ["construct", "--bogus", "1"],
+    ["construct", "--channel", "x"],
+    ["simulate", "--codespec", "c.json", "--channel", "c.json", "--trials", "0"],
+    ["evolve", "--channel", "c.json", "--l", "-1"],
+    ["analyze", "--channel", "missing.json"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERROR_ARGV, ids=" ".join)
+def test_help_and_errors_match_the_full_parser(tmp_path, monkeypatch, capsys, argv):
+    # The parser built for one command lists the others by name and help
+    # only; usage, listings, choice errors and exit codes must not show it.
+    # COLUMNS fixes argparse's wrapping width on every host.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    got = run_main(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full(None))
+    want = run_main(argv, capsys)
+    assert got == want
+    assert got[0] != 0 or got[1].startswith("usage: macpolar")
+
+
+VALID_ARGV = [
+    ["analyze", "--channel", "c.json"],
+    ["polarize", "--channel", "c.json", "--l", "3"],
+    ["construct", "--channel", "c.json", "--l", "3", "--eps", "0.2", "--z-budget", "1e-3"],
+    ["simulate", "--codespec", "s.json", "--channel", "c.json", "--trials", "5"],
+    ["evolve", "--channel", "c.json", "--l", "4", "--out", "e.csv"],
+    ["probe-conjectures", "--grid", "step:2", "--no-timestamp"],
+]
+
+
+def test_one_argv_per_command_covers_every_command():
+    assert [argv[0] for argv in VALID_ARGV] == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=itemgetter(0))
+def test_command_parser_gives_the_full_parsers_namespace(argv):
+    # Every default lands in the Namespace, and the `# config:` echo of an
+    # output file is built from it.
+    got = cli.build_parser(argv[0]).parse_args(argv)
+    assert got == cli.build_parser(None).parse_args(argv)
+    assert got.func is cli.COMMANDS[argv[0]][1]
+
+
+@pytest.mark.parametrize("extra", [["--l", "3"], ["-h"]])
+def test_command_parser_leaves_the_other_commands_bare(capsys, extra):
+    # Only the invoked command's options are built: another command's
+    # options, -h among them, are unknown to it, though its name is still
+    # a valid choice.
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser("analyze").parse_args(["construct", *extra])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_parser_keeps_the_top_level_usage_and_listing(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    got, full = cli.build_parser(command), cli.build_parser(None)
+    assert got.format_help() == full.format_help()
+    assert got.format_usage() == full.format_usage()
+
+
+def test_main_builds_only_the_invoked_commands_parser(tmp_path, monkeypatch, capsys):
+    # No arguments, -h or an unknown command get the full parser; with
+    # argv None the command is read from sys.argv.
+    monkeypatch.chdir(tmp_path)
+    seen, full = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: seen.append(command) or full(command))
+    for argv in ([], ["-h"], ["bogus"], ["analyze", "--channel", "missing.json"]):
+        run_main(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["macpolar", "evolve", "--channel", "missing.json",
+                                      "--l", "1"])
+    assert main() == 2
+    assert seen == [None, None, None, "analyze", "evolve"]
+
+
+def test_console_script_path_writes_the_same_spec(tmp_path, monkeypatch, capsys):
+    # With argv None, main reads sys.argv[1:] and picks the command there.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO_CHANNELS / "five_component.json", "five.json")
+    argv = ["construct", "--channel", "five.json", "--l", "5", "--eps", "0.2",
+            "--z-budget", "1e-3", "--no-timestamp", "--out"]
+    assert main(argv + ["in_process.json"]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-m", "macpolar.cli", *argv, "console.json"],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == capsys.readouterr().out
+    assert (tmp_path / "console.json").read_bytes() == \
+        (tmp_path / "in_process.json").read_bytes()
+
+
+def test_construct_refuses_past_the_branch_cap_at_once(five_term_file, capsys):
+    start = time.perf_counter()
+    assert main(["construct", "--channel", five_term_file, "--l", "40",
+                 "--eps", "0.2", "--z-budget", "1e-3"]) == 3
+    assert time.perf_counter() - start < 5
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == ("error: a depth-40 code has 2^40 branches, more than "
+                           "MAX_CODE_BRANCHES = 4194304\n")
+
+
+def test_branch_cap_is_checked_before_the_lattice_walk(monkeypatch):
+    # Depth 22 (2^22 = MAX_CODE_BRANCHES branches) reaches the walk; depth
+    # 23 is refused before it.
+    class Walked(Exception):
+        pass
+
+    def walk(*args):
+        raise Walked
+    monkeypatch.setattr(polarize, "lattice_levels", walk)
+    five = load_channel(str(DEMO_CHANNELS / "five_component.json"))
+    assert polarize.MAX_CODE_BRANCHES == 2 ** 22
+    with pytest.raises(Walked):
+        polarize.build_code(five, 22, 0.2, 1e-3)
+    for depth in (23, 40, 10 ** 9):
+        with pytest.raises(TooLargeError, match="MAX_CODE_BRANCHES"):
+            polarize.build_code(five, depth, 0.2, 1e-3)

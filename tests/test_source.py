@@ -166,3 +166,23 @@ def test_readme_commands_run(tmp_path):
         assert run.returncode == 0, f"{code}: {run.stderr}"
         printed.append(run.stdout.strip())
     assert printed == ["0.81884765625", "0.90155029296875"]
+
+
+def test_every_command_handler_is_one_table_entry():
+    # cli.COMMANDS declares each subcommand once, with its options, and
+    # build_parser is the one place that registers them: every `cmd_*`
+    # function handles exactly one entry, and no parser or handler is
+    # set up outside the table's loop.
+    from macpolar import cli
+
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = sorted(top.name for top in tree.body
+                     if isinstance(top, ast.FunctionDef) and top.name.startswith("cmd_"))
+    handlers = [handler for _, handler, _ in cli.COMMANDS.values()]
+    assert defined and sorted(h.__name__ for h in handlers) == defined
+    assert all(getattr(cli, h.__name__) is h for h in handlers)
+    calls = [node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert calls.count("set_defaults") == 1
+    assert calls.count("add_argument") == 1
