@@ -4,7 +4,9 @@ Subcommands: analyze, polarize, construct, simulate, evolve,
 probe-conjectures.  Every run echoes its resolved configuration into the
 output file, and with --no-timestamp two runs of the same command are
 byte-identical.  Exit codes: 0 success, 2 configuration or input error,
-3 size or enumeration cap exceeded.
+3 size or enumeration cap exceeded.  A call that names a command is
+parsed by a parser of that command alone, and anything else by the full
+parser of every command, with the same help and error text either way.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .polarize import (
     MAX_BRANCH_OUTPUTS,
     branch_step,
     build_code,
+    check_code_depth,
     direction_stats,
     polarization_tree,
     summarize_levels,
@@ -96,6 +99,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_polarize(args) -> int:
     channel = _as_explicit(jsonio.load_channel(args.channel))
+    check_code_depth(args.l)
     subsets = user_subsets(channel.m)
     levels = [[] for _ in range(args.l + 1)]
     branch_rows = []
@@ -354,33 +358,43 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given a `command`, one that
-    parses only that command's arguments: the others are listed by name
-    and help alone, so the usage, listing and choice errors are the same."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give `parser` the options and handler of command `name`."""
+    _, handler, options = COMMANDS[name]
+    for flag, keywords in options + _COMMON:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="macpolar",
         description="Polar coding experiments for multiple access channels "
                     "over prime fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, handler, options) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=text)
-            for flag, keywords in options + _COMMON:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(func=handler)
-        else:
-            sub.add_parser(name, help=text, add_help=False)
+    for name, (text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=text), name)
     return parser
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """The Namespace of `argv`, as the full parser gives it.  A parser of
+    the named command alone is the full parser's subparser for it, help
+    and errors included; a call it leaves arguments over from, or that
+    names no command, goes to the full parser."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"macpolar {argv[0]}")
+        _add_command(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:],
+                                             argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Only the invoked command's options are built; anything else (no
-    # arguments, -h, an unknown command) gets the full parser.
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (TooLargeError, TooDeepError) as exc:

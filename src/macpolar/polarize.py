@@ -62,6 +62,14 @@ def all_sigs(length: int):
 
 # -- the polarization tree ----------------------------------------------------
 
+def check_code_depth(depth: int) -> None:
+    """Refuse a depth whose 2^depth branches pass MAX_CODE_BRANCHES,
+    without forming 2^depth."""
+    if depth >= MAX_CODE_BRANCHES.bit_length():        # 2^depth > MAX_CODE_BRANCHES
+        raise TooLargeError(f"a depth-{depth} code has 2^{depth} branches, more than "
+                            f"MAX_CODE_BRANCHES = {MAX_CODE_BRANCHES}")
+
+
 def polarization_tree(root, depth: int, step):
     """Yield (sig, node) for every node of the depth-`depth` tree, in
     preorder with the '-' child before the '+' child.
@@ -303,9 +311,7 @@ def build_code(channel: "DiscreteMac | LinearComboMac", depth: int, eps: float,
     if not z_budget > 0:        # NaN too
         raise ValueError("z_budget must be positive")
     check_merge_tol(merge_tol)
-    if depth >= MAX_CODE_BRANCHES.bit_length():        # 2^depth > MAX_CODE_BRANCHES
-        raise TooLargeError(f"a depth-{depth} code has 2^{depth} branches, more than "
-                            f"MAX_CODE_BRANCHES = {MAX_CODE_BRANCHES}")
+    check_code_depth(depth)
     q, m = channel.q, channel.m
     if isinstance(channel, LinearComboMac):
         maps, which, z_sum, i_branch, i_det = _lattice_leaves(channel, depth, eps)

@@ -1088,30 +1088,53 @@ def run_main(argv, capsys):
     return code, printed.out, printed.err
 
 
+def _integer_options():
+    """(command, flag) of every option typed by `cli._integer`."""
+    return [(name, flag) for name, (_, _, options) in cli.COMMANDS.items()
+            for flag, keywords in options
+            if getattr(keywords.get("type"), "__qualname__", "").startswith("_integer.")]
+
+
 HELP_AND_ERROR_ARGV = [
-    [], ["--help"], ["bogus"],
+    [], ["--help"], ["-h", "construct"], ["bogus"], ["bogus", "--channel", "c.json"],
     *([name, "--help"] for name in cli.COMMANDS),
+    *([name] for name in cli.COMMANDS),
     ["construct", "--bogus", "1"],
     ["construct", "--channel", "x"],
+    ["construct", "--chan", "x"],
+    ["analyze", "--chan", "missing.json"],
+    ["analyze", "--channel", "missing.json", "extra"],
+    ["analyze", "extra", "--channel", "missing.json"],
+    ["analyze", "--channel", "missing.json", "--", "a", "b"],
+    ["analyze", "--", "--channel", "missing.json"],
+    ["construct", "--mode", "x"],
+    ["analyze", "--channel", "missing.json", "--mode", "x"],
+    ["analyze", "--channel", "missing.json", "-h"],
+    ["construct", "--channel", "x", "--l", "3", "--help"],
     ["simulate", "--codespec", "c.json", "--channel", "c.json", "--trials", "0"],
     ["evolve", "--channel", "c.json", "--l", "-1"],
     ["analyze", "--channel", "missing.json"],
+    *([name, flag, value] for name, flag in _integer_options() for value in ("x", "-1", "0")),
 ]
 
 
 @pytest.mark.parametrize("argv", HELP_AND_ERROR_ARGV, ids=" ".join)
 def test_help_and_errors_match_the_full_parser(tmp_path, monkeypatch, capsys, argv):
-    # The parser built for one command lists the others by name and help
-    # only; usage, listings, choice errors and exit codes must not show it.
-    # COLUMNS fixes argparse's wrapping width on every host.
+    # main parses a call naming a command with that command's parser alone;
+    # usage, listings, errors and exit codes must be those of a run parsed
+    # by the full parser.  COLUMNS fixes argparse's wrapping width.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     got = run_main(argv, capsys)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full(None))
+    monkeypatch.setattr(cli, "parse_args", lambda argv: cli.build_parser().parse_args(argv))
     want = run_main(argv, capsys)
     assert got == want
     assert got[0] != 0 or got[1].startswith("usage: macpolar")
+
+
+def test_every_integer_option_has_a_bad_value_case():
+    flags = {flag for _, flag in _integer_options()}
+    assert flags == {"--l", "--max-outputs", "--trials", "--seed", "--m", "--max-family"}
 
 
 VALID_ARGV = [
@@ -1129,46 +1152,61 @@ def test_one_argv_per_command_covers_every_command():
 
 
 @pytest.mark.parametrize("argv", VALID_ARGV, ids=itemgetter(0))
-def test_command_parser_gives_the_full_parsers_namespace(argv):
+def test_command_parser_gives_the_full_parsers_namespace(monkeypatch, argv):
     # Every default lands in the Namespace, and the `# config:` echo of an
-    # output file is built from it.
-    got = cli.build_parser(argv[0]).parse_args(argv)
-    assert got == cli.build_parser(None).parse_args(argv)
+    # output file lists its items in order.  A valid call never builds the
+    # full parser.
+    full = cli.build_parser().parse_args(argv)
+
+    def refuse():
+        raise AssertionError("the full parser was built")
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    got = cli.parse_args(argv)
+    assert list(vars(got).items()) == list(vars(full).items())
     assert got.func is cli.COMMANDS[argv[0]][1]
 
 
-@pytest.mark.parametrize("extra", [["--l", "3"], ["-h"]])
+@pytest.mark.parametrize("extra", [["--l", "3"], ["--mode", "x"]])
 def test_command_parser_leaves_the_other_commands_bare(capsys, extra):
-    # Only the invoked command's options are built: another command's
-    # options, -h among them, are unknown to it, though its name is still
-    # a valid choice.
+    # A command's parser knows only its own options: another command's are
+    # left over, and the full parser reports them.
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser("analyze").parse_args(["construct", *extra])
+        cli.parse_args(["analyze", "--channel", "c.json", *extra])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert f"macpolar: error: unrecognized arguments: {' '.join(extra)}\n" \
+        == capsys.readouterr().err.splitlines(keepends=True)[-1]
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_command_parser_keeps_the_top_level_usage_and_listing(monkeypatch, command):
+def test_command_parser_keeps_the_top_level_usage_and_listing(monkeypatch, capsys, command):
+    # Arguments left over after a valid call are reported under the full
+    # parser's usage, which lists every command.
     monkeypatch.setenv("COLUMNS", "80")
-    got, full = cli.build_parser(command), cli.build_parser(None)
-    assert got.format_help() == full.format_help()
-    assert got.format_usage() == full.format_usage()
+    argv = next(argv for argv in VALID_ARGV if argv[0] == command)
+    with pytest.raises(SystemExit):
+        cli.parse_args([*argv, "extra"])
+    usage = cli.build_parser().format_usage()
+    assert capsys.readouterr().err == f"{usage}macpolar: error: unrecognized arguments: extra\n"
+    assert all(name in usage for name in cli.COMMANDS)
 
 
 def test_main_builds_only_the_invoked_commands_parser(tmp_path, monkeypatch, capsys):
-    # No arguments, -h or an unknown command get the full parser; with
-    # argv None the command is read from sys.argv.
+    # The full parser is built for no arguments, -h, an unknown command or
+    # arguments left over, and for nothing else; with argv None the
+    # command is read from sys.argv.
     monkeypatch.chdir(tmp_path)
     seen, full = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command=None: seen.append(command) or full(command))
-    for argv in ([], ["-h"], ["bogus"], ["analyze", "--channel", "missing.json"]):
+    monkeypatch.setattr(cli, "build_parser", lambda: seen.append(True) or full())
+    for argv in ([], ["-h"], ["bogus"], ["analyze", "--channel", "missing.json", "x"]):
+        run_main(argv, capsys)
+    assert len(seen) == 4
+    for argv in (["analyze", "--channel", "missing.json"], ["construct", "-h"],
+                 ["construct", "--l", "x"]):
         run_main(argv, capsys)
     monkeypatch.setattr(sys, "argv", ["macpolar", "evolve", "--channel", "missing.json",
                                       "--l", "1"])
     assert main() == 2
-    assert seen == [None, None, None, "analyze", "evolve"]
+    assert len(seen) == 4
 
 
 def test_console_script_path_writes_the_same_spec(tmp_path, monkeypatch, capsys):
@@ -1193,6 +1231,20 @@ def test_construct_refuses_past_the_branch_cap_at_once(five_term_file, capsys):
     start = time.perf_counter()
     assert main(["construct", "--channel", five_term_file, "--l", "40",
                  "--eps", "0.2", "--z-budget", "1e-3"]) == 3
+    assert time.perf_counter() - start < 5
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == ("error: a depth-40 code has 2^40 branches, more than "
+                           "MAX_CODE_BRANCHES = 4194304\n")
+
+
+def test_polarize_refuses_past_the_branch_cap_before_any_transform(monkeypatch, capsys):
+    def step(*args, **kwargs):
+        raise AssertionError("a transform ran")
+    monkeypatch.setattr(cli, "branch_step", step)
+    start = time.perf_counter()
+    assert main(["polarize", "--channel", str(DEMO_CHANNELS / "five_component.json"),
+                 "--l", "40"]) == 3
     assert time.perf_counter() - start < 5
     printed = capsys.readouterr()
     assert printed.out == ""

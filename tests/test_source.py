@@ -170,9 +170,9 @@ def test_readme_commands_run(tmp_path):
 
 def test_every_command_handler_is_one_table_entry():
     # cli.COMMANDS declares each subcommand once, with its options, and
-    # build_parser is the one place that registers them: every `cmd_*`
-    # function handles exactly one entry, and no parser or handler is
-    # set up outside the table's loop.
+    # one helper registers them for the full parser and for the parser of
+    # a single command alike: every `cmd_*` function handles exactly one
+    # entry, and `add_argument` and `set_defaults` are each called once.
     from macpolar import cli
 
     path = PACKAGE / "cli.py"
@@ -186,3 +186,13 @@ def test_every_command_handler_is_one_table_entry():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
     assert calls.count("set_defaults") == 1
     assert calls.count("add_argument") == 1
+    # Both calls sit in one helper, and both parsers are built through it.
+    functions = {top.name: {node.func.attr if isinstance(node.func, ast.Attribute)
+                            else getattr(node.func, "id", None)
+                            for node in ast.walk(top) if isinstance(node, ast.Call)}
+                 for top in tree.body if isinstance(top, ast.FunctionDef)}
+    helpers = [name for name, called in functions.items()
+               if {"add_argument", "set_defaults"} <= called]
+    assert len(helpers) == 1
+    assert [name for name, called in functions.items() if helpers[0] in called] \
+        == ["build_parser", "parse_args"]
