@@ -145,7 +145,7 @@ def cmd_construct(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = jsonio.load_codespec(args.codespec, check=False)      # run_trials checks it
-    channel = _as_explicit(jsonio.load_channel(args.channel))
+    channel = jsonio.load_channel(args.channel)
     report = run_trials(spec, channel, args.trials, args.seed)
     print(json.dumps(report.to_dict(), sort_keys=True))
     _write_csv(args, report.CSV_COLUMNS, [report.csv_row()])

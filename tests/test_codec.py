@@ -190,9 +190,9 @@ def test_decoder_posterior_matches_brute_force(rng):
     mac = random_mac(rng, 2, 2, 3)
     spec = trivial_spec(2, 2, 2)
     for trial in range(5):
-        u_true = random_message(spec, [trial, 0], [trial, 1])
-        received = simulate_channel(mac, encode(spec, u_true), seed=[trial, 2])
-        res = sc_decode(spec, mac, received, frozen_from_seed(spec, [trial, 1]),
+        u_true = random_message(spec, 0, trial)
+        received = simulate_channel(mac, encode(spec, u_true), 0, trial)
+        res = sc_decode(spec, mac, received, frozen_from_seed(spec, 0, trial),
                         genie_u=u_true, with_details=True)
         for b in range(4):
             expect = brute_posterior(mac, u_true, received, b)
@@ -222,9 +222,9 @@ def test_perfect_channel_round_trip(q, m, l, trials):
     spec = build_code(chan, l, eps=0.2, z_budget=1e-9)
     assert spec.sum_rate == pytest.approx(float(m))
     for trial in range(trials):
-        u = random_message(spec, [trial, 0], [trial, 1])
-        received = simulate_channel(chan, encode(spec, u), seed=[trial, 2])
-        decoded = sc_decode(spec, chan, received, frozen_from_seed(spec, [trial, 1]))
+        u = random_message(spec, 0, trial)
+        received = simulate_channel(chan, encode(spec, u), 0, trial)
+        decoded = sc_decode(spec, chan, received, frozen_from_seed(spec, 0, trial))
         assert np.array_equal(decoded, u)
     # Only the frozen positions of the frozen array are read.
     assert np.array_equal(sc_decode(spec, chan, received, u), u)
@@ -249,9 +249,9 @@ def test_genie_equivalence_on_clean_trials(rng):
     info = ~spec.frozen_mask()
     clean = 0
     for trial in range(30):
-        u_true = random_message(spec, [trial, 0], [trial, 1])
-        frozen = frozen_from_seed(spec, [trial, 1])
-        received = simulate_channel(chan, encode(spec, u_true), seed=[trial, 2])
+        u_true = random_message(spec, 0, trial)
+        frozen = frozen_from_seed(spec, 0, trial)
+        received = simulate_channel(chan, encode(spec, u_true), 0, trial)
         plain = sc_decode(spec, chan, received, frozen, with_details=True)
         genie = sc_decode(spec, chan, received, frozen, genie_u=u_true,
                           with_details=True)
@@ -280,7 +280,7 @@ def test_simulate_channel_frequencies(rng):
     row = mac.table[1]
     n = 2 ** 11
     x = np.ones((n, 1), dtype=np.int64)
-    draws = np.concatenate([simulate_channel(mac, x, seed=[97, rep])
+    draws = np.concatenate([simulate_channel(mac, x, 97, rep)
                             for rep in range(8)])
     counts = np.bincount(draws, minlength=3) / draws.size
     for y in range(3):
@@ -350,17 +350,99 @@ def test_frozen_symbols_reproducible():
     spec = build_code(chan, 3, eps=0.2, z_budget=1e-9)
     assert np.array_equal(frozen_from_seed(spec, 42), frozen_from_seed(spec, 42))
     assert not np.array_equal(frozen_from_seed(spec, 42), frozen_from_seed(spec, 43))
-    # One generator per seed fills the masked positions in row-major order
-    # (branch by branch, users ascending), 0 elsewhere.
+    # Trial t's message is the N*m uniforms of the message stream from
+    # output t*N*m on, in row-major order (branch by branch, users
+    # ascending), each symbol floor(u q); its frozen array keeps the
+    # masked ones, 0 elsewhere.
     mask = spec.frozen_mask()
     assert mask.shape == (8, 2) and 0 < mask.sum() < 16
-    draws = lambda seed, k: np.random.default_rng([seed]).integers(0, 2, size=k)
-    frozen = frozen_from_seed(spec, 42)
-    assert frozen[mask].tolist() == draws(42, mask.sum()).tolist()
-    assert not frozen[~mask].any()
-    u = random_message(spec, 5, 42)
-    assert np.array_equal(u[mask], frozen[mask])
-    assert u[~mask].tolist() == draws(5, (~mask).sum()).tolist()
+    bits = np.random.PCG64([codec.MESSAGES, 42])
+    draws = (np.random.Generator(bits).random((3, 16)) * 2).astype(int)
+    for t in range(3):
+        u = random_message(spec, 42, t)
+        assert u.tolist() == draws[t].reshape(8, 2).tolist()
+        frozen = frozen_from_seed(spec, 42, t)
+        assert np.array_equal(frozen[mask], u[mask]) and not frozen[~mask].any()
+
+
+@pytest.mark.parametrize("q", [3, 7, 2039, 2053, 65537])
+def test_message_symbols_are_the_floor_of_u_q(q):
+    # Exactly floor(u q) for the uniform u = k 2^-53 that Generator.random
+    # makes of the same output; from q = 2^11 on, k keeps its top
+    # 64 - bits(q) bits so that k q fits 64 bits.
+    spec = trivial_spec(q, 1, 4)
+    uniforms = np.random.Generator(np.random.PCG64([codec.MESSAGES, 9])).random(48)
+    cut = max(0, q.bit_length() - 11)
+    want = [(int(u * 2 ** 53) >> cut) * q >> (53 - cut) for u in uniforms.tolist()]
+    got = np.concatenate([random_message(spec, 9, t)[:, 0] for t in range(3)])
+    assert got.tolist() == want
+    assert 0 <= min(want) and max(want) < q
+
+
+def test_streams_repeat_and_differ():
+    spec = trivial_spec(3, 2, 3)
+    first = random_message(spec, 5, 2)
+    assert np.array_equal(first, random_message(spec, 5, 2))
+    assert not np.array_equal(first, random_message(spec, 6, 2))
+    assert not np.array_equal(first, random_message(spec, 5, 3))
+    # Trial t's block starts at output t * width of its stream.
+    whole = codec._stream(7, codec.CHANNEL, 0, 10).random_raw(40)
+    assert np.array_equal(codec._stream(7, codec.CHANNEL, 3, 10).random_raw(10), whole[30:])
+    # No two (seed, stream) keys share a state, not even a seed past 2^32
+    # whose high word meets the other's stream: a key with a trailing zero
+    # word seeds the same state as the key without it.
+    keys = [(seed, stream) for seed in (0, 1, 5, 2 ** 32, 2 ** 32 + 5, 2 ** 64 + 5)
+            for stream in (codec.MESSAGES, codec.CHANNEL)]
+    firsts = {tuple(codec._stream(seed, stream, 0, 1).random_raw(4).tolist())
+              for seed, stream in keys}
+    assert len(firsts) == len(keys)
+
+
+def term_draw_channels():
+    """Seeded combinations on three shapes, the two demo combinations, and
+    weights summing to 1 - 1e-13 whose last term leaves the sum unmoved."""
+    rng = np.random.default_rng(81)
+    channels = [random_combo(rng, q, m, max_terms=4) for q, m in ((2, 2), (3, 2), (2, 3))]
+    channels += [load_channel(str(DEMO_CHANNELS / name))
+                 for name in ("five_component.json", "parity_revealer.json")]
+    subs = subspace_lattice(2, 2).subspaces
+    channels.append(LinearComboMac(2, 2, [(0.25, subs[0]), (0.5, subs[2]),
+                                          (0.25 - 1e-13, subs[3]), (1e-20, subs[4])]))
+    return channels
+
+
+def test_term_draw_is_the_tables_inverse_cdf():
+    # For every input, a combination's output drawn by term is the one the
+    # inverse CDF of its `to_explicit` row picks, at the cumulative
+    # weights, just below them, and at or above the total.
+    for combo in term_draw_channels():
+        q, m = combo.q, combo.m
+        explicit = combo.to_explicit()
+        cum = np.cumsum([w for w, _ in combo.terms])
+        uniforms = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0),
+                                   [np.nextafter(cum[-1], 2.0), np.nextafter(1.0, 0.0), 1.0]])
+        shape = (q ** m, len(uniforms))
+        x = np.broadcast_to(all_vectors(q, m)[:, None, :], shape + (m,))
+        got = codec._sampler(combo)(x, np.broadcast_to(uniforms, shape))
+        for i, row in enumerate(explicit.table):
+            assert got[i].tolist() == _inverse_cdf(np.cumsum(row), uniforms).tolist()
+        assert np.array_equal(codec._sampler(explicit)(x, np.broadcast_to(uniforms, shape)), got)
+    # The last channel's last term, 1e-20, does not move the float sum, so
+    # a draw at or above the total takes the first term that reaches it.
+    assert cum[-1] == cum[-2] < 1.0
+    above = uniforms >= cum[-1]
+    assert (got[:, above] == combo.output_indices()[-2][:, None]).all()
+    assert not np.isin(got, combo.output_indices()[-1]).any()
+
+
+def test_run_trials_on_a_combination_is_run_trials_on_its_table():
+    errors = 0
+    for combo in term_draw_channels():
+        spec = build_code(combo, 3, eps=0.2, z_budget=0.5)
+        by_term = run_trials(spec, combo, 70, seed=3)
+        assert by_term.csv_row() == run_trials(spec, combo.to_explicit(), 70, seed=3).csv_row()
+        errors += by_term.errors
+    assert errors > 0
 
 
 # -- batched decoder against the one-block recursion --------------------------------
@@ -564,11 +646,10 @@ def assert_batch_matches_reference(spec, chan, received, frozen, genie=None):
 def sampled_blocks(spec, chan, trials, seed):
     """(received, frozen symbols, true messages) of `trials` blocks sent
     through the channel, as (T, N) and (T, N, m) arrays."""
-    u = np.stack([random_message(spec, [seed, t, 0], [seed, t, 1])
-                  for t in range(trials)])
-    received = np.stack([simulate_channel(chan, x, [seed, t, 2])
+    u = np.stack([random_message(spec, seed, t) for t in range(trials)])
+    received = np.stack([simulate_channel(chan, x, seed, t)
                          for t, x in enumerate(encode(spec, u))])
-    frozen = np.stack([frozen_from_seed(spec, [seed, t, 1]) for t in range(trials)])
+    frozen = np.stack([frozen_from_seed(spec, seed, t) for t in range(trials)])
     return received, frozen, u
 
 
@@ -591,7 +672,7 @@ def test_batch_decoder_matches_reference(q, m):
             assert_batch_matches_reference(spec, chan, received, frozen, genie)
         # Received words the code cannot produce: zero likelihoods and ties.
         received = rng.integers(0, chan.output_size, size=(3, n))
-        frozen = np.stack([frozen_from_seed(spec, [7, t]) for t in range(3)])
+        frozen = np.stack([frozen_from_seed(spec, 7, t) for t in range(3)])
         assert_batch_matches_reference(spec, chan, received, frozen)
 
 
@@ -682,39 +763,58 @@ def test_inverse_cdf_never_runs_past_the_last_output():
 
 
 def test_run_trials_blocks_do_not_depend_on_the_trial_count(monkeypatch):
-    # Trial t's received block comes from its own generator: the same at 5
-    # trials as at 70, where the trials fill one chunk and part of another.
-    chan = load_channel(str(DEMO_CHANNELS / "five_component.json")).to_explicit()
+    # Trial t's message, frozen symbols and received block sit at fixed
+    # offsets of the run's streams: the same at 5 trials as at 70, and in
+    # chunks of 1, 7 or 64 trials, where 70 trials fill one chunk and part
+    # of another.  Each is what `random_message`, `frozen_from_seed` and
+    # `simulate_channel` give for trial t alone.
+    chan = load_channel(str(DEMO_CHANNELS / "five_component.json"))
     spec = build_code(chan, 4, eps=0.2, z_budget=0.05)
-    seen = []
+    sent, seen = [], []
 
     def recording(spec, channel):
         decode, chunk = _decoder(spec, channel)
 
-        def record(received, *args):
-            seen.append(received.copy())
-            return decode(received, *args)
+        def record(received, frozen, *args):
+            seen.append((received.copy(), frozen.copy()))
+            return decode(received, frozen, *args)
         return record, chunk
 
+    def encoding(spec, u):
+        sent.append(u.copy())
+        return encode(spec, u)
+
     monkeypatch.setattr(codec, "_decoder", recording)
-    short = run_trials(spec, chan, 5, seed=11)
-    first = np.concatenate(seen)
-    seen.clear()
-    long = run_trials(spec, chan, 70, seed=11)
-    assert [len(r) for r in seen] == [DECODE_CHUNK, 70 - DECODE_CHUNK]
-    blocks = np.concatenate(seen)
-    assert np.array_equal(blocks[:5], first)
+    monkeypatch.setattr(codec, "encode", encoding)
+    runs = {}
+    for chunk in (1, 7, DECODE_CHUNK):
+        monkeypatch.setattr(codec, "DECODE_CHUNK", chunk)
+        for trials in (5, 70):
+            sent.clear()
+            seen.clear()
+            report = run_trials(spec, chan, trials, seed=11)
+            assert [len(u) for u in sent] == [min(chunk, trials - k)
+                                              for k in range(0, trials, chunk)]
+            runs[chunk, trials] = (np.concatenate(sent),
+                                   np.concatenate([f for _, f in seen]),
+                                   np.concatenate([r for r, _ in seen]), report.errors)
     monkeypatch.undo()
+    u, frozen, received, errors = runs[DECODE_CHUNK, 70]
+    for (chunk, trials), run in runs.items():
+        for got, want in zip(run[:3], (u, frozen, received)):
+            assert np.array_equal(got, want[:trials]), (chunk, trials)
     # The chunked harness counts the errors of decoding each trial alone.
     info = ~spec.frozen_mask()
     wrong = []
     for t in range(70):
-        u = random_message(spec, [11, t, 0], [11, t, 1])
-        received = simulate_channel(chan, encode(spec, u), seed=[11, t, 2])
-        assert np.array_equal(received, blocks[t])
-        u_hat = sc_decode(spec, chan, received, frozen_from_seed(spec, [11, t, 1]))
-        wrong.append(not np.array_equal(u_hat[info], u[info]))
-    assert long.errors == sum(wrong) and short.errors == sum(wrong[:5])
+        assert np.array_equal(u[t], random_message(spec, 11, t))
+        assert np.array_equal(frozen[t], frozen_from_seed(spec, 11, t))
+        alone = simulate_channel(chan, encode(spec, u[t]), 11, t)
+        assert np.array_equal(alone, received[t])
+        u_hat = sc_decode(spec, chan.to_explicit(), alone, frozen[t])
+        wrong.append(not np.array_equal(u_hat[info], u[t][info]))
+    assert errors == sum(wrong) and 0 < sum(wrong)
+    assert all(run[3] == sum(wrong[:trials]) for (_, trials), run in runs.items())
 
 
 @pytest.mark.parametrize("route", ["float", "coset"])
@@ -752,10 +852,10 @@ def test_run_trials_hands_the_decoder_each_trials_own_block(monkeypatch, route):
     info = ~spec.frozen_mask()
     errors = 0
     for t in range(trials):
-        u = random_message(spec, [29, t, 0], [29, t, 1])
-        alone = simulate_channel(chan, encode(spec, u), seed=[29, t, 2])
+        u = random_message(spec, 29, t)
+        alone = simulate_channel(chan, encode(spec, u), 29, t)
         assert np.array_equal(received[t], alone)
-        assert np.array_equal(frozen[t], frozen_from_seed(spec, [29, t, 1]))
+        assert np.array_equal(frozen[t], frozen_from_seed(spec, 29, t))
         u_hat = sc_decode(spec, chan, alone, frozen[t])
         errors += not np.array_equal(u_hat[info], u[info])
     assert report.errors == errors and 0 < errors < trials
@@ -857,7 +957,7 @@ def test_coset_decoder_matches_float_decoder(q, m):
                 fallbacks += decode_both(spec, chan, received, frozen, genie)
             # Received words the code cannot produce: empty meets.
             received = rng.integers(0, chan.output_size, size=(20, spec.block_length))
-            frozen = np.stack([frozen_from_seed(spec, [rep, t]) for t in range(20)])
+            frozen = np.stack([frozen_from_seed(spec, rep, t) for t in range(20)])
             fallbacks += decode_both(spec, chan, received, frozen)
     assert fallbacks > 0
 
@@ -900,7 +1000,7 @@ def test_fallbacks_are_counted_only_with_details():
         spec = random_spec(rng, 2, 2, 4)
         # Random received words: the combination's plus nodes meet empty sets.
         received = rng.integers(0, chan.output_size, size=(5, spec.block_length))
-        frozen = np.stack([frozen_from_seed(spec, [28, t]) for t in range(5)])
+        frozen = np.stack([frozen_from_seed(spec, 28, t) for t in range(5)])
         u_hat, posteriors, fallbacks = decode_batch(spec, chan, received, frozen)
         assert posteriors is None and fallbacks is None
         detailed = decode_batch(spec, chan, received, frozen, with_details=True)

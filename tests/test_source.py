@@ -94,15 +94,17 @@ def test_only_polarize_names_the_branch_view():
 
 
 def test_codec_builds_generators_at_one_call_site():
-    # `simulate` output is fixed by which generator, keyed (seed, trial,
-    # stream), draws each symbol and uniform; one owner of that rule keeps
-    # a second draw path from drifting away from it.
+    # `simulate` output is fixed by which stream, keyed (stream, seed), draws
+    # each symbol and uniform, and at which offset; one owner of that rule
+    # keeps a second draw path from drifting away from it.
     path = PACKAGE / "codec.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    sites = [f"codec.py:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and "default_rng" in
-             (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
-    assert len(sites) == 1, sites
+    bit_generators = {"PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
+    calls = [(getattr(node.func, "attr", None) or getattr(node.func, "id", None),
+              f"codec.py:{node.lineno}")
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert len([site for name, site in calls if name in bit_generators]) == 1, calls
+    assert [site for name, site in calls if name == "default_rng"] == []
 
 
 def python_blocks(markdown: str):
