@@ -10,7 +10,8 @@ bit j-1, with the '-' slot receiving the sum.
 The decoder evaluates each good branch's exact posterior over GF(q)^m by
 the two-node recursion the transforms define: a minus node convolves the
 two child likelihoods over the sibling vector, a plus node conditions on
-the already-decided sibling.  It is one recursive walk over blocks of
+the already-decided sibling.  It runs as one of two passes over the same
+node updates.  Plain SC decoding is a recursive walk over blocks of
 branches in decoding order, each block's minus half before its plus half.
 A block that holds no good branch is never descended (the rate-0 nodes of
 the simplified decoder of Alamdar-Yazdi and Kschischang): where its
@@ -18,9 +19,13 @@ partial sums are read, they are the butterfly of its frozen vectors,
 known in advance, so no decision changes.  The walk decodes a batch of
 blocks at once, one array per visited node (the stage-wise layout of
 Leroux, Tal, Vardy and Gross), so its Python work grows with the visited
-nodes, not with the number of blocks.  Likelihoods stay in the linear
-domain and are rescaled by their maximum at every node, which keeps deep
-trees away from underflow without log arithmetic.
+nodes, not with the number of blocks.  The genie-aided decoder conditions
+every plus node on the true message instead, so no node depends on a
+decision, and it evaluates the same nodes level by level, all the blocks
+of a level in one call per node kind: its Python work grows with l.
+Likelihoods stay in the linear domain and are rescaled by their maximum
+at every node, which keeps deep trees away from underflow without log
+arithmetic.
 
 A linear combination of linear channels needs none of that arithmetic.
 Each of its outputs reveals a linear image of the input, so each column of
@@ -34,6 +39,14 @@ decoder that holds one affine-set index per node and looks every node up
 in small cached tables (`_coset_tables`); its decisions come from running
 the float decoder's rule on each set's posterior, so the two decoders
 agree bit for bit.  Any other table takes the float decoder.
+
+The Monte Carlo harness counts SC block errors with the genie-aided pass.
+That count is exact (Arikan, "Channel polarization", splits the error
+event by the first wrong branch): SC's first wrong decision in a block is
+taken with correct predecessors, so on the genie's node values, where the
+genie decides the same; and a block that SC decodes right has the genie's
+node values, hence its decisions, at every branch.  So a block has an
+information error under SC exactly when it has one under the genie.
 """
 
 from __future__ import annotations
@@ -66,6 +79,8 @@ MESSAGES, CHANNEL = 0, 1
 def _stream(seed, stream: int, start: int, width: int) -> np.random.PCG64:
     """Stream `stream` of run `seed` at trial `start`, `width` outputs per
     trial; every output gives one symbol or one uniform."""
+    if start < 0:       # `advance` would wrap it to the end of the period
+        raise ValueError(f"trial {start} is negative")
     bits = np.random.PCG64([stream, int(seed)])
     bits.advance(start * width)
     return bits
@@ -113,12 +128,17 @@ def butterfly_transform(u: np.ndarray, q: int) -> np.ndarray:
     """Apply the l-stage recursion to key-indexed rows, the second-to-last
     axis of u; the '-' slot of each stage-j pair (keys differing in bit
     j-1) receives the sum.  Returns int64 values in [0, q)."""
+    return np.moveaxis(_keyed_butterfly(u, q), 0, -2).astype(np.int64, order="C")
+
+
+def _keyed_butterfly(u: np.ndarray, q: int) -> np.ndarray:
+    """`butterfly_transform` with the key axis moved first, in the
+    narrowest unsigned dtype that holds a sum of two symbols, 2q - 2."""
     x = np.asarray(u, dtype=np.int64)
     if x.size and (x.min() < 0 or x.max() >= q):   # an int64 % costs more than the stages
         x = x % q
     n = x.shape[-2]
-    # Key axis outermost, so that a stage's rows are runs across the batch,
-    # in the narrowest unsigned dtype that holds a sum of two symbols, 2q - 2.
+    # Key axis outermost, so that a stage's rows are runs across the batch.
     keyed = np.moveaxis(x, -2, 0).astype(np.min_scalar_type(2 * q - 2), order="C")
     j = 1
     while j < n:
@@ -129,7 +149,7 @@ def butterfly_transform(u: np.ndarray, q: int) -> np.ndarray:
         # Unsigned: below q, top - q wraps past top; from q on it is top mod q.
         np.minimum(top, top - int(q), out=top)
         j <<= 1
-    return np.moveaxis(keyed, 0, -2).astype(np.int64, order="C")
+    return keyed
 
 
 def encode(spec: CodeSpec, u) -> np.ndarray:
@@ -157,7 +177,7 @@ def simulate_channel(channel: DiscreteMac | LinearComboMac, x: np.ndarray, seed,
     return _sampler(channel)(x[None] % channel.q, uniforms)[0]
 
 
-def _sampler(channel: DiscreteMac | LinearComboMac):
+def _sampler(channel: DiscreteMac | LinearComboMac, explicit: DiscreteMac | None = None):
     """sample(x, uniforms): (T, N) output indices of a (T, N, m) batch of
     codewords in [0, q), uniform (t, i) mapped through row i of codeword
     t's inverse CDF.
@@ -168,12 +188,18 @@ def _sampler(channel: DiscreteMac | LinearComboMac):
     those of the weights: adding the zeros between them is exact.  The
     inverse CDF of the row therefore picks the output of the term the
     weights' inverse CDF picks, and one `searchsorted` over the weights
-    draws the whole batch, its outputs read from `output_indices`.  An
+    draws the whole batch, its outputs read from `output_indices`.  A
+    caller that holds the combination's table already passes it as
+    `explicit`: the term weights are positive, so row x's non-zero columns
+    are then outputs[:, x], and `output_indices` is not built twice.  An
     explicit table takes one pass per distinct input."""
     powers = channel.q ** np.arange(channel.m)
     if isinstance(channel, LinearComboMac):
         weights = np.cumsum([w for w, _ in channel.terms])
-        outputs = channel.output_indices()
+        if explicit is None:
+            outputs = channel.output_indices()
+        else:
+            outputs = np.nonzero(explicit.table)[1].reshape(-1, len(weights)).T
         return lambda x, uniforms: outputs[_inverse_cdf(weights, uniforms), x @ powers]
     cdf = np.cumsum(channel.table, axis=1)
 
@@ -221,12 +247,13 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
     smaller field element.  The information symbols are
     u_hat[~spec.frozen_mask()].
 
-    `genie_u` (the true message) makes the conditioning use true
-    predecessor branches while still recording the per-branch decisions.
-    Returns the decided (N, m) array u_hat, or a DecodeResult when
-    with_details is set.  A spec that `CodeSpec.check` refuses raises its
-    SpecMismatchError, and so does a received symbol outside the channel's
-    outputs.
+    `genie_u`, the true (N, m) message read mod q, makes the conditioning
+    use true predecessor branches while still recording the per-branch
+    decisions.  Returns the decided (N, m) array u_hat, or a DecodeResult
+    when with_details is set.  A spec that `CodeSpec.check` refuses raises
+    its SpecMismatchError, and so do a received symbol outside the
+    channel's outputs and frozen symbols or a genie message of another
+    shape.
     """
     decode, _ = _decoder(spec, channel)
     n = spec.block_length
@@ -240,7 +267,13 @@ def sc_decode(spec: CodeSpec, channel: DiscreteMac, received, frozen,
         raise SpecMismatchError(f"expected ({n}, {spec.m}) frozen symbols, "
                                 f"got {frozen.shape}")
     known = np.where(spec.frozen_mask(), frozen % spec.q, 0)
-    genie = None if genie_u is None else np.asarray(genie_u, dtype=np.int64)[None]
+    genie = None
+    if genie_u is not None:
+        genie = np.asarray(genie_u, dtype=np.int64)
+        if genie.shape != (n, spec.m):
+            raise SpecMismatchError(f"expected an ({n}, {spec.m}) genie message, "
+                                    f"got {genie.shape}")
+        genie = genie[None]
     u_hat, posteriors, fallbacks = decode(received[None], known[None], genie, with_details)
     if with_details:
         return DecodeResult(u_hat=u_hat[0],
@@ -281,8 +314,8 @@ def _decoder(spec: CodeSpec, channel: DiscreteMac):
 def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
                   frozen: np.ndarray, genie_u: np.ndarray | None = None,
                   with_details: bool = False):
-    """`_decoder`'s decode on likelihood arrays, for any channel: a level-k
-    node holds (2^k, T, q^m) likelihoods, each row rescaled by its
+    """`_decoder`'s decode on likelihood arrays, for any channel: a node
+    holds one q^m likelihood row per position and trial, rescaled by its
     maximum."""
     q, m = spec.q, spec.m
     big_q = q ** m
@@ -290,12 +323,12 @@ def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
     fallbacks = np.zeros(len(received), dtype=np.int64) if with_details else None
 
     def scaled(v):
-        mx = v.max(axis=2, keepdims=True)
-        dead = mx[:, :, 0] <= 0
+        mx = v.max(axis=-1, keepdims=True)
+        dead = mx[..., 0] <= 0
         if not dead.any():
             return v / mx
         if with_details:
-            fallbacks[:] += dead.sum(axis=0)
+            fallbacks[:] += dead.reshape(-1, len(fallbacks)).sum(axis=0)
         mx[dead] = 1.0
         v = v / mx
         v[dead] = 1.0 / big_q
@@ -305,20 +338,23 @@ def _decode_float(spec: CodeSpec, channel: DiscreteMac, received: np.ndarray,
         # Not einsum or matmul: their rounding depends on the batch shape,
         # and a sum along the last axis rounds each row alike, so exactly
         # tied posteriors break the same way in any batch.  That needs a
-        # C-ordered gather: l0[:, :, add] may put another axis innermost, and
+        # C-ordered gather: l0[..., add] may put another axis innermost, and
         # the sum then runs across rows.
-        return scaled((np.take(l0, add, axis=2) * l1[:, :, None, :]).sum(axis=3))
+        return scaled((np.take(l0, add, axis=-1) * l1[..., None, :]).sum(axis=-1))
 
     def plus(l0, l1, sib):
-        return scaled(np.take_along_axis(l0, add[sib], axis=2) * l1)
+        return scaled(np.take_along_axis(l0, add[sib], axis=-1) * l1)
 
-    def leaf(b, v):
-        post = v[0] / v[0].sum(axis=1, keepdims=True)
-        shape = spec.shapes[spec.shape_index[b]]
-        return post, _decide_batch(shape.a_columns, shape.s_users, post, frozen[:, b], q, m)
+    def leaf(shape, v, known):
+        post = v / v.sum(axis=-1, keepdims=True)
+        s = spec.shapes[shape]
+        base = all_vectors(q, m)[known.ravel()]
+        return post, _decide_batch(s.a_columns, s.s_users, post.reshape(-1, big_q), base,
+                                   q, m).reshape(known.shape)
 
-    u_hat, posteriors = _walk(spec, lambda: scaled(channel.table.T[received.T]),
-                              minus, plus, leaf, frozen, genie_u, with_details)
+    args = (spec, lambda: scaled(channel.table.T[received.T]), minus, plus, leaf,
+            frozen, with_details)
+    u_hat, posteriors = _walk(*args) if genie_u is None else _genie(*args, genie_u)
     return u_hat, posteriors, fallbacks
 
 
@@ -329,37 +365,51 @@ def _decode_coset(spec: CodeSpec, leaf: np.ndarray, frozen: np.ndarray,
     leaf is (T, N): the `_coset_tables` index of each received output's
     support.  Where every leaf likelihood is a constant on an affine set,
     every node likelihood that `_decode_float` normalizes is exactly 1.0
-    on an affine set and 0 elsewhere, or the uniform fallback, so a
-    level-k node is one (2^k, T) array of set indices, each a gather from
-    the tables.  The index `dead` stands for the uniform fallback.
+    on an affine set and 0 elsewhere, or the uniform fallback, so a node
+    holds one set index per position and trial, each a gather from the
+    tables.  The index `dead` stands for the uniform fallback.
     """
     q, m = spec.q, spec.m
     tab = _coset_tables(q, m)
+    sets, big_q = tab.dead + 1, q ** m
     fallbacks = np.zeros(len(leaf), dtype=np.int64) if with_details else None
-    known = (frozen @ q ** np.arange(m)).T
     decide = [_decision_table(q, m, s.a_columns, s.s_users) if s.in_good_set and s.r
               else None for s in spec.shapes]
 
     def minus(l0, l1):
-        return tab.minus[l0, l1]
+        return _lookup(tab.minus, l0, sets, l1)
 
     def plus(l0, l1, sib):
-        v = tab.meet[tab.trans[l0, sib], l1]
+        v = _lookup(tab.meet, _lookup(tab.trans, l0, big_q, sib), sets, l1)
         if with_details:
-            fallbacks[:] += (v == tab.dead).sum(axis=0)
+            fallbacks[:] += (v == tab.dead).reshape(-1, len(fallbacks)).sum(axis=0)
         return v
 
-    def decided(b, v):
-        sets, table = v[0], decide[spec.shape_index[b]]
-        return (tab.post[sets] if with_details else None), table[sets, known[b]]
+    def decided(shape, v, known):
+        return (tab.post[v] if with_details else None), _lookup(decide[shape], v, big_q, known)
 
-    u_hat, posteriors = _walk(spec, lambda: leaf.T, minus, plus, decided, frozen,
-                              genie_u, with_details)
+    args = (spec, lambda: leaf.T, minus, plus, decided, frozen, with_details)
+    u_hat, posteriors = _walk(*args) if genie_u is None else _genie(*args, genie_u)
     return u_hat, posteriors, fallbacks
 
 
-def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
-          genie_u: np.ndarray | None, with_details: bool):
+def _lookup(table: np.ndarray, row: np.ndarray, width: int, col) -> np.ndarray:
+    """table[row, col] for a C-ordered table of `width` columns.  From
+    about 256 entries on, one take from the flat table costs less than the
+    two-index gather (a quarter of it at 16384)."""
+    if row.size < 256:
+        return table[row, col]
+    at = row * width
+    at += col
+    return table.take(at)
+
+
+def _carriers(spec: CodeSpec) -> np.ndarray:
+    """(N,) whether each branch is decided: good, with information users."""
+    return np.array([bool(s.in_good_set and s.r) for s in spec.shapes])[spec.shape_index]
+
+
+def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray, with_details: bool):
     """The recursive successive-cancellation walk both decoders share.
 
     Block a of level k holds branches [a 2^k, (a+1) 2^k); its node values
@@ -367,27 +417,28 @@ def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
     and top() gives the level-l block's.  minus(l0, l1) and plus(l0, l1,
     sib) give a child's values from the two halves of its parent's, plus
     reading sib, the left sibling's partial sums: the (2^k, T) k-stage
-    butterfly of the vector indices decided there.
-    leaf(b, v) gives good branch b's (T, q^m) posterior (None is allowed
-    when with_details is off) and its (T,) decided vector indices.
+    butterfly of the vector indices decided there.  leaf(shape, v, known)
+    decides B good branches of one shape from their (B, T, ...) node
+    values and the (B, T) vector indices of their frozen symbols (0 at
+    the information users): it gives their (B, T, q^m) posteriors (None
+    is allowed when with_details is off) and their (B, T) decided vector
+    indices.
 
     A block without a good branch is never descended: its partial sums,
-    when read, are the butterfly of its frozen (or true) vectors, done in
-    its k stages at once.  Every other node is evaluated exactly once,
-    as the one-block recursion evaluates it.  Returns (u_hat, posteriors).
+    when read, are the butterfly of its frozen vectors, done in its k
+    stages at once.  Every other node is evaluated exactly once, as the
+    one-block recursion evaluates it.  Returns (u_hat, posteriors).
     """
     q, m = spec.q, spec.m
     add = add_table(q, m)
-    powers = q ** np.arange(m)
-    u_idx = (frozen @ powers).T.copy()               # (N, T) vector indices
+    u_idx = (frozen @ q ** np.arange(m)).T.copy()    # (N, T) vector indices
     # A position is read only once its branch is finished, so it can hold
-    # the frozen (or true) vector of every branch from the start.
-    partial = u_idx.copy() if genie_u is None else ((genie_u % q) @ powers).T.copy()
+    # the frozen vector of every branch from the start.
+    partial = u_idx.copy()
     posteriors = [None] * spec.block_length if with_details else None
     # Good branches before each position: block [lo, hi) holds one when
     # ahead[hi] > ahead[lo].
-    carries = np.array([bool(s.in_good_set and s.r) for s in spec.shapes])
-    ahead = [0] + np.cumsum(carries[spec.shape_index]).tolist()
+    ahead = [0] + np.cumsum(_carriers(spec)).tolist()
 
     def settle(lo: int, k: int):
         """The k-stage butterfly of partial[lo:lo + 2^k], in place."""
@@ -403,11 +454,10 @@ def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
         """Decode the level-k block starting at branch lo from its node
         values v; when need is set, leave its k-stage partial sums."""
         if k == 0:
-            post, u_idx[lo] = leaf(lo, v)
-            if need and genie_u is None:
-                partial[lo] = u_idx[lo]
+            post, decided = leaf(spec.shape_index[lo], v, u_idx[lo:lo + 1])
+            partial[lo] = u_idx[lo] = decided[0]
             if with_details:
-                posteriors[lo] = post
+                posteriors[lo] = post[0]
             return
         half = 1 << (k - 1)
         mid, hi = lo + half, lo + 2 * half
@@ -427,6 +477,77 @@ def _walk(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray,
     if ahead[-1]:
         sc(spec.l, 0, top(), False)
     return all_vectors(q, m)[u_idx.T.copy()], posteriors
+
+
+def _genie(spec: CodeSpec, top, minus, plus, leaf, frozen: np.ndarray, with_details: bool,
+           genie_u: np.ndarray):
+    """The genie-aided decoder: `_walk`'s node updates, level by level.
+
+    With the true message's partial sums in every plus node, no node value
+    depends on a decision, so all the blocks of a level are evaluated
+    together: their node values are one (blocks, 2^k, T, ...) array, and a
+    level's minus and plus children are one call each.  As in `_walk`,
+    only blocks that hold a good branch are evaluated, so every node value
+    is the one the genie-aided recursion computes, and the good branches
+    of each shape are decided in one leaf call.  The plus nodes' sibling
+    partial sums at level k-1 are the true codeword with its stages undone
+    down to k-1, one stage peeled per level.  Returns (u_hat,
+    posteriors).
+    """
+    q, m, n = spec.q, spec.m, spec.block_length
+    posteriors = [None] * n if with_details else None
+    good = _carriers(spec)
+    if not good.any():
+        return np.array(frozen, dtype=np.int64), posteriors
+    code = _keyed_butterfly(genie_u, q)      # (N, T, m) codeword symbols
+    v, blocks = top()[None], np.zeros(1, dtype=np.int64)
+    for k in range(spec.l, 0, -1):
+        half = 1 << (k - 1)
+        # Undo stage k: the first half of each level-k block holds the sum.
+        stage = code.reshape(-1, 2, half, *code.shape[1:])
+        sums = stage[:, 0]
+        sums += q - stage[:, 1]
+        np.minimum(sums, sums - q, out=sums)
+        holds = good.reshape(-1, 2, half).any(axis=2)[blocks]
+        kids, ids = [], []
+        for side in (0, 1):
+            at = holds[:, side]
+            count = np.count_nonzero(at)
+            if not count:
+                continue
+            pair = v if count == len(blocks) else v[at]
+            l0, l1 = pair[:, :half], pair[:, half:]
+            if side:
+                kids.append(plus(l0, l1, _vector_index(stage[blocks[at], 0], q)))
+            else:
+                kids.append(minus(l0, l1))
+            ids.append(2 * blocks[at] + side)
+        del v, pair, l0, l1
+        v = kids[0] if len(kids) == 1 else np.concatenate(kids)
+        blocks = ids[0] if len(ids) == 1 else np.concatenate(ids)
+        del kids
+    v = v[:, 0]
+    vecs = all_vectors(q, m)
+    u_hat = np.array(frozen, dtype=np.int64)      # made once the node arrays are gone
+    shapes = spec.shape_index[blocks]
+    for shape in sorted(set(shapes.tolist())):
+        at = np.flatnonzero(shapes == shape)
+        post, decided = leaf(shape, v[at], _vector_index(frozen[:, blocks[at]], q).T)
+        u_hat[:, blocks[at]] = vecs[decided.T]
+        if with_details:
+            for b, p in zip(blocks[at].tolist(), post):
+                posteriors[b] = p
+    return u_hat, posteriors
+
+
+def _vector_index(x: np.ndarray, q: int) -> np.ndarray:
+    """Little-endian radix-q index of the vectors along x's last axis, in
+    int64; elementwise, which costs less than an integer matmul."""
+    idx = x[..., -1].astype(np.int64)
+    for k in range(x.shape[-1] - 2, -1, -1):
+        idx *= q
+        idx += x[..., k]
+    return idx
 
 
 def _decide_batch(a_columns, s_users, post, base, q, m):
@@ -570,7 +691,7 @@ def _coset_leaves(channel: DiscreteMac):
 # Trials decoded together: at most DECODE_CHUNK, and on the float decoder
 # only as many as keep a minus node's gather of chunk * N/2 * q^2m floats,
 # plus its product temporary of the same size, within GATHER_FLOATS (128 MB
-# of float64); its likelihoods, chunk * 2N * q^m floats, take less.  The
+# of float64); its likelihoods, a few chunk * N * q^m floats, take less.  The
 # coset decoder's largest arrays are the chunk * N * m message symbols,
 # held to the same budget.
 DECODE_CHUNK = 64
@@ -629,16 +750,18 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac | LinearComboMac,
     MESSAGES), so runs are reproducible and trial t's block does not
     depend on the trial count; `random_message`, `frozen_from_seed` and
     `simulate_channel` give it alone.  Blocks are drawn, encoded, sent
-    and decoded a chunk of trials at a time (see DECODE_CHUNK).  A
-    combination channel is sampled by term and decoded on its
-    `to_explicit` table.  A spec that `CodeSpec.check` refuses raises its
+    and decoded a chunk of trials at a time (see DECODE_CHUNK), each chunk
+    by the genie-aided decoder against its own true messages, which
+    counts exactly the blocks that SC decoding without a genie gets wrong
+    (see the module docstring).  A combination channel is sampled by term
+    and decoded on its `to_explicit` table.  A spec that `CodeSpec.check` refuses raises its
     SpecMismatchError.
     """
     explicit = channel.to_explicit() if isinstance(channel, LinearComboMac) else channel
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     decode, chunk = _decoder(spec, explicit)
-    sample = _sampler(channel)
+    sample = _sampler(channel, explicit)
     mask = spec.frozen_mask()
     info = ~mask
     errors = 0
@@ -646,7 +769,7 @@ def run_trials(spec: CodeSpec, channel: DiscreteMac | LinearComboMac,
         stop = min(start + chunk, n_trials)
         u = _messages(spec, seed, start, stop)
         received = sample(encode(spec, u), _uniforms(spec.block_length, seed, start, stop))
-        u_hat, _, _ = decode(received, np.where(mask, u, 0))
+        u_hat, _, _ = decode(received, np.where(mask, u, 0), u)
         errors += int((u_hat != u)[:, info].any(axis=1).sum())
     bler = errors / n_trials
     lo, hi = wilson_interval(errors, n_trials)

@@ -330,6 +330,33 @@ def test_message_mismatch_errors():
         simulate_channel(chan, np.zeros((4, 3), dtype=int), seed=0)
 
 
+@pytest.mark.parametrize("shape", [(8, 2), (16, 3), (32,)])
+def test_sc_decode_refuses_a_genie_message_of_another_shape(shape):
+    # These once raised numpy's IndexError or a bare matmul ValueError.
+    chan = load_channel(str(DEMO_CHANNELS / "five_component.json")).to_explicit()
+    spec = build_code(chan, 4, eps=0.2, z_budget=1e-2)
+    u = random_message(spec, 1)
+    received = simulate_channel(chan, encode(spec, u), 1)
+    with pytest.raises(SpecMismatchError, match=r"\(16, 2\) genie message"):
+        sc_decode(spec, chan, received, u, genie_u=np.zeros(shape, dtype=int))
+    # Values are read mod q.
+    assert np.array_equal(sc_decode(spec, chan, received, u, genie_u=u + 2),
+                          sc_decode(spec, chan, received, u, genie_u=u))
+
+
+def test_negative_trials_are_refused():
+    # PCG64.advance wraps a negative offset to the end of the period, so
+    # trial -1 once returned a block.
+    chan = load_channel(str(DEMO_CHANNELS / "five_component.json"))
+    spec = build_code(chan, 3, eps=0.2, z_budget=1e-2)
+    x = encode(spec, random_message(spec, 1))
+    for view in (lambda: random_message(spec, 1, trial=-1),
+                 lambda: frozen_from_seed(spec, 1, trial=-1),
+                 lambda: simulate_channel(chan, x, 1, trial=-1)):
+        with pytest.raises(ValueError, match="trial -1"):
+            view()
+
+
 def test_decide_branch_refuses_a_non_invertible_map():
     # Equal columns do not determine the information users; the decoder
     # refuses a spec that holds them rather than picking a vector.
@@ -880,11 +907,11 @@ def test_run_trials_chunk_follows_the_decoder(monkeypatch):
     def recording(spec, channel):
         decode, chunk = _decoder(spec, channel)
 
-        def record(received, frozen):
+        def record(received, frozen, genie_u=None):
             seen.append(len(received))
             if channel is generic:      # spare the float decoder's 44-trial gathers
                 return np.zeros(frozen.shape, dtype=np.int64), None, None
-            return decode(received, frozen)
+            return decode(received, frozen, genie_u)
         return record, chunk
 
     assert _decoder(spec, generic)[1] == 44 and resolve(combo) is not None
@@ -895,6 +922,161 @@ def test_run_trials_chunk_follows_the_decoder(monkeypatch):
     seen.clear()
     run_trials(spec, generic, 50, seed=2)
     assert seen == [44, 6] and routes == [combo, generic]
+
+
+def sc_error_cases():
+    """(label, spec, channel) on both decoder routes, with channels that
+    lose some blocks and not others: the coset route on GF(2)^2 (the
+    five-component channel and the parity revealer), GF(3)^2, GF(2)^3 and
+    GF(5)^2 combinations, the float route on a noisy GF(3)^2 table."""
+    five = load_channel(str(DEMO_CHANNELS / "five_component.json"))
+    parity = load_channel(str(DEMO_CHANNELS / "parity_revealer.json"))
+    rng = np.random.default_rng(3401)
+    noise = random_mac(np.random.default_rng(3402), 3, 2, 9).table
+    noisy = DiscreteMac(3, 2, 0.6 * np.eye(9) + 0.4 * noise)
+    upper = list(range(16, 32))
+    cases = [("five", build_code(five, 6, eps=0.2, z_budget=0.5), five),
+             ("parity", random_spec(rng, 2, 2, 5, upper[12:]), parity),
+             ("float", random_spec(rng, 3, 2, 5, [15, 19, 21, 22, 23] + upper[8:]), noisy)]
+    for q, m, l in [(3, 2, 5), (2, 3, 5), (5, 2, 4)]:
+        every = subspace_lattice(q, m).subspaces
+        combo = LinearComboMac(q, m, zip(rng.dirichlet(np.ones(len(every))).tolist(), every))
+        cases.append((f"GF({q})^{m}", build_code(combo, l, eps=0.2, z_budget=0.5), combo))
+    return cases
+
+
+def test_run_trials_counts_the_blocks_sc_gets_wrong(monkeypatch):
+    # run_trials decodes in genie mode; its per-trial error flags are
+    # those of decoding each trial alone by SC without a genie, in chunks
+    # of 1, 7 and 64 trials.
+    flags = []
+
+    def recording(spec, channel):
+        decode, chunk = _decoder(spec, channel)
+
+        def record(received, frozen, genie_u=None):
+            assert genie_u is not None
+            result = decode(received, frozen, genie_u)
+            flags.append((result[0] != genie_u)[:, ~spec.frozen_mask()].any(axis=1))
+            return result
+        return record, chunk
+
+    total = 0
+    for label, spec, chan in sc_error_cases():
+        explicit = chan.to_explicit() if isinstance(chan, LinearComboMac) else chan
+        assert (_coset_leaves(explicit) is None) == (label == "float")
+        info = ~spec.frozen_mask()
+        alone = []
+        for t in range(160):
+            u = random_message(spec, 5, t)
+            received = simulate_channel(chan, encode(spec, u), 5, t)
+            u_hat = sc_decode(spec, explicit, received, frozen_from_seed(spec, 5, t))
+            alone.append(not np.array_equal(u_hat[info], u[info]))
+        assert 0 < sum(alone) < 160, label
+        total += sum(alone)
+        for chunk in (1, 7, DECODE_CHUNK):
+            monkeypatch.setattr(codec, "DECODE_CHUNK", chunk)
+            monkeypatch.setattr(codec, "_decoder", recording)
+            flags.clear()
+            report = run_trials(spec, chan, 160, seed=5)
+            monkeypatch.undo()
+            assert np.concatenate(flags).tolist() == alone, (label, chunk)
+            assert report.errors == sum(alone)
+    assert total >= 200
+
+
+@pytest.mark.parametrize("route", ["float", "coset"])
+def test_genie_decoder_matches_reference_with_fallbacks(route):
+    # With a genie, on specs with rate-0 blocks and on received words the
+    # code cannot produce, the level-by-level pass makes the one-block
+    # recursion's decisions, posteriors and fallback counts.
+    rng = np.random.default_rng(3403)
+    q, m, depth = 3, 2, 3
+    if route == "float":        # zeros off an affine support: not a coset table
+        table = random_mac(rng, q, m, 6).table * (rng.random((9, 6)) < 0.5)
+        table[:, 0] += 0.1
+        chan = DiscreteMac(q, m, table / table.sum(axis=1, keepdims=True))
+    else:
+        chan = random_combo(rng, q, m).to_explicit()
+    assert (_coset_leaves(chan) is None) == (route == "float")
+    fallbacks = 0
+    for spec in [random_spec(rng, q, m, depth)] + subtree_specs(rng, q, m, depth):
+        for trials in (1, 3):
+            received, frozen, genie = sampled_blocks(spec, chan, trials, trials)
+            assert_batch_matches_reference(spec, chan, received, frozen, genie)
+            received = rng.integers(0, chan.output_size, size=(trials, spec.block_length))
+            assert_batch_matches_reference(spec, chan, received, frozen, genie)
+            fallbacks += decode_batch(spec, chan, received, frozen, genie,
+                                      with_details=True)[2].sum()
+    assert fallbacks > 0
+
+
+def node_counts(monkeypatch, spec, chan, genie):
+    """{(kind, 2^k): level-k blocks evaluated} of one decode of two
+    trials, kind "minus" or "plus", by whichever pass runs."""
+    counts, trials = {}, 2
+    passes = {"_walk": codec._walk, "_genie": codec._genie}
+
+    def counting(name):
+        def run(spec, top, minus, plus, *rest):
+            def counted(kind, f):
+                def node(*args):
+                    out = f(*args)
+                    key = (kind, out.shape[-2])
+                    counts[key] = counts.get(key, 0) + out.size // (out.shape[-2] * trials)
+                    return out
+                return node
+            return passes[name](spec, top, counted("minus", minus), counted("plus", plus), *rest)
+        return run
+
+    for name in passes:
+        monkeypatch.setattr(codec, name, counting(name))
+    received, frozen, u = sampled_blocks(spec, chan, trials, 1)
+    decode_batch(spec, chan, received, frozen, u if genie else None)
+    monkeypatch.undo()
+    return counts
+
+
+def test_genie_pass_prunes_as_sc_prunes(monkeypatch):
+    # The level-by-level pass evaluates a block only when it holds a good
+    # branch, as the walk does: on a spec whose first half is frozen, no
+    # node of that half is computed, and every level evaluates the walk's
+    # blocks.
+    rng = np.random.default_rng(3404)
+    l, n = 6, 64
+    good = [b for b in range(n // 2, n) if rng.random() < 0.3]
+    spec = random_spec(rng, 2, 2, l, good)
+    chan = load_channel(str(DEMO_CHANNELS / "five_component.json")).to_explicit()
+    holds = {1 << k: {b >> k for b in good} for k in range(l)}
+    for genie in (False, True):
+        counts = node_counts(monkeypatch, spec, chan, genie)
+        assert ("minus", n // 2) not in counts and counts["plus", n // 2] == 1
+        for size, blocks in holds.items():
+            assert min(blocks) >= n // 2 // size                # all in the second half
+            assert counts.get(("minus", size), 0) + counts.get(("plus", size), 0) == len(blocks)
+    assert node_counts(monkeypatch, spec, chan, True) == node_counts(monkeypatch, spec, chan, False)
+
+
+def test_run_trials_builds_the_output_indices_once(monkeypatch):
+    # The term draw reads the combination's outputs off the table that
+    # the decoder is given, and draws what `output_indices` gives.
+    five = load_channel(str(DEMO_CHANNELS / "five_component.json"))
+    spec = build_code(five, 5, eps=0.2, z_budget=0.05)
+    want = run_trials(spec, five, 20, seed=4).csv_row()
+    built = []
+    original = LinearComboMac.output_indices
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LinearComboMac, "output_indices", counting)
+    assert run_trials(spec, five, 20, seed=4).csv_row() == want
+    assert built == [five]
+    for combo in term_draw_channels():
+        explicit = combo.to_explicit()
+        assert np.array_equal(np.nonzero(explicit.table)[1].reshape(explicit.table.shape[0], -1).T,
+                              original(combo))
 
 
 def test_decode_chunk_bounds_the_minus_gather(monkeypatch):
